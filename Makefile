@@ -6,7 +6,7 @@ TIER1_BENCH = ^(BenchmarkAvailableBandwidthQuery|BenchmarkEnumerateScenarioII|Be
 BENCH_COUNT ?= 5
 BENCH_JSON ?= BENCH_$(shell date -u +%Y-%m-%d).json
 
-.PHONY: all build test vet lint lint-fix vuln hooks fuzz race bench bench-smoke bench-json bench-gate golden check e2e cover cover-gate
+.PHONY: all build test vet lint lint-fix vuln hooks fuzz race bench bench-smoke bench-json bench-gate golden check e2e cover cover-gate perfbench-test
 
 all: check
 
@@ -42,6 +42,12 @@ fuzz:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a module of its own (perfbench/go.mod), so `go test ./...`
+# skips it. Its self-tests (replay == HTTP answers, the workloads'
+# exercise assertions) are what ties the benchmark to the handler.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Known-CVE scan of the (stdlib-only) dependency surface, pinned so CI
 # and local runs agree on the database client. Gating in CI.

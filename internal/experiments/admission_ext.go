@@ -32,17 +32,15 @@ func EstimatorAdmission() (*Table, error) {
 		falseReject := 0
 		var admitted []core.Flow
 		for _, req := range reqs {
-			idle, err := routing.BackgroundIdleness(net, m, admitted, queryOptions())
-			if err != nil {
-				return nil, err
-			}
-			path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, idle, req.Src, req.Dst)
-			if err != nil {
-				continue // unroutable under current load: skip
-			}
+			// One background solve serves both routing's idle ratios
+			// and the estimator's path state.
 			sched, err := routing.BackgroundSchedule(m, admitted, queryOptions())
 			if err != nil {
 				return nil, err
+			}
+			path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, estimate.NodeIdleRatios(net, sched), req.Src, req.Dst)
+			if err != nil {
+				continue // unroutable under current load: skip
 			}
 			ps, err := estimate.PathStateFromSchedule(net, m, sched, path)
 			if err != nil {

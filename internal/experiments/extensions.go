@@ -70,11 +70,13 @@ func estimationMAE(net *topology.Network, m *conflict.Physical, reqs []routing.R
 	var admitted []core.Flow
 	n := 0
 	for _, req := range reqs {
-		idle, err := routing.BackgroundIdleness(net, m, admitted, core.Options{})
+		// One background solve serves both routing's idle ratios and
+		// the estimators' path state.
+		sched, err := routing.BackgroundSchedule(m, admitted, core.Options{})
 		if err != nil {
 			return nil, 0, err
 		}
-		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, idle, req.Src, req.Dst)
+		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, estimate.NodeIdleRatios(net, sched), req.Src, req.Dst)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -84,10 +86,6 @@ func estimationMAE(net *topology.Network, m *conflict.Physical, reqs []routing.R
 		}
 		if res.Status != lp.Optimal {
 			break
-		}
-		sched, err := routing.BackgroundSchedule(m, admitted, core.Options{})
-		if err != nil {
-			return nil, 0, err
 		}
 		ps, err := estimate.PathStateFromSchedule(net, m, sched, path)
 		if err != nil {

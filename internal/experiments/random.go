@@ -253,11 +253,13 @@ func Fig4Series() ([]Fig4Row, error) {
 	var admitted []core.Flow
 	var rows []Fig4Row
 	for i, req := range reqs {
-		idle, err := routing.BackgroundIdleness(net, m, admitted, queryOptions())
+		// One background solve serves both routing's idle ratios and
+		// the estimators' path state.
+		sched, err := routing.BackgroundSchedule(m, admitted, queryOptions())
 		if err != nil {
 			return nil, err
 		}
-		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, idle, req.Src, req.Dst)
+		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, estimate.NodeIdleRatios(net, sched), req.Src, req.Dst)
 		if err != nil {
 			return nil, err
 		}
@@ -267,10 +269,6 @@ func Fig4Series() ([]Fig4Row, error) {
 		}
 		if res.Status != lp.Optimal {
 			return nil, fmt.Errorf("flow %d: availability LP %v", i+1, res.Status)
-		}
-		sched, err := routing.BackgroundSchedule(m, admitted, queryOptions())
-		if err != nil {
-			return nil, err
 		}
 		ps, err := estimate.PathStateFromSchedule(net, m, sched, path)
 		if err != nil {

@@ -19,6 +19,7 @@ import (
 	"abw/internal/obs"
 	"abw/internal/radio"
 	"abw/internal/routing"
+	"abw/internal/schedule"
 	"abw/internal/topology"
 )
 
@@ -165,27 +166,32 @@ func parseMetric(name string) (routing.Metric, error) {
 }
 
 // queryPath resolves the query to a concrete link path, routing when
-// only endpoints are given.
-func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.Model, background []core.Flow) (topology.Path, error) {
+// only endpoints are given. Routing solves the background schedule for
+// its idle ratios and returns it, so the estimates reuse that solve;
+// an explicit path leaves it nil.
+func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.Model, background []core.Flow) (topology.Path, *schedule.Schedule, error) {
 	if len(s.Query.Path) > 0 {
-		return nodePath(net, s.Query.Path)
+		path, err := nodePath(net, s.Query.Path)
+		return path, nil, err
 	}
 	if s.Query.Src == nil || s.Query.Dst == nil {
-		return nil, fmt.Errorf("netjson: query needs either a path or src+dst")
+		return nil, nil, fmt.Errorf("netjson: query needs either a path or src+dst")
 	}
 	metric := routing.MetricAvgE2ED
 	if s.Query.Metric != "" {
 		var err error
 		metric, err = parseMetric(s.Query.Metric)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	idle, err := routing.BackgroundIdlenessContext(ctx, net, m, background, s.coreOptions())
+	sched, err := routing.BackgroundScheduleContext(ctx, m, background, s.coreOptions())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return routing.FindPath(net, m, metric, idle, topology.NodeID(*s.Query.Src), topology.NodeID(*s.Query.Dst))
+	idle := estimate.NodeIdleRatios(net, sched)
+	path, err := routing.FindPath(net, m, metric, idle, topology.NodeID(*s.Query.Src), topology.NodeID(*s.Query.Dst))
+	return path, &sched, err
 }
 
 // Solve answers the spec: exact available bandwidth (Eq. 6), the
@@ -234,7 +240,7 @@ func SolveContext(ctx context.Context, s *Spec) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	path, err := s.queryPath(ctx, net, m, background)
+	path, sched, err := s.queryPath(ctx, net, m, background)
 	if err != nil {
 		return nil, err
 	}
@@ -266,11 +272,14 @@ func SolveContext(ctx context.Context, s *Spec) (*Answer, error) {
 		ans.Schedule = append(ans.Schedule, sa)
 	}
 
-	sched, err := routing.BackgroundScheduleContext(ctx, m, background, s.coreOptions())
-	if err != nil {
-		return nil, err
+	if sched == nil {
+		bs, err := routing.BackgroundScheduleContext(ctx, m, background, s.coreOptions())
+		if err != nil {
+			return nil, err
+		}
+		sched = &bs
 	}
-	ps, err := estimate.PathStateFromSchedule(net, m, sched, path)
+	ps, err := estimate.PathStateFromSchedule(net, m, *sched, path)
 	if err != nil {
 		return nil, err
 	}

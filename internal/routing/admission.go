@@ -163,41 +163,31 @@ func admitOne(
 // the admitted flows: the minimal-airtime schedule delivering the
 // admitted demands is computed (what an efficient network converges to)
 // and each node senses it. With no background, every node is fully
-// idle.
+// idle. It is estimate.NodeIdleRatios over BackgroundSchedule; callers
+// that also need the schedule should solve it once and derive both.
 func BackgroundIdleness(net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options) ([]float64, error) {
-	return backgroundIdleness(context.Background(), net, m, admitted, coreOpts, nil)
+	return BackgroundIdlenessContext(context.Background(), net, m, admitted, coreOpts)
 }
 
 // BackgroundIdlenessContext is BackgroundIdleness under a context: the
 // feasibility enumeration and LP poll ctx and stop promptly on
 // cancellation.
 func BackgroundIdlenessContext(ctx context.Context, net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options) ([]float64, error) {
-	return backgroundIdleness(ctx, net, m, admitted, coreOpts, nil)
-}
-
-// backgroundIdleness is BackgroundIdleness optionally answering the
-// feasibility question through a session's memo.
-func backgroundIdleness(ctx context.Context, net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options, sess *core.Session) ([]float64, error) {
-	if sess != nil {
-		// The session memoizes the whole schedule → idle-ratio pipeline
-		// by demand signature.
-		return sess.IdleRatiosContext(ctx, net, admitted)
-	}
-	if len(admitted) == 0 {
-		idle := make([]float64, net.NumNodes())
-		for i := range idle {
-			idle[i] = 1
-		}
-		return idle, nil
-	}
-	ok, sched, err := core.FeasibleDemandsContext(ctx, m, admitted, coreOpts)
+	sched, err := BackgroundScheduleContext(ctx, m, admitted, coreOpts)
 	if err != nil {
-		return nil, fmt.Errorf("routing: background schedule: %w", err)
-	}
-	if !ok {
-		return nil, fmt.Errorf("routing: background flows are not jointly schedulable")
+		return nil, err
 	}
 	return estimate.NodeIdleRatios(net, sched), nil
+}
+
+// backgroundIdleness is BackgroundIdlenessContext optionally answering
+// through a session, which memoizes the whole schedule → idle-ratio
+// pipeline by demand signature.
+func backgroundIdleness(ctx context.Context, net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options, sess *core.Session) ([]float64, error) {
+	if sess != nil {
+		return sess.IdleRatiosContext(ctx, net, admitted)
+	}
+	return BackgroundIdlenessContext(ctx, net, m, admitted, coreOpts)
 }
 
 // BackgroundSchedule exposes the minimal-airtime schedule used for

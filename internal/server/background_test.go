@@ -1,0 +1,144 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"abw/internal/obs"
+)
+
+// gridNetworkBody is a 2x4 grid at 100 m spacing: enough alternative
+// routes that the background's idle ratios steer the routed queries.
+const gridNetworkBody = `{
+  "nodes": [{"x":0,"y":0},{"x":100,"y":0},{"x":200,"y":0},{"x":300,"y":0},
+            {"x":0,"y":100},{"x":100,"y":100},{"x":200,"y":100},{"x":300,"y":100}]
+}`
+
+// postRaw sends body and returns the status and the raw response bytes.
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewBufferString(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
+func admitFlow(t *testing.T, url, body string) {
+	t.Helper()
+	code, resp := doJSON(t, http.MethodPost, url+"/v1/flows", body)
+	if code != http.StatusCreated {
+		t.Fatalf("admit %s: %d %v", body, code, resp)
+	}
+}
+
+// TestColdRoutedQuerySolvesBackgroundOnce pins the per-request saving:
+// without a cache, a routed query over a non-empty background walks and
+// solves its background once (shared by routing's idle ratios and the
+// estimators) and its own path's universe once — two enumerations and
+// two cold LPs, where solving the background per reader took three.
+func TestColdRoutedQuerySolvesBackgroundOnce(t *testing.T) {
+	ts := newTestServer(t)
+	install(t, ts)
+	admitFlow(t, ts.URL, `{"src":0,"dst":2,"demandMbps":1.0}`)
+
+	code, raw := postRaw(t, ts.URL+"/v1/query", `{"src":0,"dst":4,"trace":true}`)
+	if code != http.StatusOK {
+		t.Fatalf("traced query: %d %s", code, raw)
+	}
+	var resp struct {
+		Trace obs.TraceData `json:"trace"`
+	}
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatalf("decoding %s: %v", raw, err)
+	}
+	calls := map[obs.Stage]int64{}
+	for _, rec := range resp.Trace.Stages {
+		calls[rec.Stage] = rec.Calls
+	}
+	for _, stage := range []obs.Stage{obs.StageEnumerate, obs.StageLPSolve} {
+		if calls[stage] != 2 {
+			t.Errorf("stage %s: %d calls, want 2 (trace %s)", stage, calls[stage], raw)
+		}
+	}
+	if calls[obs.StageSchedule] != 1 || calls[obs.StageEstimate] != 1 {
+		t.Errorf("schedule %d, estimate %d calls, want 1 each (trace %s)",
+			calls[obs.StageSchedule], calls[obs.StageEstimate], raw)
+	}
+}
+
+// TestColdAdmissionSkipsEstimates pins that an admission computes only
+// what its decision reads: routing's idle ratios and the Eq. 6 LP, never
+// the Fig. 4 estimates a flowResponse has no field for.
+func TestColdAdmissionSkipsEstimates(t *testing.T) {
+	_, ts, _ := newObsServer(t)
+	install(t, ts)
+	admitFlow(t, ts.URL, `{"src":0,"dst":2,"demandMbps":1.0}`)
+	admitFlow(t, ts.URL, `{"src":2,"dst":4,"demandMbps":0.5}`)
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/flows", `{"src":0,"dst":4,"demandMbps":50}`)
+	if code != http.StatusOK || body["admitted"] != false {
+		t.Fatalf("oversized admission: %d %v", code, body)
+	}
+
+	exp := scrape(t, ts.URL)
+	if v, ok := metricValue(t, exp, `abw_stage_seconds_count{stage="route"}`); !ok || v != 3 {
+		t.Fatalf("route stage count = %v (ok=%v), want 3\n%s", v, ok, exp)
+	}
+	if v, ok := metricValue(t, exp, `abw_stage_seconds_count{stage="estimate"}`); ok {
+		t.Fatalf("admissions recorded the estimate stage %v times\n%s", v, exp)
+	}
+}
+
+// TestColdAndCachedQueryBodiesAgree sends the same queries to a
+// cache-off and a -cache server carrying the same background flows:
+// their response bodies must agree byte for byte.
+func TestColdAndCachedQueryBodiesAgree(t *testing.T) {
+	plain := newTestServer(t)
+	srv := New()
+	srv.SetCacheBytes(0)
+	cached := httptest.NewServer(srv.Handler())
+	t.Cleanup(cached.Close)
+
+	for _, url := range []string{plain.URL, cached.URL} {
+		code, body := doJSON(t, http.MethodPut, url+"/v1/network", gridNetworkBody)
+		if code != http.StatusOK {
+			t.Fatalf("install: %d %v", code, body)
+		}
+		admitFlow(t, url, `{"src":0,"dst":3,"demandMbps":1.0}`)
+		admitFlow(t, url, `{"src":4,"dst":6,"demandMbps":0.75}`)
+	}
+
+	queries := []string{
+		`{"src":0,"dst":7,"demandMbps":1.0}`,
+		`{"src":7,"dst":0}`,
+		`{"src":1,"dst":6,"demandMbps":2.5,"metric":"e2eTD"}`,
+		`{"src":4,"dst":3,"metric":"hop count"}`,
+		`{"path":[0,1,2,3],"demandMbps":0.5}`,
+		`{"path":[4,5,6,7]}`,
+	}
+	// Twice over, so the cached server answers the repeats from memo.
+	for round := 0; round < 2; round++ {
+		for _, q := range queries {
+			codeP, bodyP := postRaw(t, plain.URL+"/v1/query", q)
+			codeC, bodyC := postRaw(t, cached.URL+"/v1/query", q)
+			if codeP != http.StatusOK || codeC != http.StatusOK {
+				t.Fatalf("round %d query %s: status %d plain, %d cached", round, q, codeP, codeC)
+			}
+			if !bytes.Equal(bodyP, bodyC) {
+				t.Fatalf("round %d query %s: bodies differ\nplain:  %s\ncached: %s", round, q, bodyP, bodyC)
+			}
+		}
+	}
+	if st := srv.CacheStats(); st.Hits == 0 {
+		t.Fatalf("cached server never hit its cache: %+v", st)
+	}
+}

@@ -378,7 +378,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	span := s.querySpan(obs.RequestIDFrom(r.Context()), req.Trace)
 	ctx = obs.WithSpan(ctx, span)
 	// Everything below runs unlocked: queries never block state access.
-	path, err := s.resolvePath(ctx, snap, req.Path, req.Src, req.Dst, req.Metric)
+	bg := &background{snap: snap}
+	path, err := resolvePath(ctx, bg, req.Path, req.Src, req.Dst, req.Metric)
 	if err != nil {
 		s.finishQuerySpan(span, false)
 		if errors.Is(err, cancel.ErrCanceled) {
@@ -389,6 +390,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.availability(ctx, snap, path)
+	if err == nil {
+		resp.Estimates, err = bg.estimates(ctx, path)
+	}
 	if err != nil {
 		s.finishQuerySpan(span, false)
 		writeComputeError(w, err)
@@ -456,7 +460,9 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		span := s.querySpan(obs.RequestIDFrom(r.Context()), false)
 		ctx = obs.WithSpan(ctx, span)
 		defer func() { s.finishQuerySpan(span, false) }()
-		path, err := s.resolvePath(ctx, snap, nil, &req.Src, &req.Dst, req.Metric)
+		// Admission reads only the Eq. 6 verdict, so the background is
+		// solved for routing's idle ratios alone and no estimate runs.
+		path, err := resolvePath(ctx, &background{snap: snap}, nil, &req.Src, &req.Dst, req.Metric)
 		if err != nil {
 			if errors.Is(err, cancel.ErrCanceled) {
 				writeComputeError(w, err)
@@ -541,7 +547,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancelCtx := s.queryContext(r)
 	defer cancelCtx()
-	sched, err := s.backgroundSchedule(ctx, snap)
+	sched, err := (&background{snap: snap}).schedule(ctx)
 	if err != nil {
 		writeComputeError(w, err)
 		return
@@ -605,9 +611,10 @@ func (s *Server) handleFairshare(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolvePath turns a query into a concrete path: either explicit node
-// IDs or a routed src/dst pair under the snapshot's background. Runs
+// IDs or a routed src/dst pair under the request's background. Runs
 // without the state mutex.
-func (s *Server) resolvePath(ctx context.Context, snap *snapshot, nodeIDs []int, src, dst *int, metricName string) (topology.Path, error) {
+func resolvePath(ctx context.Context, bg *background, nodeIDs []int, src, dst *int, metricName string) (topology.Path, error) {
+	snap := bg.snap
 	if len(nodeIDs) > 0 {
 		nodes := make([]topology.NodeID, 0, len(nodeIDs))
 		for _, id := range nodeIDs {
@@ -632,7 +639,7 @@ func (s *Server) resolvePath(ctx context.Context, snap *snapshot, nodeIDs []int,
 			return nil, fmt.Errorf("unknown metric %q", metricName)
 		}
 	}
-	idle, err := s.idleness(ctx, snap)
+	idle, err := bg.idle(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -641,40 +648,66 @@ func (s *Server) resolvePath(ctx context.Context, snap *snapshot, nodeIDs []int,
 	return routing.FindPath(snap.net, snap.model, metric, idle, topology.NodeID(*src), topology.NodeID(*dst))
 }
 
-// idleness derives per-node idle ratios for the snapshot's background,
-// going through the session's memo when one is active.
-func (s *Server) idleness(ctx context.Context, snap *snapshot) ([]float64, error) {
-	if snap.sess != nil {
-		return snap.sess.IdleRatiosContext(ctx, snap.net, snap.background)
-	}
-	return routing.BackgroundIdlenessContext(ctx, snap.net, snap.model, snap.background, snap.opts)
+// background is one request's view of the snapshot's admitted flows.
+// Their minimal-airtime schedule feeds both routing's idle ratios (Eq.
+// 14) and the Fig. 4 estimators' path state, so a request solves it at
+// most once, on first use, and every later reader shares that solve.
+// With a session both answers come from its memo instead. A background
+// lives for one request: nothing carries over to the next.
+type background struct {
+	snap   *snapshot
+	sched  schedule.Schedule
+	solved bool
 }
 
-// backgroundSchedule returns the minimal-airtime schedule for the
-// snapshot's background, memoized through the session when one is
-// active.
-func (s *Server) backgroundSchedule(ctx context.Context, snap *snapshot) (schedule.Schedule, error) {
+// idle returns the per-node idle ratios the background induces, through
+// the session's memo when one is active.
+func (b *background) idle(ctx context.Context) ([]float64, error) {
+	if b.snap.sess != nil {
+		return b.snap.sess.IdleRatiosContext(ctx, b.snap.net, b.snap.background)
+	}
+	sched, err := b.schedule(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return estimate.NodeIdleRatios(b.snap.net, sched), nil
+}
+
+// schedule returns the background's minimal-airtime schedule, solving
+// it on the first call (memoized through the session when one is
+// active) and returning that solve on every later one.
+func (b *background) schedule(ctx context.Context) (schedule.Schedule, error) {
+	if b.solved {
+		return b.sched, nil
+	}
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSchedule)
 	defer tm.End()
-	if snap.sess == nil {
-		return routing.BackgroundScheduleContext(ctx, snap.model, snap.background, snap.opts)
+	snap := b.snap
+	var sched schedule.Schedule
+	var err error
+	switch {
+	case snap.sess == nil:
+		sched, err = routing.BackgroundScheduleContext(ctx, snap.model, snap.background, snap.opts)
+	case len(snap.background) > 0:
+		var ok bool
+		ok, sched, err = snap.sess.FeasibleDemandsContext(ctx, snap.background)
+		if err != nil {
+			err = fmt.Errorf("background schedule: %w", err)
+		} else if !ok {
+			err = fmt.Errorf("background not schedulable")
+		}
 	}
-	if len(snap.background) == 0 {
-		return schedule.Schedule{}, nil
-	}
-	ok, sched, err := snap.sess.FeasibleDemandsContext(ctx, snap.background)
 	if err != nil {
-		return schedule.Schedule{}, fmt.Errorf("background schedule: %w", err)
+		return schedule.Schedule{}, err
 	}
-	if !ok {
-		return schedule.Schedule{}, fmt.Errorf("background not schedulable")
-	}
+	b.sched, b.solved = sched, true
 	return sched, nil
 }
 
-// availability computes exact availability and estimates for the path
-// against the snapshot's background. Runs without the state mutex, so
-// slow solves never block other requests.
+// availability computes the path's exact available bandwidth (Eq. 6)
+// against the snapshot's background — all an admission decision reads.
+// Runs without the state mutex, so slow solves never block other
+// requests.
 func (s *Server) availability(ctx context.Context, snap *snapshot, path topology.Path) (*queryResponse, error) {
 	if s.computeHook != nil {
 		s.computeHook(ctx)
@@ -683,7 +716,7 @@ func (s *Server) availability(ctx context.Context, snap *snapshot, path topology
 	if err != nil {
 		return nil, err
 	}
-	resp := &queryResponse{PathNodes: make([]int, 0, len(nodes)), Estimates: map[string]float64{}}
+	resp := &queryResponse{PathNodes: make([]int, 0, len(nodes))}
 	for _, n := range nodes {
 		resp.PathNodes = append(resp.PathNodes, int(n))
 	}
@@ -700,25 +733,31 @@ func (s *Server) availability(ctx context.Context, snap *snapshot, path topology
 		resp.Feasible = true
 		resp.Bandwidth = res.Bandwidth
 	}
-	sched, err := s.backgroundSchedule(ctx, snap)
+	return resp, nil
+}
+
+// estimates returns the five Fig. 4 estimates of path, read off the
+// background schedule.
+func (b *background) estimates(ctx context.Context, path topology.Path) (map[string]float64, error) {
+	sched, err := b.schedule(ctx)
 	if err != nil {
 		return nil, err
 	}
 	et := obs.SpanFrom(ctx).StartStage(obs.StageEstimate)
-	ps, err := estimate.PathStateFromSchedule(snap.net, snap.model, sched, path)
-	if err != nil {
-		et.End()
-		return nil, err
-	}
-	ests, err := estimate.EstimateAll(snap.model, ps)
-	et.End()
+	defer et.End()
+	ps, err := estimate.PathStateFromSchedule(b.snap.net, b.snap.model, sched, path)
 	if err != nil {
 		return nil, err
 	}
+	ests, err := estimate.EstimateAll(b.snap.model, ps)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64, len(ests))
 	for m, v := range ests {
-		resp.Estimates[m.String()] = v
+		out[m.String()] = v
 	}
-	return resp, nil
+	return out, nil
 }
 
 // handleStats serves the memo-cache and warm-start counters.

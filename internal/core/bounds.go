@@ -152,42 +152,42 @@ func upperBoundOverVectors(ctx context.Context, m conflict.Model, background []F
 	}
 
 	prob := lp.NewProblem(lp.Maximize)
-	f := prob.AddVar("f", 1)
+	f := prob.AddVar(1)
 	gammas := make([]lp.Var, len(vectors))
 	hVars := make([]map[topology.LinkID]lp.Var, len(vectors))
 	shareRow := make(map[lp.Var]float64, len(vectors))
 
 	for i, vec := range vectors {
-		gammas[i] = prob.AddVar(fmt.Sprintf("gamma%d", i), 0)
+		gammas[i] = prob.AddVar(0)
 		shareRow[gammas[i]] = 1
 		hVars[i] = make(map[topology.LinkID]lp.Var, len(vec))
 		for _, cp := range vec {
-			hVars[i][cp.Link] = prob.AddVar(fmt.Sprintf("h%d_%d", i, cp.Link), 0)
+			hVars[i][cp.Link] = prob.AddVar(0)
 		}
 		// Clique constraints for this rate vector, scaled by gamma_i.
 		cliques, err := clique.CliquesForRateVector(m, vec, clique.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("core: cliques of rate vector %d: %w", i, err)
 		}
-		for j, c := range cliques {
+		for _, c := range cliques {
 			row := make(map[lp.Var]float64, c.Len()+1)
 			for _, cp := range c.Couples {
 				row[hVars[i][cp.Link]] = 1 / float64(cp.Rate)
 			}
 			row[gammas[i]] = -1
-			if err := prob.AddConstraint(fmt.Sprintf("clique%d_%d", i, j), row, lp.LE, 0); err != nil {
+			if err := prob.AddConstraint(row, lp.LE, 0); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 		}
 		// Per-link capacity within the vector's share: h <= gamma * r.
 		for _, cp := range vec {
 			row := map[lp.Var]float64{hVars[i][cp.Link]: 1, gammas[i]: -float64(cp.Rate)}
-			if err := prob.AddConstraint(fmt.Sprintf("cap%d_%d", i, cp.Link), row, lp.LE, 0); err != nil {
+			if err := prob.AddConstraint(row, lp.LE, 0); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 		}
 	}
-	if err := prob.AddConstraint("total-share", shareRow, lp.LE, 1); err != nil {
+	if err := prob.AddConstraint(shareRow, lp.LE, 1); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	// Demand coverage.
@@ -204,7 +204,7 @@ func upperBoundOverVectors(ctx context.Context, m conflict.Model, background []F
 		if len(row) == 0 && demand[link] <= 0 {
 			continue
 		}
-		if err := prob.AddConstraint(fmt.Sprintf("demand-%d", link), row, lp.GE, demand[link]); err != nil {
+		if err := prob.AddConstraint(row, lp.GE, demand[link]); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}

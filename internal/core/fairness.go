@@ -132,26 +132,12 @@ func solveFill(
 	frozen []bool,
 	boost int,
 ) (float64, *lp.Solution, error) {
-	prob := lp.NewProblem(lp.Maximize)
-	prob.Reserve(len(sets)+1, len(universe)+1)
-	lambdas := addLambdaVars(prob, sets, 0)
-	shareRow := make(map[lp.Var]float64, len(sets))
-	for _, v := range lambdas {
-		shareRow[v] = 1
-	}
-	obj := prob.AddVar("objective", 1)
-	if len(shareRow) > 0 {
-		if err := prob.AddOwnedConstraint("total-share", shareRow, lp.LE, 1); err != nil {
-			return 0, nil, fmt.Errorf("core: %w", err)
-		}
-	}
 	// Per-link coverage: sum lambda R >= sum over flows of its
-	// per-occurrence allocation.
-	rows := lambdaRows(universe, sets, lambdas)
+	// per-occurrence allocation; unfrozen (or boosted) flows' traversals
+	// weigh the objective column instead.
+	rhs := make([]float64, len(universe))
+	objCoef := make([]float64, len(universe))
 	for li, link := range universe {
-		row := rows[li]
-		rhs := 0.0
-		objCoef := 0.0
 		for j, f := range flows {
 			occ := 0
 			for _, l := range f.Path {
@@ -164,22 +150,17 @@ func solveFill(
 			}
 			switch {
 			case frozen[j] || (boost >= 0 && j != boost):
-				rhs += float64(occ) * alloc[j]
+				rhs[li] += float64(occ) * alloc[j]
 			default:
-				objCoef += float64(occ)
+				objCoef[li] += float64(occ)
 			}
 		}
-		if objCoef > 0 {
-			row[obj] = -objCoef
-		}
-		if len(row) == 0 && rhs <= 0 {
-			continue
-		}
-		if err := prob.AddOwnedConstraint(linkConsName(link), row, lp.GE, rhs); err != nil {
-			return 0, nil, fmt.Errorf("core: %w", err)
-		}
 	}
-	sol, err := prob.SolveContext(ctx)
+	set, err := buildSetLP(universe, sets, 0, rhs, objCoef, nonVacuous)
+	if err != nil {
+		return 0, nil, err
+	}
+	sol, err := set.prob.SolveContext(ctx)
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: solving filling LP: %w", err)
 	}

@@ -71,13 +71,14 @@ func (s *Session) Options() Options { return s.opts }
 // Model returns the conflict model the session answers for.
 func (s *Session) Model() conflict.Model { return s.m }
 
-// availState is the retained LP for one (universe, path) pair.
+// availState is the retained LP for one (universe, path) pair: the
+// sparse Eq. 6 problem, whose set columns come from the family, and
+// the warm solver's B⁻¹ and basis.
 type availState struct {
 	w        *lp.WarmSolver
-	lambdas  []lp.Var
 	sets     []indepset.Set
 	universe []topology.LinkID
-	rowIdx   map[topology.LinkID]int
+	rowOf    []int // universe index -> throughput row
 
 	// coldPivots remembers the last from-scratch solve's pivot count,
 	// the baseline "pivots saved" is measured against.
@@ -100,7 +101,7 @@ func (s *Session) AvailableBandwidth(background []Flow, newPath topology.Path) (
 
 // AvailableBandwidthContext is AvailableBandwidth under a context:
 // enumeration and the (warm or cold) simplex poll ctx. A cancelled
-// resolve discards the retained tableau, so the next query for the
+// resolve discards the retained simplex state, so the next query for the
 // same pair simply re-solves cold — cancellation never corrupts the
 // session's memoized state.
 func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Flow, newPath topology.Path) (*Result, error) {
@@ -124,14 +125,14 @@ func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Fl
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
-	demand := linkDemand(background)
+	demand := linkLoad(universe, background)
 	key := availKey(universe, newPath)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.avail[key]
 	if st == nil {
-		st, err = newAvailState(universe, newPath, sets)
+		st, err = newAvailState(universe, newPath, sets, demand)
 		if err != nil {
 			return nil, err
 		}
@@ -143,51 +144,27 @@ func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Fl
 // newAvailState builds the Eq. 6 LP for the pair once. Unlike the cold
 // path it adds a throughput row for every universe link — including
 // links no set serves and no demand touches — so any later demand
-// vector is reachable by RHS updates alone.
-func newAvailState(universe []topology.LinkID, newPath topology.Path, sets []indepset.Set) (*availState, error) {
-	prob := lp.NewProblem(lp.Maximize)
-	prob.Reserve(len(sets)+1, len(universe)+1)
-	lambdas := addLambdaVars(prob, sets, 0)
-	f := prob.AddVar("f", 1)
-
-	shareRow := make(map[lp.Var]float64, len(lambdas))
-	for _, v := range lambdas {
-		shareRow[v] = 1
-	}
-	if len(shareRow) > 0 {
-		if err := prob.AddOwnedConstraint("total-share", shareRow, lp.LE, 1); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-
-	newCount := linkCount(newPath)
-	rows := lambdaRows(universe, sets, lambdas)
-	rowIdx := make(map[topology.LinkID]int, len(universe))
-	for li, link := range universe {
-		row := rows[li]
-		if c := newCount[link]; c > 0 {
-			row[f] = -float64(c)
-		}
-		rowIdx[link] = prob.NumConstraints()
-		if err := prob.AddOwnedConstraint(linkConsName(link), row, lp.GE, 0); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+// vector is reachable by RHS updates alone. Its other rows are the
+// cold path's, in the same order, so both solve the same LP.
+func newAvailState(universe []topology.LinkID, newPath topology.Path, sets []indepset.Set, demand []float64) (*availState, error) {
+	set, err := eq6LP(universe, sets, demand, newPath, allLinks)
+	if err != nil {
+		return nil, err
 	}
 	return &availState{
-		w:        lp.NewWarmSolver(prob),
-		lambdas:  lambdas,
+		w:        lp.NewWarmSolver(set.prob),
 		sets:     sets,
 		universe: universe,
-		rowIdx:   rowIdx,
+		rowOf:    set.rowOf,
 	}, nil
 }
 
-// solve pushes the demand vector into the RHS and resolves — warm when
-// the retained tableau allows it, cold otherwise — reporting pivots
-// into the cache counters.
-func (st *availState) solve(ctx context.Context, cache *memo.Cache, demand map[topology.LinkID]float64) (*Result, error) {
-	for _, link := range st.universe {
-		if err := st.w.SetRHS(st.rowIdx[link], demand[link]); err != nil {
+// solve pushes the demand vector (aligned with the universe) into the
+// RHS and resolves — warm when the retained basis allows it, cold
+// otherwise — reporting pivots into the cache counters.
+func (st *availState) solve(ctx context.Context, cache *memo.Cache, demand []float64) (*Result, error) {
+	for li, d := range demand {
+		if err := st.w.SetRHS(st.rowOf[li], d); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
@@ -207,13 +184,7 @@ func (st *availState) solve(ctx context.Context, cache *memo.Cache, demand map[t
 		return res, nil
 	}
 	res.Bandwidth = sol.Objective
-	var sched schedule.Schedule
-	for i, set := range st.sets {
-		if share := sol.Value(st.lambdas[i]); share > 1e-12 {
-			sched.Slots = append(sched.Slots, schedule.Slot{Set: set, Share: share})
-		}
-	}
-	res.Schedule = sched.Normalized()
+	res.Schedule = scheduleOf(st.sets, sol.X)
 	return res, nil
 }
 

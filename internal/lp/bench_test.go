@@ -12,14 +12,14 @@ func benchProblem(n, m int, seed int64) *Problem {
 	p := NewProblem(Maximize)
 	xs := make([]Var, n)
 	for j := 0; j < n; j++ {
-		xs[j] = p.AddVar("x", rng.Float64()*2)
+		xs[j] = p.AddVar(rng.Float64() * 2)
 	}
 	for i := 0; i < m; i++ {
 		row := make(map[Var]float64, n)
 		for j := 0; j < n; j++ {
 			row[xs[j]] = rng.Float64()
 		}
-		if err := p.AddConstraint("c", row, LE, 1+rng.Float64()*9); err != nil {
+		if err := p.AddConstraint(row, LE, 1+rng.Float64()*9); err != nil {
 			panic(err)
 		}
 	}
@@ -46,6 +46,9 @@ func BenchmarkSolveSmall(b *testing.B)  { benchSolve(b, 10, 8) }
 func BenchmarkSolveMedium(b *testing.B) { benchSolve(b, 50, 30) }
 func BenchmarkSolveLarge(b *testing.B)  { benchSolve(b, 200, 60) }
 
-// BenchmarkSolveEq6Shape mirrors the availability LP's shape: many
-// columns (independent sets), few rows (links).
+// BenchmarkSolveEq6Shape solves a fully dense LP with many more columns
+// than rows (400 × 25) and LE rows only, so phase 1 never runs. It
+// shares only the aspect ratio with the availability LP; core's
+// BenchmarkSolveEq6Fig2 solves the served shape (sparse set columns, GE
+// demand rows, phase 1).
 func BenchmarkSolveEq6Shape(b *testing.B) { benchSolve(b, 400, 25) }

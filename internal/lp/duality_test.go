@@ -16,7 +16,9 @@ import (
 //
 // solves both with the same simplex, and checks the objectives agree —
 // a stringent end-to-end correctness check, since any pivoting or
-// tolerance bug breaks the equality.
+// tolerance bug breaks the equality. Each solution's Duals must also be
+// dual-feasible with b·y equal to its objective, and the primal's
+// duals must price the dual LP at its optimum.
 func TestStrongDuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 50; trial++ {
@@ -49,14 +51,14 @@ func TestStrongDuality(t *testing.T) {
 		primal := NewProblem(Maximize)
 		xs := make([]Var, n)
 		for j := 0; j < n; j++ {
-			xs[j] = primal.AddVar("x", c[j])
+			xs[j] = primal.AddVar(c[j])
 		}
 		for i := 0; i < m; i++ {
 			row := make(map[Var]float64, n)
 			for j := 0; j < n; j++ {
 				row[xs[j]] = a[i][j]
 			}
-			if err := primal.AddConstraint("p", row, LE, b[i]); err != nil {
+			if err := primal.AddConstraint(row, LE, b[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -71,14 +73,14 @@ func TestStrongDuality(t *testing.T) {
 		dual := NewProblem(Minimize)
 		ys := make([]Var, m)
 		for i := 0; i < m; i++ {
-			ys[i] = dual.AddVar("y", b[i])
+			ys[i] = dual.AddVar(b[i])
 		}
 		for j := 0; j < n; j++ {
 			row := make(map[Var]float64, m)
 			for i := 0; i < m; i++ {
 				row[ys[i]] = a[i][j]
 			}
-			if err := dual.AddConstraint("d", row, GE, c[j]); err != nil {
+			if err := dual.AddConstraint(row, GE, c[j]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -93,6 +95,17 @@ func TestStrongDuality(t *testing.T) {
 			t.Errorf("trial %d: duality gap %.9f (primal %.6f, dual %.6f)",
 				trial, psol.Objective-dsol.Objective, psol.Objective, dsol.Objective)
 		}
+		// Each solve's own duals certify it: b·y equals the objective
+		// and y is dual-feasible. The primal's duals solve the dual LP.
+		checkDuals(t, primal, psol)
+		checkDuals(t, dual, dsol)
+		by := 0.0
+		for i, y := range psol.Duals {
+			by += b[i] * y
+		}
+		if math.Abs(by-dsol.Objective) > 1e-6*(1+math.Abs(dsol.Objective)) {
+			t.Errorf("trial %d: primal duals give b.y = %.9f, dual LP optimum %.9f", trial, by, dsol.Objective)
+		}
 	}
 }
 
@@ -102,8 +115,8 @@ func TestStrongDuality(t *testing.T) {
 func TestComplementarySlackness(t *testing.T) {
 	// max 3x+5y s.t. x<=4, 2y<=12, 3x+2y<=18: optimum (2,6).
 	p := NewProblem(Maximize)
-	x := p.AddVar("x", 3)
-	y := p.AddVar("y", 5)
+	x := p.AddVar(3)
+	y := p.AddVar(5)
 	rows := []struct {
 		coefs map[Var]float64
 		rhs   float64
@@ -113,7 +126,7 @@ func TestComplementarySlackness(t *testing.T) {
 		{map[Var]float64{x: 3, y: 2}, 18},
 	}
 	for _, r := range rows {
-		if err := p.AddConstraint("r", r.coefs, LE, r.rhs); err != nil {
+		if err := p.AddConstraint(r.coefs, LE, r.rhs); err != nil {
 			t.Fatal(err)
 		}
 	}

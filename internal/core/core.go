@@ -235,45 +235,11 @@ func FeasibleDemands(m conflict.Model, flows []Flow, opts Options) (bool, schedu
 // AvailableBandwidthContext. A cancelled call returns no verdict:
 // callers must not treat ErrCanceled as "infeasible".
 func FeasibleDemandsContext(ctx context.Context, m conflict.Model, flows []Flow, opts Options) (bool, schedule.Schedule, error) {
-	if err := validateFlows(flows); err != nil {
-		return false, schedule.Schedule{}, err
-	}
-	if len(flows) == 0 {
-		return true, schedule.Schedule{}, nil
-	}
-	paths := make([]topology.Path, 0, len(flows))
-	for _, f := range flows {
-		paths = append(paths, f.Path)
-	}
-	universe := topology.LinkUnion(paths...)
-	sets, err := opts.enumerate(ctx, m, universe)
-	if err != nil {
-		return false, schedule.Schedule{}, fmt.Errorf("core: enumerating independent sets: %w", err)
-	}
-
-	// The Eq. 6 machinery with every flow in the background and no
-	// new path: any feasible solution proves deliverability, and
-	// minimizing the total share picks the minimal-airtime schedule.
-	// Only demanded links get a row; every other row holds trivially.
-	demand := linkLoad(universe, flows)
-	set, err := buildSetLP(universe, sets, -1, demand, nil, demanded)
+	b, err := SolveBackgroundContext(ctx, m, flows, opts)
 	if err != nil {
 		return false, schedule.Schedule{}, err
 	}
-	for li, d := range demand {
-		if d > 0 && !set.served[li] {
-			return false, schedule.Schedule{}, nil // demanded link can never transmit
-		}
-	}
-	sol, err := set.prob.SolveContext(ctx)
-	if err != nil {
-		return false, schedule.Schedule{}, fmt.Errorf("core: solving feasibility LP: %w", err)
-	}
-	opts.Cache.AddSolvePivots(false, sol.Pivots, 0)
-	if sol.Status != lp.Optimal {
-		return false, schedule.Schedule{}, nil
-	}
-	return true, scheduleOf(sets, sol.X), nil
+	return b.Feasible, b.Schedule, nil
 }
 
 // MaxDemandScale returns the largest theta such that every new flow j

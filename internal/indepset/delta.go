@@ -1,29 +1,48 @@
 // Delta enumeration: compute the maximal-set family of a universe grown
-// by one link from the cached family of the base universe, without
-// re-walking the base lattice. The grown family decomposes exactly:
+// by a set of links L from the complete family of the base universe U,
+// without re-walking the base lattice. The grown family decomposes
+// exactly:
 //
-//	family(U ∪ {l}) = survivors(family(U)) ∪ {maximal sets containing l}
+//	family(U ∪ L) = survivors(family(U)) ∪ {maximal sets containing some l ∈ L}
 //
-// A set without l is maximal over U ∪ {l} iff it was maximal over U and
-// l cannot join it with every member keeping its rate: rate-maximality
-// involves only the members (universe-independent), and link-maximality
-// over the old links is untouched by growth — only the l-clause is new.
-// Part (b) runs first: a DFS over the l-containing slice of the lattice
-// with l pushed from the root, branching over the remaining links in
-// descending-conflict order so l's interference prunes subtrees at
-// their shallowest node (feasibility, the budget and maximality are all
-// branch-order independent; see the order helpers). Part (a) then needs
-// no model replay at all — a base set is displaced exactly when some
-// walked set equals it plus l, bytes for bytes (the strip rule proved
-// at stripSurvivors) — so survival is one couple-hash lookup per cached
-// set against the freshly walked family.
+// A set without any link of L is maximal over U ∪ L iff it was maximal
+// over U and no link of L can join it with every member keeping its
+// rate: rate-maximality involves only the members (universe-independent),
+// and link-maximality over the old links is untouched by growth — only
+// the L-clauses are new.
+//
+// The new part runs first, partitioned by each set's first added link:
+// with L = l_1 < … < l_k in ascending position, the walk for l_i pushes
+// l_i from the root and branches over the remaining links except
+// l_1 … l_{i-1}, so every new set is walked exactly once. The skipped
+// earlier links stay in the universe, so the maximality checks still
+// test them. Each walk branches in descending-conflict order so l_i's
+// interference prunes subtrees at their shallowest node (feasibility,
+// the budget and maximality are all branch-order independent; see the
+// order helpers). The survivors then need no model replay at all — a
+// base set is displaced exactly when some walked set minus its L
+// couples equals it, bytes for bytes (the rule proved at
+// stripSurvivors) — so survival is one couple-hash lookup per base set
+// against the freshly walked family.
 //
 // Exploration accounting carries over too: both walk families charge
-// their budget once per feasible leaf, and a leaf over U ∪ {l} either
-// contains l (charged by part (b)) or is a leaf over U (charged by the
-// base enumeration). Seeding the budget with the base count therefore
+// their budget once per feasible leaf, and a leaf over U ∪ L either
+// contains some link of L (charged by exactly one of the walks, the one
+// for its first added link) or is a leaf over U (charged by the base
+// enumeration). Seeding the budget with the base count therefore
 // reproduces the full walk's ErrLimit verdict exactly; see
 // EnumeratePartialCounted for where the seed comes from.
+//
+// Workers: a one-link delta always walks sequentially; a delta adding
+// several links follows the full walk's rule (Options.workerCount over
+// the grown universe). The split follows the input, not a knob: one-link
+// steps are the memo cache's per-link chain, where a parallel walk
+// measured about 20% fewer admit-churn operations per second and 10%
+// more allocation per operation (the sequential walk is at parity with
+// the full walk's cost there), while multi-link deltas are the cold
+// path's whole new-path growth, where a sequential walk lost to the
+// 2-worker full walk on 116 of 870 Fig. 2 query pairs (all long paths
+// adding 7-9 links) and the parallel one on 1 of 870.
 package indepset
 
 import (
@@ -56,40 +75,82 @@ type DeltaBase struct {
 }
 
 // EnumerateDelta returns the maximal-set family over base.Universe plus
-// one more link, byte-identical to Enumerate over the grown universe
-// under the same Options, along with the grown universe's exploration
-// count (a valid DeltaBase.Explored for chaining). The model must be
-// the one the base was enumerated under. Errors: ErrDeltaUnsupported
-// (caller should fall back to Enumerate), ErrLimit (the grown universe
-// would trip Options.Limit — a full walk would too), or ErrCanceled.
-func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, link topology.LinkID, opts Options) ([]Set, int64, error) {
-	universe := dedupSorted(append(append([]topology.LinkID(nil), base.Universe...), link))
+// links, byte-identical to Enumerate over the grown universe under the
+// same Options, along with the grown universe's exploration count (a
+// valid DeltaBase.Explored for chaining). Links already in the base
+// universe and repeated links are ignored. The model must be the one
+// the base was enumerated under. Errors: ErrDeltaUnsupported (caller
+// should fall back to Enumerate), ErrLimit (the grown universe would
+// trip Options.Limit — a full walk would too), or ErrCanceled.
+func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, links []topology.LinkID, opts Options) ([]Set, int64, error) {
+	universe := dedupSorted(append(append([]topology.LinkID(nil), base.Universe...), links...))
 	if len(universe) == len(base.Universe) {
-		// Link already present: the family is unchanged.
+		// Every link already present: the family is unchanged.
 		return append([]Set(nil), base.Sets...), base.Explored, nil
 	}
-	lpos := searchLinks(universe, link)
-	limit := opts.limit()
+	// added lists the new links and apos their universe positions, both
+	// ascending.
+	added := make([]topology.LinkID, 0, len(universe)-len(base.Universe))
+	apos := make([]int, 0, cap(added))
+	for p, j := 0, 0; p < len(universe); p++ {
+		if j < len(base.Universe) && base.Universe[j] == universe[p] {
+			j++
+			continue
+		}
+		added = append(added, universe[p])
+		apos = append(apos, p)
+	}
+	workers := 1
+	if len(added) > 1 {
+		workers = opts.workerCount(len(universe))
+	}
+	b := newBudget(opts.limit(), workers, base.Explored)
+	var grown []Set
+	var err error
 	switch mm := m.(type) {
 	case *conflict.Physical:
-		return deltaPhysical(ctx, mm, base, universe, lpos, limit)
+		grown, err = deltaPhysical(ctx, mm, universe, apos, b, workers)
 	case conflict.PairwiseModel:
-		return deltaPairwise(ctx, mm, base, universe, lpos, limit)
+		grown, err = deltaPairwise(ctx, mm, universe, apos, b, workers)
 	default:
 		return nil, 0, ErrDeltaUnsupported
 	}
-}
-
-// searchLinks returns the position of l in the sorted universe, or -1.
-func searchLinks(universe []topology.LinkID, l topology.LinkID) int {
-	lo := sort.Search(len(universe), func(i int) bool { return universe[i] >= l })
-	if lo < len(universe) && universe[lo] == l {
-		return lo
+	if err != nil {
+		return nil, 0, err
 	}
-	return -1
+	sortByKey(grown)
+	return mergeByKey(stripSurvivors(base.Sets, grown, added), grown), b.count(), nil
 }
 
-func deltaPhysical(ctx context.Context, m *conflict.Physical, base DeltaBase, universe []topology.LinkID, lpos, limit int) ([]Set, int64, error) {
+// deltaWalk is the walk for one added link: the link's universe
+// position and the positions it branches over (every position except
+// itself and the added links before it).
+type deltaWalk struct {
+	lpos  int
+	order []int
+}
+
+// deltaTask is one unit of a parallel delta walk: the leaf holding
+// only walks[walk]'s link (branch < 0), or the subtree whose first
+// branch under that link is order[branch].
+type deltaTask struct {
+	walk, branch int
+}
+
+// deltaTasks partitions the delta walks for parallel runs: per walk,
+// its leaf plus one subtree per first branch.
+func deltaTasks(walks []deltaWalk) []deltaTask {
+	var tasks []deltaTask
+	for wi, wk := range walks {
+		tasks = append(tasks, deltaTask{walk: wi, branch: -1})
+		for b := range wk.order {
+			tasks = append(tasks, deltaTask{walk: wi, branch: b})
+		}
+	}
+	return tasks
+}
+
+func deltaPhysical(ctx context.Context, m *conflict.Physical, universe []topology.LinkID, apos []int, b *budget, workers int) ([]Set, error) {
 	n := len(universe)
 	e := &physicalEnum{
 		m:        m,
@@ -97,45 +158,62 @@ func deltaPhysical(ctx context.Context, m *conflict.Physical, base DeltaBase, un
 		universe: universe,
 		minRate:  make([]radio.Rate, n),
 		n:        n,
-		budget:   newSeededBudget(limit, base.Explored),
+		budget:   b,
 	}
 	for i, l := range universe {
 		e.minRate[i] = m.MinPositiveRate(l)
 	}
-	//lint:ignore abw/floateq Rate 0 is the exact no-declared-rate sentinel, never a computed float
-	if e.minRate[lpos] == 0 {
-		// The new link can neither join an old set nor appear in a new
-		// one; the family and the exploration count are unchanged.
-		return append([]Set(nil), base.Sets...), base.Explored, nil
+	skip := make([]bool, n)
+	var walks []deltaWalk
+	for _, p := range apos {
+		// A link with no positive declared rate can neither join an old
+		// set nor appear in a new one: it adds nothing to walk.
+		//lint:ignore abw/floateq Rate 0 is the exact no-declared-rate sentinel, never a computed float
+		if e.minRate[p] != 0 {
+			walks = append(walks, deltaWalk{lpos: p, order: physicalDeltaOrder(m, universe, p, skip)})
+		}
+		skip[p] = true
 	}
-	w := newPhysicalWorker(e)
-	w.push(lpos)
-	err := w.recDelta(0, physicalDeltaOrder(m, universe, lpos))
-	w.pop()
-	if err != nil {
-		return nil, 0, err
+	if workers <= 1 {
+		w := newPhysicalWorker(e)
+		for _, wk := range walks {
+			w.push(wk.lpos)
+			err := w.recDelta(0, wk.order)
+			w.pop()
+			if err != nil {
+				return nil, err
+			}
+		}
+		return w.out, nil
 	}
-	sortByKey(w.out)
-	return mergeByKey(stripSurvivors(base.Sets, w.out, universe[lpos]), w.out), e.budget.count(), nil
+	tasks := deltaTasks(walks)
+	if workers > len(tasks) {
+		workers = len(tasks)
+	}
+	return parallelRun(workers, len(tasks), func() (func(int) error, func() []Set) {
+		w := newPhysicalWorker(e)
+		return func(t int) error { return w.runDeltaTask(walks[tasks[t].walk], tasks[t].branch) },
+			func() []Set { return w.out }
+	})
 }
 
-// physicalDeltaOrder returns the branch order of the delta walk: every
-// position except lpos, strongest conflictors of the grown link first
-// (node sharers above all — they block it outright — then by mutual
-// interference power, ties by position). Branch order is free to
-// choose: feasibility is monotone and member-order-independent, so the
-// walk visits the same feasible subsets in any order, and the final
-// sort restores canonical emission. Fronting l's conflictors makes the
-// subtrees that would die of l's interference die at the root instead
-// of one level above the leaves.
-func physicalDeltaOrder(m *conflict.Physical, universe []topology.LinkID, lpos int) []int {
+// physicalDeltaOrder returns the branch order of the delta walk for the
+// link at lpos: every position except lpos and the skipped ones,
+// strongest conflictors of the grown link first (node sharers above all
+// — they block it outright — then by mutual interference power, ties by
+// position). Branch order is free to choose: feasibility is monotone
+// and member-order-independent, so the walk visits the same feasible
+// subsets in any order, and the final sort restores canonical emission.
+// Fronting l's conflictors makes the subtrees that would die of l's
+// interference die at the root instead of one level above the leaves.
+func physicalDeltaOrder(m *conflict.Physical, universe []topology.LinkID, lpos int, skip []bool) []int {
 	net := m.Network()
 	l := universe[lpos]
 	ll, lerr := net.Link(l)
 	threat := make([]float64, len(universe))
 	order := make([]int, 0, len(universe)-1)
 	for p, id := range universe {
-		if p == lpos {
+		if p == lpos || skip[p] {
 			continue
 		}
 		threat[p] = m.InterferencePower(id, l) + m.InterferencePower(l, id)
@@ -159,29 +237,41 @@ func physicalDeltaOrder(m *conflict.Physical, universe []topology.LinkID, lpos i
 	return order
 }
 
-// stripSurvivors returns the base sets that stay maximal once l joins
-// the universe. A base set S is displaced exactly when l can join it
-// with every member keeping its rate — and then S ∪ {l}, with those
-// very rates, is itself maximal over the grown universe: no outside
-// link that couldn't join S can join S ∪ {l} (l only adds
-// constraints), no member can be raised (S was rate-maximal under
-// fewer constraints), and l sits at its best joining rate. So the
-// displaced sets are precisely the walked sets minus l, bytes for
-// bytes — rates included, since a join that lowered any member's rate
-// would not displace S but coexist with it. One couple-hash lookup per
-// base set decides survival (hash hits are verified structurally, so a
-// collision can never mislabel a set); no model replay, no key-string
-// materialization.
-func stripSurvivors(base, grown []Set, l topology.LinkID) []Set {
+// stripSurvivors returns the base sets that stay maximal once the added
+// links (ascending) join the universe: a base set S is displaced
+// exactly when some walked set, minus its couples on added links,
+// equals S bytes for bytes — rates included.
+//
+// If some walked set G strips to S, then S plus one of G's added
+// couples is a subset of G, hence feasible, and S's members keep their
+// rates (they cannot drop below their rates in G, which are S's, nor
+// rise above their maximum in S alone): that link joins S, so S is no
+// longer maximal. Conversely, if some added link joins S with every
+// member keeping its rate, grow S greedily — join added links at their
+// best rate and raise added members while every current member keeps
+// its rate — until nothing changes. The result T is maximal over the
+// grown universe and strips to S: no added link can join or be raised
+// (the growth stopped), no S member can be raised (that raise would
+// hold in S too, under fewer constraints), and no old link can join
+// (that join would hold in S too). T contains an added link, so the
+// walks emitted it. A join that lowers any member's rate yields a
+// different byte pattern and coexists with S.
+//
+// One couple-hash lookup per base set decides survival (hash hits are
+// verified structurally, so a collision can never mislabel a set); no
+// model replay, no key-string materialization.
+func stripSurvivors(base, grown []Set, added []topology.LinkID) []Set {
 	// head/next chain grown-set indices per stripped-couples hash.
 	head := make(map[uint64]int32, len(grown))
 	next := make([]int32, len(grown))
 	for gi, g := range grown {
 		h := fnvOffset
+		j := 0
 		for _, c := range g.Couples {
-			if c.Link != l {
-				h = hashCouple(h, c)
+			if isAdded(added, &j, c.Link) {
+				continue
 			}
+			h = hashCouple(h, c)
 		}
 		if prev, ok := head[h]; ok {
 			next[gi] = prev
@@ -199,7 +289,7 @@ func stripSurvivors(base, grown []Set, l topology.LinkID) []Set {
 		displaced := false
 		if gi, ok := head[h]; ok {
 			for ; gi >= 0; gi = next[gi] {
-				if strippedEqual(grown[gi].Couples, s.Couples, l) {
+				if strippedEqual(grown[gi].Couples, s.Couples, added) {
 					displaced = true
 					break
 				}
@@ -210,6 +300,16 @@ func stripSurvivors(base, grown []Set, l topology.LinkID) []Set {
 		}
 	}
 	return out
+}
+
+// isAdded reports whether link is one of the ascending added links,
+// advancing *j past the added links below it: called with ascending
+// links (a set's couples), the scan over added is linear per set.
+func isAdded(added []topology.LinkID, j *int, link topology.LinkID) bool {
+	for *j < len(added) && added[*j] < link {
+		*j++
+	}
+	return *j < len(added) && added[*j] == link
 }
 
 // FNV-1a constants for hashing couple sequences.
@@ -230,24 +330,24 @@ func hashCouple(h uint64, c conflict.Couple) uint64 {
 	return h
 }
 
-// strippedEqual reports whether the grown set's couples minus l equal
-// the base set's couples exactly — same links, same rates, in the same
-// canonical ascending-link order both sides store.
-func strippedEqual(g, s []conflict.Couple, l topology.LinkID) bool {
-	if len(g) != len(s)+1 {
+// strippedEqual reports whether the grown set's couples minus those on
+// added links equal the base set's couples exactly — same links, same
+// rates, in the same canonical ascending-link order both sides store.
+func strippedEqual(g, s []conflict.Couple, added []topology.LinkID) bool {
+	if len(g) <= len(s) {
 		return false
 	}
-	j := 0
+	i, j := 0, 0
 	for _, c := range g {
-		if c.Link == l {
+		if isAdded(added, &j, c.Link) {
 			continue
 		}
-		if j == len(s) || c != s[j] {
+		if i == len(s) || c != s[i] {
 			return false
 		}
-		j++
+		i++
 	}
-	return j == len(s)
+	return i == len(s)
 }
 
 // recDelta walks every subset containing the grown link, which the
@@ -275,6 +375,27 @@ func (w *physicalWorker) recDelta(start int, order []int) error {
 		}
 	}
 	return nil
+}
+
+// runDeltaTask runs one deltaTask of wk: its leaf (branch < 0) or the
+// subtree under wk's link whose first branch is wk.order[branch]. A
+// subtree under an infeasible leaf prunes at its first visit, exactly
+// like the sequential walk never descending past it.
+func (w *physicalWorker) runDeltaTask(wk deltaWalk, branch int) error {
+	if err := w.chk.Check(); err != nil {
+		return err
+	}
+	w.push(wk.lpos)
+	var err error
+	if branch < 0 {
+		_, err = w.visitDelta()
+	} else {
+		w.push(wk.order[branch])
+		err = w.recDelta(branch+1, wk.order)
+		w.pop()
+	}
+	w.pop()
+	return err
 }
 
 // visitDelta is visit for the delta walk, where members sit in branch
@@ -314,17 +435,12 @@ func (w *physicalWorker) visitDelta() (ok bool, err error) {
 	return true, nil
 }
 
-func deltaPairwise(ctx context.Context, m conflict.PairwiseModel, base DeltaBase, universe []topology.LinkID, lpos, limit int) ([]Set, int64, error) {
+func deltaPairwise(ctx context.Context, m conflict.PairwiseModel, universe []topology.LinkID, apos []int, b *budget, workers int) ([]Set, error) {
 	n := len(universe)
 	rates, maxRates := positiveRates(m, universe)
 	if maxRates > 64 {
 		// The wide walk has no delta twin; fall back to a full walk.
-		return nil, 0, ErrDeltaUnsupported
-	}
-	if len(rates[lpos]) == 0 {
-		// No positive declared rate: the link can neither join an old
-		// set nor appear in a new one.
-		return append([]Set(nil), base.Sets...), base.Explored, nil
+		return nil, ErrDeltaUnsupported
 	}
 	e := &pairwiseEnum{
 		ctx:      ctx,
@@ -332,36 +448,58 @@ func deltaPairwise(ctx context.Context, m conflict.PairwiseModel, base DeltaBase
 		rates:    rates,
 		clear:    buildClearTable(m, universe, rates),
 		n:        n,
-		budget:   newSeededBudget(limit, base.Explored),
+		budget:   b,
 	}
-	w := newPairwiseWorker(e)
-	defer w.release()
-	order := pairwiseDeltaOrder(e, lpos)
-	for ri := range e.rates[lpos] {
-		if !w.push(lpos, ri) {
-			continue
+	skip := make([]bool, n)
+	var walks []deltaWalk
+	for _, p := range apos {
+		// No positive declared rate: the link can neither join an old
+		// set nor appear in a new one.
+		if len(rates[p]) > 0 {
+			walks = append(walks, deltaWalk{lpos: p, order: pairwiseDeltaOrder(e, p, skip)})
 		}
-		err := w.recDelta(0, order)
-		w.pop()
-		if err != nil {
-			return nil, 0, err
-		}
+		skip[p] = true
 	}
-	sortByKey(w.out)
-	return mergeByKey(stripSurvivors(base.Sets, w.out, universe[lpos]), w.out), e.budget.count(), nil
+	if workers <= 1 {
+		w := newPairwiseWorker(e)
+		defer w.release()
+		for _, wk := range walks {
+			for ri := range e.rates[wk.lpos] {
+				if !w.push(wk.lpos, ri) {
+					continue
+				}
+				err := w.recDelta(0, wk.order)
+				w.pop()
+				if err != nil {
+					return nil, err
+				}
+			}
+		}
+		return w.out, nil
+	}
+	tasks := deltaTasks(walks)
+	if workers > len(tasks) {
+		workers = len(tasks)
+	}
+	return parallelRun(workers, len(tasks), func() (func(int) error, func() []Set) {
+		w := newPairwiseWorker(e)
+		return func(t int) error { return w.runDeltaTask(walks[tasks[t].walk], tasks[t].branch) },
+			func() []Set { w.release(); return w.out }
+	})
 }
 
 // pairwiseDeltaOrder returns the branch order of the pairwise delta
-// walk: every position except lpos, strongest conflictors of the grown
-// link first, measured from the clear table — the number of couple
-// rates the grown link cannot clear plus the number of its own rates
-// the position denies it — with ties by position. See
-// physicalDeltaOrder for why branch order is free to choose.
-func pairwiseDeltaOrder(e *pairwiseEnum, lpos int) []int {
+// walk for the link at lpos: every position except lpos and the
+// skipped ones, strongest conflictors of the grown link first, measured
+// from the clear table — the number of couple rates the grown link
+// cannot clear plus the number of its own rates the position denies it
+// — with ties by position. See physicalDeltaOrder for why branch order
+// is free to choose.
+func pairwiseDeltaOrder(e *pairwiseEnum, lpos int, skip []bool) []int {
 	threat := make([]int, e.n)
 	order := make([]int, 0, e.n-1)
 	for p := 0; p < e.n; p++ {
-		if p == lpos {
+		if p == lpos || skip[p] {
 			continue
 		}
 		for _, mask := range e.clear[lpos][p] {
@@ -391,7 +529,7 @@ func pairwiseDeltaOrder(e *pairwiseEnum, lpos int) []int {
 // sorted list) with their keys already cached, so the delta result
 // needs one linear merge instead of re-sorting — and re-keying — the
 // whole family. Keys never collide across the two inputs: every new
-// set contains the grown link, no survivor does.
+// set contains an added link, no survivor does.
 func mergeByKey(survivors, grown []Set) []Set {
 	if len(grown) == 0 {
 		return survivors
@@ -439,6 +577,43 @@ func (w *pairwiseWorker) recDelta(oi int, order []int) error {
 			continue
 		}
 		err := w.recDelta(oi+1, order)
+		w.pop()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runDeltaTask runs one deltaTask of wk at every rate of wk's link: the
+// leaf that excludes every branch position (branch < 0), or the
+// assignments whose first included branch position is wk.order[branch],
+// at each of its rates. Together the tasks cover recDelta(0, wk.order)'s
+// leaves exactly once.
+func (w *pairwiseWorker) runDeltaTask(wk deltaWalk, branch int) error {
+	if err := w.chk.Check(); err != nil {
+		return err
+	}
+	for ri := range w.e.rates[wk.lpos] {
+		if !w.push(wk.lpos, ri) {
+			continue
+		}
+		var err error
+		if branch < 0 {
+			err = w.visitLeafDelta()
+		} else {
+			idx := wk.order[branch]
+			for rj := range w.e.rates[idx] {
+				if !w.push(idx, rj) {
+					continue
+				}
+				err = w.recDelta(branch+1, wk.order)
+				w.pop()
+				if err != nil {
+					break
+				}
+			}
+		}
 		w.pop()
 		if err != nil {
 			return err

@@ -3,6 +3,7 @@ package indepset
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,47 +14,112 @@ import (
 	"abw/internal/topology"
 )
 
-// assertDeltaGrowth grows the universe one link at a time and checks, at
-// every step and worker count, that EnumerateDelta from the previous
-// step's base returns the byte-identical family and exploration count of
-// a fresh full walk over the grown universe. The delta result then
-// becomes the next step's base, exercising the chained form the memo
-// cache uses.
+// growthPlan is one way to grow a universe by deltas: a base universe
+// and the links each successive delta adds.
+type growthPlan struct {
+	label string
+	base  []topology.LinkID
+	steps [][]topology.LinkID
+}
+
+// growthPlans returns, for k = 1…4 links per delta, two plans over the
+// canonical universe: "tail" starts from the first link and adds the
+// rest in ascending chunks of k; "between" starts from the
+// even-position links and adds the odd-position ones in chunks of k, so
+// every added link falls between base positions.
+func growthPlans(universe []topology.LinkID) []growthPlan {
+	var plans []growthPlan
+	for k := 1; k <= 4; k++ {
+		tail := growthPlan{label: fmt.Sprintf("tail k=%d", k), base: universe[:1:1]}
+		tail.steps = chunks(universe[1:], k)
+		var even, odd []topology.LinkID
+		for p, l := range universe {
+			if p%2 == 0 {
+				even = append(even, l)
+			} else {
+				odd = append(odd, l)
+			}
+		}
+		between := growthPlan{label: fmt.Sprintf("between k=%d", k), base: even, steps: chunks(odd, k)}
+		plans = append(plans, tail, between)
+	}
+	return plans
+}
+
+// chunks splits links into consecutive runs of at most k.
+func chunks(links []topology.LinkID, k int) [][]topology.LinkID {
+	var out [][]topology.LinkID
+	for len(links) > 0 {
+		n := k
+		if n > len(links) {
+			n = len(links)
+		}
+		out = append(out, links[:n:n])
+		links = links[n:]
+	}
+	return out
+}
+
+// assertDeltaGrowth runs every growth plan over the links and checks, at
+// every step, that EnumerateDelta from the previous step's base returns
+// the byte-identical family and exploration count of a fresh full walk
+// over the grown universe (at 1, 2, 4 and 8 workers), and that the
+// delta itself gives identical output at 1 and 2 workers. The delta
+// result then becomes the next step's base, exercising the chained form
+// the memo cache uses.
 func assertDeltaGrowth(t *testing.T, m conflict.Model, links []topology.LinkID, label string) {
 	t.Helper()
 	if len(links) < 2 {
 		return
 	}
-	universe := dedupSorted(links)
-	base := DeltaBase{Universe: universe[:1:1]}
-	sets, truncated, explored, err := EnumeratePartialCounted(m, base.Universe, Options{})
-	if err != nil || truncated {
-		t.Fatalf("%s: seed enumeration: truncated=%v err=%v", label, truncated, err)
-	}
-	base.Sets, base.Explored = sets, explored
-	for step := 1; step < len(universe); step++ {
-		link := universe[step]
-		grown := universe[: step+1 : step+1]
-		got, gotExplored, err := EnumerateDelta(context.Background(), m, base, link, Options{})
-		if err != nil {
-			t.Fatalf("%s: step %d: EnumerateDelta(+%d): %v", label, step, link, err)
+	for _, plan := range growthPlans(dedupSorted(links)) {
+		base := DeltaBase{Universe: plan.base}
+		sets, truncated, explored, err := EnumeratePartialCounted(m, base.Universe, Options{})
+		if err != nil || truncated {
+			t.Fatalf("%s %s: seed enumeration: truncated=%v err=%v", label, plan.label, truncated, err)
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			want, truncated, wantExplored, err := EnumeratePartialCounted(m, grown, Options{Workers: workers})
-			if err != nil || truncated {
-				t.Fatalf("%s: step %d workers %d: fresh walk: truncated=%v err=%v", label, step, workers, truncated, err)
+		base.Sets, base.Explored = sets, explored
+		for step, add := range plan.steps {
+			grown := dedupSorted(append(append([]topology.LinkID(nil), base.Universe...), add...))
+			got, gotExplored := assertDeltaWorkersAgree(t, m, base, add, Options{}, fmt.Sprintf("%s %s step %d", label, plan.label, step))
+			for _, workers := range []int{1, 2, 4, 8} {
+				want, truncated, wantExplored, err := EnumeratePartialCounted(m, grown, Options{Workers: workers})
+				if err != nil || truncated {
+					t.Fatalf("%s %s: step %d workers %d: fresh walk: truncated=%v err=%v", label, plan.label, step, workers, truncated, err)
+				}
+				if !reflect.DeepEqual(keys(got), keys(want)) {
+					t.Fatalf("%s %s: step %d (+%v) workers %d: delta family differs:\n got  %v\n want %v",
+						label, plan.label, step, add, workers, keys(got), keys(want))
+				}
+				if gotExplored != wantExplored {
+					t.Fatalf("%s %s: step %d workers %d: delta explored %d, fresh %d",
+						label, plan.label, step, workers, gotExplored, wantExplored)
+				}
 			}
-			if !reflect.DeepEqual(keys(got), keys(want)) {
-				t.Fatalf("%s: step %d workers %d: delta family differs:\n got  %v\n want %v",
-					label, step, workers, keys(got), keys(want))
-			}
-			if gotExplored != wantExplored {
-				t.Fatalf("%s: step %d workers %d: delta explored %d, fresh %d",
-					label, step, workers, gotExplored, wantExplored)
-			}
+			base = DeltaBase{Universe: grown, Sets: got, Explored: gotExplored}
 		}
-		base = DeltaBase{Universe: grown, Sets: got, Explored: gotExplored}
 	}
+}
+
+// assertDeltaWorkersAgree runs the delta at 1 and 2 workers and fails
+// unless both return the same error, family and exploration count. It
+// returns the 1-worker result.
+func assertDeltaWorkersAgree(t *testing.T, m conflict.Model, base DeltaBase, add []topology.LinkID, opts Options, label string) ([]Set, int64) {
+	t.Helper()
+	opts.Workers = 1
+	seq, seqExplored, err := EnumerateDelta(context.Background(), m, base, add, opts)
+	if err != nil {
+		t.Fatalf("%s: EnumerateDelta(+%v) at 1 worker: %v", label, add, err)
+	}
+	opts.Workers = 2
+	par, parExplored, err := EnumerateDelta(context.Background(), m, base, add, opts)
+	if err != nil {
+		t.Fatalf("%s: EnumerateDelta(+%v) at 2 workers: %v", label, add, err)
+	}
+	if !reflect.DeepEqual(seq, par) || seqExplored != parExplored {
+		t.Fatalf("%s: 1 and 2 workers differ:\n 1: %v (%d)\n 2: %v (%d)", label, keys(seq), seqExplored, keys(par), parExplored)
+	}
+	return seq, seqExplored
 }
 
 func TestDeltaPhysicalRandomTopologies(t *testing.T) {
@@ -99,7 +165,13 @@ func TestDeltaRandomTables(t *testing.T) {
 		tb := conflict.NewTable()
 		var links []topology.LinkID
 		for i := topology.LinkID(0); int(i) < n; i++ {
-			tb.SetRates(i, rates[:1+rng.Intn(len(rates))]...)
+			if i == 1 && trial%2 == 0 {
+				// A link with no positive rate: every plan adds it
+				// between base positions or after them.
+				tb.SetRates(i)
+			} else {
+				tb.SetRates(i, rates[:1+rng.Intn(len(rates))]...)
+			}
 			links = append(links, i)
 		}
 		for i := 0; i < n; i++ {
@@ -122,60 +194,63 @@ func TestDeltaRandomTables(t *testing.T) {
 // TestDeltaLimitVerdict pins the accounting contract: with a limit
 // between the base count and the grown count, the delta walk trips
 // ErrLimit exactly like a fresh walk over the grown universe would; at
-// the grown count, both succeed.
+// the grown count, both succeed. It adds k = 1…4 links at once, at 1
+// and 2 workers.
 func TestDeltaLimitVerdict(t *testing.T) {
 	prof := radio.NewProfile80211a()
 	net, path, err := topology.Chain(prof, 7, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	links := []topology.LinkID(path)
 	m := conflict.NewPhysical(net)
-	universe := dedupSorted(links)
-	baseU := universe[:len(universe)-1]
-	link := universe[len(universe)-1]
-
-	_, _, baseExplored, err := EnumeratePartialCounted(m, baseU, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, grownExplored, err := EnumeratePartialCounted(m, universe, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grownExplored <= baseExplored {
-		t.Fatalf("degenerate topology: grown %d <= base %d", grownExplored, baseExplored)
-	}
-
-	for limit := baseExplored; limit < grownExplored; limit += (grownExplored - baseExplored + 3) / 4 {
-		opts := Options{Limit: int(limit)}
-		baseSets, truncated, baseCount, err := EnumeratePartialCounted(m, baseU, opts)
-		if err != nil || truncated {
-			t.Fatalf("limit %d: base walk truncated=%v err=%v", limit, truncated, err)
+	universe := dedupSorted([]topology.LinkID(path))
+	for k := 1; k <= 4; k++ {
+		baseU := universe[: len(universe)-k : len(universe)-k]
+		add := universe[len(universe)-k:]
+		_, _, baseExplored, err := EnumeratePartialCounted(m, baseU, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		base := DeltaBase{Universe: baseU, Sets: baseSets, Explored: baseCount}
-		_, _, err = EnumerateDelta(context.Background(), m, base, link, opts)
-		if !errors.Is(err, ErrLimit) {
-			t.Fatalf("limit %d (< grown %d): delta err = %v, want ErrLimit", limit, grownExplored, err)
+		_, _, grownExplored, err := EnumeratePartialCounted(m, universe, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if grownExplored <= baseExplored {
+			t.Fatalf("k=%d: degenerate topology: grown %d <= base %d", k, grownExplored, baseExplored)
+		}
+		for _, workers := range []int{1, 2} {
+			for limit := baseExplored; limit < grownExplored; limit += (grownExplored - baseExplored + 3) / 4 {
+				opts := Options{Limit: int(limit), Workers: workers}
+				baseSets, truncated, baseCount, err := EnumeratePartialCounted(m, baseU, opts)
+				if err != nil || truncated {
+					t.Fatalf("k=%d limit %d: base walk truncated=%v err=%v", k, limit, truncated, err)
+				}
+				base := DeltaBase{Universe: baseU, Sets: baseSets, Explored: baseCount}
+				sets, _, err := EnumerateDelta(context.Background(), m, base, add, opts)
+				if !errors.Is(err, ErrLimit) || sets != nil {
+					t.Fatalf("k=%d workers %d limit %d (< grown %d): delta err = %v (%d sets), want ErrLimit and no family",
+						k, workers, limit, grownExplored, err, len(sets))
+				}
+			}
 
-	opts := Options{Limit: int(grownExplored)}
-	baseSets, _, baseCount, err := EnumeratePartialCounted(m, baseU, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := DeltaBase{Universe: baseU, Sets: baseSets, Explored: baseCount}
-	got, gotExplored, err := EnumerateDelta(context.Background(), m, base, link, opts)
-	if err != nil {
-		t.Fatalf("limit == grown count %d: delta err = %v", grownExplored, err)
-	}
-	want, err := Enumerate(m, universe, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(keys(got), keys(want)) || gotExplored != grownExplored {
-		t.Fatalf("exact-limit delta diverged: explored %d vs %d", gotExplored, grownExplored)
+			opts := Options{Limit: int(grownExplored), Workers: workers}
+			baseSets, _, baseCount, err := EnumeratePartialCounted(m, baseU, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := DeltaBase{Universe: baseU, Sets: baseSets, Explored: baseCount}
+			got, gotExplored, err := EnumerateDelta(context.Background(), m, base, add, opts)
+			if err != nil {
+				t.Fatalf("k=%d workers %d: limit == grown count %d: delta err = %v", k, workers, grownExplored, err)
+			}
+			want, err := Enumerate(m, universe, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(keys(got), keys(want)) || gotExplored != grownExplored {
+				t.Fatalf("k=%d workers %d: exact-limit delta diverged: explored %d vs %d", k, workers, gotExplored, grownExplored)
+			}
+		}
 	}
 }
 
@@ -192,7 +267,7 @@ func TestDeltaUnsupportedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := EnumerateDelta(context.Background(), m, base, links[len(links)-1], Options{}); !errors.Is(err, ErrDeltaUnsupported) {
+	if _, _, err := EnumerateDelta(context.Background(), m, base, links[len(links)-1:], Options{}); !errors.Is(err, ErrDeltaUnsupported) {
 		t.Fatalf("opaque model: err = %v, want ErrDeltaUnsupported", err)
 	}
 }
@@ -211,7 +286,7 @@ func TestDeltaUnsupportedWideRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := EnumerateDelta(context.Background(), tb, base, 1, Options{}); !errors.Is(err, ErrDeltaUnsupported) {
+	if _, _, err := EnumerateDelta(context.Background(), tb, base, []topology.LinkID{1}, Options{}); !errors.Is(err, ErrDeltaUnsupported) {
 		t.Fatalf(">64-rate universe: err = %v, want ErrDeltaUnsupported", err)
 	}
 }
@@ -229,7 +304,7 @@ func TestDeltaLinkAlreadyPresent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, explored, err := EnumerateDelta(context.Background(), m, base, links[0], Options{})
+	got, explored, err := EnumerateDelta(context.Background(), m, base, append(links[:1:1], links...), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,28 +314,32 @@ func TestDeltaLinkAlreadyPresent(t *testing.T) {
 }
 
 // TestDeltaCancellation pins the contract shared with Enumerate: a
-// cancelled delta walk returns ErrCanceled and no family.
+// cancelled delta walk returns ErrCanceled and no family, for one and
+// several added links, sequential and parallel.
 func TestDeltaCancellation(t *testing.T) {
 	prof := radio.NewProfile80211a()
 	net, path, err := topology.Chain(prof, 7, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	links := []topology.LinkID(path)
 	m := conflict.NewPhysical(net)
-	universe := dedupSorted(links)
-	base := DeltaBase{Universe: universe[:len(universe)-1]}
-	base.Sets, _, base.Explored, err = EnumeratePartialCounted(m, base.Universe, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	universe := dedupSorted([]topology.LinkID(path))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sets, _, err := EnumerateDelta(ctx, m, base, universe[len(universe)-1], Options{})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("cancelled delta: err = %v, want ErrCanceled", err)
-	}
-	if sets != nil {
-		t.Fatalf("cancelled delta returned a family (%d sets)", len(sets))
+	for _, k := range []int{1, 3} {
+		base := DeltaBase{Universe: universe[:len(universe)-k]}
+		base.Sets, _, base.Explored, err = EnumeratePartialCounted(m, base.Universe, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			sets, _, err := EnumerateDelta(ctx, m, base, universe[len(universe)-k:], Options{Workers: workers})
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("k=%d workers %d: cancelled delta: err = %v, want ErrCanceled", k, workers, err)
+			}
+			if sets != nil {
+				t.Fatalf("k=%d workers %d: cancelled delta returned a family (%d sets)", k, workers, len(sets))
+			}
+		}
 	}
 }

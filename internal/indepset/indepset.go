@@ -264,7 +264,7 @@ func enumerate(ctx context.Context, m conflict.Model, links []topology.LinkID, o
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageEnumerate)
 	tm.SetWorkers(workers)
 	defer tm.End()
-	b := newBudget(limit, workers)
+	b := newBudget(limit, workers, 0)
 	var out []Set
 	var err error
 	switch mm := m.(type) {

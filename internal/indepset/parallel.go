@@ -59,18 +59,15 @@ type budget struct {
 	seq   bool
 }
 
-func newBudget(limit, workers int) *budget {
-	return &budget{limit: int64(limit), seq: workers <= 1}
-}
-
-// newSeededBudget returns a sequential budget whose counter starts at
-// seed already-spent charges. The delta walk (delta.go) inherits the
-// base universe's exploration count this way, so the combined count —
-// and therefore the ErrLimit verdict — is identical to a full walk
-// over the grown universe.
-func newSeededBudget(limit int, seed int64) *budget {
-	//lint:ignore abw/atomicfield the budget is not yet shared — seq means one worker owns it exclusively for its whole life
-	return &budget{n: seed, limit: int64(limit), seq: true}
+// newBudget returns the budget of one enumeration under the given
+// worker count. spent seeds the counter with charges already made: the
+// delta walk
+// (delta.go) inherits the base universe's exploration count this way,
+// so the combined count — and therefore the ErrLimit verdict — is
+// identical to a full walk over the grown universe.
+func newBudget(limit, workers int, spent int64) *budget {
+	//lint:ignore abw/atomicfield the budget is not yet shared — no worker has started when it is built
+	return &budget{n: spent, limit: int64(limit), seq: workers <= 1}
 }
 
 // count returns the number of successful charges so far. Exact for a

@@ -12,7 +12,7 @@ import (
 )
 
 // swapDelta installs fn as the cache's delta walk for the test.
-func swapDelta(t *testing.T, fn func(context.Context, conflict.Model, indepset.DeltaBase, topology.LinkID, indepset.Options) ([]indepset.Set, int64, error)) {
+func swapDelta(t *testing.T, fn func(context.Context, conflict.Model, indepset.DeltaBase, []topology.LinkID, indepset.Options) ([]indepset.Set, int64, error)) {
 	t.Helper()
 	orig := deltaFn
 	deltaFn = fn
@@ -181,7 +181,7 @@ func TestDeltaFallbackCounted(t *testing.T) {
 	if _, err := c.Enumerate(m, small, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	swapDelta(t, func(context.Context, conflict.Model, indepset.DeltaBase, topology.LinkID, indepset.Options) ([]indepset.Set, int64, error) {
+	swapDelta(t, func(context.Context, conflict.Model, indepset.DeltaBase, []topology.LinkID, indepset.Options) ([]indepset.Set, int64, error) {
 		return nil, 0, indepset.ErrDeltaUnsupported
 	})
 	got, err := c.Enumerate(m, big, indepset.Options{})

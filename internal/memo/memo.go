@@ -447,7 +447,7 @@ func (c *Cache) tryDelta(ctx context.Context, m conflict.Model, prefix string, u
 	defer dtm.End()
 	missing := linksNotIn(universe, base.Universe)
 	for i, l := range missing {
-		sets, explored, err := deltaFn(ctx, m, base, l, opts)
+		sets, explored, err := deltaFn(ctx, m, base, []topology.LinkID{l}, opts)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -19,7 +19,6 @@ import (
 	"abw/internal/obs"
 	"abw/internal/radio"
 	"abw/internal/routing"
-	"abw/internal/schedule"
 	"abw/internal/topology"
 )
 
@@ -166,13 +165,19 @@ func parseMetric(name string) (routing.Metric, error) {
 }
 
 // queryPath resolves the query to a concrete link path, routing when
-// only endpoints are given. Routing solves the background schedule for
-// its idle ratios and returns it, so the estimates reuse that solve;
-// an explicit path leaves it nil.
-func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.Model, background []core.Flow) (topology.Path, *schedule.Schedule, error) {
+// only endpoints are given, and solves the background once: its
+// schedule gives routing's idle ratios and the estimates, and its set
+// family grows into the path's Eq. 6 family. A routed query needs a
+// schedulable background; an explicit path gets its Eq. 6 answer
+// (infeasible) either way.
+func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.Model, background []core.Flow) (topology.Path, *core.Background, error) {
 	if len(s.Query.Path) > 0 {
 		path, err := nodePath(net, s.Query.Path)
-		return path, nil, err
+		if err != nil {
+			return nil, nil, err
+		}
+		bg, err := core.SolveBackgroundContext(ctx, m, background, s.coreOptions())
+		return path, bg, err
 	}
 	if s.Query.Src == nil || s.Query.Dst == nil {
 		return nil, nil, fmt.Errorf("netjson: query needs either a path or src+dst")
@@ -185,13 +190,13 @@ func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.
 			return nil, nil, err
 		}
 	}
-	sched, err := routing.BackgroundScheduleContext(ctx, m, background, s.coreOptions())
+	bg, err := routing.SolveBackgroundContext(ctx, m, background, s.coreOptions())
 	if err != nil {
 		return nil, nil, err
 	}
-	idle := estimate.NodeIdleRatios(net, sched)
+	idle := estimate.NodeIdleRatios(net, bg.Schedule)
 	path, err := routing.FindPath(net, m, metric, idle, topology.NodeID(*s.Query.Src), topology.NodeID(*s.Query.Dst))
-	return path, &sched, err
+	return path, bg, err
 }
 
 // Solve answers the spec: exact available bandwidth (Eq. 6), the
@@ -240,7 +245,7 @@ func SolveContext(ctx context.Context, s *Spec) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	path, sched, err := s.queryPath(ctx, net, m, background)
+	path, bg, err := s.queryPath(ctx, net, m, background)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +257,7 @@ func SolveContext(ctx context.Context, s *Spec) (*Answer, error) {
 		PathNodes: nodeInts(nodes),
 		PathLinks: linkInts(path),
 	}
-	res, err := core.AvailableBandwidthContext(ctx, m, background, path, s.coreOptions())
+	res, err := bg.AvailableBandwidthContext(ctx, path)
 	if err != nil {
 		return nil, err
 	}
@@ -272,14 +277,12 @@ func SolveContext(ctx context.Context, s *Spec) (*Answer, error) {
 		ans.Schedule = append(ans.Schedule, sa)
 	}
 
-	if sched == nil {
-		bs, err := routing.BackgroundScheduleContext(ctx, m, background, s.coreOptions())
-		if err != nil {
-			return nil, err
-		}
-		sched = &bs
+	if !bg.Feasible {
+		// Unreachable up to LP tolerance: a feasible Eq. 6 delivers the
+		// background.
+		return nil, fmt.Errorf("netjson: background not schedulable")
 	}
-	ps, err := estimate.PathStateFromSchedule(net, m, *sched, path)
+	ps, err := estimate.PathStateFromSchedule(net, m, bg.Schedule, path)
 	if err != nil {
 		return nil, err
 	}

@@ -121,7 +121,17 @@ func admitOne(
 	}
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageAdmit)
 	defer tm.End()
-	idle, err := backgroundIdleness(ctx, net, m, admitted, coreOpts, sess)
+	// Without a session the background is solved once: its schedule
+	// gives routing's idle ratios, and its set family grows into the
+	// chosen path's Eq. 6 family.
+	var bg *core.Background
+	var idle []float64
+	var err error
+	if sess != nil {
+		idle, err = sess.IdleRatiosContext(ctx, net, admitted)
+	} else if bg, err = SolveBackgroundContext(ctx, m, admitted, coreOpts); err == nil {
+		idle = estimate.NodeIdleRatios(net, bg.Schedule)
+	}
 	if err != nil {
 		return dec, err
 	}
@@ -141,7 +151,7 @@ func admitOne(
 	if sess != nil {
 		res, err = sess.AvailableBandwidthContext(ctx, admitted, path)
 	} else {
-		res, err = core.AvailableBandwidthContext(ctx, m, admitted, path, coreOpts)
+		res, err = bg.AvailableBandwidthContext(ctx, path)
 	}
 	if err != nil {
 		return dec, fmt.Errorf("routing: availability of %v: %w", path, err)
@@ -180,16 +190,6 @@ func BackgroundIdlenessContext(ctx context.Context, net *topology.Network, m con
 	return estimate.NodeIdleRatios(net, sched), nil
 }
 
-// backgroundIdleness is BackgroundIdlenessContext optionally answering
-// through a session, which memoizes the whole schedule → idle-ratio
-// pipeline by demand signature.
-func backgroundIdleness(ctx context.Context, net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options, sess *core.Session) ([]float64, error) {
-	if sess != nil {
-		return sess.IdleRatiosContext(ctx, net, admitted)
-	}
-	return BackgroundIdlenessContext(ctx, net, m, admitted, coreOpts)
-}
-
 // BackgroundSchedule exposes the minimal-airtime schedule used for
 // idleness, for callers that need the schedule itself (e.g. the Fig. 4
 // estimation experiment and the simulators).
@@ -200,15 +200,24 @@ func BackgroundSchedule(m conflict.Model, admitted []core.Flow, coreOpts core.Op
 // BackgroundScheduleContext is BackgroundSchedule under a context; see
 // BackgroundIdlenessContext.
 func BackgroundScheduleContext(ctx context.Context, m conflict.Model, admitted []core.Flow, coreOpts core.Options) (schedule.Schedule, error) {
-	if len(admitted) == 0 {
-		return schedule.Schedule{}, nil
-	}
-	ok, sched, err := core.FeasibleDemandsContext(ctx, m, admitted, coreOpts)
+	bg, err := SolveBackgroundContext(ctx, m, admitted, coreOpts)
 	if err != nil {
-		return schedule.Schedule{}, fmt.Errorf("routing: background schedule: %w", err)
+		return schedule.Schedule{}, err
 	}
-	if !ok {
-		return schedule.Schedule{}, fmt.Errorf("routing: background not schedulable")
+	return bg.Schedule, nil
+}
+
+// SolveBackgroundContext solves the admitted flows' background once
+// (core.SolveBackgroundContext), for callers that read both its
+// schedule and Eq. 6 over it. An unschedulable background is an error
+// here, as it is for BackgroundScheduleContext.
+func SolveBackgroundContext(ctx context.Context, m conflict.Model, admitted []core.Flow, coreOpts core.Options) (*core.Background, error) {
+	bg, err := core.SolveBackgroundContext(ctx, m, admitted, coreOpts)
+	if err != nil {
+		return nil, fmt.Errorf("routing: background schedule: %w", err)
 	}
-	return sched, nil
+	if !bg.Feasible {
+		return nil, fmt.Errorf("routing: background not schedulable")
+	}
+	return bg, nil
 }

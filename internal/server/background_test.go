@@ -44,8 +44,9 @@ func admitFlow(t *testing.T, url, body string) {
 // TestColdRoutedQuerySolvesBackgroundOnce pins the per-request saving:
 // without a cache, a routed query over a non-empty background walks and
 // solves its background once (shared by routing's idle ratios and the
-// estimators) and its own path's universe once — two enumerations and
-// two cold LPs, where solving the background per reader took three.
+// estimators), then grows that background's set family by its path's
+// new links in one delta walk: one enumeration, one delta and two cold
+// LPs.
 func TestColdRoutedQuerySolvesBackgroundOnce(t *testing.T) {
 	ts := newTestServer(t)
 	install(t, ts)
@@ -65,14 +66,17 @@ func TestColdRoutedQuerySolvesBackgroundOnce(t *testing.T) {
 	for _, rec := range resp.Trace.Stages {
 		calls[rec.Stage] = rec.Calls
 	}
-	for _, stage := range []obs.Stage{obs.StageEnumerate, obs.StageLPSolve} {
-		if calls[stage] != 2 {
-			t.Errorf("stage %s: %d calls, want 2 (trace %s)", stage, calls[stage], raw)
-		}
+	want := map[obs.Stage]int64{
+		obs.StageEnumerate: 1,
+		obs.StageDelta:     1,
+		obs.StageLPSolve:   2,
+		obs.StageSchedule:  1,
+		obs.StageEstimate:  1,
 	}
-	if calls[obs.StageSchedule] != 1 || calls[obs.StageEstimate] != 1 {
-		t.Errorf("schedule %d, estimate %d calls, want 1 each (trace %s)",
-			calls[obs.StageSchedule], calls[obs.StageEstimate], raw)
+	for stage, n := range want {
+		if calls[stage] != n {
+			t.Errorf("stage %s: %d calls, want %d (trace %s)", stage, calls[stage], n, raw)
+		}
 	}
 }
 

@@ -389,7 +389,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp, err := s.availability(ctx, snap, path)
+	resp, err := s.availability(ctx, bg, path)
 	if err == nil {
 		resp.Estimates, err = bg.estimates(ctx, path)
 	}
@@ -461,8 +461,10 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		ctx = obs.WithSpan(ctx, span)
 		defer func() { s.finishQuerySpan(span, false) }()
 		// Admission reads only the Eq. 6 verdict, so the background is
-		// solved for routing's idle ratios alone and no estimate runs.
-		path, err := resolvePath(ctx, &background{snap: snap}, nil, &req.Src, &req.Dst, req.Metric)
+		// solved for routing's idle ratios and, without a session, as
+		// the family Eq. 6 grows; no estimate runs.
+		bg := &background{snap: snap}
+		path, err := resolvePath(ctx, bg, nil, &req.Src, &req.Dst, req.Metric)
 		if err != nil {
 			if errors.Is(err, cancel.ErrCanceled) {
 				writeComputeError(w, err)
@@ -471,7 +473,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		avail, err := s.availability(ctx, snap, path)
+		avail, err := s.availability(ctx, bg, path)
 		if err != nil {
 			writeComputeError(w, err)
 			return
@@ -652,10 +654,14 @@ func resolvePath(ctx context.Context, bg *background, nodeIDs []int, src, dst *i
 // Their minimal-airtime schedule feeds both routing's idle ratios (Eq.
 // 14) and the Fig. 4 estimators' path state, so a request solves it at
 // most once, on first use, and every later reader shares that solve.
-// With a session both answers come from its memo instead. A background
-// lives for one request: nothing carries over to the next.
+// Without a session that solve also keeps the background's set family,
+// which the request's Eq. 6 grows by its path's new links instead of
+// walking the whole universe again. With a session every answer comes
+// from its memo instead. A background lives for one request: nothing
+// carries over to the next.
 type background struct {
 	snap   *snapshot
+	cold   *core.Background // the cold solve, once made
 	sched  schedule.Schedule
 	solved bool
 }
@@ -673,10 +679,33 @@ func (b *background) idle(ctx context.Context) ([]float64, error) {
 	return estimate.NodeIdleRatios(b.snap.net, sched), nil
 }
 
+// solveCold returns the cold background solve, making it on the first
+// call and returning that solve on every later one.
+func (b *background) solveCold(ctx context.Context) (*core.Background, error) {
+	if b.cold != nil {
+		return b.cold, nil
+	}
+	tm := obs.SpanFrom(ctx).StartStage(obs.StageSchedule)
+	defer tm.End()
+	cold, err := routing.SolveBackgroundContext(ctx, b.snap.model, b.snap.background, b.snap.opts)
+	if err != nil {
+		return nil, err
+	}
+	b.cold = cold
+	return cold, nil
+}
+
 // schedule returns the background's minimal-airtime schedule, solving
 // it on the first call (memoized through the session when one is
 // active) and returning that solve on every later one.
 func (b *background) schedule(ctx context.Context) (schedule.Schedule, error) {
+	if b.snap.sess == nil {
+		cold, err := b.solveCold(ctx)
+		if err != nil {
+			return schedule.Schedule{}, err
+		}
+		return cold.Schedule, nil
+	}
 	if b.solved {
 		return b.sched, nil
 	}
@@ -685,10 +714,7 @@ func (b *background) schedule(ctx context.Context) (schedule.Schedule, error) {
 	snap := b.snap
 	var sched schedule.Schedule
 	var err error
-	switch {
-	case snap.sess == nil:
-		sched, err = routing.BackgroundScheduleContext(ctx, snap.model, snap.background, snap.opts)
-	case len(snap.background) > 0:
+	if len(snap.background) > 0 {
 		var ok bool
 		ok, sched, err = snap.sess.FeasibleDemandsContext(ctx, snap.background)
 		if err != nil {
@@ -705,13 +731,14 @@ func (b *background) schedule(ctx context.Context) (schedule.Schedule, error) {
 }
 
 // availability computes the path's exact available bandwidth (Eq. 6)
-// against the snapshot's background — all an admission decision reads.
+// against the request's background — all an admission decision reads.
 // Runs without the state mutex, so slow solves never block other
 // requests.
-func (s *Server) availability(ctx context.Context, snap *snapshot, path topology.Path) (*queryResponse, error) {
+func (s *Server) availability(ctx context.Context, bg *background, path topology.Path) (*queryResponse, error) {
 	if s.computeHook != nil {
 		s.computeHook(ctx)
 	}
+	snap := bg.snap
 	nodes, err := snap.net.PathNodes(path)
 	if err != nil {
 		return nil, err
@@ -724,7 +751,10 @@ func (s *Server) availability(ctx context.Context, snap *snapshot, path topology
 	if snap.sess != nil {
 		res, err = snap.sess.AvailableBandwidthContext(ctx, snap.background, path)
 	} else {
-		res, err = core.AvailableBandwidthContext(ctx, snap.model, snap.background, path, snap.opts)
+		var cold *core.Background
+		if cold, err = bg.solveCold(ctx); err == nil {
+			res, err = cold.AvailableBandwidthContext(ctx, path)
+		}
 	}
 	if err != nil {
 		return nil, err

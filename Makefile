@@ -31,14 +31,16 @@ lint-fix:
 	$(GO) run ./cmd/abwlint -fix ./...
 
 # Bounded native fuzzing of the LP solver (cold solves, and warm
-# resolves against cold ones), delta enumeration (grown families
-# against full walks), the netjson codec, and the memo cache (key
+# resolves against cold ones), enumeration (both walks against the
+# brute-force reference), delta enumeration (grown families against
+# full walks), the netjson codec, and the memo cache (key
 # fingerprint + on-disk family format); CI runs the same targets for
 # 30s each.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSimplex -fuzztime=$(FUZZTIME) ./internal/lp/
 	$(GO) test -run='^$$' -fuzz=FuzzWarmResolve -fuzztime=$(FUZZTIME) ./internal/lp/
+	$(GO) test -run='^$$' -fuzz='^FuzzEnumerate$$' -fuzztime=$(FUZZTIME) ./internal/indepset/
 	$(GO) test -run='^$$' -fuzz=FuzzEnumerateDelta -fuzztime=$(FUZZTIME) ./internal/indepset/
 	$(GO) test -run='^$$' -fuzz=FuzzNetjson -fuzztime=$(FUZZTIME) ./internal/netjson/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/memo/

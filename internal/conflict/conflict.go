@@ -4,7 +4,7 @@
 // links use, not just on which links transmit: every question is asked
 // about (link, rate) couples.
 //
-// Three models are provided:
+// Three models are provided, plus fixed rate assignments over them:
 //
 //   - Physical: cumulative-interference SINR model (paper Eq. 1/3). The
 //     maximum rate a link supports in a concurrent set depends only on
@@ -14,6 +14,9 @@
 //     model for baselines and tests.
 //   - Table: explicitly enumerated pairwise conflicts, used to encode
 //     the paper's worked examples (Fig. 1) exactly as stated.
+//   - Fixed rates (Sec. 2.4, 3.1): (*Physical).Pin pins a Physical
+//     model's links to one rate each and stays a Physical; FixRates
+//     does the same for a PairwiseModel and stays pairwise.
 package conflict
 
 import (
@@ -57,11 +60,11 @@ type Model interface {
 //	MaxRate(link, concurrent) == max{r in Rates(link) :
 //	        RateClears(link, r, y) for every y in concurrent, y.Link != link}
 //
-// (or 0 when no rate clears). Table and Protocol satisfy this; Physical
-// does not — its cumulative interference sum couples all members at
-// once. Enumeration exploits the decomposition to check feasibility
-// incrementally: only the newly added couple needs to be tested against
-// the current members.
+// (or 0 when no rate clears). Table, Protocol and FixedRates satisfy
+// this; Physical does not — its cumulative interference sum couples all
+// members at once. Enumeration exploits the decomposition to check
+// feasibility incrementally: only the newly added couple needs to be
+// tested against the current members.
 type PairwiseModel interface {
 	Model
 

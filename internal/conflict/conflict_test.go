@@ -356,3 +356,48 @@ func TestFixedRatesConflictEnforced(t *testing.T) {
 		t.Errorf("MaxRate under conflict = %v, want 0", got)
 	}
 }
+
+func TestPhysicalPin(t *testing.T) {
+	net, links := chainNet(t, 4, 70)
+	m := NewPhysical(net)
+	top := AloneMaxRate(m, links[0])
+	pinned := m.Pin([]Couple{{Link: links[0], Rate: 6}, {Link: links[1], Rate: top}, {Link: links[2], Rate: 7}, {Link: links[1], Rate: 18}})
+	// Duplicates keep the last assignment; a rate the link does not
+	// declare, and an unassigned link, support nothing.
+	if got := pinned.Rates(links[1]); len(got) != 1 || got[0] != 18 {
+		t.Errorf("Rates(1) = %v, want [18]", got)
+	}
+	if pinned.Rates(links[2]) != nil || pinned.MinPositiveRate(links[2]) != 0 || pinned.MaxRate(links[2], nil) != 0 {
+		t.Error("pin on an undeclared rate should leave the link unusable")
+	}
+	if pinned.Rates(links[3]) != nil || pinned.MinPositiveRate(links[3]) != 0 || pinned.MaxRate(links[3], nil) != 0 {
+		t.Error("unassigned link should support nothing")
+	}
+	if got := pinned.MinPositiveRate(links[0]); got != 6 {
+		t.Errorf("MinPositiveRate(0) = %v, want 6", got)
+	}
+	// A pinned rate survives exactly when the unpinned maximum reaches it.
+	for _, conc := range [][]Couple{nil, {{Link: links[2], Rate: 6}}, {{Link: links[3], Rate: 6}}} {
+		for _, l := range links[:2] {
+			pin := pinned.Rates(l)[0]
+			want := radio.Rate(0)
+			if m.MaxRate(l, conc) >= pin {
+				want = pin
+			}
+			if got := pinned.MaxRate(l, conc); got != want {
+				t.Errorf("MaxRate(%d | %v) = %v, want %v", l, conc, got, want)
+			}
+		}
+	}
+	// Pins join the fingerprint: the pinned model never keys like the
+	// unpinned one, equal pins key alike, different pins apart.
+	same := m.Pin([]Couple{{Link: links[1], Rate: 18}, {Link: links[0], Rate: 6}})
+	other := m.Pin([]Couple{{Link: links[0], Rate: 6}})
+	if pinned.Fingerprint() == m.Fingerprint() || pinned.Fingerprint() != same.Fingerprint() || pinned.Fingerprint() == other.Fingerprint() {
+		t.Errorf("fingerprints: unpinned %s pinned %s same pins %s other pins %s",
+			m.Fingerprint(), pinned.Fingerprint(), same.Fingerprint(), other.Fingerprint())
+	}
+	if m.Pin(nil).Fingerprint() == m.Fingerprint() {
+		t.Error("a model with every link unassigned keys like the unpinned one")
+	}
+}

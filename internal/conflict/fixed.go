@@ -5,50 +5,66 @@ import (
 	"abw/internal/topology"
 )
 
-// FixedRates wraps a model and pins every listed link to a single rate —
-// the "fixed rate assignment" regime the paper contrasts with link
-// adaptation (Sec. 2.4, 3.1). Links outside the assignment support no
-// rate at all under the wrapper.
+// FixedRates wraps a pairwise model and pins every listed link to a
+// single rate — the "fixed rate assignment" regime the paper contrasts
+// with link adaptation (Sec. 2.4, 3.1). A pinned link is usable iff the
+// inner model declares the pinned rate for it; links outside the
+// assignment support no rate at all. The result is itself pairwise: a
+// link clears another couple exactly when the inner model clears it at
+// the link's pin. Physical models pin with (*Physical).Pin instead.
 type FixedRates struct {
-	inner    Model
-	assigned map[topology.LinkID]radio.Rate
+	inner PairwiseModel
+	pins  map[topology.LinkID]radio.Rate // usable links only
 }
 
-var _ Model = (*FixedRates)(nil)
+var _ PairwiseModel = (*FixedRates)(nil)
 
 // FixRates builds a FixedRates wrapper from one couple per link.
 // Duplicate links keep the last assignment.
-func FixRates(inner Model, assignment []Couple) *FixedRates {
-	m := &FixedRates{inner: inner, assigned: make(map[topology.LinkID]radio.Rate, len(assignment))}
-	for _, cp := range assignment {
-		m.assigned[cp.Link] = cp.Rate
-	}
-	return m
+func FixRates(inner PairwiseModel, assignment []Couple) *FixedRates {
+	return &FixedRates{inner: inner, pins: usablePins(inner, assignment)}
 }
 
-// MaxRate implements Model: the pinned rate when the inner model
-// sustains it against the concurrent set, else 0.
+// usablePins maps every assigned link whose unpinned rates (m.Rates)
+// include its pin to that pin; the other assigned links drop out, and
+// a repeated link keeps its last assignment.
+func usablePins(m Model, assignment []Couple) map[topology.LinkID]radio.Rate {
+	pins := make(map[topology.LinkID]radio.Rate, len(assignment))
+	for _, cp := range assignment {
+		delete(pins, cp.Link)
+		if cp.Rate > 0 && SupportsAlone(m, cp.Link, cp.Rate) {
+			pins[cp.Link] = cp.Rate
+		}
+	}
+	return pins
+}
+
+// MaxRate implements Model: the pinned rate when the inner model clears
+// it against every concurrent couple, else 0.
 func (m *FixedRates) MaxRate(link topology.LinkID, concurrent []Couple) radio.Rate {
-	pinned, ok := m.assigned[link]
-	if !ok || pinned <= 0 {
+	pin, ok := m.pins[link]
+	if !ok {
 		return 0
 	}
-	if m.inner.MaxRate(link, concurrent) >= pinned {
-		return pinned
+	for _, c := range concurrent {
+		if c.Link != link && !m.inner.RateClears(link, pin, c) {
+			return 0
+		}
 	}
-	return 0
+	return pin
+}
+
+// RateClears implements PairwiseModel: only the pinned rate of a usable
+// link can clear, and it clears what the inner model clears.
+func (m *FixedRates) RateClears(link topology.LinkID, r radio.Rate, other Couple) bool {
+	pin, ok := m.pins[link]
+	return ok && r == pin && m.inner.RateClears(link, pin, other)
 }
 
 // Rates implements Model.
 func (m *FixedRates) Rates(link topology.LinkID) []radio.Rate {
-	pinned, ok := m.assigned[link]
-	if !ok || pinned <= 0 {
-		return nil
-	}
-	for _, r := range m.inner.Rates(link) {
-		if r == pinned {
-			return []radio.Rate{pinned}
-		}
+	if pin, ok := m.pins[link]; ok {
+		return []radio.Rate{pin}
 	}
 	return nil
 }

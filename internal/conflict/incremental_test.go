@@ -90,6 +90,12 @@ func TestTablePairwiseDecomposition(t *testing.T) {
 		}
 	}
 	assertPairwiseDecomposition(t, tb, links, "random table")
+	var pins []Couple
+	for _, l := range links[1:] {
+		rs := tb.Rates(l)
+		pins = append(pins, Couple{Link: l, Rate: rs[rng.Intn(len(rs))]})
+	}
+	assertPairwiseDecomposition(t, FixRates(tb, pins), links, "pinned random table")
 }
 
 // TestSetTrackerMatchesMaxRate walks every subset of a chain's links
@@ -100,6 +106,17 @@ func TestTablePairwiseDecomposition(t *testing.T) {
 func TestSetTrackerMatchesMaxRate(t *testing.T) {
 	net, links := chainNet(t, 6, 100)
 	m := NewPhysical(net)
+	assertTrackerMatchesMaxRate(t, m, links)
+	// Pinned: one link per rate class, one unusable pin (above the
+	// link's alone maximum), the rest unassigned.
+	assertTrackerMatchesMaxRate(t, m.Pin([]Couple{
+		{Link: links[0], Rate: 54}, {Link: links[1], Rate: 36}, {Link: links[2], Rate: 18},
+		{Link: links[3], Rate: 6}, {Link: links[4], Rate: 540},
+	}), links)
+}
+
+func assertTrackerMatchesMaxRate(t *testing.T, m *Physical, links []topology.LinkID) {
+	t.Helper()
 	tr := m.NewSetTracker(links)
 	n := len(links)
 

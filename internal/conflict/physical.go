@@ -21,6 +21,9 @@ type Physical struct {
 	interf [][]float64
 	// signal[j] is the received signal power at link j's receiver.
 	signal []float64
+	// pins, when non-nil, holds the usable links' pinned rates (Pin);
+	// every other link is then unusable.
+	pins map[topology.LinkID]radio.Rate
 	// fp memoizes the canonical content fingerprint (fingerprint.go).
 	fp fpMemo
 }
@@ -52,6 +55,16 @@ func NewPhysical(net *topology.Network) *Physical {
 		}
 	}
 	return p
+}
+
+// Pin returns the model with every listed link pinned to a single rate
+// — the fixed rate assignment regime of paper Sec. 2.4 and 3.1 — sharing
+// p's precomputed powers. A pinned link is usable iff p's rates include
+// its pin, and then transmits at the pin exactly when p would sustain
+// at least the pin; unlisted links support no rate at all. Duplicate
+// links keep the last assignment.
+func (p *Physical) Pin(assignment []Couple) *Physical {
+	return &Physical{net: p.net, interf: p.interf, signal: p.signal, pins: usablePins(p, assignment)}
 }
 
 func mustNodeDist(net *topology.Network, a, b topology.NodeID) float64 {
@@ -111,12 +124,26 @@ func (p *Physical) MaxRate(link topology.LinkID, concurrent []Couple) radio.Rate
 	if !ok {
 		return 0
 	}
+	if p.pins != nil {
+		// Pinned: the pin when the unpinned maximum reaches it.
+		if pin, ok := p.pins[link]; ok && r >= pin {
+			return pin
+		}
+		return 0
+	}
 	return r
 }
 
 // Rates implements Model: the rates the link supports alone are every
-// profile rate at or below its distance-limited maximum.
+// profile rate at or below its distance-limited maximum, or just the
+// pin of a usable pinned link.
 func (p *Physical) Rates(link topology.LinkID) []radio.Rate {
+	if p.pins != nil {
+		if pin, ok := p.pins[link]; ok {
+			return []radio.Rate{pin}
+		}
+		return nil
+	}
 	l, err := p.net.Link(link)
 	if err != nil {
 		return nil
@@ -135,6 +162,9 @@ func (p *Physical) Rates(link topology.LinkID) []radio.Rate {
 // when it is unusable. Equivalent to the last positive entry of Rates
 // without materializing the slice.
 func (p *Physical) MinPositiveRate(link topology.LinkID) radio.Rate {
+	if p.pins != nil {
+		return p.pins[link]
+	}
 	l, err := p.net.Link(link)
 	if err != nil {
 		return 0
@@ -198,7 +228,10 @@ type SetTracker struct {
 }
 
 // NewSetTracker builds a tracker over the given universe with an empty
-// member set. Unresolvable link IDs never support any rate.
+// member set. Unresolvable link IDs never support any rate. Under pins
+// a position keeps only the classes at or above its pin, each reporting
+// the pin, so MaxRate is the pin exactly when the unpinned maximum
+// reaches it; an unusable pinned-model link keeps no class.
 func (p *Physical) NewSetTracker(universe []topology.LinkID) *SetTracker {
 	n := len(universe)
 	prof := p.net.Profile()
@@ -231,13 +264,21 @@ func (p *Physical) NewSetTracker(universe []topology.LinkID) *SetTracker {
 		// the only interference-dependent part left for MaxRate.
 		t.thr[i] = fback[2*n*n+i*nc : 2*n*n+i*nc : 2*n*n+(i+1)*nc]
 		t.thrRate[i] = rback[i*nc : i*nc : (i+1)*nc]
+		pin, usable := p.pins[id]
 		for k := 0; k < nc; k++ {
 			c := prof.Class(k)
+			rate := c.Rate
+			if p.pins != nil {
+				if !usable || rate < pin {
+					continue
+				}
+				rate = pin
+			}
 			sens, _ := prof.Sensitivity(c.Rate)
 			if valid[i] && t.signal[i] >= sens {
 				sinr, _ := prof.SINRThreshold(c.Rate)
 				t.thr[i] = append(t.thr[i], sinr)
-				t.thrRate[i] = append(t.thrRate[i], c.Rate)
+				t.thrRate[i] = append(t.thrRate[i], rate)
 			}
 		}
 	}

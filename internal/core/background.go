@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"abw/internal/conflict"
@@ -114,8 +113,7 @@ func feasibleOver(ctx context.Context, universe []topology.LinkID, sets []indeps
 // cold path the family of U_bg ∪ P is the background's family grown by
 // the path's new links in one delta walk, recorded as the delta stage
 // (nothing to walk when the path lies inside U_bg). An empty
-// background, a set Options.Cache and a model without a delta walk
-// walk U_bg ∪ P in full, as before.
+// background and a set Options.Cache walk U_bg ∪ P in full, as before.
 func (b *Background) AvailableBandwidthContext(ctx context.Context, newPath topology.Path) (*Result, error) {
 	if b.base == nil {
 		return AvailableBandwidthContext(ctx, b.m, b.flows, newPath, b.opts)
@@ -131,9 +129,6 @@ func (b *Background) AvailableBandwidthContext(ctx context.Context, newPath topo
 	sets, _, err := indepset.EnumerateDelta(ctx, b.m, *b.base, newPath, b.opts.indepOptions())
 	tm.AddSets(int64(len(sets)))
 	tm.End()
-	if errors.Is(err, indepset.ErrDeltaUnsupported) {
-		sets, err = b.opts.enumerate(ctx, b.m, universe)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}

@@ -133,18 +133,6 @@ func TestBackgroundEq6RandomTables(t *testing.T) {
 	}
 }
 
-// opaqueModel hides every interface beyond conflict.Model, so the
-// enumeration takes the brute-force walk, which has no delta.
-type opaqueModel struct{ conflict.Model }
-
-// TestBackgroundEq6UnsupportedDelta pins the fallback: a model without
-// a delta walk walks U_bg ∪ P in full and answers the same.
-func TestBackgroundEq6UnsupportedDelta(t *testing.T) {
-	tb, chain := randomTableModel(rand.New(rand.NewSource(3)), 6, []radio.Rate{54, 18})
-	background := []Flow{{Path: chain[0:2], Demand: 3}}
-	assertBackgroundMatchesCold(t, opaqueModel{tb}, background, []topology.Path{chain[1:5]}, "opaque")
-}
-
 // cancelOnClear is a pairwise model that cancels a context from inside
 // RateClears once armed: the delta's clear table is built after its
 // walk started, so the cancellation lands midway through the delta.

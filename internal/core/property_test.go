@@ -151,7 +151,7 @@ func TestFixedRateNeverBeatsMultirate(t *testing.T) {
 		for _, l := range path {
 			assignment = append(assignment, conflict.Couple{Link: l, Rate: conflict.AloneMaxRate(m, l)})
 		}
-		fixed := conflict.FixRates(m, assignment)
+		fixed := m.Pin(assignment)
 		pinned, err := AvailableBandwidth(fixed, nil, path, Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -121,8 +121,8 @@ func BenchmarkEnumerateTableRandom(b *testing.B) {
 
 // TestEnumeratePairwiseAllocs pins the steady-state allocation count of
 // the sequential pairwise walk (also visible as allocs/op under
-// `go test -bench=EnumerateTableRandom -benchmem`). The clear-mask
-// table is slab-backed (three allocations however many links) and the
+// `go test -bench=EnumerateTableRandom -benchmem`). The clear table is
+// one flat array plus its column offsets, however many links, and the
 // worker's avail/saved/member scratch comes from a pool, so per-call
 // allocations are a small constant plus the returned family itself —
 // nowhere near the old n^2 mask slices. This walk measured ~115
@@ -201,20 +201,39 @@ func BenchmarkEnumerateProtocolWorkers2(b *testing.B) { benchProtocolChainWorker
 func BenchmarkEnumerateProtocolWorkers4(b *testing.B) { benchProtocolChainWorkers(b, 4) }
 func BenchmarkEnumerateProtocolWorkers8(b *testing.B) { benchProtocolChainWorkers(b, 8) }
 
-// BenchmarkEnumerateFallback exercises the generic brute-force walk (the
-// path every model took before the specialized walks existed) on a
-// 6-hop physical chain, for comparison against the incremental paths.
-func BenchmarkEnumerateFallback(b *testing.B) {
-	net, path, err := topology.Chain(radio.NewProfile80211a(), 6, 100)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkEnumerateWide exercises two-word rate masks: a random
+// conflict table (40% pair conflicts) where link 0 declares 70 rates
+// and six more links declare three each.
+func BenchmarkEnumerateWide(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	tb := conflict.NewTable()
+	var wide []radio.Rate
+	for r := 70; r >= 1; r-- {
+		wide = append(wide, radio.Rate(r))
 	}
-	m := opaque{m: conflict.NewPhysical(net)}
-	links := []topology.LinkID(path)
+	tb.SetRates(0, wide...)
+	links := []topology.LinkID{0}
+	for i := topology.LinkID(1); i <= 6; i++ {
+		tb.SetRates(i, 54, 36, 18)
+		links = append(links, i)
+	}
+	for i, li := range links {
+		for _, lj := range links[i+1:] {
+			for _, ri := range tb.Rates(li) {
+				for _, rj := range tb.Rates(lj) {
+					if rng.Float64() < 0.4 {
+						if err := tb.AddConflict(li, ri, lj, rj); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(m, links, Options{}); err != nil {
+		if _, err := Enumerate(tb, links, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,7 +47,6 @@ package indepset
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sort"
 
@@ -55,13 +54,6 @@ import (
 	"abw/internal/radio"
 	"abw/internal/topology"
 )
-
-// ErrDeltaUnsupported reports that the delta path cannot serve this
-// model or universe shape (brute-force-walk models, or pairwise
-// universes beyond 64 positive rates per link). Callers fall back to
-// full enumeration; the fallback is always correct, the delta path is
-// only ever an optimization.
-var ErrDeltaUnsupported = errors.New("indepset: delta enumeration unsupported for this model or universe")
 
 // DeltaBase is a complete enumeration result to warm-start from: the
 // canonical (sorted, deduplicated) universe it was enumerated over, its
@@ -79,9 +71,10 @@ type DeltaBase struct {
 // same Options, along with the grown universe's exploration count (a
 // valid DeltaBase.Explored for chaining). Links already in the base
 // universe and repeated links are ignored. The model must be the one
-// the base was enumerated under. Errors: ErrDeltaUnsupported (caller
-// should fall back to Enumerate), ErrLimit (the grown universe would
-// trip Options.Limit — a full walk would too), or ErrCanceled.
+// the base was enumerated under. Errors: ErrUnsupportedModel (a model
+// no walk serves, exactly when Enumerate refuses it too), ErrLimit (the
+// grown universe would trip Options.Limit — a full walk would too), or
+// ErrCanceled.
 func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, links []topology.LinkID, opts Options) ([]Set, int64, error) {
 	universe := dedupSorted(append(append([]topology.LinkID(nil), base.Universe...), links...))
 	if len(universe) == len(base.Universe) {
@@ -113,7 +106,7 @@ func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, links
 	case conflict.PairwiseModel:
 		grown, err = deltaPairwise(ctx, mm, universe, apos, b, workers)
 	default:
-		return nil, 0, ErrDeltaUnsupported
+		return nil, 0, ErrUnsupportedModel
 	}
 	if err != nil {
 		return nil, 0, err
@@ -436,26 +429,13 @@ func (w *physicalWorker) visitDelta() (ok bool, err error) {
 }
 
 func deltaPairwise(ctx context.Context, m conflict.PairwiseModel, universe []topology.LinkID, apos []int, b *budget, workers int) ([]Set, error) {
-	n := len(universe)
-	rates, maxRates := positiveRates(m, universe)
-	if maxRates > 64 {
-		// The wide walk has no delta twin; fall back to a full walk.
-		return nil, ErrDeltaUnsupported
-	}
-	e := &pairwiseEnum{
-		ctx:      ctx,
-		universe: universe,
-		rates:    rates,
-		clear:    buildClearTable(m, universe, rates),
-		n:        n,
-		budget:   b,
-	}
-	skip := make([]bool, n)
+	e := newPairwiseEnum(ctx, m, universe, b)
+	skip := make([]bool, e.n)
 	var walks []deltaWalk
 	for _, p := range apos {
 		// No positive declared rate: the link can neither join an old
 		// set nor appear in a new one.
-		if len(rates[p]) > 0 {
+		if len(e.rates[p]) > 0 {
 			walks = append(walks, deltaWalk{lpos: p, order: pairwiseDeltaOrder(e, p, skip)})
 		}
 		skip[p] = true
@@ -468,7 +448,7 @@ func deltaPairwise(ctx context.Context, m conflict.PairwiseModel, universe []top
 				if !w.push(wk.lpos, ri) {
 					continue
 				}
-				err := w.recDelta(0, wk.order)
+				err := w.rec(0, wk.order)
 				w.pop()
 				if err != nil {
 					return nil, err
@@ -502,13 +482,13 @@ func pairwiseDeltaOrder(e *pairwiseEnum, lpos int, skip []bool) []int {
 		if p == lpos || skip[p] {
 			continue
 		}
-		for _, mask := range e.clear[lpos][p] {
-			if mask == 0 {
+		for rp := range e.rates[p] {
+			if e.rowEmpty(e.column(p, rp), lpos) {
 				threat[p]++
 			}
 		}
-		for _, mask := range e.clear[p][lpos] {
-			if mask == 0 {
+		for rl := range e.rates[lpos] {
+			if e.rowEmpty(e.column(lpos, rl), p) {
 				threat[p]++
 			}
 		}
@@ -522,6 +502,17 @@ func pairwiseDeltaOrder(e *pairwiseEnum, lpos int, skip []bool) []int {
 		return a < b
 	})
 	return order
+}
+
+// rowEmpty reports whether no rate of link i clears the couple whose
+// clear-table column starts at col.
+func (e *pairwiseEnum) rowEmpty(col, i int) bool {
+	for _, mask := range e.clear[col+i*e.w : col+(i+1)*e.w] {
+		if mask != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // mergeByKey merges two key-sorted families into canonical key order.
@@ -552,43 +543,10 @@ func mergeByKey(survivors, grown []Set) []Set {
 	return append(out, grown[j:]...)
 }
 
-// recDelta walks every complete assignment that includes the grown
-// link, which the caller has already pushed at one of its rates: it is
-// the plain walk over the remaining positions in the given branch
-// order. With the grown link a member from the root, every push
-// already validates against it — a branch under which no rate of the
-// grown link survives is never entered — so the per-node prune of a
-// staged walk comes for free.
-func (w *pairwiseWorker) recDelta(oi int, order []int) error {
-	if err := w.chk.Check(); err != nil {
-		return err
-	}
-	if oi == len(order) {
-		return w.visitLeafDelta()
-	}
-	idx := order[oi]
-	// Exclude universe[idx].
-	if err := w.recDelta(oi+1, order); err != nil {
-		return err
-	}
-	// Include at each rate that keeps the partial set feasible.
-	for ri := range w.e.rates[idx] {
-		if !w.push(idx, ri) {
-			continue
-		}
-		err := w.recDelta(oi+1, order)
-		w.pop()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runDeltaTask runs one deltaTask of wk at every rate of wk's link: the
 // leaf that excludes every branch position (branch < 0), or the
 // assignments whose first included branch position is wk.order[branch],
-// at each of its rates. Together the tasks cover recDelta(0, wk.order)'s
+// at each of its rates. Together the tasks cover rec(0, wk.order)'s
 // leaves exactly once.
 func (w *pairwiseWorker) runDeltaTask(wk deltaWalk, branch int) error {
 	if err := w.chk.Check(); err != nil {
@@ -600,14 +558,14 @@ func (w *pairwiseWorker) runDeltaTask(wk deltaWalk, branch int) error {
 		}
 		var err error
 		if branch < 0 {
-			err = w.visitLeafDelta()
+			err = w.visitLeaf()
 		} else {
 			idx := wk.order[branch]
 			for rj := range w.e.rates[idx] {
 				if !w.push(idx, rj) {
 					continue
 				}
-				err = w.recDelta(branch+1, wk.order)
+				err = w.rec(branch+1, wk.order)
 				w.pop()
 				if err != nil {
 					break
@@ -618,30 +576,6 @@ func (w *pairwiseWorker) runDeltaTask(wk deltaWalk, branch int) error {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// visitLeafDelta is visitLeaf for the delta walk, where members sit in
-// branch order rather than ascending position: the budget charge and
-// the maximality check are member-order-independent (mask
-// intersections and the isMember table), only materialization must
-// re-establish the canonical ascending-position couple order, by
-// insertion-sorting the freshly built couples.
-func (w *pairwiseWorker) visitLeafDelta() error {
-	if !w.e.budget.take() {
-		return ErrLimit
-	}
-	if w.maximal() {
-		couples := make([]conflict.Couple, 0, len(w.members))
-		for d := range w.members {
-			a := &w.members[d]
-			couples = append(couples, conflict.Couple{Link: w.e.universe[a.pos], Rate: w.e.rates[a.pos][a.ri]})
-			for k := len(couples) - 1; k > 0 && couples[k-1].Link > couples[k].Link; k-- {
-				couples[k-1], couples[k] = couples[k], couples[k-1]
-			}
-		}
-		w.out = append(w.out, Set{Couples: couples})
 	}
 	return nil
 }

@@ -254,6 +254,50 @@ func TestDeltaLimitVerdict(t *testing.T) {
 	}
 }
 
+// assertDeltaMatchesFull grows the base universe by add and checks the
+// delta against a full walk over the grown universe at 1 and 2
+// workers: byte-identical family and the same exploration count, and,
+// with the limit one below that count, ErrLimit on both.
+func assertDeltaMatchesFull(t *testing.T, m conflict.Model, baseU, add []topology.LinkID, label string) {
+	t.Helper()
+	grownU := dedupSorted(append(append([]topology.LinkID(nil), baseU...), add...))
+	for _, workers := range []int{1, 2} {
+		opts := Options{Workers: workers}
+		base := DeltaBase{Universe: baseU}
+		var err error
+		base.Sets, _, base.Explored, err = EnumeratePartialCounted(m, baseU, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, wantExplored, err := EnumeratePartialCounted(m, grownU, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotExplored, err := EnumerateDelta(context.Background(), m, base, add, opts)
+		if err != nil {
+			t.Fatalf("%s workers %d: delta: %v", label, workers, err)
+		}
+		if !reflect.DeepEqual(got, want) || gotExplored != wantExplored {
+			t.Fatalf("%s workers %d: delta %v (%d explored) != full walk %v (%d explored)",
+				label, workers, keys(got), gotExplored, keys(want), wantExplored)
+		}
+		opts.Limit = int(wantExplored) - 1
+		if opts.Limit <= int(base.Explored) {
+			continue
+		}
+		if _, err := Enumerate(m, grownU, opts); !errors.Is(err, ErrLimit) {
+			t.Fatalf("%s workers %d: full walk at limit %d: err = %v, want ErrLimit", label, workers, opts.Limit, err)
+		}
+		if _, _, err := EnumerateDelta(context.Background(), m, base, add, opts); !errors.Is(err, ErrLimit) {
+			t.Fatalf("%s workers %d: delta at limit %d: err = %v, want ErrLimit", label, workers, opts.Limit, err)
+		}
+	}
+}
+
+// TestDeltaUnsupportedModel pins the one model shape no walk serves:
+// behind opaque, neither *Physical nor PairwiseModel, Enumerate and
+// EnumerateDelta both refuse it by name, while the same physical model
+// unwrapped grows by delta exactly as a full walk does.
 func TestDeltaUnsupportedModel(t *testing.T) {
 	prof := radio.NewProfile80211a()
 	net, path, err := topology.Chain(prof, 4, 80)
@@ -261,18 +305,22 @@ func TestDeltaUnsupportedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	links := []topology.LinkID(path)
-	m := opaque{m: conflict.NewPhysical(net)}
-	base := DeltaBase{Universe: links[:len(links)-1]}
-	base.Sets, _, base.Explored, err = EnumeratePartialCounted(m, base.Universe, Options{})
-	if err != nil {
-		t.Fatal(err)
+	phys := conflict.NewPhysical(net)
+	assertDeltaMatchesFull(t, phys, dedupSorted(links[:len(links)-1]), links[len(links)-1:], "physical")
+
+	m := opaque{m: phys}
+	if _, err := Enumerate(m, links, Options{}); !errors.Is(err, ErrUnsupportedModel) {
+		t.Fatalf("opaque model: Enumerate err = %v, want ErrUnsupportedModel", err)
 	}
-	if _, _, err := EnumerateDelta(context.Background(), m, base, links[len(links)-1:], Options{}); !errors.Is(err, ErrDeltaUnsupported) {
-		t.Fatalf("opaque model: err = %v, want ErrDeltaUnsupported", err)
+	base := DeltaBase{Universe: dedupSorted(links[:len(links)-1])}
+	if _, _, err := EnumerateDelta(context.Background(), m, base, links[len(links)-1:], Options{}); !errors.Is(err, ErrUnsupportedModel) {
+		t.Fatalf("opaque model: EnumerateDelta err = %v, want ErrUnsupportedModel", err)
 	}
 }
 
-func TestDeltaUnsupportedWideRates(t *testing.T) {
+// TestDeltaWideRates grows universes whose masks span two words: the
+// 70-rate link joins a base, and a base holding it grows.
+func TestDeltaWideRates(t *testing.T) {
 	tb := conflict.NewTable()
 	var wide []radio.Rate
 	for r := 70; r >= 1; r-- {
@@ -280,15 +328,15 @@ func TestDeltaUnsupportedWideRates(t *testing.T) {
 	}
 	tb.SetRates(0, wide...)
 	tb.SetRates(1, 54, 36)
-	base := DeltaBase{Universe: []topology.LinkID{0}}
-	var err error
-	base.Sets, _, base.Explored, err = EnumeratePartialCounted(tb, base.Universe, Options{})
-	if err != nil {
-		t.Fatal(err)
+	tb.SetRates(2, 54)
+	for _, c := range [][4]float64{{0, 70, 1, 54}, {0, 40, 1, 36}, {0, 3, 2, 54}, {1, 54, 2, 54}} {
+		if err := tb.AddConflict(topology.LinkID(c[0]), radio.Rate(c[1]), topology.LinkID(c[2]), radio.Rate(c[3])); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, _, err := EnumerateDelta(context.Background(), tb, base, []topology.LinkID{1}, Options{}); !errors.Is(err, ErrDeltaUnsupported) {
-		t.Fatalf(">64-rate universe: err = %v, want ErrDeltaUnsupported", err)
-	}
+	assertDeltaMatchesFull(t, tb, []topology.LinkID{0}, []topology.LinkID{1}, "wide base")
+	assertDeltaMatchesFull(t, tb, []topology.LinkID{1}, []topology.LinkID{0, 2}, "wide added")
+	assertDeltaMatchesFull(t, tb, []topology.LinkID{0, 2}, []topology.LinkID{1}, "wide between")
 }
 
 func TestDeltaLinkAlreadyPresent(t *testing.T) {

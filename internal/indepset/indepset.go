@@ -21,8 +21,10 @@
 // physical model keeps running per-receiver interference sums
 // (conflict.SetTracker); pairwise models (conflict.PairwiseModel) keep
 // per-link bitmasks of the rates still clearing every member, so a push
-// only checks the newly added couple against the current members.
-// Models that are neither fall back to the brute-force walk.
+// only checks the newly added couple against the current members. A
+// model that is neither has no walk (ErrUnsupportedModel). Each walk
+// also has a delta form (EnumerateDelta) that grows a complete family
+// by new links without re-walking the old universe.
 //
 // Every walk can also run across goroutines (Options.Workers): the
 // search lattice splits at its first branching levels into independent
@@ -149,6 +151,11 @@ func (s Set) RateVector(universe []topology.LinkID) []radio.Rate {
 // results.
 var ErrLimit = fmt.Errorf("indepset: enumeration limit exceeded")
 
+// ErrUnsupportedModel reports a model that no walk serves: enumeration
+// needs a *conflict.Physical (the cumulative-interference walk) or a
+// conflict.PairwiseModel (the couple-assignment walk).
+var ErrUnsupportedModel = errors.New("indepset: model is neither *conflict.Physical nor conflict.PairwiseModel")
+
 // ErrCanceled reports that an enumeration was abandoned because its
 // context was cancelled. Unlike ErrLimit, a cancelled walk's partial
 // family is NOT returned — cancellation yields no result at all, and
@@ -241,7 +248,7 @@ func EnumeratePartialContext(ctx context.Context, m conflict.Model, links []topo
 
 // EnumeratePartialCounted is EnumeratePartial reporting, alongside the
 // family, how many feasible sets (physical walk) or feasible complete
-// couple assignments (pairwise/fallback walks) the enumeration charged
+// couple assignments (pairwise walk) the enumeration charged
 // against Options.Limit. For a complete (untruncated) family the count
 // is exact and deterministic — byte-identical runs charge identically —
 // and it is the accounting seed the delta path (EnumerateDelta) needs
@@ -273,7 +280,7 @@ func enumerate(ctx context.Context, m conflict.Model, links []topology.LinkID, o
 	case conflict.PairwiseModel:
 		out, err = enumeratePairwise(ctx, mm, universe, b, workers)
 	default:
-		out, err = enumerateFallback(ctx, m, universe, b, workers)
+		return nil, false, 0, ErrUnsupportedModel
 	}
 	truncated := errors.Is(err, ErrLimit)
 	if err != nil && !truncated {

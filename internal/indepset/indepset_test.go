@@ -352,12 +352,12 @@ func TestEnumerateLimitBoundary(t *testing.T) {
 	}
 }
 
-// TestEnumerateLimitBoundaryFallback is the same boundary check routed
-// through the generic (non-pairwise) walk via the opaque wrapper.
+// TestEnumerateLimitBoundaryFallback is the same boundary check with
+// the table behind rate pins.
 func TestEnumerateLimitBoundaryFallback(t *testing.T) {
 	const n = 5
 	tb, links := allConflictTable(t, n)
-	m := opaque{m: tb}
+	m := pinAll(tb, links, 54)
 
 	sets, truncated, err := EnumeratePartial(m, links, Options{Limit: n - 1})
 	if err != nil {
@@ -380,4 +380,13 @@ func TestEnumerateLimitBoundaryFallback(t *testing.T) {
 	if len(sets) != n {
 		t.Fatalf("got %d sets at exact limit, want %d", len(sets), n)
 	}
+}
+
+// pinAll pins every link to rate r.
+func pinAll(m conflict.PairwiseModel, links []topology.LinkID, r radio.Rate) *conflict.FixedRates {
+	pins := make([]conflict.Couple, 0, len(links))
+	for _, l := range links {
+		pins = append(pins, conflict.Couple{Link: l, Rate: r})
+	}
+	return conflict.FixRates(m, pins)
 }

@@ -13,62 +13,78 @@ import (
 
 // enumeratePairwise walks (link, rate) couple assignments in link order
 // for models whose feasibility decomposes pairwise. It maintains, for
-// every universe link, a bitmask of the declared rates that still clear
+// every universe link, a mask of the declared rates that still clear
 // every current member (bit k = k-th declared rate, descending), so
 // adding a couple only checks the new couple against current members,
 // and leaf maximality is a handful of mask intersections instead of
-// from-scratch feasibility calls.
+// from-scratch feasibility calls. Every mask is W consecutive words,
+// W = ⌈max declared rates per link / 64⌉, so one walk serves any rate
+// count; at W = 1 each mask operation is a single word.
 //
 // With workers > 1 the assignment lattice is split at its first levels
-// (choiceTasks); the clear-mask table is built once and shared
-// read-only, each worker owning only its avail/member stacks.
+// (choiceTasks); the clear table is built once and shared read-only,
+// each worker owning only its avail/member stacks.
 func enumeratePairwise(ctx context.Context, m conflict.PairwiseModel, universe []topology.LinkID, budget *budget, workers int) ([]Set, error) {
 	n := len(universe)
 	if n == 0 {
 		return nil, nil
 	}
-	rates, maxRates := positiveRates(m, universe)
-	if maxRates > 64 {
-		// Rate lists beyond one mask word walk with multi-word masks
-		// (pairwise_wide.go) — same DFS order, same family.
-		return enumerateWide(ctx, m, universe, rates, budget, workers)
-	}
-	e := &pairwiseEnum{
-		ctx:      ctx,
-		universe: universe,
-		rates:    rates,
-		clear:    buildClearTable(m, universe, rates),
-		n:        n,
-		budget:   budget,
+	e := newPairwiseEnum(ctx, m, universe, budget)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
 	if workers <= 1 {
 		w := newPairwiseWorker(e)
-		err := w.rec(0)
+		err := w.rec(0, order)
 		w.release()
 		return w.out, err
 	}
-	tasks := choiceTasks(n, workers, func(i int) int { return len(rates[i]) })
+	tasks := choiceTasks(n, workers, func(i int) int { return len(e.rates[i]) })
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
 	return parallelRun(workers, len(tasks), func() (func(int) error, func() []Set) {
 		w := newPairwiseWorker(e)
-		return func(t int) error { return w.runTask(tasks[t]) },
+		return func(t int) error { return w.runTask(tasks[t], order) },
 			func() []Set { w.release(); return w.out }
 	})
 }
 
-// positiveRates collects each link's positive declared rates, preserving
-// the model's descending order (non-positive rates can never appear in a
-// feasible couple), and returns the longest per-link list. The per-link
-// slices share one backing slab — two allocations total, whatever n is.
-func positiveRates(m conflict.PairwiseModel, universe []topology.LinkID) ([][]radio.Rate, int) {
+// pairwiseEnum is the read-only state shared by every worker of one
+// pairwise enumeration: the universe, its declared positive rates, and
+// the precomputed clear table.
+//
+// The clear table is stored by column: the couple (universe[j],
+// rates[j][rj]) owns the n·W words at col[j] + rj·n·W, whose row i
+// (words i·W … i·W+W-1) is the mask of link i's rates clearing that
+// couple. The diagonal rows are all-ones: a link never constrains
+// itself (MaxRate ignores couples on the queried link). Pushing a
+// couple is then one AND of its column into the avail rows.
+type pairwiseEnum struct {
+	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the Enumerate call that received ctx
+	ctx      context.Context
+	universe []topology.LinkID
+	rates    [][]radio.Rate
+	clear    []uint64
+	col      []int
+	n, w     int
+	nw       int // n·W, one column's (and one avail snapshot's) length
+	budget   *budget
+}
+
+// newPairwiseEnum collects each link's positive declared rates,
+// preserving the model's descending order (non-positive rates can never
+// appear in a feasible couple), and builds the clear table.
+func newPairwiseEnum(ctx context.Context, m conflict.PairwiseModel, universe []topology.LinkID, budget *budget) *pairwiseEnum {
+	n := len(universe)
 	total := 0
 	for _, l := range universe {
 		total += len(m.Rates(l))
 	}
+	// The per-link rate slices share one backing slab.
 	slab := make([]radio.Rate, 0, total)
-	rates := make([][]radio.Rate, len(universe))
+	rates := make([][]radio.Rate, n)
 	maxRates := 0
 	for i, l := range universe {
 		start := len(slab)
@@ -78,120 +94,96 @@ func positiveRates(m conflict.PairwiseModel, universe []topology.LinkID) ([][]ra
 			}
 		}
 		rates[i] = slab[start:len(slab):len(slab)]
-		if len(rates[i]) > maxRates {
-			maxRates = len(rates[i])
-		}
+		maxRates = max(maxRates, len(rates[i]))
 	}
-	return rates, maxRates
-}
-
-// buildClearTable precomputes clear[i][j][rj]: the mask of link i's
-// rates that clear the couple (universe[j], rates[j][rj]). The diagonal
-// is all-ones: a link never constrains itself (MaxRate ignores couples
-// on the queried link). The mask rows share two backing slabs, so the
-// whole n^2 table costs three allocations.
-func buildClearTable(m conflict.PairwiseModel, universe []topology.LinkID, rates [][]radio.Rate) [][][]uint64 {
-	n := len(universe)
-	total := 0
-	for j := range rates {
-		total += len(rates[j])
+	W := max(1, (maxRates+63)/64)
+	e := &pairwiseEnum{
+		ctx:      ctx,
+		universe: universe,
+		rates:    rates,
+		clear:    make([]uint64, len(slab)*n*W),
+		col:      make([]int, n),
+		n:        n,
+		w:        W,
+		nw:       n * W,
+		budget:   budget,
 	}
-	flat := make([]uint64, n*total)
-	mid := make([][]uint64, n*n)
-	clear := make([][][]uint64, n)
 	off := 0
-	for i := range clear {
-		clear[i] = mid[i*n : (i+1)*n]
-		for j := range clear[i] {
-			masks := flat[off : off+len(rates[j]) : off+len(rates[j])]
-			off += len(rates[j])
-			if i == j {
-				for rj := range masks {
-					masks[rj] = ^uint64(0)
-				}
-			} else {
-				for rj := range masks {
-					other := conflict.Couple{Link: universe[j], Rate: rates[j][rj]}
-					var bm uint64
-					for ri, r := range rates[i] {
-						if m.RateClears(universe[i], r, other) {
-							bm |= 1 << uint(ri)
-						}
+	for j := range rates {
+		e.col[j] = off
+		for _, rate := range rates[j] {
+			column := e.clear[off : off+n*W]
+			off += n * W
+			other := conflict.Couple{Link: universe[j], Rate: rate}
+			for i := range rates {
+				row := column[i*W : (i+1)*W]
+				if i == j {
+					for k := range row {
+						row[k] = ^uint64(0)
 					}
-					masks[rj] = bm
+					continue
+				}
+				for ri, r := range rates[i] {
+					if m.RateClears(universe[i], r, other) {
+						row[ri>>6] |= 1 << uint(ri&63)
+					}
 				}
 			}
-			clear[i][j] = masks
 		}
 	}
-	return clear
+	return e
 }
 
-// pairwiseEnum is the read-only state shared by every worker of one
-// pairwise enumeration: the universe, its declared positive rates, and
-// the precomputed clear-mask table.
-type pairwiseEnum struct {
-	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the Enumerate call that received ctx
-	ctx      context.Context
-	universe []topology.LinkID
-	rates    [][]radio.Rate
-	clear    [][][]uint64
-	n        int
-	budget   *budget
-}
+// column returns the offset of the couple (universe[j], rates[j][rj])'s
+// clear-table column.
+func (e *pairwiseEnum) column(j, rj int) int { return e.col[j] + rj*e.nw }
 
 type pairMember struct {
 	pos int
 	ri  int
-	ge  uint64 // mask of declared rates at least the chosen one
+	row int // pos·W: offset of the member's row in avail and in every column
+	col int // offset of the member couple's clear-table column
 }
 
 // pairwiseWorker owns the mutable DFS state of one worker: the
-// per-link masks of rates still clearing every member, their per-depth
-// snapshots, and the member stack. The mask and stack buffers come from
-// a package-level pool (pairScratch) so repeated enumerations reuse
-// them instead of reallocating the n + n*n words per worker.
+// per-link masks of rates still clearing every member (n rows of W
+// words), their per-depth snapshots, the member stack, and the output
+// family. The buffers come from a package-level pool (pairScratchPool)
+// so repeated enumerations reuse them instead of reallocating the
+// n·W + n²·W words per worker.
 type pairwiseWorker struct {
 	e        *pairwiseEnum
 	chk      *cancel.Checker // nil for uncancellable contexts (zero cost)
 	scratch  *pairScratch
-	avail    []uint64 // rates of each link clearing every member
-	saved    [][]uint64
+	avail    []uint64 // n·W: rates of each link clearing every member
+	saved    []uint64 // n·n·W: avail snapshot per depth
 	members  []pairMember
 	isMember []bool
 	out      []Set
 }
 
 // pairScratch holds one worker's reusable buffers. Pooled globally:
-// sizes are re-sliced (or grown) to the current universe on checkout,
+// sizes are re-sliced (or grown) to the current n and W on checkout,
 // and the walk's push/pop discipline guarantees members is empty and
 // isMember all-false at release, so only avail needs re-initializing.
 type pairScratch struct {
 	avail    []uint64
-	sback    []uint64
-	saved    [][]uint64
+	saved    []uint64
 	members  []pairMember
 	isMember []bool
 }
 
 var pairScratchPool = sync.Pool{New: func() any { return new(pairScratch) }}
 
-func (s *pairScratch) grow(n int) {
-	if cap(s.avail) < n {
-		s.avail = make([]uint64, n)
+func (s *pairScratch) grow(n, w int) {
+	if cap(s.avail) < n*w {
+		s.avail = make([]uint64, n*w)
 	}
-	s.avail = s.avail[:n]
-	if cap(s.sback) < n*n {
-		s.sback = make([]uint64, n*n)
+	s.avail = s.avail[:n*w]
+	if cap(s.saved) < n*n*w {
+		s.saved = make([]uint64, n*n*w)
 	}
-	s.sback = s.sback[:n*n]
-	if cap(s.saved) < n {
-		s.saved = make([][]uint64, n)
-	}
-	s.saved = s.saved[:n]
-	for d := range s.saved {
-		s.saved[d] = s.sback[d*n : (d+1)*n]
-	}
+	s.saved = s.saved[:n*n*w]
 	if cap(s.members) < n {
 		s.members = make([]pairMember, 0, n)
 	}
@@ -200,19 +192,17 @@ func (s *pairScratch) grow(n int) {
 		s.isMember = make([]bool, n)
 	}
 	s.isMember = s.isMember[:n]
-	for i := range s.isMember {
-		s.isMember[i] = false
-	}
+	clear(s.isMember)
 }
 
 func newPairwiseWorker(e *pairwiseEnum) *pairwiseWorker {
-	n := e.n
 	s := pairScratchPool.Get().(*pairScratch)
-	s.grow(n)
-	for i := range s.avail {
-		// Safe at 64 declared rates: the shift wraps to 0 and the
-		// decrement yields the intended all-ones mask.
-		s.avail[i] = (uint64(1) << uint(len(e.rates[i]))) - 1
+	s.grow(e.n, e.w)
+	clear(s.avail)
+	for i, rs := range e.rates {
+		for ri := range rs {
+			s.avail[i*e.w+ri>>6] |= 1 << uint(ri&63)
+		}
 	}
 	return &pairwiseWorker{
 		e:        e,
@@ -237,29 +227,49 @@ func (w *pairwiseWorker) release() {
 	w.avail, w.saved, w.members, w.isMember = nil, nil, nil, nil
 }
 
+// lowest returns the index of the lowest bit set in both W-word masks
+// a[i:i+W] and b[j:j+W] — the fastest declared rate in both — or a
+// sentinel past any declared rate index when they share none.
+func lowest(a []uint64, i int, b []uint64, j, W int) int {
+	if W == 1 {
+		return bits.TrailingZeros64(a[i] & b[j])
+	}
+	for k := 0; k < W; k++ {
+		if m := a[i+k] & b[j+k]; m != 0 {
+			return k<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return W << 6
+}
+
 // push includes (universe[idx], rates[idx][ri]) when that keeps the
 // partial set feasible: the new couple must be sustainable against the
-// members (some clearing rate at or above it) and every member must
-// retain a clearing rate at or above its own. It reports whether the
-// couple was pushed; on false the worker state is unchanged.
+// members (some clearing rate at or above it, i.e. a clearing rate
+// index at most ri) and every member must retain a clearing rate at or
+// above its own. It reports whether the couple was pushed; on false the
+// worker state is unchanged.
 func (w *pairwiseWorker) push(idx, ri int) bool {
 	e := w.e
-	ge := (uint64(1) << uint(ri+1)) - 1
-	if w.avail[idx]&ge == 0 {
+	W, nw, avail, clear := e.w, e.nw, w.avail, e.clear
+	row := idx * W
+	if lowest(avail, row, avail, row, W) > ri {
 		return false
 	}
+	col := e.column(idx, ri)
 	for ii := range w.members {
 		a := &w.members[ii]
-		if w.avail[a.pos]&e.clear[a.pos][idx][ri]&a.ge == 0 {
+		if lowest(avail, a.row, clear, col+a.row, W) > a.ri {
 			return false
 		}
 	}
 	d := len(w.members)
-	copy(w.saved[d], w.avail)
-	for j := 0; j < e.n; j++ {
-		w.avail[j] &= e.clear[j][idx][ri]
+	copy(w.saved[d*nw:(d+1)*nw], avail)
+	c := clear[col : col+nw]
+	avail = avail[:len(c)]
+	for k := range avail {
+		avail[k] &= c[k]
 	}
-	w.members = append(w.members, pairMember{pos: idx, ri: ri, ge: ge})
+	w.members = append(w.members, pairMember{pos: idx, ri: ri, row: row, col: col})
 	w.isMember[idx] = true
 	return true
 }
@@ -268,37 +278,44 @@ func (w *pairwiseWorker) pop() {
 	d := len(w.members) - 1
 	w.isMember[w.members[d].pos] = false
 	w.members = w.members[:d]
-	copy(w.avail, w.saved[d])
+	nw := w.e.nw
+	copy(w.avail, w.saved[d*nw:(d+1)*nw])
 }
 
 // maximal reports whether the current full assignment is maximal.
 func (w *pairwiseWorker) maximal() bool {
 	e := w.e
+	W, avail, clear, members := e.w, w.avail, e.clear, w.members
 	// Rate-maximality: some member could be raised to a higher
 	// declared rate with every other member keeping its rate.
-	for ii := range w.members {
-		a := &w.members[ii]
+	for ii := range members {
+		a := &members[ii]
 		// The member itself sustains a raise to index rj exactly when
 		// some still-clearing rate is at least rates[a.pos][rj], i.e.
 		// rj is at or below the best clearing rate.
-		for rj := bits.TrailingZeros64(w.avail[a.pos]); rj < a.ri; rj++ {
+		for rj := lowest(avail, a.row, avail, a.row, W); rj < a.ri; rj++ {
+			raised := e.column(a.pos, rj)
 			ok := true
-			for jj := range w.members {
+			for jj := range members {
 				if jj == ii {
 					continue
 				}
-				b := &w.members[jj]
+				b := &members[jj]
 				// b's rates clearing every member except a, plus a at
-				// its raised rate.
-				mask := e.clear[b.pos][a.pos][rj]
-				for kk := range w.members {
-					if kk == ii || kk == jj {
-						continue
+				// its raised rate, must still reach b's own: the lowest
+				// such rate index is at most b.ri.
+				keeps := false
+				for k := 0; k <= b.ri>>6 && !keeps; k++ {
+					at := b.row + k
+					mask := clear[raised+at]
+					for kk := range members {
+						if kk != ii && kk != jj {
+							mask &= clear[members[kk].col+at]
+						}
 					}
-					c := &w.members[kk]
-					mask &= e.clear[b.pos][c.pos][c.ri]
+					keeps = mask != 0 && k<<6+bits.TrailingZeros64(mask) <= b.ri
 				}
-				if mask&b.ge == 0 {
+				if !keeps {
 					ok = false
 					break
 				}
@@ -311,14 +328,16 @@ func (w *pairwiseWorker) maximal() bool {
 	// Link-maximality: some outside link could join at a declared
 	// rate with every member keeping its rate.
 	for j := 0; j < e.n; j++ {
-		if w.isMember[j] || w.avail[j] == 0 {
+		if w.isMember[j] {
 			continue
 		}
-		for rj := bits.TrailingZeros64(w.avail[j]); rj < len(e.rates[j]); rj++ {
+		row := j * W
+		for rj := lowest(avail, row, avail, row, W); rj < len(e.rates[j]); rj++ {
+			col := e.column(j, rj)
 			ok := true
-			for ii := range w.members {
-				a := &w.members[ii]
-				if w.avail[a.pos]&e.clear[a.pos][j][rj]&a.ge == 0 {
+			for ii := range members {
+				a := &members[ii]
+				if lowest(avail, a.row, clear, col+a.row, W) > a.ri {
 					ok = false
 					break
 				}
@@ -332,7 +351,12 @@ func (w *pairwiseWorker) maximal() bool {
 }
 
 // visitLeaf charges the budget for the current full assignment and
-// records it when maximal.
+// records it when maximal. Members sit in branch order, which the delta
+// walk does not keep ascending; the budget charge and the maximality
+// check are member-order-independent (mask intersections and the
+// isMember table), so only materialization re-establishes the
+// canonical ascending-link couple order, by insertion-sorting the
+// freshly built couples (a no-op pass in the full walk).
 func (w *pairwiseWorker) visitLeaf() error {
 	if len(w.members) == 0 {
 		return nil
@@ -341,33 +365,41 @@ func (w *pairwiseWorker) visitLeaf() error {
 		return ErrLimit
 	}
 	if w.maximal() {
-		couples := make([]conflict.Couple, len(w.members))
+		couples := make([]conflict.Couple, 0, len(w.members))
 		for d := range w.members {
 			a := &w.members[d]
-			couples[d] = conflict.Couple{Link: w.e.universe[a.pos], Rate: w.e.rates[a.pos][a.ri]}
+			couples = append(couples, conflict.Couple{Link: w.e.universe[a.pos], Rate: w.e.rates[a.pos][a.ri]})
+			for k := len(couples) - 1; k > 0 && couples[k-1].Link > couples[k].Link; k-- {
+				couples[k-1], couples[k] = couples[k], couples[k-1]
+			}
 		}
-		w.out = append(w.out, Set{Couples: couples}) // idx order = link order
+		w.out = append(w.out, Set{Couples: couples})
 	}
 	return nil
 }
 
-func (w *pairwiseWorker) rec(idx int) error {
+// rec walks every complete assignment of the positions order[oi:] on
+// top of the current members: exclude order[oi], then include it at
+// each rate that keeps the partial set feasible. The full walk runs it
+// over every position in ascending order; the delta walk runs it under
+// an already pushed grown link, whose pushes then validate every branch
+// against that link from the root.
+func (w *pairwiseWorker) rec(oi int, order []int) error {
 	if err := w.chk.Check(); err != nil {
 		return err
 	}
-	if idx == w.e.n {
+	if oi == len(order) {
 		return w.visitLeaf()
 	}
-	// Exclude universe[idx].
-	if err := w.rec(idx + 1); err != nil {
+	idx := order[oi]
+	if err := w.rec(oi+1, order); err != nil {
 		return err
 	}
-	// Include at each rate that keeps the partial set feasible.
 	for ri := range w.e.rates[idx] {
 		if !w.push(idx, ri) {
 			continue
 		}
-		err := w.rec(idx + 1)
+		err := w.rec(oi+1, order)
 		w.pop()
 		if err != nil {
 			return err
@@ -376,7 +408,7 @@ func (w *pairwiseWorker) rec(idx int) error {
 	return nil
 }
 
-func (w *pairwiseWorker) runTask(t choiceTask) error {
+func (w *pairwiseWorker) runTask(t choiceTask, order []int) error {
 	pushed := 0
 	feasible := true
 	for idx, c := range t.choices {
@@ -391,7 +423,7 @@ func (w *pairwiseWorker) runTask(t choiceTask) error {
 	}
 	var err error
 	if feasible {
-		err = w.rec(len(t.choices))
+		err = w.rec(len(t.choices), order)
 	}
 	for ; pushed > 0; pushed-- {
 		w.pop()

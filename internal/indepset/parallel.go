@@ -2,8 +2,8 @@
 // walks explore split cleanly at their first branching levels into
 // independent subtrees, so enumeration distributes those subtrees over
 // workers that each own their full mutable DFS state (a
-// conflict.SetTracker for the physical walk, bitmask state for pairwise
-// walks, a couple stack for the fallback) while sharing the read-only
+// conflict.SetTracker for the physical walk, bitmask state for the
+// pairwise walk) while sharing the read-only
 // per-universe precomputation. Three properties make the parallel walk
 // indistinguishable from the sequential one:
 //
@@ -117,8 +117,8 @@ func subtreeTasks(n int) []subtreeTask {
 	return tasks
 }
 
-// choiceTask fixes the first levels of a couple-assignment walk
-// (pairwise and fallback): choices[i] is -1 to exclude universe[i] or
+// choiceTask fixes the first levels of the pairwise walk's couple
+// assignments: choices[i] is -1 to exclude universe[i] or
 // an index into its declared rates to include it. Tasks whose prefix is
 // infeasible enumerate nothing, exactly like the sequential walk never
 // descending past an infeasible branch.

@@ -131,6 +131,8 @@ func TestParallelMatchesSequentialTable(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequentialFallback covers the models with rate
+// pins, on both walks.
 func TestParallelMatchesSequentialFallback(t *testing.T) {
 	prof := radio.NewProfile80211a()
 	net, path, err := topology.Chain(prof, 6, 80)
@@ -138,21 +140,19 @@ func TestParallelMatchesSequentialFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	links := []topology.LinkID(path)
-	phys := conflict.NewPhysical(net)
-	assertParallelMatchesSequential(t, opaque{m: phys}, links, "opaque physical")
-
-	fixed := conflict.FixRates(phys, []conflict.Couple{
+	pins := []conflict.Couple{
 		{Link: links[0], Rate: 18}, {Link: links[2], Rate: 6}, {Link: links[4], Rate: 18},
-	})
-	assertParallelMatchesSequential(t, fixed, links, "fixed rates")
+	}
+	assertParallelMatchesSequential(t, conflict.NewPhysical(net).Pin(pins), links, "pinned physical")
+	assertParallelMatchesSequential(t, conflict.FixRates(conflict.NewProtocol(net), pins), links, "pinned protocol")
 }
 
 // TestParallelLimitExact pins the shared-budget limit semantics under
 // parallelism (regression guard for the PR 1 off-by-one class): on a
 // family where every explored feasible set is maximal, a Limit-bounded
 // run returns exactly the sequential walk's family size — min(Limit,
-// family) — and never Limit+1, at every worker count and on both the
-// pairwise and fallback walks.
+// family) — and never Limit+1, at every worker count, on a table and
+// on the same table behind rate pins.
 func TestParallelLimitExact(t *testing.T) {
 	const n = 6
 	tb, links := allConflictTable(t, n)
@@ -161,7 +161,7 @@ func TestParallelLimitExact(t *testing.T) {
 		m    conflict.Model
 	}{
 		{"pairwise", tb},
-		{"fallback", opaque{m: tb}},
+		{"pinned", pinAll(tb, links, 54)},
 	}
 	for _, mm := range models {
 		for limit := 1; limit <= n+1; limit++ {

@@ -157,9 +157,9 @@ func TestEquivalenceRandomTables(t *testing.T) {
 }
 
 // opaque hides a model's dynamic type behind explicit forwarding methods
-// so it satisfies neither *Physical nor PairwiseModel: enumeration must
-// take the brute-force fallback path. (A struct embedding would promote
-// RateClears and defeat the point.)
+// so it satisfies neither *Physical nor PairwiseModel: no walk serves
+// it. (A struct embedding would promote RateClears and defeat the
+// point.)
 type opaque struct{ m conflict.Model }
 
 func (o opaque) MaxRate(link topology.LinkID, concurrent []conflict.Couple) radio.Rate {
@@ -167,33 +167,17 @@ func (o opaque) MaxRate(link topology.LinkID, concurrent []conflict.Couple) radi
 }
 func (o opaque) Rates(link topology.LinkID) []radio.Rate { return o.m.Rates(link) }
 
-func TestEquivalenceFallbackPath(t *testing.T) {
-	// FixedRates is genuinely non-pairwise (its MaxRate depends on the
-	// jointly chosen substitute rates), and opaque-wrapped models force
-	// the generic walk; both must agree with the reference.
+// TestEquivalencePinnedModels gates the fixed-rate regime against the
+// reference: a pinned physical model runs the SINR walk, a pinned
+// protocol model the pairwise one.
+func TestEquivalencePinnedModels(t *testing.T) {
 	prof := radio.NewProfile80211a()
 	net, path, err := topology.Chain(prof, 5, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
 	links := []topology.LinkID(path)
-	phys := conflict.NewPhysical(net)
-
-	fixed := conflict.FixRates(phys, []conflict.Couple{{Link: links[0], Rate: 18}, {Link: links[2], Rate: 6}, {Link: links[4], Rate: 18}})
-	assertSameFamily(t, fixed, links, "fixed rates")
-
-	assertSameFamily(t, opaque{m: phys}, links, "opaque physical")
-
-	// The fallback and incremental paths must also agree with each other.
-	direct, err := Enumerate(phys, links, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFallback, err := Enumerate(opaque{m: phys}, links, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(keys(direct), keys(viaFallback)) {
-		t.Fatalf("incremental path %v != fallback path %v", keys(direct), keys(viaFallback))
-	}
+	pins := []conflict.Couple{{Link: links[0], Rate: 18}, {Link: links[2], Rate: 6}, {Link: links[4], Rate: 18}}
+	assertSameFamily(t, conflict.NewPhysical(net).Pin(pins), links, "pinned physical")
+	assertSameFamily(t, conflict.FixRates(conflict.NewProtocol(net), pins), links, "pinned protocol")
 }

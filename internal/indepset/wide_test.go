@@ -11,7 +11,7 @@ import (
 )
 
 // wideTable builds a table model where link 0 declares `classes` rate
-// classes (forcing the multi-word pairwise walk once classes > 64) and
+// classes (forcing multi-word rate masks once classes > 64) and
 // the remaining links declare a handful, with dense random pairwise
 // conflicts. Small link counts keep the brute-force reference
 // tractable: the walk's leaf count is the product of per-link choices.
@@ -59,29 +59,8 @@ func TestWideEquivalenceReference(t *testing.T) {
 	}
 }
 
-// TestWideMatchesFallback cross-checks the multi-word walk against the
-// generic brute-force walk (opaque hides the pairwise interface) on the
-// same instances.
-func TestWideMatchesFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 4; trial++ {
-		tb, links := wideTable(t, rng, 66, 2)
-		direct, err := Enumerate(tb, links, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaFallback, err := Enumerate(opaque{m: tb}, links, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(keys(direct), keys(viaFallback)) {
-			t.Fatalf("wide walk %v != fallback walk %v", keys(direct), keys(viaFallback))
-		}
-	}
-}
-
-// TestWideParallelDeterminism pins the parallel contract for the
-// multi-word walk: 2/4/8 workers return the byte-identical family of
+// TestWideParallelDeterminism pins the parallel contract for
+// multi-word masks: 2/4/8 workers return the byte-identical family of
 // the sequential walk.
 func TestWideParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -103,10 +82,9 @@ func TestWideParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestWideExploredMatchesNarrowSemantics pins the exploration count of
-// the wide walk to the fallback's leaf-count decomposition contract:
-// growing a 65-class universe still reports a count, and a limit below
-// it trips ErrLimit.
+// TestWideLimitTrips pins the exploration count under multi-word
+// masks: a 65-class universe reports a count, and a limit below it
+// trips ErrLimit.
 func TestWideLimitTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tb, links := wideTable(t, rng, 65, 2)

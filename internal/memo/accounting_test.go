@@ -147,7 +147,7 @@ func TestLookupIdentityAcrossAllPaths(t *testing.T) {
 	step++
 	check("hit", int64(step))
 
-	if _, err := c.Enumerate(unkeyedModel{m}, links, indepset.Options{}); err != nil {
+	if _, err := c.Enumerate(unkeyedModel{conflict.NewProtocol(net)}, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	step++

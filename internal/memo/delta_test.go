@@ -166,9 +166,13 @@ func TestDeltaShrinkIsNotABase(t *testing.T) {
 	assertIdentity(t, st, "shrink")
 }
 
-// TestDeltaFallbackCounted injects an unsupported-model verdict from
-// the delta walk: the lookup found a base but falls back to the full
-// walk, counted as DeltaFallbacks + a Miss, with the result unharmed.
+// errDeltaRefused is a test-local delta failure: whatever the chain
+// cannot serve, the lookup must fall back to the full walk.
+var errDeltaRefused = errors.New("memo test: delta refused")
+
+// TestDeltaFallbackCounted injects a delta failure: the lookup found a
+// base but falls back to the full walk, counted as DeltaFallbacks + a
+// Miss, with the result unharmed.
 func TestDeltaFallbackCounted(t *testing.T) {
 	m, links := deltaTopology(t)
 	small, big := links[:len(links)-1], links
@@ -182,7 +186,7 @@ func TestDeltaFallbackCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	swapDelta(t, func(context.Context, conflict.Model, indepset.DeltaBase, []topology.LinkID, indepset.Options) ([]indepset.Set, int64, error) {
-		return nil, 0, indepset.ErrDeltaUnsupported
+		return nil, 0, errDeltaRefused
 	})
 	got, err := c.Enumerate(m, big, indepset.Options{})
 	if err != nil {

@@ -396,9 +396,10 @@ func (c *Cache) enumerate(ctx context.Context, m conflict.Model, links []topolog
 		case errors.Is(derr, errNoDeltaBase):
 			// Nothing to warm-start from: a plain miss, not a fallback.
 		default:
-			// A base existed but the chain could not serve it (model
-			// without a delta walk, >64 rate classes, a limit the grown
-			// universe trips, ...): fall back to the full walk.
+			// A base existed but the chain could not serve it (the
+			// grown universe trips the limit, where the full walk's
+			// truncated family is the answer): fall back to the full
+			// walk.
 			atomic.AddInt64(&c.deltaFallbacks, 1)
 		}
 	}
@@ -678,8 +679,8 @@ type Stats struct {
 	// to a full walk.
 	DeltaHits int64 `json:"deltaHits"`
 	// DeltaFallbacks counts lookups that found a delta base but had to
-	// fall back to the full walk (unsupported model or universe shape,
-	// or a tripped limit). A sub-count of Misses, outside the identity.
+	// fall back to the full walk (a limit the grown universe trips). A
+	// sub-count of Misses, outside the identity.
 	DeltaFallbacks int64 `json:"deltaFallbacks"`
 	// Bypasses counts enumerations of models with no fingerprint.
 	Bypasses int64 `json:"bypasses"`

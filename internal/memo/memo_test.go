@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -225,12 +226,13 @@ func TestNilCacheBypasses(t *testing.T) {
 	c.AddSolvePivots(true, 3, 2) // must not panic
 }
 
-// unkeyedModel wraps a model, hiding its Fingerprinter implementation.
-type unkeyedModel struct{ conflict.Model }
+// unkeyedModel wraps a pairwise model, hiding its Fingerprinter
+// implementation.
+type unkeyedModel struct{ conflict.PairwiseModel }
 
 func TestUnfingerprintableModelBypasses(t *testing.T) {
 	net := testNetwork(t, 5, 23)
-	m := unkeyedModel{conflict.NewPhysical(net)}
+	m := unkeyedModel{conflict.NewProtocol(net)}
 	links := allLinks(net)
 	c := New(0)
 	fresh, err := indepset.Enumerate(m, links, indepset.Options{})
@@ -245,6 +247,47 @@ func TestUnfingerprintableModelBypasses(t *testing.T) {
 	st := c.Stats()
 	if st.Bypasses != 1 || st.Entries != 0 {
 		t.Fatalf("expected one bypass and no entries, got %+v", st)
+	}
+}
+
+// TestPinnedModelsKeepOwnEntries enumerates pinned models and the
+// models they pin through one cache, twice: every lookup returns its
+// own model's family, never a shared entry. A pinned Physical keys by
+// its pins; a FixRates wrapper has no fingerprint and bypasses.
+func TestPinnedModelsKeepOwnEntries(t *testing.T) {
+	net := testNetwork(t, 6, 5)
+	links := allLinks(net)
+	phys := conflict.NewPhysical(net)
+	var pins []conflict.Couple
+	for i, l := range links {
+		if rs := phys.Rates(l); i%2 == 0 && len(rs) > 0 {
+			pins = append(pins, conflict.Couple{Link: l, Rate: rs[len(rs)-1]})
+		}
+	}
+	prot := conflict.NewProtocol(net)
+	models := []conflict.Model{phys, phys.Pin(pins), prot, conflict.FixRates(prot, pins)}
+	fresh := make([][]indepset.Set, len(models))
+	for i, m := range models {
+		var err error
+		if fresh[i], err = indepset.Enumerate(m, links, indepset.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(fresh[0]) == len(fresh[1]) && fresh[0][0].Key() == fresh[1][0].Key() {
+		t.Fatalf("degenerate pins: the pinned physical family looks like the unpinned one")
+	}
+	c := New(0)
+	for round := 0; round < 2; round++ {
+		for i, m := range models {
+			got, err := c.Enumerate(m, links, indepset.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertFamiliesEqual(t, fresh[i], got, fmt.Sprintf("round %d model %d", round, i))
+		}
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Bypasses != 2 || st.Entries != 3 {
+		t.Fatalf("want 3 entries served as 3 hits and 2 bypasses, got %+v", st)
 	}
 }
 

@@ -30,8 +30,9 @@ lint:
 lint-fix:
 	$(GO) run ./cmd/abwlint -fix ./...
 
-# Bounded native fuzzing of the LP solver (cold solves, and warm
-# resolves against cold ones), enumeration (both walks against the
+# Bounded native fuzzing of the LP solver (cold solves, warm resolves
+# against cold ones, and solves from a start basis against two-phase
+# ones), enumeration (both walks against the
 # brute-force reference), delta enumeration (grown families against
 # full walks), the netjson codec, and the memo cache (key
 # fingerprint + on-disk family format); CI runs the same targets for
@@ -40,6 +41,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSimplex -fuzztime=$(FUZZTIME) ./internal/lp/
 	$(GO) test -run='^$$' -fuzz=FuzzWarmResolve -fuzztime=$(FUZZTIME) ./internal/lp/
+	$(GO) test -run='^$$' -fuzz=FuzzSolveFrom -fuzztime=$(FUZZTIME) ./internal/lp/
 	$(GO) test -run='^$$' -fuzz='^FuzzEnumerate$$' -fuzztime=$(FUZZTIME) ./internal/indepset/
 	$(GO) test -run='^$$' -fuzz=FuzzEnumerateDelta -fuzztime=$(FUZZTIME) ./internal/indepset/
 	$(GO) test -run='^$$' -fuzz=FuzzNetjson -fuzztime=$(FUZZTIME) ./internal/netjson/

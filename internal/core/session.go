@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -33,11 +34,15 @@ import (
 //     retained lp.WarmSolver repairs in a few dual-simplex pivots;
 //  3. feasibility verdicts are memoized by exact demand signature, so
 //     the repeated "is the current background still deliverable?"
-//     check before each admission step costs a map lookup.
+//     check before each admission step costs a map lookup. Each
+//     schedulable verdict keeps its LP's optimal basis in link terms,
+//     and the first solve of a new (universe, path) state starts from
+//     the basis memoized for its background, phase 2 only, as a cold
+//     Background does; without a memoized verdict it runs two-phase.
 //
-// Answers are exact: the warm-started optimum matches a cold
-// AvailableBandwidth solve within pivot-tolerance arithmetic noise
-// (the session property tests pin this), and set families and
+// Answers are exact: the warm-started or basis-started optimum matches
+// a cold AvailableBandwidth solve within pivot-tolerance arithmetic
+// noise (the session property tests pin this), and set families and
 // feasibility schedules are byte-identical to the cold path's.
 //
 // A Session is safe for concurrent use. Enumeration runs outside the
@@ -85,10 +90,12 @@ type availState struct {
 	coldPivots int
 }
 
-// feasResult memoizes one FeasibleDemands verdict.
+// feasResult memoizes one FeasibleDemands verdict, with the
+// feasibility LP's optimal basis when the flows are schedulable.
 type feasResult struct {
 	ok    bool
 	sched schedule.Schedule
+	start *bgStart
 }
 
 // AvailableBandwidth is the session-accelerated equivalent of the
@@ -132,7 +139,11 @@ func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Fl
 	defer s.mu.Unlock()
 	st := s.avail[key]
 	if st == nil {
-		st, err = newAvailState(universe, newPath, sets, demand)
+		var start *bgStart
+		if len(background) > 0 {
+			start = s.feas[feasKey(universe, background)].start
+		}
+		st, err = newAvailState(universe, newPath, sets, demand, start)
 		if err != nil {
 			return nil, err
 		}
@@ -145,14 +156,17 @@ func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Fl
 // path it adds a throughput row for every universe link — including
 // links no set serves and no demand touches — so any later demand
 // vector is reachable by RHS updates alone. Its other rows are the
-// cold path's, in the same order, so both solve the same LP.
-func newAvailState(universe []topology.LinkID, newPath topology.Path, sets []indepset.Set, demand []float64) (*availState, error) {
+// cold path's, in the same order, so both solve the same LP. A non-nil
+// start (the background's feasibility basis) starts the first solve.
+func newAvailState(universe []topology.LinkID, newPath topology.Path, sets []indepset.Set, demand []float64, start *bgStart) (*availState, error) {
 	set, err := eq6LP(universe, sets, demand, newPath, allLinks)
 	if err != nil {
 		return nil, err
 	}
+	w := lp.NewWarmSolver(set.prob)
+	w.SetStart(start.basis(universe, sets, set, demand))
 	return &availState{
-		w:        lp.NewWarmSolver(set.prob),
+		w:        w,
 		sets:     sets,
 		universe: universe,
 		rowOf:    set.rowOf,
@@ -210,8 +224,7 @@ func (s *Session) FeasibleDemandsContext(ctx context.Context, flows []Flow) (boo
 		paths = append(paths, f.Path)
 	}
 	universe := topology.LinkUnion(paths...)
-	demand := linkDemand(flows)
-	key := feasKey(universe, demand)
+	key := feasKey(universe, flows)
 
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)
 	defer tm.End()
@@ -224,14 +237,14 @@ func (s *Session) FeasibleDemandsContext(ctx context.Context, flows []Flow) (boo
 	s.mu.Unlock()
 	tm.SetOutcome("miss")
 
-	ok, sched, err := FeasibleDemandsContext(ctx, s.m, flows, s.opts)
+	b, err := SolveBackgroundContext(ctx, s.m, flows, s.opts)
 	if err != nil {
-		return ok, sched, err
+		return false, schedule.Schedule{}, err
 	}
 	s.mu.Lock()
-	s.feas[key] = feasResult{ok: ok, sched: sched}
+	s.feas[key] = feasResult{ok: b.Feasible, sched: b.Schedule, start: b.start}
 	s.mu.Unlock()
-	return ok, copySchedule(sched), nil
+	return b.Feasible, copySchedule(b.Schedule), nil
 }
 
 // IdleRatios returns the per-node carrier-sensed idle ratios induced by
@@ -262,7 +275,7 @@ func (s *Session) IdleRatiosContext(ctx context.Context, net *topology.Network, 
 		paths = append(paths, f.Path)
 	}
 	universe := topology.LinkUnion(paths...)
-	key := feasKey(universe, linkDemand(flows))
+	key := feasKey(universe, flows)
 
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)
 	defer tm.End()
@@ -334,23 +347,29 @@ func availKey(universe []topology.LinkID, newPath topology.Path) string {
 	return b.String()
 }
 
-// feasKey names one feasibility question: the universe plus the exact
-// per-link demand vector (float bit patterns, so only truly identical
-// demands share a verdict).
-func feasKey(universe []topology.LinkID, demand map[topology.LinkID]float64) string {
-	var b strings.Builder
-	for i, l := range universe {
-		if i > 0 {
-			b.WriteByte(',')
+// feasKey names one feasibility question: the flows' links with their
+// exact demand (float bit patterns, so only truly identical demands
+// share a verdict), each summed in flow then path order as linkLoad
+// does. Universe links no flow uses are skipped, so any universe
+// containing the flows' own gives the same key. Each link is encoded
+// as a uvarint id then the demand's 8 bytes: prefix-free, so the key
+// is unambiguous, and built in one buffer.
+func feasKey(universe []topology.LinkID, flows []Flow) string {
+	buf := make([]byte, 0, 16*len(universe))
+	for _, l := range universe {
+		used, d := false, 0.0
+		for _, f := range flows {
+			for _, pl := range f.Path {
+				if pl == l {
+					used = true
+					d += f.Demand
+				}
+			}
 		}
-		b.WriteString(strconv.Itoa(int(l)))
-	}
-	b.WriteByte('|')
-	for i, l := range universe {
-		if i > 0 {
-			b.WriteByte(',')
+		if used {
+			buf = binary.AppendUvarint(buf, uint64(l))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d))
 		}
-		b.WriteString(strconv.FormatUint(math.Float64bits(demand[l]), 16))
 	}
-	return b.String()
+	return string(buf)
 }

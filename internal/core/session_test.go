@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"abw/internal/geom"
 	"abw/internal/lp"
 	"abw/internal/memo"
+	"abw/internal/obs"
 	"abw/internal/radio"
 	"abw/internal/topology"
 )
@@ -251,4 +254,69 @@ func TestSessionConcurrentQueries(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSessionStartsFromFeasibilityBasis: once the session holds a
+// background's feasibility verdict, the first Eq. 6 solve of a new
+// (universe, path) state starts from that verdict's basis, and answers
+// bit for bit what the cold Background does from the same basis (the
+// session's extra demand-free rows are inert). Without a memoized
+// verdict the first solve runs two-phase, with no start to refuse.
+func TestSessionStartsFromFeasibilityBasis(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	checked := 0
+	for trial := 0; trial < 8; trial++ {
+		net := sessionNetwork(t, 10, int64(300+trial))
+		m := conflict.NewPhysical(net)
+		bgPath, path := randomPath(rng, net), randomPath(rng, net)
+		if len(bgPath) == 0 || len(path) == 0 {
+			continue
+		}
+		background := []Flow{{Path: bgPath, Demand: 0.5}}
+		cold, err := SolveBackgroundContext(context.Background(), m, background, Options{})
+		if err != nil || !cold.Feasible {
+			continue
+		}
+		want, err := cold.AvailableBandwidthContext(context.Background(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		sess := NewSession(m, Options{Cache: memo.New(0)})
+		if _, _, err := sess.FeasibleDemands(background); err != nil {
+			t.Fatal(err)
+		}
+		span := obs.NewSpan("")
+		got, err := sess.AvailableBandwidthContext(obs.WithSpan(context.Background(), span), background, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, fmt.Sprintf("trial %d", trial), got, want)
+		if rec := lpSolveRecord(span); rec.Calls != 1 || rec.Started != 1 || len(rec.StartFallbacks) != 0 {
+			t.Fatalf("trial %d: lp_solve record %+v, want one started solve", trial, rec)
+		}
+
+		fresh := NewSession(m, Options{Cache: memo.New(0)})
+		span = obs.NewSpan("")
+		if _, err := fresh.AvailableBandwidthContext(obs.WithSpan(context.Background(), span), background, path); err != nil {
+			t.Fatal(err)
+		}
+		if rec := lpSolveRecord(span); rec.Calls != 1 || rec.Started != 0 || len(rec.StartFallbacks) != 0 {
+			t.Fatalf("trial %d: lp_solve record %+v without a memoized verdict, want one two-phase solve", trial, rec)
+		}
+		checked++
+	}
+	if checked < 4 {
+		t.Fatalf("only %d of 8 trials drew a schedulable background", checked)
+	}
+}
+
+// lpSolveRecord returns the span's lp_solve stage record.
+func lpSolveRecord(span *obs.Span) obs.StageRecord {
+	for _, rec := range span.Trace().Stages {
+		if rec.Stage == obs.StageLPSolve {
+			return rec
+		}
+	}
+	return obs.StageRecord{}
 }

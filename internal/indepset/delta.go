@@ -325,11 +325,57 @@ func hashCouple(h uint64, c conflict.Couple) uint64 {
 
 // strippedEqual reports whether the grown set's couples minus those on
 // added links equal the base set's couples exactly — same links, same
-// rates, in the same canonical ascending-link order both sides store.
+// rates, in the same canonical ascending-link order both sides store —
+// with at least one added couple stripped.
 func strippedEqual(g, s []conflict.Couple, added []topology.LinkID) bool {
-	if len(g) <= len(s) {
-		return false
+	return len(g) > len(s) && restrictedEqual(g, s, added)
+}
+
+// MatchRestricted locates sets of a smaller universe U in a family of
+// U ∪ added (added ascending): for each target's couples (ascending by
+// link, as a Set stores them) it returns the index of the first family
+// set whose couples on links outside added equal the target's exactly,
+// rates included, or -1 when none does. For a target from a complete
+// family of U and a complete family of U ∪ added, that is the target
+// itself when it survives the growth, and otherwise a grown set that
+// strips to it (stripSurvivors' rule guarantees one). Like
+// stripSurvivors it compares couple hashes and verifies each hit
+// structurally; the targets are few (a basis' worth), so each family
+// set's hash is checked against theirs in a scan, in one pass over the
+// family that stops once every target is found.
+func MatchRestricted(family []Set, added []topology.LinkID, targets [][]conflict.Couple) []int {
+	out := make([]int, len(targets))
+	hashes := make([]uint64, len(targets))
+	for k, t := range targets {
+		out[k] = -1
+		hashes[k] = fnvOffset
+		for _, c := range t {
+			hashes[k] = hashCouple(hashes[k], c)
+		}
 	}
+	left := len(targets)
+	for i := 0; i < len(family) && left > 0; i++ {
+		g := family[i].Couples
+		h := fnvOffset
+		j := 0
+		for _, c := range g {
+			if !isAdded(added, &j, c.Link) {
+				h = hashCouple(h, c)
+			}
+		}
+		for k, th := range hashes {
+			if th == h && out[k] < 0 && restrictedEqual(g, targets[k], added) {
+				out[k] = i
+				left--
+			}
+		}
+	}
+	return out
+}
+
+// restrictedEqual reports whether g's couples minus those on added
+// links equal s's couples exactly.
+func restrictedEqual(g, s []conflict.Couple, added []topology.LinkID) bool {
 	i, j := 0, 0
 	for _, c := range g {
 		if isAdded(added, &j, c.Link) {

@@ -352,9 +352,9 @@ func TestEnumerateLimitBoundary(t *testing.T) {
 	}
 }
 
-// TestEnumerateLimitBoundaryFallback is the same boundary check with
+// TestEnumerateLimitBoundaryPinned is the same boundary check with
 // the table behind rate pins.
-func TestEnumerateLimitBoundaryFallback(t *testing.T) {
+func TestEnumerateLimitBoundaryPinned(t *testing.T) {
 	const n = 5
 	tb, links := allConflictTable(t, n)
 	m := pinAll(tb, links, 54)

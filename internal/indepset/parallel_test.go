@@ -131,9 +131,9 @@ func TestParallelMatchesSequentialTable(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequentialFallback covers the models with rate
+// TestParallelMatchesSequentialPinned covers the models with rate
 // pins, on both walks.
-func TestParallelMatchesSequentialFallback(t *testing.T) {
+func TestParallelMatchesSequentialPinned(t *testing.T) {
 	prof := radio.NewProfile80211a()
 	net, path, err := topology.Chain(prof, 6, 80)
 	if err != nil {

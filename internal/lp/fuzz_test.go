@@ -1,7 +1,9 @@
 package lp
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -82,6 +84,80 @@ func FuzzWarmResolve(f *testing.F) {
 			checkPrimalFeasible(t, p, got)
 			checkDuals(t, p, got)
 		}
+	})
+}
+
+// FuzzSolveFrom decodes a small LP (FuzzWarmResolve's decoder) and a
+// candidate start from one of two sources, chosen by the first
+// remaining byte: the optimal basis of the same LP after a
+// fuzzer-chosen right-hand-side change, or fuzzer-chosen column and
+// slack indices (a byte per row; one byte in eight names an artificial
+// row instead). It asserts the start contract: the same status as the
+// two-phase Solve, an objective within 1e-7 relative, a primal- and
+// dual-feasible optimum, and, when the start is refused, the two-phase
+// solution bit for bit.
+func FuzzSolveFrom(f *testing.F) {
+	f.Add([]byte{2, 3, 1, 8, 16, 24, 0, 40, 1, 2, 3, 100, 1, 80, 2, 8, 8, 0, 1, 16})
+	f.Add([]byte{2, 3, 1, 8, 16, 24, 0, 40, 1, 2, 3, 100, 1, 80, 2, 8, 8, 1, 0, 2, 4})
+	f.Add([]byte{3, 3, 0, 8, 248, 16, 0, 8, 8, 8, 32, 2, 8, 0, 8, 8, 0, 8, 8, 8, 64, 0, 8, 0, 2, 240})
+	f.Add([]byte{3, 2, 1, 8, 8, 8, 1, 8, 0, 8, 16, 0, 8, 8, 0, 24, 1, 0, 3, 4, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, ops, ok := decodeProblem(data)
+		if !ok || len(ops) < 2 {
+			return
+		}
+		want, err := cloneProblem(p).Solve()
+		if err != nil {
+			t.Fatalf("two-phase solve failed: %v", err)
+		}
+		var start *Basis
+		if ops[0]%2 == 0 {
+			if p.NumConstraints() == 0 || len(ops) < 3 {
+				return
+			}
+			q := cloneProblem(p)
+			if err := q.SetRHS(int(ops[1])%q.NumConstraints(), float64(int8(ops[2]))/8); err != nil {
+				t.Fatal(err)
+			}
+			if _, start, err = q.SolveWithBasisContext(context.Background()); err != nil {
+				t.Fatalf("neighbour solve failed: %v", err)
+			}
+			if start == nil {
+				return
+			}
+		} else {
+			// One entry per row (fewer when the bytes run out); an index
+			// one past the end is out of range.
+			start = &Basis{}
+			for _, b := range ops[1:min(len(ops), 1+p.NumConstraints())] {
+				switch k := int(b >> 3); b % 8 {
+				case 0, 1, 2, 3:
+					start.Vars = append(start.Vars, Var(k%(p.NumVars()+1)))
+				case 4, 5, 6:
+					start.Slacks = append(start.Slacks, k%(p.NumConstraints()+1))
+				default:
+					start.Artificials = append(start.Artificials, k%(p.NumConstraints()+1))
+				}
+			}
+		}
+		got, _, reason, err := p.solveFrom(nil, start)
+		if err != nil {
+			t.Fatalf("started solve failed: %v", err)
+		}
+		if reason != "" && !reflect.DeepEqual(got, want) {
+			t.Fatalf("start refused (%s) but the solution %+v is not the two-phase %+v", reason, got, want)
+		}
+		if got.Status != want.Status {
+			t.Fatalf("started status %v, two-phase %v (start %+v)", got.Status, want.Status, start)
+		}
+		if got.Status != Optimal {
+			return
+		}
+		if diff := math.Abs(got.Objective - want.Objective); diff > 1e-7*math.Max(1, math.Abs(want.Objective)) {
+			t.Fatalf("started objective %.12g, two-phase %.12g (start %+v)", got.Objective, want.Objective, start)
+		}
+		checkPrimalFeasible(t, p, got)
+		checkDuals(t, p, got)
 	})
 }
 

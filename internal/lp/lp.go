@@ -12,6 +12,14 @@
 // lowest-index tie-break, falling back to Bland's rule to break
 // cycling; the ratio test is two-pass (DESIGN.md Sec. 8 invariant 5).
 //
+// A solve can also start from a named basis instead of from phase 1
+// (SolveFromContext, start.go): a caller that has solved a related LP
+// (SolveWithBasisContext reports its optimal basis) maps that basis
+// onto this one, the solver installs it and, when it is a primal
+// feasible basis, runs phase 2 only; any other start falls back to the
+// two-phase solve. WarmSolver (warm.go) re-solves one problem across
+// right-hand-side changes by dual simplex from its retained state.
+//
 // All variables are non-negative; encode free variables as differences
 // if ever needed. Infeasibility and unboundedness are reported through
 // Solution.Status, not errors: they are expected outcomes of the
@@ -238,8 +246,9 @@ type Solution struct {
 	// Meaningful only when Status is Optimal.
 	Duals []float64
 	// Pivots counts the simplex pivots this solve performed (both
-	// phases; for a warm resolve, the dual pivots plus any primal
-	// cleanup). It feeds the cache-stats surface (internal/memo).
+	// phases; for a solve from a start basis, phase 2's; for a warm
+	// resolve, the dual pivots plus any primal cleanup). It feeds the
+	// cache-stats surface (internal/memo).
 	Pivots int
 }
 
@@ -300,11 +309,8 @@ func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 // is the retained basis dual-feasible, the warm-start precondition). A
 // nil chk means the solve cannot be cancelled.
 func (p *Problem) solve(chk *cancel.Checker) (*Solution, *state, error) {
-	if p.sense != Minimize && p.sense != Maximize {
-		return nil, nil, fmt.Errorf("lp: invalid sense %d", int(p.sense))
-	}
-	if len(p.obj) == 0 {
-		return nil, nil, fmt.Errorf("lp: no variables")
+	if err := p.validate(); err != nil {
+		return nil, nil, err
 	}
 	s := p.newState()
 	w := s.newWork()
@@ -330,6 +336,17 @@ func (p *Problem) solve(chk *cancel.Checker) (*Solution, *state, error) {
 		return &Solution{Status: Unbounded, Pivots: s.pivots}, nil, nil
 	}
 	return s.solution(w), s, nil
+}
+
+// validate rejects a problem no solve can start on.
+func (p *Problem) validate() error {
+	if p.sense != Minimize && p.sense != Maximize {
+		return fmt.Errorf("lp: invalid sense %d", int(p.sense))
+	}
+	if len(p.obj) == 0 {
+		return fmt.Errorf("lp: no variables")
+	}
+	return nil
 }
 
 // SetRHS replaces the right-hand side of constraint k (in insertion

@@ -43,6 +43,9 @@ type WarmSolver struct {
 	// Dimensions at state build time; growth forces a cold rebuild.
 	nVars, nCons int
 
+	// start, when set, is where the next cold solve starts (SetStart).
+	start *Basis
+
 	warmCount int
 }
 
@@ -51,6 +54,11 @@ type WarmSolver struct {
 func NewWarmSolver(p *Problem) *WarmSolver {
 	return &WarmSolver{p: p}
 }
+
+// SetStart makes the next cold solve start from start, with
+// SolveFromContext's rules and fallbacks; later cold solves run
+// two-phase again.
+func (w *WarmSolver) SetStart(start *Basis) { w.start = start }
 
 // SetRHS changes the right-hand side of constraint k and, when a state
 // is retained, pushes the change through the retained inverse so the
@@ -94,7 +102,8 @@ func (w *WarmSolver) SetRHS(k int, rhs float64) error {
 // state is usable it runs the warm path — dual simplex to restore
 // primal feasibility, then a primal cleanup — and reports warm=true;
 // otherwise (no state, structural growth, or any warm-path bailout) it
-// re-solves cold and retains the fresh state.
+// re-solves cold, from the SetStart basis when one is pending, and
+// retains the fresh state.
 func (w *WarmSolver) Resolve() (*Solution, bool, error) {
 	return w.ResolveContext(context.Background())
 }
@@ -131,7 +140,10 @@ func (w *WarmSolver) ResolveContext(ctx context.Context) (*Solution, bool, error
 		w.s = nil
 	}
 	tm.SetStage(obs.StageLPSolve)
-	sol, s, err := w.p.solve(chk)
+	start := w.start
+	w.start = nil
+	sol, s, reason, err := w.p.solveFrom(chk, start)
+	labelStart(tm, start, reason)
 	if err != nil {
 		return nil, false, err
 	}

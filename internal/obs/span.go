@@ -31,7 +31,9 @@ const (
 	// StageSession is a session-level availability/feasibility/idle
 	// memo consultation in internal/core.
 	StageSession Stage = "session"
-	// StageLPSolve is a cold simplex solve in internal/lp.
+	// StageLPSolve is a cold simplex solve in internal/lp: two-phase,
+	// or phase 2 only from a given start basis (counted as Started, or
+	// under StartFallbacks when the start was refused).
 	StageLPSolve Stage = "lp_solve"
 	// StageLPWarm is a warm dual re-solve by lp.WarmSolver. A warm
 	// attempt that falls back to a cold solve records under
@@ -57,6 +59,12 @@ type StageRecord struct {
 	Workers int              `json:"workers,omitempty"`
 	Warm    int64            `json:"warm,omitempty"`
 	Cache   map[string]int64 `json:"cache,omitempty"`
+	// Started counts solves that ran from a given start basis, and
+	// StartedPivots the part of Pivots they spent.
+	Started       int64 `json:"started,omitempty"`
+	StartedPivots int64 `json:"startedPivots,omitempty"`
+	// StartFallbacks counts refused starts by reason.
+	StartFallbacks map[string]int64 `json:"startFallbacks,omitempty"`
 }
 
 // Span accumulates the stage records of one query. Create with
@@ -123,7 +131,9 @@ type StageTimer struct {
 	pivots  int64
 	workers int
 	warm    bool
+	started bool
 	outcome string
+	refused string
 	done    bool
 }
 
@@ -178,6 +188,24 @@ func (t *StageTimer) SetWarm(warm bool) {
 	t.warm = warm
 }
 
+// SetStarted marks the call as a solve that ran from a given start
+// basis.
+func (t *StageTimer) SetStarted(started bool) {
+	if t == nil {
+		return
+	}
+	t.started = started
+}
+
+// SetStartFallback notes that the call's start basis was refused, and
+// why; the solve ran two-phase.
+func (t *StageTimer) SetStartFallback(reason string) {
+	if t == nil {
+		return
+	}
+	t.refused = reason
+}
+
 // SetOutcome tags the call with a cache outcome (hit, miss, diskHit,
 // bypass, merge) counted per stage in the trace.
 func (t *StageTimer) SetOutcome(outcome string) {
@@ -213,6 +241,16 @@ func (t *StageTimer) End() {
 	}
 	if t.warm {
 		rec.Warm++
+	}
+	if t.started {
+		rec.Started++
+		rec.StartedPivots += t.pivots
+	}
+	if t.refused != "" {
+		if rec.StartFallbacks == nil {
+			rec.StartFallbacks = make(map[string]int64)
+		}
+		rec.StartFallbacks[t.refused]++
 	}
 	if t.outcome != "" {
 		if rec.Cache == nil {
@@ -251,6 +289,13 @@ func (s *Span) Trace() *TraceData {
 				c[k] = v
 			}
 			rec.Cache = c
+		}
+		if rec.StartFallbacks != nil {
+			f := make(map[string]int64, len(rec.StartFallbacks))
+			for k, v := range rec.StartFallbacks {
+				f[k] = v
+			}
+			rec.StartFallbacks = f
 		}
 		td.Stages = append(td.Stages, rec)
 	}

@@ -79,6 +79,16 @@ func TestSpanAggregation(t *testing.T) {
 	t6.AddPivots(11)
 	t6.End()
 
+	// A solve from a start basis, and one whose start was refused.
+	t7 := s.StartStage(StageLPSolve)
+	t7.AddPivots(3)
+	t7.SetStarted(true)
+	t7.End()
+	t8 := s.StartStage(StageLPSolve)
+	t8.AddPivots(13)
+	t8.SetStartFallback("singular")
+	t8.End()
+
 	td := s.Trace()
 	if td.RequestID != "req-2" {
 		t.Fatalf("trace id = %q", td.RequestID)
@@ -99,7 +109,8 @@ func TestSpanAggregation(t *testing.T) {
 		t.Fatalf("lp_warm record = %+v", warm)
 	}
 	cold := byStage[StageLPSolve]
-	if cold.Calls != 1 || cold.Pivots != 11 || cold.Warm != 0 {
+	if cold.Calls != 3 || cold.Pivots != 27 || cold.Warm != 0 || cold.Started != 1 || cold.StartedPivots != 3 ||
+		len(cold.StartFallbacks) != 1 || cold.StartFallbacks["singular"] != 1 {
 		t.Fatalf("lp_solve record = %+v", cold)
 	}
 	memo := byStage[StageMemo]

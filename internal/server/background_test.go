@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"abw/internal/obs"
@@ -77,6 +78,52 @@ func TestColdRoutedQuerySolvesBackgroundOnce(t *testing.T) {
 		if calls[stage] != n {
 			t.Errorf("stage %s: %d calls, want %d (trace %s)", stage, calls[stage], n, raw)
 		}
+	}
+}
+
+// TestColdRoutedQueryStartsEq6 pins where a cold routed query's two
+// LP solves start: the background's feasibility LP runs two-phase, and
+// Eq. 6 runs phase 2 only, from the feasibility LP's optimal basis.
+// The trace counts one started solve, and /metrics splits the pivots
+// into cold and started with no start refused.
+func TestColdRoutedQueryStartsEq6(t *testing.T) {
+	_, ts, _ := newObsServer(t)
+	install(t, ts)
+	admitFlow(t, ts.URL, `{"src":0,"dst":2,"demandMbps":1.0}`)
+	before := scrape(t, ts.URL)
+	cold0, _ := metricValue(t, before, `abw_lp_pivots_total{mode="cold"}`)
+
+	code, raw := postRaw(t, ts.URL+"/v1/query", `{"src":0,"dst":4,"trace":true}`)
+	if code != http.StatusOK {
+		t.Fatalf("traced query: %d %s", code, raw)
+	}
+	var resp struct {
+		Trace obs.TraceData `json:"trace"`
+	}
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatalf("decoding %s: %v", raw, err)
+	}
+	var lpRec obs.StageRecord
+	for _, rec := range resp.Trace.Stages {
+		if rec.Stage == obs.StageLPSolve {
+			lpRec = rec
+		}
+	}
+	if lpRec.Calls != 2 || lpRec.Started != 1 || len(lpRec.StartFallbacks) != 0 || lpRec.StartedPivots <= 0 {
+		t.Fatalf("lp_solve record %+v, want 2 calls: 1 started (with pivots) and 1 two-phase, no fallback", lpRec)
+	}
+
+	after := scrape(t, ts.URL)
+	started, ok := metricValue(t, after, `abw_lp_pivots_total{mode="started"}`)
+	if !ok || started != float64(lpRec.StartedPivots) {
+		t.Fatalf("started pivots = %v (ok=%v), want %d\n%s", started, ok, lpRec.StartedPivots, after)
+	}
+	cold1, _ := metricValue(t, after, `abw_lp_pivots_total{mode="cold"}`)
+	if got, want := cold1-cold0, float64(lpRec.Pivots-lpRec.StartedPivots); got != want {
+		t.Fatalf("the query added %v cold pivots, want %v", got, want)
+	}
+	if strings.Contains(after, "abw_lp_start_fallbacks_total{") {
+		t.Fatalf("a start was refused\n%s", after)
 	}
 }
 

@@ -235,8 +235,19 @@ func (s *Server) finishQuerySpan(span *obs.Span, wantTrace bool) *obs.TraceData 
 				if rec.Stage == obs.StageLPWarm {
 					mode = "warm"
 				}
-				s.metrics.Counter("abw_lp_pivots_total", "simplex pivots spent",
-					obs.L{K: "mode", V: mode}).Add(rec.Pivots)
+				if cold := rec.Pivots - rec.StartedPivots; cold > 0 {
+					s.metrics.Counter("abw_lp_pivots_total", "simplex pivots spent",
+						obs.L{K: "mode", V: mode}).Add(cold)
+				}
+				if rec.StartedPivots > 0 {
+					s.metrics.Counter("abw_lp_pivots_total", "simplex pivots spent",
+						obs.L{K: "mode", V: "started"}).Add(rec.StartedPivots)
+				}
+			}
+			for _, reason := range outcomeKeys(rec.StartFallbacks) {
+				s.metrics.Counter("abw_lp_start_fallbacks_total",
+					"LP start bases refused, solved two-phase instead",
+					obs.L{K: "reason", V: reason}).Add(rec.StartFallbacks[reason])
 			}
 			for _, oc := range outcomeKeys(rec.Cache) {
 				s.metrics.Counter("abw_memo_outcomes_total", "memo-cache lookup outcomes",

@@ -34,7 +34,8 @@ lint-fix:
 # against cold ones, and solves from a start basis against two-phase
 # ones), enumeration (both walks against the
 # brute-force reference), delta enumeration (grown families against
-# full walks), the netjson codec, and the memo cache (key
+# full walks), the set order (indepset.Compare against Key strings),
+# the netjson codec, and the memo cache (key
 # fingerprint + on-disk family format); CI runs the same targets for
 # 30s each.
 FUZZTIME ?= 30s
@@ -44,6 +45,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveFrom -fuzztime=$(FUZZTIME) ./internal/lp/
 	$(GO) test -run='^$$' -fuzz='^FuzzEnumerate$$' -fuzztime=$(FUZZTIME) ./internal/indepset/
 	$(GO) test -run='^$$' -fuzz=FuzzEnumerateDelta -fuzztime=$(FUZZTIME) ./internal/indepset/
+	$(GO) test -run='^$$' -fuzz=FuzzSetOrder -fuzztime=$(FUZZTIME) ./internal/indepset/
 	$(GO) test -run='^$$' -fuzz=FuzzNetjson -fuzztime=$(FUZZTIME) ./internal/netjson/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/memo/

@@ -67,6 +67,28 @@ func (c Clique) Key() string {
 	return b.String()
 }
 
+// sortByKey sorts cliques by Key, formatting each key once rather than
+// twice per comparison.
+func sortByKey(cs []Clique) {
+	keys := make([]string, len(cs))
+	for i := range cs {
+		keys[i] = cs[i].Key()
+	}
+	sort.Sort(cliquesByKey{cs, keys})
+}
+
+type cliquesByKey struct {
+	cs   []Clique
+	keys []string
+}
+
+func (s cliquesByKey) Len() int           { return len(s.cs) }
+func (s cliquesByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s cliquesByKey) Swap(i, j int) {
+	s.cs[i], s.cs[j] = s.cs[j], s.cs[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+}
+
 // String implements fmt.Stringer.
 func (c Clique) String() string {
 	parts := make([]string, 0, len(c.Couples))
@@ -272,7 +294,7 @@ func MaximalCliques(m conflict.Model, links []topology.LinkID, opts Options) ([]
 		}
 		out = append(out, New(cs...))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	sortByKey(out)
 	return out, nil
 }
 
@@ -352,7 +374,7 @@ func CliquesForRateVector(m conflict.Model, assignment []conflict.Couple, opts O
 		}
 		out = append(out, New(cs...))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	sortByKey(out)
 	return out, nil
 }
 

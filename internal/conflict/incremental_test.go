@@ -202,3 +202,67 @@ func TestMaxRateVectorMatchesMaxRate(t *testing.T) {
 		}
 	}
 }
+
+// TestSetTrackerFullDepth pushes every position of a universe that
+// repeats link IDs (duplicates ignore each other, like MaxRate ignores
+// couples on the queried link) and whose chain links share nodes, down
+// to depth n and back. After every Push and Pop, MaxRate and
+// MaxRateJoined must equal Physical.MaxRate bit for bit.
+func TestSetTrackerFullDepth(t *testing.T) {
+	net, path := chainNet(t, 5, 60)
+	universe := []topology.LinkID{path[0], path[3], path[1], path[0], path[4], path[2], path[1], path[3]}
+	m := NewPhysical(net)
+	tr := m.NewSetTracker(universe)
+	n := len(universe)
+	order := []int{2, 7, 0, 5, 3, 1, 6, 4}
+	check := func(depth int) {
+		t.Helper()
+		if tr.Depth() != depth {
+			t.Fatalf("Depth = %d, want %d", tr.Depth(), depth)
+		}
+		var cs []Couple
+		isMember := make([]bool, n)
+		for _, mi := range order[:depth] {
+			cs = append(cs, Couple{Link: universe[mi], Rate: 6})
+			isMember[mi] = true
+		}
+		for i := 0; i < n; i++ {
+			if got, want := tr.MaxRate(i), m.MaxRate(universe[i], cs); got != want {
+				t.Fatalf("depth %d: MaxRate(%d) = %v, fresh = %v", depth, i, got, want)
+			}
+			for j := 0; j < n; j++ {
+				if i == j || isMember[j] {
+					continue
+				}
+				want := m.MaxRate(universe[i], append(cs[:depth:depth], Couple{Link: universe[j], Rate: 6}))
+				if got := tr.MaxRateJoined(i, j); got != want {
+					t.Fatalf("depth %d: MaxRateJoined(%d,%d) = %v, fresh = %v", depth, i, j, got, want)
+				}
+			}
+		}
+	}
+	check(0)
+	for d, i := range order {
+		tr.Push(i)
+		check(d + 1)
+	}
+	for d := n - 1; d >= 0; d-- {
+		tr.Pop()
+		check(d)
+	}
+}
+
+// TestNewSetTrackerAllocs pins NewSetTracker's allocation count: its
+// per-position state lives in a few flat arrays, so the count must not
+// grow with the universe.
+func TestNewSetTrackerAllocs(t *testing.T) {
+	allocs := func(hops int) float64 {
+		net, path := chainNet(t, hops, 60)
+		m := NewPhysical(net)
+		return testing.AllocsPerRun(20, func() { m.NewSetTracker(path) })
+	}
+	small, large := allocs(3), allocs(40)
+	if large > small {
+		t.Fatalf("NewSetTracker: %v allocs over 3 links, %v over 40; want no growth", small, large)
+	}
+}

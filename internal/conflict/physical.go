@@ -214,16 +214,20 @@ func (p *Physical) MaxRateVector(links []topology.LinkID) ([]radio.Rate, bool) {
 // tracker is bit-for-bit consistent with the non-incremental path.
 type SetTracker struct {
 	noise float64
+	n     int
 	// Per universe position, in universe order:
 	signal  []float64
 	interf  [][]float64 // interf[from][at], 0 on the diagonal
-	shares  [][]bool    // half-duplex node sharing (false for identical IDs)
 	thr     [][]float64 // linear SINR thresholds of decodable classes, descending rate
 	thrRate [][]radio.Rate
+	// sharers lists, in CSR form, the positions each position shares a
+	// node with (half-duplex; never a duplicate of its own link ID):
+	// position i's list is sharers[off[i]:off[i+1]], in ascending order.
+	off, sharers []int32
 	// DFS state:
-	sums    []float64   // interference at each position from current members
-	saved   [][]float64 // sums snapshot per depth, restored on Pop
-	blocked []int       // members sharing a node with this position
+	levels  []float64 // level d (n sums, the interference from the first d members) at levels[d*n:]
+	sums    []float64 // the current depth's level
+	blocked []int     // members sharing a node with this position
 	members []int
 }
 
@@ -236,33 +240,56 @@ func (p *Physical) NewSetTracker(universe []topology.LinkID) *SetTracker {
 	n := len(universe)
 	prof := p.net.Profile()
 	nc := prof.NumClasses()
-	// Flat backing arrays keep the per-enumeration allocation count
-	// constant instead of O(n).
-	fback := make([]float64, 2*n*n+n*nc+2*n)
-	hback := make([][]float64, 3*n)
-	bback := make([]bool, n*n)
-	rback := make([]radio.Rate, n*nc)
-	t := &SetTracker{
-		noise:   prof.Noise(),
-		signal:  fback[2*n*n+n*nc : 2*n*n+n*nc+n],
-		interf:  hback[:n],
-		shares:  make([][]bool, n),
-		thr:     hback[2*n : 3*n],
-		thrRate: make([][]radio.Rate, n),
-		sums:    fback[2*n*n+n*nc+n:],
-		saved:   hback[n : 2*n],
-		blocked: make([]int, n),
-		members: make([]int, 0, n),
-	}
 	links := make([]topology.Link, n)
 	valid := make([]bool, n)
 	for i, id := range universe {
 		l, err := p.net.Link(id)
 		links[i], valid[i] = l, err == nil
+	}
+	// Duplicate positions of one link ignore each other, like MaxRate
+	// ignores couples on the queried link itself. Sharing is symmetric,
+	// so one triangle of pairs fills both positions' lists.
+	shares := func(a, b int) bool {
+		return universe[a] != universe[b] && valid[a] && valid[b] && SharesNode(links[a], links[b])
+	}
+	off := make([]int32, n+1)
+	for a := range universe {
+		for b := a + 1; b < n; b++ {
+			if shares(a, b) {
+				off[a+1]++
+				off[b+1]++
+			}
+		}
+	}
+	for a := 0; a < n; a++ {
+		off[a+1] += off[a]
+	}
+	// Flat backing arrays keep the per-enumeration allocation count
+	// constant instead of O(n): interference rows, the n+1 levels,
+	// thresholds and signals share one float array.
+	fback := make([]float64, n*n+(n+1)*n+n*nc+n)
+	hback := make([][]float64, 2*n)
+	rback := make([]radio.Rate, n*nc)
+	t := &SetTracker{
+		noise:   prof.Noise(),
+		n:       n,
+		signal:  fback[n*n+(n+1)*n+n*nc:],
+		interf:  hback[:n],
+		thr:     hback[n:],
+		thrRate: make([][]radio.Rate, n),
+		off:     off,
+		sharers: make([]int32, off[n]),
+		levels:  fback[n*n : n*n+(n+1)*n],
+		blocked: make([]int, n),
+		members: make([]int, 0, n),
+	}
+	t.sums = t.levels[:n]
+	tb := n*n + (n+1)*n // start of the threshold block
+	for i, id := range universe {
 		t.signal[i] = p.SignalPower(id)
 		// Classes whose sensitivity the receiver meets; the SINR check is
 		// the only interference-dependent part left for MaxRate.
-		t.thr[i] = fback[2*n*n+i*nc : 2*n*n+i*nc : 2*n*n+(i+1)*nc]
+		t.thr[i] = fback[tb+i*nc : tb+i*nc : tb+(i+1)*nc]
 		t.thrRate[i] = rback[i*nc : i*nc : (i+1)*nc]
 		pin, usable := p.pins[id]
 		for k := 0; k < nc; k++ {
@@ -284,46 +311,57 @@ func (p *Physical) NewSetTracker(universe []topology.LinkID) *SetTracker {
 	}
 	for a, ida := range universe {
 		t.interf[a] = fback[a*n : (a+1)*n]
-		t.saved[a] = fback[(n+a)*n : (n+a+1)*n]
-		t.shares[a] = bback[a*n : (a+1)*n]
 		for b, idb := range universe {
 			t.interf[a][b] = p.InterferencePower(ida, idb)
-			// Duplicate positions of one link ignore each other, like
-			// MaxRate ignores couples on the queried link itself.
-			t.shares[a][b] = ida != idb && valid[a] && valid[b] && SharesNode(links[a], links[b])
 		}
 	}
+	// blocked is all zeros until the first Push; it serves as each
+	// list's fill cursor meanwhile. Rows fill in ascending order, so
+	// every list ends up ascending.
+	fill := t.blocked
+	for a := range universe {
+		for b := a + 1; b < n; b++ {
+			if shares(a, b) {
+				t.sharers[int(off[a])+fill[a]] = int32(b)
+				t.sharers[int(off[b])+fill[b]] = int32(a)
+				fill[a]++
+				fill[b]++
+			}
+		}
+	}
+	clear(fill)
 	return t
 }
 
-// Push adds universe position i to the member set.
+// Push adds universe position i to the member set: the next depth's
+// level is the current one plus i's interference row, added in one pass
+// in the same order a fresh summation would use.
 func (t *SetTracker) Push(i int) {
 	d := len(t.members)
-	copy(t.saved[d], t.sums)
-	row := t.interf[i]
-	for j := range t.sums {
-		t.sums[j] += row[j]
+	n := t.n
+	next := t.levels[(d+1)*n : (d+2)*n]
+	cur := t.sums[:len(next)]
+	row := t.interf[i][:len(next)]
+	for j := range next {
+		next[j] = cur[j] + row[j]
 	}
-	for j, s := range t.shares[i] {
-		if s {
-			t.blocked[j]++
-		}
+	t.sums = next
+	for _, j := range t.sharers[t.off[i]:t.off[i+1]] {
+		t.blocked[j]++
 	}
 	t.members = append(t.members, i)
 }
 
-// Pop removes the most recently pushed member.
+// Pop removes the most recently pushed member. It steps back to the
+// previous depth's level rather than subtracting, which keeps the sums
+// bit-identical to a fresh summation in push order.
 func (t *SetTracker) Pop() {
 	d := len(t.members) - 1
 	i := t.members[d]
 	t.members = t.members[:d]
-	// Restoring the snapshot (rather than subtracting) keeps the sums
-	// bit-identical to a fresh summation in push order.
-	copy(t.sums, t.saved[d])
-	for j, s := range t.shares[i] {
-		if s {
-			t.blocked[j]--
-		}
+	t.sums = t.levels[d*t.n : (d+1)*t.n]
+	for _, j := range t.sharers[t.off[i]:t.off[i+1]] {
+		t.blocked[j]--
 	}
 }
 
@@ -343,10 +381,20 @@ func (t *SetTracker) MaxRate(i int) radio.Rate {
 // MaxRateJoined returns the maximum rate position i would sustain if
 // position j (not currently a member) also transmitted.
 func (t *SetTracker) MaxRateJoined(i, j int) radio.Rate {
-	if t.blocked[i] > 0 || t.shares[i][j] {
+	if t.blocked[i] > 0 || t.sharesNode(i, j) {
 		return 0
 	}
 	return t.rateAt(i, t.sums[i]+t.interf[j][i])
+}
+
+// sharesNode reports whether positions i and j are half-duplex sharers.
+func (t *SetTracker) sharesNode(i, j int) bool {
+	for _, s := range t.sharers[t.off[i]:t.off[i+1]] { // ascending
+		if int(s) >= j {
+			return int(s) == j
+		}
+	}
+	return false
 }
 
 func (t *SetTracker) rateAt(i int, interference float64) radio.Rate {

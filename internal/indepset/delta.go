@@ -563,10 +563,9 @@ func (e *pairwiseEnum) rowEmpty(col, i int) bool {
 
 // mergeByKey merges two key-sorted families into canonical key order.
 // The survivors inherit the base family's order (a subsequence of a
-// sorted list) with their keys already cached, so the delta result
-// needs one linear merge instead of re-sorting — and re-keying — the
-// whole family. Keys never collide across the two inputs: every new
-// set contains an added link, no survivor does.
+// sorted list), so the delta result needs one linear merge instead of
+// re-sorting the whole family. Keys never collide across the two
+// inputs: every new set contains an added link, no survivor does.
 func mergeByKey(survivors, grown []Set) []Set {
 	if len(grown) == 0 {
 		return survivors
@@ -577,7 +576,7 @@ func mergeByKey(survivors, grown []Set) []Set {
 	out := make([]Set, 0, len(survivors)+len(grown))
 	i, j := 0, 0
 	for i < len(survivors) && j < len(grown) {
-		if survivors[i].Key() < grown[j].Key() {
+		if Compare(survivors[i], grown[j]) < 0 {
 			out = append(out, survivors[i])
 			i++
 		} else {

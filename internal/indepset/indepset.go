@@ -35,9 +35,13 @@
 package indepset
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,13 +53,11 @@ import (
 	"abw/internal/topology"
 )
 
-// Set is an independent set: couples sorted by link ID.
+// Set is an independent set: couples sorted by link ID. Families are
+// kept in Key order, which Compare computes from the couples without
+// building any string; Key itself is built on demand for printing.
 type Set struct {
 	Couples []conflict.Couple
-
-	// key caches Key(); enumeration fills it while sorting the final
-	// family so downstream LP construction reuses it for free.
-	key string
 }
 
 // NewSet builds a Set from couples, sorting them by link ID.
@@ -100,29 +102,42 @@ func (s Set) Contains(link topology.LinkID) bool { return s.Rate(link) > 0 }
 // Len returns the number of couples.
 func (s Set) Len() int { return len(s.Couples) }
 
-// Key returns a canonical string identity for deduplication.
+// Key returns a canonical string identity: "link@rate" fragments
+// joined by '|'. Compare orders sets exactly as strings.Compare orders
+// their keys.
 func (s Set) Key() string {
-	if s.key != "" {
-		return s.key
-	}
-	var b strings.Builder
-	b.Grow(8 * len(s.Couples))
+	b := make([]byte, 0, 8*len(s.Couples))
 	for i, c := range s.Couples {
 		if i > 0 {
-			b.WriteByte('|')
+			b = append(b, '|')
 		}
-		b.WriteString(strconv.Itoa(int(c.Link)))
-		b.WriteByte('@')
-		// Integral rates below 1e6 print identically under %g and plain
-		// decimal, skipping shortest-float formatting on the common case.
-		//lint:ignore abw/floateq exact integrality test: both formatting branches print the same key, only speed differs
-		if f := float64(c.Rate); f == float64(int(f)) && f >= 0 && f < 1e6 {
-			b.WriteString(strconv.Itoa(int(f)))
-		} else {
-			b.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
-		}
+		b = strconv.AppendInt(b, int64(c.Link), 10)
+		b = append(b, '@')
+		b = appendRate(b, c.Rate)
 	}
-	return b.String()
+	return string(b)
+}
+
+// intRate reports whether r is integral and in [0, 1e6), the range
+// where its key fragment is its plain decimal digits, and returns them
+// as an integer.
+func intRate(r radio.Rate) (int, bool) {
+	f := float64(r)
+	//lint:ignore abw/floateq exact integrality test: both formatting branches print the same key, only speed differs
+	if f >= 0 && f < 1e6 && f == float64(int(f)) {
+		return int(f), true
+	}
+	return 0, false
+}
+
+// appendRate appends r's key fragment: integral rates below 1e6 print
+// identically under %g and plain decimal, skipping shortest-float
+// formatting on the common case.
+func appendRate(b []byte, r radio.Rate) []byte {
+	if v, ok := intRate(r); ok {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, float64(r), 'g', -1, 64)
 }
 
 // String implements fmt.Stringer.
@@ -291,29 +306,112 @@ func enumerate(ctx context.Context, m conflict.Model, links []topology.LinkID, o
 	return out, truncated, b.count(), nil
 }
 
-// CacheKeys fills each set's cached canonical key in place — the same
-// precomputation enumeration performs while sorting its final family.
-// Families rebuilt outside enumeration (e.g. reloaded from the memo
-// disk store) call it so downstream Key() lookups stay O(1), keeping
-// reloaded families behavior-identical to freshly enumerated ones.
-func CacheKeys(sets []Set) {
-	for i := range sets {
-		sets[i].key = sets[i].Key()
+// Compare returns strings.Compare(a.Key(), b.Key()) without building
+// either key. At the first couple whose fragments differ, a different
+// link decides by its digits followed by '@'; the same link decides by
+// the rate fragments, where a fragment that is a proper prefix of the
+// other sorts after it when its set continues ('|' sorts above every
+// fragment byte) and first when its set ends there. When one set's
+// couples are a prefix of the other's, the shorter set sorts first.
+func Compare(a, b Set) int {
+	ac, bc := a.Couples, b.Couples
+	n := min(len(ac), len(bc))
+	for k := 0; k < n; k++ {
+		x, y := ac[k], bc[k]
+		if x.Link != y.Link {
+			return compareLinks(x.Link, y.Link)
+		}
+		if math.Float64bits(float64(x.Rate)) == math.Float64bits(float64(y.Rate)) {
+			continue
+		}
+		c, prefix := compareRates(x.Rate, y.Rate)
+		switch {
+		case c != 0:
+			return c
+		case prefix < 0: // x's fragment is a proper prefix of y's
+			if k == len(ac)-1 {
+				return -1
+			}
+			return 1
+		case prefix > 0:
+			if k == len(bc)-1 {
+				return 1
+			}
+			return -1
+		}
+	}
+	return cmp.Compare(len(ac), len(bc))
+}
+
+// compareLinks compares the fragment heads "x@" and "y@" of two
+// different links. '@' sorts above every digit, so when one ID's
+// digits are a prefix of the other's, that ID sorts after it.
+func compareLinks(x, y topology.LinkID) int {
+	if x < 0 || y < 0 {
+		var xb, yb [24]byte
+		return bytes.Compare(
+			append(strconv.AppendInt(xb[:0], int64(x), 10), '@'),
+			append(strconv.AppendInt(yb[:0], int64(y), 10), '@'))
+	}
+	c, prefix := compareDigits(int(x), int(y))
+	if c != 0 {
+		return c
+	}
+	return -prefix // the prefix ID meets '@' against a digit
+}
+
+// compareRates compares two rates' key fragments. It returns the sign
+// of the first differing byte, or 0 when the fragments are equal or one
+// is a proper prefix of the other; prefix is then -1 when x's fragment
+// is the shorter one, 1 when y's is, and 0 when they are equal.
+func compareRates(x, y radio.Rate) (c, prefix int) {
+	xi, xok := intRate(x)
+	yi, yok := intRate(y)
+	if xok && yok {
+		return compareDigits(xi, yi)
+	}
+	var xb, yb [32]byte
+	xs, ys := appendRate(xb[:0], x), appendRate(yb[:0], y)
+	m := min(len(xs), len(ys))
+	if c := bytes.Compare(xs[:m], ys[:m]); c != 0 {
+		return c, 0
+	}
+	return 0, cmp.Compare(len(xs), len(ys))
+}
+
+// compareDigits compares the decimal digit strings of two non-negative
+// integers the way compareRates reports fragments.
+func compareDigits(x, y int) (c, prefix int) {
+	nx, ny := numDigits(x), numDigits(y)
+	switch {
+	case nx == ny:
+		return cmp.Compare(x, y), 0
+	case nx < ny:
+		if c := cmp.Compare(x, y/pow10[ny-nx]); c != 0 {
+			return c, 0
+		}
+		return 0, -1
+	default:
+		if c := cmp.Compare(x/pow10[nx-ny], y); c != 0 {
+			return c, 0
+		}
+		return 0, 1
 	}
 }
 
-func sortByKey(sets []Set) {
-	for i := range sets {
-		sets[i].key = sets[i].Key()
+var pow10 = [...]int{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
+
+// numDigits returns the number of decimal digits of v >= 0.
+func numDigits(v int) int {
+	n := 1
+	for n < len(pow10) && v >= pow10[n] {
+		n++
 	}
-	sort.Sort(setsByKey(sets))
+	return n
 }
 
-type setsByKey []Set
-
-func (s setsByKey) Len() int           { return len(s) }
-func (s setsByKey) Less(i, j int) bool { return s[i].key < s[j].key }
-func (s setsByKey) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+func sortByKey(sets []Set) { slices.SortFunc(sets, Compare) }
 
 // IsMaximal reports whether s is a maximal independent set over the
 // given link universe: feasible, rate-maximal and link-maximal. It is

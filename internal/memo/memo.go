@@ -618,17 +618,17 @@ func (c *Cache) insertLocked(key string, universe []topology.LinkID, sets []inde
 }
 
 // familyBytes approximates the retained size of a cached family: the
-// key, each set's couples and cached key string, and fixed per-set
-// overhead for the Set header and bookkeeping.
+// key, each set's couples, and fixed per-set overhead for the Set
+// header and bookkeeping.
 func familyBytes(key string, sets []indepset.Set) int64 {
 	const (
 		coupleBytes   = 16 // LinkID + Rate
-		setOverhead   = 48 // Set header + slice header + key header
+		setOverhead   = 48 // Set header + slice header + bookkeeping
 		entryOverhead = 96 // entry struct + list element + map slot
 	)
 	n := int64(entryOverhead + len(key))
 	for i := range sets {
-		n += setOverhead + int64(len(sets[i].Couples))*coupleBytes + int64(len(sets[i].Key()))
+		n += setOverhead + int64(len(sets[i].Couples))*coupleBytes
 	}
 	return n
 }

@@ -575,12 +575,9 @@ func decodeFamily(key string, data []byte) ([]indepset.Set, int64, error) {
 	if len(body) != 0 {
 		return nil, 0, fmt.Errorf("memo: store file has %d trailing bytes", len(body))
 	}
-	// Refill the cached canonical keys (enumeration ships families with
-	// them precomputed; a reloaded family must be byte-identical in
-	// behavior too), then use them to revalidate the family ordering.
-	indepset.CacheKeys(sets)
+	// Enumeration ships families in strict Key order; so must a reload.
 	for i := 1; i < len(sets); i++ {
-		if sets[i].Key() <= sets[i-1].Key() {
+		if indepset.Compare(sets[i], sets[i-1]) <= 0 {
 			return nil, 0, fmt.Errorf("memo: store file family not key-sorted")
 		}
 	}

@@ -50,7 +50,6 @@ func fuzzStoreFamily(data []byte) []indepset.Set {
 			dedup = append(dedup, s)
 		}
 	}
-	indepset.CacheKeys(dedup)
 	return dedup
 }
 

@@ -336,7 +336,6 @@ func TestStoreRoundTripBytes(t *testing.T) {
 		indepset.NewSet(conflict.Couple{Link: 2, Rate: 5.5}, conflict.Couple{Link: 7, Rate: 54}),
 		indepset.NewSet(conflict.Couple{Link: 3, Rate: 0.25}),
 	}
-	indepset.CacheKeys(fam)
 	if fam[1].Key() < fam[0].Key() {
 		fam[0], fam[1] = fam[1], fam[0]
 	}
@@ -410,7 +409,6 @@ func syntheticFamily(base topology.LinkID, nsets int) []indepset.Set {
 		))
 	}
 	sort.Slice(sets, func(i, j int) bool { return sets[i].Key() < sets[j].Key() })
-	indepset.CacheKeys(sets)
 	return sets
 }
 

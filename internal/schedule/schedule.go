@@ -9,6 +9,7 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"abw/internal/conflict"
@@ -102,17 +103,17 @@ func (s *Schedule) Delivers(demand map[topology.LinkID]float64, tol float64) boo
 // identical transmission sets merged, preserving first-seen order.
 func (s *Schedule) Normalized() Schedule {
 	var out Schedule
-	index := make(map[string]int)
 	for _, slot := range s.Slots {
 		if slot.Share <= 1e-12 {
 			continue
 		}
-		key := slot.Set.Key()
-		if i, ok := index[key]; ok {
+		i := slices.IndexFunc(out.Slots, func(o Slot) bool {
+			return slices.Equal(o.Set.Couples, slot.Set.Couples)
+		})
+		if i >= 0 {
 			out.Slots[i].Share += slot.Share
 			continue
 		}
-		index[key] = len(out.Slots)
 		out.Slots = append(out.Slots, Slot{Set: slot.Set, Share: slot.Share})
 	}
 	return out

@@ -101,6 +101,21 @@ func TestNormalized(t *testing.T) {
 	if math.Abs(raw.Throughput(s.L1)-norm.Throughput(s.L1)) > 1e-12 {
 		t.Error("Normalized changed throughput")
 	}
+	// Equal couples in separate slices merge; the same link at another
+	// rate is another set. First-seen order is kept.
+	set36 := indepset.NewSet(conflict.Couple{Link: s.L1, Rate: 36})
+	mixed := Schedule{Slots: []Slot{
+		{Share: 0.1, Set: set1},
+		{Share: 0.2, Set: set36},
+		{Share: 0.3, Set: indepset.NewSet(conflict.Couple{Link: s.L1, Rate: 54})},
+	}}
+	norm = mixed.Normalized()
+	if len(norm.Slots) != 2 || norm.Slots[0].Set.Rate(s.L1) != 54 || norm.Slots[1].Set.Rate(s.L1) != 36 {
+		t.Fatalf("normalized = %v, want the 54 slot then the 36 slot", norm.Slots)
+	}
+	if math.Abs(norm.Slots[0].Share-0.4) > 1e-12 {
+		t.Errorf("merged share = %g, want 0.4", norm.Slots[0].Share)
+	}
 }
 
 func TestIdleShare(t *testing.T) {

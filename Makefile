@@ -36,8 +36,8 @@ lint-fix:
 # brute-force reference), delta enumeration (grown families against
 # full walks), the set order (indepset.Compare against Key strings),
 # the netjson codec, and the memo cache (key
-# fingerprint + on-disk family format); CI runs the same targets for
-# 30s each.
+# fingerprint, on-disk family format, and the delta-base index against
+# a linear scan); CI runs the same targets for 30s each.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSimplex -fuzztime=$(FUZZTIME) ./internal/lp/
@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzNetjson -fuzztime=$(FUZZTIME) ./internal/netjson/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/memo/
+	$(GO) test -run='^$$' -fuzz=FuzzDeltaBaseIndex -fuzztime=$(FUZZTIME) ./internal/memo/
 
 test:
 	$(GO) test ./...

@@ -128,8 +128,12 @@ func SupportsAlone(m Model, link topology.LinkID, r radio.Rate) bool {
 }
 
 // AloneMaxRate returns the highest rate link supports when transmitting
-// alone, or 0 if none.
+// alone, or 0 if none. A *Physical answers without allocating: routing
+// asks once per edge relaxation.
 func AloneMaxRate(m Model, link topology.LinkID) radio.Rate {
+	if p, ok := m.(*Physical); ok {
+		return p.AloneMaxRate(link)
+	}
 	rates := m.Rates(link)
 	if len(rates) == 0 {
 		return 0

@@ -401,3 +401,57 @@ func TestPhysicalPin(t *testing.T) {
 		t.Error("a model with every link unassigned keys like the unpinned one")
 	}
 }
+
+// fig2Physical builds the Fig. 2 evaluation deployment (30 nodes on
+// 400x600 m, topology seed 26, as experiments.Fig2Setup does).
+func fig2Physical(t *testing.T) *Physical {
+	t.Helper()
+	net, err := topology.Random(radio.NewProfile80211a(), geom.Rect{W: 400, H: 600}, 30, 26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewPhysical(net)
+}
+
+// TestPhysicalAloneMaxRateMatchesRates pins the non-allocating alone
+// maximum to Rates: for every Fig. 2 link, and for an out-of-range
+// link, it is Rates(l)[0], or 0 when Rates is empty — unpinned, and
+// pinned with some links at their slowest rate, some at an unsupported
+// rate and the rest unlisted.
+func TestPhysicalAloneMaxRateMatchesRates(t *testing.T) {
+	p := fig2Physical(t)
+	var assignment []Couple
+	for _, l := range p.Network().Links() {
+		switch l.ID % 3 {
+		case 0:
+			assignment = append(assignment, Couple{Link: l.ID, Rate: p.MinPositiveRate(l.ID)})
+		case 1:
+			assignment = append(assignment, Couple{Link: l.ID, Rate: 1e6})
+		}
+	}
+	for name, m := range map[string]*Physical{"unpinned": p, "pinned": p.Pin(assignment)} {
+		ids := []topology.LinkID{-1, topology.LinkID(p.Network().NumLinks())}
+		for _, l := range p.Network().Links() {
+			ids = append(ids, l.ID)
+		}
+		positive := 0
+		for _, id := range ids {
+			var want radio.Rate
+			if rates := m.Rates(id); len(rates) > 0 {
+				want = rates[0]
+			}
+			if got := m.AloneMaxRate(id); got != want {
+				t.Fatalf("%s link %d: AloneMaxRate = %v, Rates()[0] = %v", name, id, got, want)
+			}
+			if got := AloneMaxRate(m, id); got != want {
+				t.Fatalf("%s link %d: conflict.AloneMaxRate = %v, Rates()[0] = %v", name, id, got, want)
+			}
+			if want > 0 {
+				positive++
+			}
+		}
+		if positive == 0 {
+			t.Fatalf("%s: no link has a positive alone rate", name)
+		}
+	}
+}

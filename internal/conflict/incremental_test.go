@@ -266,3 +266,70 @@ func TestNewSetTrackerAllocs(t *testing.T) {
 		t.Fatalf("NewSetTracker: %v allocs over 3 links, %v over 40; want no growth", small, large)
 	}
 }
+
+// TestMaxRateJoinedUnblockedAgrees pins the sharer-free joined rate to
+// MaxRateJoined wherever its contract holds: for every member i and
+// every non-member j with MaxRate(j) > 0, after every Push and Pop of
+// random member sequences over the Fig. 2 links and over a chain
+// universe that repeats link IDs and shares nodes.
+func TestMaxRateJoinedUnblockedAgrees(t *testing.T) {
+	fig2 := fig2Physical(t)
+	var fig2Links []topology.LinkID
+	for _, l := range fig2.Network().Links() {
+		fig2Links = append(fig2Links, l.ID)
+	}
+	chain, path := chainNet(t, 5, 60)
+	cases := []struct {
+		m        *Physical
+		universe []topology.LinkID
+	}{
+		{fig2, fig2Links},
+		{NewPhysical(chain), []topology.LinkID{path[0], path[3], path[1], path[0], path[4], path[2], path[1], path[3]}},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range cases {
+		n := len(tc.universe)
+		tr := tc.m.NewSetTracker(tc.universe)
+		isMember := make([]bool, n)
+		checked := 0
+		check := func() {
+			t.Helper()
+			for j := 0; j < n; j++ {
+				if isMember[j] || tr.MaxRate(j) == 0 {
+					continue
+				}
+				for i := 0; i < n; i++ {
+					if !isMember[i] {
+						continue
+					}
+					if got, want := tr.MaxRateJoinedUnblocked(i, j), tr.MaxRateJoined(i, j); got != want {
+						t.Fatalf("members %v: MaxRateJoinedUnblocked(%d,%d) = %v, MaxRateJoined = %v", tr.members, i, j, got, want)
+					}
+					checked++
+				}
+			}
+		}
+		for trial := 0; trial < 50; trial++ {
+			depth := 1 + rng.Intn(min(n, 6))
+			var pushed []int
+			for len(pushed) < depth {
+				i := rng.Intn(n)
+				if isMember[i] {
+					continue
+				}
+				tr.Push(i)
+				isMember[i] = true
+				pushed = append(pushed, i)
+				check()
+			}
+			for k := len(pushed) - 1; k >= 0; k-- {
+				tr.Pop()
+				isMember[pushed[k]] = false
+				check()
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("universe %v: no member/joiner pair checked", tc.universe)
+		}
+	}
+}

@@ -179,6 +179,26 @@ func (p *Physical) MinPositiveRate(link topology.LinkID) radio.Rate {
 	return min
 }
 
+// AloneMaxRate returns the highest rate the link may use alone, or 0
+// when it is unusable. Equivalent to the first entry of Rates without
+// materializing the slice; conflict.AloneMaxRate calls it.
+func (p *Physical) AloneMaxRate(link topology.LinkID) radio.Rate {
+	if p.pins != nil {
+		return p.pins[link]
+	}
+	l, err := p.net.Link(link)
+	if err != nil {
+		return 0
+	}
+	prof := p.net.Profile()
+	for i := 0; i < prof.NumClasses(); i++ {
+		if r := prof.Class(i).Rate; r <= l.MaxRate {
+			return r // descending: the first hit is the largest
+		}
+	}
+	return 0
+}
+
 // MaxRateVector returns the maximum supported rate vector of a concurrent
 // transmission set (paper Sec. 2.3): the i-th entry is the highest rate
 // links[i] sustains while all the other listed links transmit. The
@@ -381,7 +401,18 @@ func (t *SetTracker) MaxRate(i int) radio.Rate {
 // MaxRateJoined returns the maximum rate position i would sustain if
 // position j (not currently a member) also transmitted.
 func (t *SetTracker) MaxRateJoined(i, j int) radio.Rate {
-	if t.blocked[i] > 0 || t.sharesNode(i, j) {
+	if t.sharesNode(i, j) {
+		return 0
+	}
+	return t.MaxRateJoinedUnblocked(i, j)
+}
+
+// MaxRateJoinedUnblocked is MaxRateJoined for a member i and a joiner
+// j that no member blocks (MaxRate(j) > 0, so blocked[j] is 0): no
+// member, i included, then shares a node with j, and the sharer scan
+// is skipped. Other arguments get no meaningful answer.
+func (t *SetTracker) MaxRateJoinedUnblocked(i, j int) radio.Rate {
+	if t.blocked[i] > 0 {
 		return 0
 	}
 	return t.rateAt(i, t.sums[i]+t.interf[j][i])

@@ -192,9 +192,11 @@ func physicalMaximal(tr *conflict.SetTracker, members []int, isMember []bool, ra
 		if tr.MaxRate(j) < minRate[j] {
 			continue // blocked or silenced: cannot join at any declared rate
 		}
+		// j is unblocked here (MaxRate(j) > 0): no member shares a node
+		// with it, so the joined rates need no sharer test.
 		joins := true
 		for d, mi := range members {
-			if tr.MaxRateJoined(mi, j) < rateBuf[d] {
+			if tr.MaxRateJoinedUnblocked(mi, j) < rateBuf[d] {
 				joins = false
 				break
 			}

@@ -66,6 +66,10 @@ type Cache struct {
 	ll       *list.List               //guards: mu — front = most recently used
 	bytes    int64                    //guards: mu — retained bytes
 	inflight map[string]*flight       //guards: mu
+	// groups is findDeltaBase's index over the entries of ll: one group
+	// per key prefix (model fingerprint and limit), kept by insertLocked
+	// and eviction, so a group holds exactly its prefix's live entries.
+	groups map[string]*deltaGroup //guards: mu
 
 	// Counters. Every access goes through sync/atomic (the
 	// abw/atomicfield lint rule enforces it): Stats() must be callable
@@ -110,6 +114,22 @@ type entry struct {
 	sets     []indepset.Set
 	explored int64 // exact exploration count (indepset.DeltaBase.Explored)
 	size     int64
+	// Delta-base index: the entry's prefix group, its universe's link
+	// mask (linkMask) and its slot in the group's bucket for
+	// len(universe).
+	group *deltaGroup
+	mask  uint64
+	slot  int
+}
+
+// deltaGroup indexes one key prefix's entries by universe size:
+// bySize[s] holds, in no particular order, the entries whose universe
+// has s links. A base is a strict subset of its target, so its diff is
+// the size difference and findDeltaBase reads one bucket per diff.
+type deltaGroup struct {
+	prefix  string
+	bySize  [][]*entry
+	entries int
 }
 
 // flight is one in-progress enumeration other goroutines may join.
@@ -131,6 +151,7 @@ func New(maxBytes int64) *Cache {
 		entries:  make(map[string]*list.Element),
 		ll:       list.New(),
 		inflight: make(map[string]*flight),
+		groups:   make(map[string]*deltaGroup),
 	}
 }
 
@@ -353,7 +374,7 @@ func (c *Cache) enumerate(ctx context.Context, m conflict.Model, links []topolog
 		fl.sets = sets
 		c.mu.Lock()
 		delete(c.inflight, key)
-		c.insertLocked(key, universe, sets, explored)
+		c.insertLocked(key, prefix, universe, sets, explored)
 		c.mu.Unlock()
 		close(fl.done)
 		tm.SetOutcome("diskHit")
@@ -373,7 +394,7 @@ func (c *Cache) enumerate(ctx context.Context, m conflict.Model, links []topolog
 			fl.sets = sets
 			c.mu.Lock()
 			delete(c.inflight, key)
-			c.insertLocked(key, universe, sets, explored)
+			c.insertLocked(key, prefix, universe, sets, explored)
 			c.mu.Unlock()
 			close(fl.done)
 			atomic.AddInt64(&c.deltaHits, 1)
@@ -413,7 +434,7 @@ func (c *Cache) enumerate(ctx context.Context, m conflict.Model, links []topolog
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if fl.err == nil && !fl.truncated {
-		c.insertLocked(key, universe, fl.sets, explored)
+		c.insertLocked(key, prefix, universe, fl.sets, explored)
 	}
 	c.mu.Unlock()
 	close(fl.done)
@@ -456,7 +477,7 @@ func (c *Cache) tryDelta(ctx context.Context, m conflict.Model, prefix string, u
 		base = indepset.DeltaBase{Universe: grown, Sets: sets, Explored: explored}
 		if i < len(missing)-1 {
 			c.mu.Lock()
-			c.insertLocked(prefix+universeSuffix(grown), grown, sets, explored)
+			c.insertLocked(prefix+universeSuffix(grown), prefix, grown, sets, explored)
 			c.mu.Unlock()
 		}
 	}
@@ -468,33 +489,54 @@ func (c *Cache) tryDelta(ctx context.Context, m conflict.Model, prefix string, u
 // prefix (model fingerprint and limit), universe a strict subset of the
 // target missing at most maxDeltaLinks links. Among candidates the
 // smallest diff wins (fewest chain steps), ties broken by key so the
-// choice is deterministic whatever the LRU order. The linear scan is
-// fine where it sits: the lookup already missed memory and disk, so it
-// is about to pay for enumeration walks either way.
+// choice is deterministic whatever the LRU order. A subset's diff is
+// the size difference, so the prefix group's size buckets are visited
+// from len(universe)-1 down, stopping at the first that holds a subset;
+// the link mask rejects most non-subsets with one AND before the exact
+// check. Under mu this costs one bucket, not one pass over the cache,
+// which a long admission stream fills with thousands of families.
 func (c *Cache) findDeltaBase(prefix string, universe []topology.LinkID) (indepset.DeltaBase, bool) {
+	uMask := linkMask(universe)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var best *entry
-	bestDiff := maxDeltaLinks + 1
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		if !strings.HasPrefix(e.key, prefix) {
-			continue
-		}
-		diff, sub := universeDiff(e.universe, universe)
-		if !sub || diff < 1 || diff > maxDeltaLinks {
-			continue
-		}
-		if diff < bestDiff || (diff == bestDiff && e.key < best.key) {
-			best, bestDiff = e, diff
-		}
-	}
-	if best == nil {
+	g := c.groups[prefix]
+	if g == nil {
 		return indepset.DeltaBase{}, false
 	}
-	// The entry's universe and sets are immutable once cached, so they
-	// are safe to use after mu is released.
-	return indepset.DeltaBase{Universe: best.universe, Sets: best.sets, Explored: best.explored}, true
+	for diff := 1; diff <= maxDeltaLinks && diff <= len(universe); diff++ {
+		size := len(universe) - diff
+		if size >= len(g.bySize) {
+			continue
+		}
+		var best *entry
+		for _, e := range g.bySize[size] {
+			if e.mask&^uMask != 0 {
+				continue
+			}
+			if _, sub := universeDiff(e.universe, universe); !sub {
+				continue
+			}
+			if best == nil || e.key < best.key {
+				best = e
+			}
+		}
+		if best != nil {
+			// The entry's universe and sets are immutable once cached,
+			// so they are safe to use after mu is released.
+			return indepset.DeltaBase{Universe: best.universe, Sets: best.sets, Explored: best.explored}, true
+		}
+	}
+	return indepset.DeltaBase{}, false
+}
+
+// linkMask folds a universe into 64 bits, link l setting bit l mod 64:
+// a subset's mask is a subset of its superset's mask.
+func linkMask(universe []topology.LinkID) uint64 {
+	var m uint64
+	for _, l := range universe {
+		m |= 1 << (uint64(l) & 63)
+	}
+	return m
 }
 
 // universeDiff reports how many links of target are missing from base,
@@ -584,13 +626,14 @@ func (c *Cache) countCanceled(sets []indepset.Set, truncated bool, err error) ([
 	return sets, truncated, err
 }
 
-// insertLocked stores a complete family and evicts LRU entries until
-// the byte budget holds again. An entry larger than the whole budget is
-// inserted and immediately evicted, so it never displaces useful state
-// for long. A key already present is only refreshed (delta chains can
-// insert an intermediate universe another lookup cached concurrently).
-// Caller holds mu.
-func (c *Cache) insertLocked(key string, universe []topology.LinkID, sets []indepset.Set, explored int64) {
+// insertLocked stores a complete family under key, whose prefix is
+// prefix (keyParts), and evicts LRU entries until the byte budget holds
+// again. An entry larger than the whole budget is inserted and
+// immediately evicted, so it never displaces useful state for long. A
+// key already present is only refreshed (delta chains can insert an
+// intermediate universe another lookup cached concurrently). Caller
+// holds mu.
+func (c *Cache) insertLocked(key, prefix string, universe []topology.LinkID, sets []indepset.Set, explored int64) {
 	if el, dup := c.entries[key]; dup {
 		c.ll.MoveToFront(el)
 		return
@@ -604,6 +647,7 @@ func (c *Cache) insertLocked(key string, universe []topology.LinkID, sets []inde
 	}
 	c.entries[key] = c.ll.PushFront(e)
 	c.bytes += e.size
+	c.indexLocked(e, prefix)
 	for c.bytes > c.maxBytes && c.ll.Len() > 0 {
 		back := c.ll.Back()
 		if back == nil {
@@ -613,7 +657,41 @@ func (c *Cache) insertLocked(key string, universe []topology.LinkID, sets []inde
 		c.ll.Remove(back)
 		delete(c.entries, ev.key)
 		c.bytes -= ev.size
+		c.unindexLocked(ev)
 		atomic.AddInt64(&c.evictions, 1)
+	}
+}
+
+// indexLocked adds e to its prefix group's bucket for its universe
+// size. Caller holds mu.
+func (c *Cache) indexLocked(e *entry, prefix string) {
+	g := c.groups[prefix]
+	if g == nil {
+		g = &deltaGroup{prefix: prefix}
+		c.groups[prefix] = g
+	}
+	n := len(e.universe)
+	for len(g.bySize) <= n {
+		g.bySize = append(g.bySize, nil)
+	}
+	e.group, e.mask, e.slot = g, linkMask(e.universe), len(g.bySize[n])
+	g.bySize[n] = append(g.bySize[n], e)
+	g.entries++
+}
+
+// unindexLocked removes an evicted entry from its bucket by moving the
+// bucket's last entry into its slot, and drops the group with its last
+// entry. Caller holds mu.
+func (c *Cache) unindexLocked(e *entry) {
+	g := e.group
+	b := g.bySize[len(e.universe)]
+	last := b[len(b)-1]
+	b[e.slot], last.slot = last, e.slot
+	b[len(b)-1] = nil
+	g.bySize[len(e.universe)] = b[:len(b)-1]
+	g.entries--
+	if g.entries == 0 {
+		delete(c.groups, g.prefix)
 	}
 }
 

@@ -38,6 +38,9 @@ lint-fix:
 # the netjson codec, and the memo cache (key
 # fingerprint, on-disk family format, and the delta-base index against
 # a linear scan); CI runs the same targets for 30s each.
+# FuzzDeltaBaseIndex caps minimizing at 2s per input: its decoder reads
+# many inputs as new coverage, and minimizing each of them for the
+# default minute left little of the budget for new sequences.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSimplex -fuzztime=$(FUZZTIME) ./internal/lp/
@@ -49,7 +52,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzNetjson -fuzztime=$(FUZZTIME) ./internal/netjson/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/memo/
-	$(GO) test -run='^$$' -fuzz=FuzzDeltaBaseIndex -fuzztime=$(FUZZTIME) ./internal/memo/
+	$(GO) test -run='^$$' -fuzz=FuzzDeltaBaseIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/memo/
 
 test:
 	$(GO) test ./...

@@ -102,7 +102,8 @@ func TestTablePairwiseDecomposition(t *testing.T) {
 // with the incremental tracker and checks, at each DFS node, that the
 // running-sum rates agree *exactly* (bit-for-bit, not approximately)
 // with the from-scratch Physical.MaxRate — including the predictive
-// MaxRateJoined used for in-DFS link-maximality.
+// MaxRateJoinedUnblocked used for in-DFS link-maximality, for every
+// member and every joiner it admits (MaxRate > 0).
 func TestSetTrackerMatchesMaxRate(t *testing.T) {
 	net, links := chainNet(t, 6, 100)
 	m := NewPhysical(net)
@@ -143,18 +144,9 @@ func assertTrackerMatchesMaxRate(t *testing.T, m *Physical, links []topology.Lin
 			if got := tr.MaxRate(i); got != fresh {
 				t.Fatalf("members %v: tracker MaxRate(%d) = %v, fresh = %v", members, i, got, fresh)
 			}
-			for j := 0; j < n; j++ {
-				if i == j || inSet[j] {
-					continue
-				}
-				freshJoined := m.MaxRate(links[i], append(cs, Couple{Link: links[j], Rate: 6}))
-				if got := tr.MaxRateJoined(i, j); got != freshJoined {
-					t.Fatalf("members %v: tracker MaxRateJoined(%d,%d) = %v, fresh = %v",
-						members, i, j, got, freshJoined)
-				}
-			}
 			checked++
 		}
+		assertJoinedMatchesMaxRate(t, m, tr, links, members, inSet)
 		for i := start; i < n; i++ {
 			tr.Push(i)
 			members = append(members, i)
@@ -206,8 +198,9 @@ func TestMaxRateVectorMatchesMaxRate(t *testing.T) {
 // TestSetTrackerFullDepth pushes every position of a universe that
 // repeats link IDs (duplicates ignore each other, like MaxRate ignores
 // couples on the queried link) and whose chain links share nodes, down
-// to depth n and back. After every Push and Pop, MaxRate and
-// MaxRateJoined must equal Physical.MaxRate bit for bit.
+// to depth n and back. After every Push and Pop, MaxRate and, for
+// every member and admitted joiner, MaxRateJoinedUnblocked must equal
+// Physical.MaxRate bit for bit.
 func TestSetTrackerFullDepth(t *testing.T) {
 	net, path := chainNet(t, 5, 60)
 	universe := []topology.LinkID{path[0], path[3], path[1], path[0], path[4], path[2], path[1], path[3]}
@@ -230,16 +223,8 @@ func TestSetTrackerFullDepth(t *testing.T) {
 			if got, want := tr.MaxRate(i), m.MaxRate(universe[i], cs); got != want {
 				t.Fatalf("depth %d: MaxRate(%d) = %v, fresh = %v", depth, i, got, want)
 			}
-			for j := 0; j < n; j++ {
-				if i == j || isMember[j] {
-					continue
-				}
-				want := m.MaxRate(universe[i], append(cs[:depth:depth], Couple{Link: universe[j], Rate: 6}))
-				if got := tr.MaxRateJoined(i, j); got != want {
-					t.Fatalf("depth %d: MaxRateJoined(%d,%d) = %v, fresh = %v", depth, i, j, got, want)
-				}
-			}
 		}
+		assertJoinedMatchesMaxRate(t, m, tr, universe, order[:depth], isMember)
 	}
 	check(0)
 	for d, i := range order {
@@ -268,10 +253,10 @@ func TestNewSetTrackerAllocs(t *testing.T) {
 }
 
 // TestMaxRateJoinedUnblockedAgrees pins the sharer-free joined rate to
-// MaxRateJoined wherever its contract holds: for every member i and
-// every non-member j with MaxRate(j) > 0, after every Push and Pop of
-// random member sequences over the Fig. 2 links and over a chain
-// universe that repeats link IDs and shares nodes.
+// a fresh Physical.MaxRate wherever its contract holds: for every
+// member i and every non-member j with MaxRate(j) > 0, after every Push
+// and Pop of random member sequences over the Fig. 2 links and over a
+// chain universe that repeats link IDs and shares nodes.
 func TestMaxRateJoinedUnblockedAgrees(t *testing.T) {
 	fig2 := fig2Physical(t)
 	var fig2Links []topology.LinkID
@@ -294,20 +279,7 @@ func TestMaxRateJoinedUnblockedAgrees(t *testing.T) {
 		checked := 0
 		check := func() {
 			t.Helper()
-			for j := 0; j < n; j++ {
-				if isMember[j] || tr.MaxRate(j) == 0 {
-					continue
-				}
-				for i := 0; i < n; i++ {
-					if !isMember[i] {
-						continue
-					}
-					if got, want := tr.MaxRateJoinedUnblocked(i, j), tr.MaxRateJoined(i, j); got != want {
-						t.Fatalf("members %v: MaxRateJoinedUnblocked(%d,%d) = %v, MaxRateJoined = %v", tr.members, i, j, got, want)
-					}
-					checked++
-				}
-			}
+			checked += assertJoinedMatchesMaxRate(t, tc.m, tr, tc.universe, tr.members, isMember)
 		}
 		for trial := 0; trial < 50; trial++ {
 			depth := 1 + rng.Intn(min(n, 6))
@@ -332,4 +304,32 @@ func TestMaxRateJoinedUnblockedAgrees(t *testing.T) {
 			t.Fatalf("universe %v: no member/joiner pair checked", tc.universe)
 		}
 	}
+}
+
+// assertJoinedMatchesMaxRate checks MaxRateJoinedUnblocked(i, j)
+// against a fresh Physical.MaxRate of member i with j added, bit for
+// bit, for every member i and every non-member j with MaxRate(j) > 0,
+// and returns the number of pairs checked.
+func assertJoinedMatchesMaxRate(t *testing.T, m *Physical, tr *SetTracker, universe []topology.LinkID, members []int, isMember []bool) int {
+	t.Helper()
+	cs := make([]Couple, 0, len(members)+1)
+	for _, mi := range members {
+		// Physical.MaxRate only reads couple links, so any positive
+		// rate stands in.
+		cs = append(cs, Couple{Link: universe[mi], Rate: 6})
+	}
+	checked := 0
+	for j := range universe {
+		if isMember[j] || tr.MaxRate(j) == 0 {
+			continue
+		}
+		joined := append(cs, Couple{Link: universe[j], Rate: 6})
+		for _, i := range members {
+			if got, want := tr.MaxRateJoinedUnblocked(i, j), m.MaxRate(universe[i], joined); got != want {
+				t.Fatalf("members %v: MaxRateJoinedUnblocked(%d,%d) = %v, fresh = %v", members, i, j, got, want)
+			}
+			checked++
+		}
+	}
+	return checked
 }

@@ -398,34 +398,16 @@ func (t *SetTracker) MaxRate(i int) radio.Rate {
 	return t.rateAt(i, t.sums[i])
 }
 
-// MaxRateJoined returns the maximum rate position i would sustain if
-// position j (not currently a member) also transmitted.
-func (t *SetTracker) MaxRateJoined(i, j int) radio.Rate {
-	if t.sharesNode(i, j) {
-		return 0
-	}
-	return t.MaxRateJoinedUnblocked(i, j)
-}
-
-// MaxRateJoinedUnblocked is MaxRateJoined for a member i and a joiner
-// j that no member blocks (MaxRate(j) > 0, so blocked[j] is 0): no
-// member, i included, then shares a node with j, and the sharer scan
-// is skipped. Other arguments get no meaningful answer.
+// MaxRateJoinedUnblocked returns the maximum rate member i would
+// sustain if position j (not currently a member) also transmitted, for
+// a joiner j that no member blocks (MaxRate(j) > 0, so blocked[j] is
+// 0): no member, i included, then shares a node with j, so no sharer
+// test is needed. Other arguments get no meaningful answer.
 func (t *SetTracker) MaxRateJoinedUnblocked(i, j int) radio.Rate {
 	if t.blocked[i] > 0 {
 		return 0
 	}
 	return t.rateAt(i, t.sums[i]+t.interf[j][i])
-}
-
-// sharesNode reports whether positions i and j are half-duplex sharers.
-func (t *SetTracker) sharesNode(i, j int) bool {
-	for _, s := range t.sharers[t.off[i]:t.off[i+1]] { // ascending
-		if int(s) >= j {
-			return int(s) == j
-		}
-	}
-	return false
 }
 
 func (t *SetTracker) rateAt(i int, interference float64) radio.Rate {

@@ -16,14 +16,15 @@
 // l_i from the root and branches over the remaining links except
 // l_1 … l_{i-1}, so every new set is walked exactly once. The skipped
 // earlier links stay in the universe, so the maximality checks still
-// test them. Each walk branches in descending-conflict order so l_i's
-// interference prunes subtrees at their shallowest node (feasibility,
-// the budget and maximality are all branch-order independent; see the
-// order helpers). The survivors then need no model replay at all — a
-// base set is displaced exactly when some walked set minus its L
-// couples equals it, bytes for bytes (the rule proved at
-// stripSurvivors) — so survival is one couple-hash lookup per base set
-// against the freshly walked family.
+// test them. With an empty base these are the full walk's walks (see
+// parallel.go), except that each delta walk branches in
+// descending-conflict order so l_i's interference prunes subtrees at
+// their shallowest node (feasibility, the budget and maximality are
+// all branch-order independent; see the threatOrder methods). The
+// survivors then need no model replay at all — a base set is displaced
+// exactly when some walked set minus its L couples equals it, bytes for
+// bytes (the rule proved at stripSurvivors) — so survival is one
+// couple-hash lookup per base set against the freshly walked family.
 //
 // Exploration accounting carries over too: both walk families charge
 // their budget once per feasible leaf, and a leaf over U ∪ L either
@@ -35,14 +36,15 @@
 //
 // Workers: a one-link delta always walks sequentially; a delta adding
 // several links follows the full walk's rule (Options.workerCount over
-// the grown universe). The split follows the input, not a knob: one-link
-// steps are the memo cache's per-link chain, where a parallel walk
-// measured about 20% fewer admit-churn operations per second and 10%
-// more allocation per operation (the sequential walk is at parity with
-// the full walk's cost there), while multi-link deltas are the cold
-// path's whole new-path growth, where a sequential walk lost to the
-// 2-worker full walk on 116 of 870 Fig. 2 query pairs (all long paths
-// adding 7-9 links) and the parallel one on 1 of 870.
+// the grown universe) and the full walk's task partition. The split
+// follows the input, not a knob: one-link steps are the memo cache's
+// per-link chain, where a parallel walk measured about 20% fewer
+// admit-churn operations per second and 10% more allocation per
+// operation (the sequential walk is at parity with the full walk's
+// cost there), while multi-link deltas are the cold path's whole
+// new-path growth, where a sequential walk lost to the 2-worker full
+// walk on 116 of 870 Fig. 2 query pairs (all long paths adding 7-9
+// links) and the parallel one on 1 of 870.
 package indepset
 
 import (
@@ -51,7 +53,6 @@ import (
 	"sort"
 
 	"abw/internal/conflict"
-	"abw/internal/radio"
 	"abw/internal/topology"
 )
 
@@ -98,16 +99,7 @@ func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, links
 		workers = opts.workerCount(len(universe))
 	}
 	b := newBudget(opts.limit(), workers, base.Explored)
-	var grown []Set
-	var err error
-	switch mm := m.(type) {
-	case *conflict.Physical:
-		grown, err = deltaPhysical(ctx, mm, universe, apos, b, workers)
-	case conflict.PairwiseModel:
-		grown, err = deltaPairwise(ctx, mm, universe, apos, b, workers)
-	default:
-		return nil, 0, ErrUnsupportedModel
-	}
+	grown, err := walkFamily(ctx, m, universe, apos, b, workers)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -115,83 +107,8 @@ func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, links
 	return mergeByKey(stripSurvivors(base.Sets, grown, added), grown), b.count(), nil
 }
 
-// deltaWalk is the walk for one added link: the link's universe
-// position and the positions it branches over (every position except
-// itself and the added links before it).
-type deltaWalk struct {
-	lpos  int
-	order []int
-}
-
-// deltaTask is one unit of a parallel delta walk: the leaf holding
-// only walks[walk]'s link (branch < 0), or the subtree whose first
-// branch under that link is order[branch].
-type deltaTask struct {
-	walk, branch int
-}
-
-// deltaTasks partitions the delta walks for parallel runs: per walk,
-// its leaf plus one subtree per first branch.
-func deltaTasks(walks []deltaWalk) []deltaTask {
-	var tasks []deltaTask
-	for wi, wk := range walks {
-		tasks = append(tasks, deltaTask{walk: wi, branch: -1})
-		for b := range wk.order {
-			tasks = append(tasks, deltaTask{walk: wi, branch: b})
-		}
-	}
-	return tasks
-}
-
-func deltaPhysical(ctx context.Context, m *conflict.Physical, universe []topology.LinkID, apos []int, b *budget, workers int) ([]Set, error) {
-	n := len(universe)
-	e := &physicalEnum{
-		m:        m,
-		ctx:      ctx,
-		universe: universe,
-		minRate:  make([]radio.Rate, n),
-		n:        n,
-		budget:   b,
-	}
-	for i, l := range universe {
-		e.minRate[i] = m.MinPositiveRate(l)
-	}
-	skip := make([]bool, n)
-	var walks []deltaWalk
-	for _, p := range apos {
-		// A link with no positive declared rate can neither join an old
-		// set nor appear in a new one: it adds nothing to walk.
-		//lint:ignore abw/floateq Rate 0 is the exact no-declared-rate sentinel, never a computed float
-		if e.minRate[p] != 0 {
-			walks = append(walks, deltaWalk{lpos: p, order: physicalDeltaOrder(m, universe, p, skip)})
-		}
-		skip[p] = true
-	}
-	if workers <= 1 {
-		w := newPhysicalWorker(e)
-		for _, wk := range walks {
-			w.push(wk.lpos)
-			err := w.recDelta(0, wk.order)
-			w.pop()
-			if err != nil {
-				return nil, err
-			}
-		}
-		return w.out, nil
-	}
-	tasks := deltaTasks(walks)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	return parallelRun(workers, len(tasks), func() (func(int) error, func() []Set) {
-		w := newPhysicalWorker(e)
-		return func(t int) error { return w.runDeltaTask(walks[tasks[t].walk], tasks[t].branch) },
-			func() []Set { return w.out }
-	})
-}
-
-// physicalDeltaOrder returns the branch order of the delta walk for the
-// link at lpos: every position except lpos and the skipped ones,
+// threatOrder returns the branch order of the delta walk for the link
+// at lpos: every position except lpos and the skipped ones,
 // strongest conflictors of the grown link first (node sharers above all
 // — they block it outright — then by mutual interference power, ties by
 // position). Branch order is free to choose: feasibility is monotone
@@ -199,7 +116,8 @@ func deltaPhysical(ctx context.Context, m *conflict.Physical, universe []topolog
 // subsets in any order, and the final sort restores canonical emission.
 // Fronting l's conflictors makes the subtrees that would die of l's
 // interference die at the root instead of one level above the leaves.
-func physicalDeltaOrder(m *conflict.Physical, universe []topology.LinkID, lpos int, skip []bool) []int {
+func (e *physicalEnum) threatOrder(lpos int, skip []bool) []int {
+	m, universe := e.m, e.universe
 	net := m.Network()
 	l := universe[lpos]
 	ll, lerr := net.Link(l)
@@ -389,139 +307,14 @@ func restrictedEqual(g, s []conflict.Couple, added []topology.LinkID) bool {
 	return i == len(s)
 }
 
-// recDelta walks every subset containing the grown link, which the
-// caller has already pushed: it is the plain walk over the remaining
-// positions in the given branch order. Visiting each node through
-// visitDelta makes the grown link's interference prune natively — a
-// branch dies the moment any member is silenced, exactly the plain
-// walk's prune but conditioned on the grown link from the root — so
-// the walk touches only that link's slice of the lattice, with no
-// per-node join checks beyond what a fresh walk would pay.
-func (w *physicalWorker) recDelta(start int, order []int) error {
-	if err := w.chk.Check(); err != nil {
-		return err
-	}
-	ok, err := w.visitDelta()
-	if !ok || err != nil {
-		return err
-	}
-	for oi := start; oi < len(order); oi++ {
-		w.push(order[oi])
-		err := w.recDelta(oi+1, order)
-		w.pop()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runDeltaTask runs one deltaTask of wk: its leaf (branch < 0) or the
-// subtree under wk's link whose first branch is wk.order[branch]. A
-// subtree under an infeasible leaf prunes at its first visit, exactly
-// like the sequential walk never descending past it.
-func (w *physicalWorker) runDeltaTask(wk deltaWalk, branch int) error {
-	if err := w.chk.Check(); err != nil {
-		return err
-	}
-	w.push(wk.lpos)
-	var err error
-	if branch < 0 {
-		_, err = w.visitDelta()
-	} else {
-		w.push(wk.order[branch])
-		err = w.recDelta(branch+1, wk.order)
-		w.pop()
-	}
-	w.pop()
-	return err
-}
-
-// visitDelta is visit for the delta walk, where members sit in branch
-// order rather than ascending position: feasibility, budget and
-// maximality are member-order-independent (tracker sums and the
-// isMember table), only materialization must re-establish the
-// canonical ascending-position couple order, by insertion-sorting the
-// freshly appended couples (member counts are small; the sort is a
-// handful of swaps).
-func (w *physicalWorker) visitDelta() (ok bool, err error) {
-	e := w.e
-	for d, mi := range w.members {
-		r := w.tr.MaxRate(mi)
-		//lint:ignore abw/floateq Rate 0 is the exact silenced-link sentinel MaxRate returns, never a computed float
-		if r == 0 {
-			return false, nil
-		}
-		w.rateBuf[d] = r
-	}
-	if !e.budget.take() {
-		return false, ErrLimit
-	}
-	if physicalMaximal(w.tr, w.members, w.isMember, w.rateBuf, e.minRate, e.n) {
-		if cap(w.arena)-len(w.arena) < len(w.members) {
-			w.arena = make([]conflict.Couple, 0, 16*e.n)
-		}
-		base := len(w.arena)
-		for d, mi := range w.members {
-			w.arena = append(w.arena, conflict.Couple{Link: e.universe[mi], Rate: w.rateBuf[d]})
-			for k := len(w.arena) - 1; k > base && w.arena[k-1].Link > w.arena[k].Link; k-- {
-				w.arena[k-1], w.arena[k] = w.arena[k], w.arena[k-1]
-			}
-		}
-		couples := w.arena[base:len(w.arena):len(w.arena)]
-		w.out = append(w.out, Set{Couples: couples})
-	}
-	return true, nil
-}
-
-func deltaPairwise(ctx context.Context, m conflict.PairwiseModel, universe []topology.LinkID, apos []int, b *budget, workers int) ([]Set, error) {
-	e := newPairwiseEnum(ctx, m, universe, b)
-	skip := make([]bool, e.n)
-	var walks []deltaWalk
-	for _, p := range apos {
-		// No positive declared rate: the link can neither join an old
-		// set nor appear in a new one.
-		if len(e.rates[p]) > 0 {
-			walks = append(walks, deltaWalk{lpos: p, order: pairwiseDeltaOrder(e, p, skip)})
-		}
-		skip[p] = true
-	}
-	if workers <= 1 {
-		w := newPairwiseWorker(e)
-		defer w.release()
-		for _, wk := range walks {
-			for ri := range e.rates[wk.lpos] {
-				if !w.push(wk.lpos, ri) {
-					continue
-				}
-				err := w.rec(0, wk.order)
-				w.pop()
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		return w.out, nil
-	}
-	tasks := deltaTasks(walks)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	return parallelRun(workers, len(tasks), func() (func(int) error, func() []Set) {
-		w := newPairwiseWorker(e)
-		return func(t int) error { return w.runDeltaTask(walks[tasks[t].walk], tasks[t].branch) },
-			func() []Set { w.release(); return w.out }
-	})
-}
-
-// pairwiseDeltaOrder returns the branch order of the pairwise delta
-// walk for the link at lpos: every position except lpos and the
-// skipped ones, strongest conflictors of the grown link first, measured
-// from the clear table — the number of couple rates the grown link
-// cannot clear plus the number of its own rates the position denies it
-// — with ties by position. See physicalDeltaOrder for why branch order
-// is free to choose.
-func pairwiseDeltaOrder(e *pairwiseEnum, lpos int, skip []bool) []int {
+// threatOrder returns the branch order of the pairwise delta walk for
+// the link at lpos: every position except lpos and the skipped ones,
+// strongest conflictors of the grown link first, measured from the
+// clear table — the number of couple rates the grown link cannot clear
+// plus the number of its own rates the position denies it — with ties
+// by position. See (*physicalEnum).threatOrder for why branch order is
+// free to choose.
+func (e *pairwiseEnum) threatOrder(lpos int, skip []bool) []int {
 	threat := make([]int, e.n)
 	order := make([]int, 0, e.n-1)
 	for p := 0; p < e.n; p++ {
@@ -586,41 +379,4 @@ func mergeByKey(survivors, grown []Set) []Set {
 	}
 	out = append(out, survivors[i:]...)
 	return append(out, grown[j:]...)
-}
-
-// runDeltaTask runs one deltaTask of wk at every rate of wk's link: the
-// leaf that excludes every branch position (branch < 0), or the
-// assignments whose first included branch position is wk.order[branch],
-// at each of its rates. Together the tasks cover rec(0, wk.order)'s
-// leaves exactly once.
-func (w *pairwiseWorker) runDeltaTask(wk deltaWalk, branch int) error {
-	if err := w.chk.Check(); err != nil {
-		return err
-	}
-	for ri := range w.e.rates[wk.lpos] {
-		if !w.push(wk.lpos, ri) {
-			continue
-		}
-		var err error
-		if branch < 0 {
-			err = w.visitLeaf()
-		} else {
-			idx := wk.order[branch]
-			for rj := range w.e.rates[idx] {
-				if !w.push(idx, rj) {
-					continue
-				}
-				err = w.rec(branch+1, wk.order)
-				w.pop()
-				if err != nil {
-					break
-				}
-			}
-		}
-		w.pop()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -26,9 +26,11 @@ type growthPlan struct {
 // canonical universe: "tail" starts from the first link and adds the
 // rest in ascending chunks of k; "between" starts from the
 // even-position links and adds the odd-position ones in chunks of k, so
-// every added link falls between base positions.
+// every added link falls between base positions. One more plan, "empty",
+// adds the whole universe to the empty base in one step: that delta is
+// the full walk.
 func growthPlans(universe []topology.LinkID) []growthPlan {
-	var plans []growthPlan
+	plans := []growthPlan{{label: "empty", steps: [][]topology.LinkID{universe}}}
 	for k := 1; k <= 4; k++ {
 		tail := growthPlan{label: fmt.Sprintf("tail k=%d", k), base: universe[:1:1]}
 		tail.steps = chunks(universe[1:], k)

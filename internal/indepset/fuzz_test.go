@@ -187,6 +187,10 @@ func FuzzEnumerateDelta(f *testing.F) {
 	f.Add([]byte{4, 4, 7, 1, 2, 3, 5, 6, 0, 9, 0x2d, 2, 1, 4, 0})
 	f.Add([]byte{3, 2, 4, 7, 3, 0x91, 0x22, 0x4c, 0x80, 0x13, 0x77, 0x0a, 0x3c, 0xe1, 0x05, 2, 1, 3, 0})
 	f.Add([]byte{5, 3, 7, 3, 5, 2, 0x5a, 0x33, 0x81, 0x42, 2, 1, 6, 10, 0, 0x0b, 3, 2, 4, 6, 0})
+	// Base mask 0: the delta from the empty universe is the full walk
+	// (Physical, then a Table).
+	f.Add([]byte{0, 4, 7, 0x00, 3, 1, 3, 5, 7, 0})
+	f.Add([]byte{1, 4, 7, 3, 1, 6, 0, 0xa5, 0x5a, 0x33, 0x00, 3, 0, 1, 4, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, baseLinks, added, limit, ok := decodeDeltaCase(data)
 		if !ok {

@@ -22,13 +22,16 @@
 // (conflict.SetTracker); pairwise models (conflict.PairwiseModel) keep
 // per-link bitmasks of the rates still clearing every member, so a push
 // only checks the newly added couple against the current members. A
-// model that is neither has no walk (ErrUnsupportedModel). Each walk
-// also has a delta form (EnumerateDelta) that grows a complete family
-// by new links without re-walking the old universe.
+// model that is neither has no walk (ErrUnsupportedModel).
 //
-// Every walk can also run across goroutines (Options.Workers): the
-// search lattice splits at its first branching levels into independent
-// subtrees, each worker owns its full mutable DFS state, and the merged
+// Each model has one walk, rooted at a link: it pushes that link and
+// branches over a list of other positions. EnumerateDelta grows a
+// complete family by new links with one such walk per added link,
+// without re-walking the old universe; the full enumeration is the
+// same thing grown from the empty universe, one walk per link over the
+// positions after it. The walks also run across goroutines
+// (Options.Workers): they split into a leaf and one subtree per first
+// branch, each worker owns its full mutable DFS state, and the merged
 // family is byte-identical to the sequential walk's. See parallel.go
 // for the partitioning, budget-accounting and merge-determinism
 // invariants (DESIGN.md Sec. 8 pins them).
@@ -287,16 +290,7 @@ func enumerate(ctx context.Context, m conflict.Model, links []topology.LinkID, o
 	tm.SetWorkers(workers)
 	defer tm.End()
 	b := newBudget(limit, workers, 0)
-	var out []Set
-	var err error
-	switch mm := m.(type) {
-	case *conflict.Physical:
-		out, err = enumeratePhysical(ctx, mm, universe, b, workers)
-	case conflict.PairwiseModel:
-		out, err = enumeratePairwise(ctx, mm, universe, b, workers)
-	default:
-		return nil, false, 0, ErrUnsupportedModel
-	}
+	out, err := walkFamily(ctx, m, universe, nil, b, workers)
 	truncated := errors.Is(err, ErrLimit)
 	if err != nil && !truncated {
 		return nil, false, 0, err

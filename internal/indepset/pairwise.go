@@ -11,45 +11,18 @@ import (
 	"abw/internal/topology"
 )
 
-// enumeratePairwise walks (link, rate) couple assignments in link order
-// for models whose feasibility decomposes pairwise. It maintains, for
+// The pairwise walk explores (link, rate) couple assignments for
+// models whose feasibility decomposes pairwise. It maintains, for
 // every universe link, a mask of the declared rates that still clear
 // every current member (bit k = k-th declared rate, descending), so
 // adding a couple only checks the new couple against current members,
 // and leaf maximality is a handful of mask intersections instead of
 // from-scratch feasibility calls. Every mask is W consecutive words,
 // W = ⌈max declared rates per link / 64⌉, so one walk serves any rate
-// count; at W = 1 each mask operation is a single word.
-//
-// With workers > 1 the assignment lattice is split at its first levels
-// (choiceTasks); the clear table is built once and shared read-only,
-// each worker owning only its avail/member stacks.
-func enumeratePairwise(ctx context.Context, m conflict.PairwiseModel, universe []topology.LinkID, budget *budget, workers int) ([]Set, error) {
-	n := len(universe)
-	if n == 0 {
-		return nil, nil
-	}
-	e := newPairwiseEnum(ctx, m, universe, budget)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if workers <= 1 {
-		w := newPairwiseWorker(e)
-		err := w.rec(0, order)
-		w.release()
-		return w.out, err
-	}
-	tasks := choiceTasks(n, workers, func(i int) int { return len(e.rates[i]) })
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	return parallelRun(workers, len(tasks), func() (func(int) error, func() []Set) {
-		w := newPairwiseWorker(e)
-		return func(t int) error { return w.runTask(tasks[t], order) },
-			func() []Set { w.release(); return w.out }
-	})
-}
+// count; at W = 1 each mask operation is a single word. The clear
+// table is built once and shared read-only, each worker owning only
+// its avail/member stacks; see parallel.go for the walks and their
+// partition.
 
 // pairwiseEnum is the read-only state shared by every worker of one
 // pairwise enumeration: the universe, its declared positive rates, and
@@ -138,6 +111,10 @@ func newPairwiseEnum(ctx context.Context, m conflict.PairwiseModel, universe []t
 // clear-table column.
 func (e *pairwiseEnum) column(j, rj int) int { return e.col[j] + rj*e.nw }
 
+func (e *pairwiseEnum) hasRate(p int) bool { return len(e.rates[p]) > 0 }
+
+func (e *pairwiseEnum) newWalker() walker { return newPairwiseWorker(e) }
+
 type pairMember struct {
 	pos int
 	ri  int
@@ -215,16 +192,17 @@ func newPairwiseWorker(e *pairwiseEnum) *pairwiseWorker {
 	}
 }
 
-// release returns the worker's scratch to the pool. The worker must not
-// be used afterwards; out stays valid (it never aliases the scratch).
-func (w *pairwiseWorker) release() {
-	if w.scratch == nil {
-		return
+// family returns the worker's scratch to the pool and its sets. The
+// worker must not be used afterwards; the sets stay valid (they never
+// alias the scratch).
+func (w *pairwiseWorker) family() []Set {
+	if w.scratch != nil {
+		w.scratch.members = w.members[:0]
+		pairScratchPool.Put(w.scratch)
+		w.scratch = nil
+		w.avail, w.saved, w.members, w.isMember = nil, nil, nil, nil
 	}
-	w.scratch.members = w.members[:0]
-	pairScratchPool.Put(w.scratch)
-	w.scratch = nil
-	w.avail, w.saved, w.members, w.isMember = nil, nil, nil, nil
+	return w.out
 }
 
 // lowest returns the index of the lowest bit set in both W-word masks
@@ -358,9 +336,6 @@ func (w *pairwiseWorker) maximal() bool {
 // canonical ascending-link couple order, by insertion-sorting the
 // freshly built couples (a no-op pass in the full walk).
 func (w *pairwiseWorker) visitLeaf() error {
-	if len(w.members) == 0 {
-		return nil
-	}
 	if !w.e.budget.take() {
 		return ErrLimit
 	}
@@ -378,28 +353,25 @@ func (w *pairwiseWorker) visitLeaf() error {
 	return nil
 }
 
-// rec walks every complete assignment of the positions order[oi:] on
-// top of the current members: exclude order[oi], then include it at
-// each rate that keeps the partial set feasible. The full walk runs it
-// over every position in ascending order; the delta walk runs it under
-// an already pushed grown link, whose pushes then validate every branch
-// against that link from the root.
-func (w *pairwiseWorker) rec(oi int, order []int) error {
-	if err := w.chk.Check(); err != nil {
-		return err
+// runWalk walks every complete assignment of wk's order under wk's
+// link, at each of its rates.
+func (w *pairwiseWorker) runWalk(wk walk) error {
+	return w.include(wk.lpos, 0, wk.order)
+}
+
+// runTask runs, at every rate of wk's link, the leaf that excludes
+// every branch position (branch < 0), or the assignments whose first
+// included branch position is wk.order[branch]. Together the tasks
+// cover runWalk(wk)'s leaves exactly once.
+func (w *pairwiseWorker) runTask(wk walk, branch int) error {
+	if branch < 0 {
+		return w.runWalk(walk{lpos: wk.lpos})
 	}
-	if oi == len(order) {
-		return w.visitLeaf()
-	}
-	idx := order[oi]
-	if err := w.rec(oi+1, order); err != nil {
-		return err
-	}
-	for ri := range w.e.rates[idx] {
-		if !w.push(idx, ri) {
+	for ri := range w.e.rates[wk.lpos] {
+		if !w.push(wk.lpos, ri) {
 			continue
 		}
-		err := w.rec(oi+1, order)
+		err := w.include(wk.order[branch], branch+1, wk.order)
 		w.pop()
 		if err != nil {
 			return err
@@ -408,25 +380,33 @@ func (w *pairwiseWorker) rec(oi int, order []int) error {
 	return nil
 }
 
-func (w *pairwiseWorker) runTask(t choiceTask, order []int) error {
-	pushed := 0
-	feasible := true
-	for idx, c := range t.choices {
-		if c < 0 {
+// rec walks every complete assignment of the positions order[oi:] on
+// top of the current members: exclude order[oi], then include it.
+func (w *pairwiseWorker) rec(oi int, order []int) error {
+	if err := w.chk.Check(); err != nil {
+		return err
+	}
+	if oi == len(order) {
+		return w.visitLeaf()
+	}
+	if err := w.rec(oi+1, order); err != nil {
+		return err
+	}
+	return w.include(order[oi], oi+1, order)
+}
+
+// include pushes position idx at each rate that keeps the partial set
+// feasible and walks order[oi:] under it.
+func (w *pairwiseWorker) include(idx, oi int, order []int) error {
+	for ri := range w.e.rates[idx] {
+		if !w.push(idx, ri) {
 			continue
 		}
-		if !w.push(idx, c) {
-			feasible = false
-			break
-		}
-		pushed++
-	}
-	var err error
-	if feasible {
-		err = w.rec(len(t.choices), order)
-	}
-	for ; pushed > 0; pushed-- {
+		err := w.rec(oi, order)
 		w.pop()
+		if err != nil {
+			return err
+		}
 	}
-	return err
+	return nil
 }

@@ -1,13 +1,19 @@
-// Parallel enumeration scaffolding: the subset/assignment lattices the
-// walks explore split cleanly at their first branching levels into
-// independent subtrees, so enumeration distributes those subtrees over
-// workers that each own their full mutable DFS state (a
-// conflict.SetTracker for the physical walk, bitmask state for the
-// pairwise walk) while sharing the read-only
-// per-universe precomputation. Three properties make the parallel walk
-// indistinguishable from the sequential one:
+// Walk plan and worker scaffolding, shared by both models. Every
+// enumeration, full or delta, is a list of walks: the walk for link l
+// pushes l from the root and branches over its order, so it visits
+// exactly the sets made of l and positions of that order. The full
+// walk is the delta walk grown from the empty universe: one walk per
+// link with a positive declared rate, each branching over the
+// positions after it in ascending order. Sequentially one worker runs the walks whole, in
+// order. In parallel the walks split into tasks — per walk its leaf
+// {l} plus one subtree per first branch — and workers that each own
+// their full mutable DFS state (a conflict.SetTracker for the physical
+// walk, bitmask state for the pairwise walk) pull them from a shared
+// counter, sharing the read-only per-universe precomputation. Three
+// properties make the parallel walk indistinguishable from the
+// sequential one:
 //
-//  1. Partitioning — tasks cover the lattice exactly once, so the union
+//  1. Partitioning — tasks cover the walks exactly once, so the union
 //     of per-worker families equals the sequential family.
 //  2. Budget accounting — Options.Limit is charged through one shared
 //     budget; exactly Limit explorations succeed across all workers, so
@@ -21,10 +27,14 @@
 package indepset
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"abw/internal/conflict"
+	"abw/internal/topology"
 )
 
 // minParallelLinks is the smallest universe the automatic mode
@@ -61,10 +71,9 @@ type budget struct {
 
 // newBudget returns the budget of one enumeration under the given
 // worker count. spent seeds the counter with charges already made: the
-// delta walk
-// (delta.go) inherits the base universe's exploration count this way,
-// so the combined count — and therefore the ErrLimit verdict — is
-// identical to a full walk over the grown universe.
+// delta walk (delta.go) inherits the base universe's exploration count
+// this way, so the combined count — and therefore the ErrLimit verdict
+// — is identical to a full walk over the grown universe.
 func newBudget(limit, workers int, spent int64) *budget {
 	//lint:ignore abw/atomicfield the budget is not yet shared — no worker has started when it is built
 	return &budget{n: spent, limit: int64(limit), seq: workers <= 1}
@@ -92,93 +101,144 @@ func (b *budget) take() bool {
 	return atomic.AddInt64(&b.n, 1) <= b.limit
 }
 
-// subtreeTask is one unit of the physical walk's two-level split: push
-// the member prefix, then either visit just that set (leafOnly — the
-// interior nodes of the split levels) or run the full DFS over
-// positions >= start.
-type subtreeTask struct {
-	prefix   [2]int
-	plen     int
-	start    int
-	leafOnly bool
+// walk is the walk for one link: its universe position and the
+// positions it branches over.
+type walk struct {
+	lpos  int
+	order []int
 }
 
-// subtreeTasks partitions the subset lattice over n universe positions
-// at its first two branching levels, in the sequential walk's
-// pre-order: visit {i}, then one task per subtree rooted at {i, j}.
-func subtreeTasks(n int) []subtreeTask {
-	tasks := make([]subtreeTask, 0, n+n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		tasks = append(tasks, subtreeTask{prefix: [2]int{i}, plen: 1, leafOnly: true})
-		for j := i + 1; j < n; j++ {
-			tasks = append(tasks, subtreeTask{prefix: [2]int{i, j}, plen: 2, start: j + 1})
+// task is one unit of a parallel run: the leaf holding only
+// walks[walk]'s link (branch < 0), or the subtree whose first branch
+// under that link is order[branch].
+type task struct {
+	walk, branch int
+}
+
+// walkTasks partitions the walks for parallel runs: per walk, its leaf
+// plus one subtree per first branch, in the sequential walk's order.
+func walkTasks(walks []walk) []task {
+	n := 0
+	for _, wk := range walks {
+		n += 1 + len(wk.order)
+	}
+	tasks := make([]task, 0, n)
+	for wi, wk := range walks {
+		tasks = append(tasks, task{walk: wi, branch: -1})
+		for b := range wk.order {
+			tasks = append(tasks, task{walk: wi, branch: b})
 		}
 	}
 	return tasks
 }
 
-// choiceTask fixes the first levels of the pairwise walk's couple
-// assignments: choices[i] is -1 to exclude universe[i] or
-// an index into its declared rates to include it. Tasks whose prefix is
-// infeasible enumerate nothing, exactly like the sequential walk never
-// descending past an infeasible branch.
-type choiceTask struct {
-	choices []int
+// walkSpace is one model's read-only per-enumeration state.
+type walkSpace interface {
+	// hasRate reports whether the link at position p has a positive
+	// declared rate; a link without one never appears in a set and
+	// has nothing to walk.
+	hasRate(p int) bool
+	// threatOrder is the delta walk's branch order for the link at p:
+	// every position except p and the skipped ones, strongest
+	// conflictors of p first.
+	threatOrder(p int, skip []bool) []int
+	newWalker() walker
 }
 
-// choiceTasks partitions a couple-assignment walk at its first levels.
-// The split deepens (up to four levels) until the task count reaches
-// about four per worker, so uneven subtree sizes still balance; order
-// is the sequential branch order (exclude first, then declared rates).
-func choiceTasks(n, workers int, numRates func(int) int) []choiceTask {
-	depth, count := 0, 1
-	for depth < n && depth < 4 && count < 4*workers {
-		count *= 1 + numRates(depth)
-		depth++
+// walker is one worker's mutable DFS state.
+type walker interface {
+	// runWalk runs wk whole: every set made of wk's link and positions
+	// of its order.
+	runWalk(wk walk) error
+	// runTask runs one task of wk (see task).
+	runTask(wk walk, branch int) error
+	// family releases the worker's scratch and returns its sets.
+	family() []Set
+}
+
+// walkFamily runs the model's walks over universe, unsorted. apos lists
+// the added positions (ascending) of a delta walk, each walked in
+// threat order with the earlier ones skipped; nil walks the full
+// universe, every position branching in ascending order over the ones
+// after it — the same walks from an empty base, whose sequential
+// pre-order is the plain subset (or assignment) walk's.
+func walkFamily(ctx context.Context, m conflict.Model, universe []topology.LinkID, apos []int, b *budget, workers int) ([]Set, error) {
+	var s walkSpace
+	switch mm := m.(type) {
+	case *conflict.Physical:
+		s = newPhysicalEnum(ctx, mm, universe, b)
+	case conflict.PairwiseModel:
+		s = newPairwiseEnum(ctx, mm, universe, b)
+	default:
+		return nil, ErrUnsupportedModel
 	}
-	tasks := []choiceTask{{}}
-	for lvl := 0; lvl < depth; lvl++ {
-		next := make([]choiceTask, 0, len(tasks)*(1+numRates(lvl)))
-		for _, t := range tasks {
-			for c := -1; c < numRates(lvl); c++ {
-				nc := make([]int, lvl+1)
-				copy(nc, t.choices)
-				nc[lvl] = c
-				next = append(next, choiceTask{choices: nc})
+	var walks []walk
+	if apos == nil {
+		asc := make([]int, len(universe))
+		walks = make([]walk, 0, len(asc))
+		for p := range asc {
+			asc[p] = p
+		}
+		for p := range asc {
+			if s.hasRate(p) {
+				walks = append(walks, walk{lpos: p, order: asc[p+1:]})
 			}
 		}
-		tasks = next
+	} else {
+		skip := make([]bool, len(universe))
+		walks = make([]walk, 0, len(apos))
+		for _, p := range apos {
+			if s.hasRate(p) {
+				walks = append(walks, walk{lpos: p, order: s.threatOrder(p, skip)})
+			}
+			skip[p] = true
+		}
 	}
-	return tasks
+	return runWalks(s, walks, workers)
 }
 
-// parallelRun drives an enumeration: workers pull task indices from a
-// shared counter, each building its own DFS state via newWorker and
-// collecting its partial family. collect runs even after an ErrLimit
-// stop (truncated walks still hand back the maximal sets found). The
-// merged family is unsorted; the dispatcher sorts by key.
-func parallelRun(workers, numTasks int, newWorker func() (run func(task int) error, collect func() []Set)) ([]Set, error) {
-	var next int64
+// runWalks runs the walks: sequentially on one walker, each walk whole
+// and in order, or as walkTasks pulled from a shared counter by
+// workers that each build their own walker from s. A worker's family is
+// collected even after an ErrLimit stop (truncated walks still hand
+// back the maximal sets found). The merged family is unsorted; the
+// dispatcher sorts by key.
+func runWalks(s walkSpace, walks []walk, workers int) ([]Set, error) {
+	if len(walks) == 0 {
+		return nil, nil
+	}
+	if workers <= 1 {
+		w := s.newWalker()
+		for _, wk := range walks {
+			if err := w.runWalk(wk); err != nil {
+				return w.family(), err
+			}
+		}
+		return w.family(), nil
+	}
+	tasks := walkTasks(walks)
+	workers = min(workers, len(tasks))
+	var next atomic.Int64
 	outs := make([][]Set, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(k int) {
 			defer wg.Done()
-			run, collect := newWorker()
-			defer func() { outs[w] = collect() }()
+			w := s.newWalker()
+			defer func() { outs[k] = w.family() }()
 			for {
-				t := int(atomic.AddInt64(&next, 1)) - 1
-				if t >= numTasks {
+				t := int(next.Add(1)) - 1
+				if t >= len(tasks) {
 					return
 				}
-				if err := run(t); err != nil {
-					errs[w] = err
+				if err := w.runTask(walks[tasks[t].walk], tasks[t].branch); err != nil {
+					errs[k] = err
 					return
 				}
 			}
-		}(w)
+		}(k)
 	}
 	wg.Wait()
 	total := 0

@@ -266,41 +266,28 @@ func TestWorkerCount(t *testing.T) {
 	}
 }
 
-// TestChoiceTasksPartition checks the couple-assignment task generator:
-// tasks are distinct, cover every prefix combination of the split
-// levels exactly once, and deepen with the worker count.
-func TestChoiceTasksPartition(t *testing.T) {
-	numRates := func(i int) int { return []int{2, 1, 3, 2, 2}[i] }
-	tasks := choiceTasks(5, 4, numRates)
-	seen := make(map[string]bool, len(tasks))
-	depth := -1
-	for _, task := range tasks {
-		if depth == -1 {
-			depth = len(task.choices)
-		}
-		if len(task.choices) != depth {
-			t.Fatalf("mixed task depths %d and %d", depth, len(task.choices))
-		}
-		k := ""
-		for _, c := range task.choices {
-			k += string(rune('a' + c + 1))
-			if c < -1 || c >= numRates(len(k)-1) {
-				t.Fatalf("choice %d out of range in %v", c, task.choices)
-			}
-		}
-		if seen[k] {
-			t.Fatalf("duplicate task %v", task.choices)
-		}
-		seen[k] = true
+// TestWalkTasksPartition checks the task generator: per walk, in walk
+// order, one leaf task and one task per first branch, each exactly
+// once, in a slice allocated at its final length.
+func TestWalkTasksPartition(t *testing.T) {
+	asc := []int{0, 1, 2, 3, 4}
+	walks := []walk{
+		{lpos: 0, order: asc[1:]},
+		{lpos: 2, order: asc[3:]},
+		{lpos: 4},
+		{lpos: 1, order: []int{4, 0, 3}},
 	}
-	want := 1
-	for lvl := 0; lvl < depth; lvl++ {
-		want *= 1 + numRates(lvl)
+	tasks := walkTasks(walks)
+	want := []task{
+		{0, -1}, {0, 0}, {0, 1}, {0, 2}, {0, 3},
+		{1, -1}, {1, 0}, {1, 1},
+		{2, -1},
+		{3, -1}, {3, 0}, {3, 1}, {3, 2},
 	}
-	if len(tasks) != want {
-		t.Fatalf("got %d tasks at depth %d, want %d", len(tasks), depth, want)
+	if !reflect.DeepEqual(tasks, want) {
+		t.Fatalf("walkTasks = %v, want %v", tasks, want)
 	}
-	if len(tasks) < 4*4 {
-		t.Fatalf("got %d tasks for 4 workers, want at least 16", len(tasks))
+	if cap(tasks) != len(want) {
+		t.Fatalf("walkTasks capacity %d, want exactly %d", cap(tasks), len(want))
 	}
 }

@@ -9,53 +9,15 @@ import (
 	"abw/internal/topology"
 )
 
-// enumeratePhysical walks link subsets; under the physical model the
-// maximum supported rate vector is a function of membership, and
+// The physical walk explores link subsets; under the physical model
+// the maximum supported rate vector is a function of membership, and
 // interference only grows with additions, so infeasible subsets prune
 // their supersets. Rate-maximality is automatic (every member already
 // carries its maximum supported rate), and link-maximality is decided
 // at each node from the tracker's running interference sums: an outside
 // link joins exactly when it sustains some positive declared rate and
-// lowers no member's rate.
-//
-// With workers > 1 the subset lattice is split at its first two
-// branching levels (subtreeTasks) and each worker walks its subtrees
-// with a private SetTracker; see parallel.go for the equivalence
-// argument.
-func enumeratePhysical(ctx context.Context, m *conflict.Physical, universe []topology.LinkID, budget *budget, workers int) ([]Set, error) {
-	n := len(universe)
-	if n == 0 {
-		return nil, nil
-	}
-	e := &physicalEnum{
-		m:        m,
-		ctx:      ctx,
-		universe: universe,
-		minRate:  make([]radio.Rate, n),
-		n:        n,
-		budget:   budget,
-	}
-	// minRate[i] is the lowest positive declared rate of universe[i]: the
-	// weakest couple it could join a set with. Links with no positive
-	// declared rate can never join (nor appear).
-	for i, l := range universe {
-		e.minRate[i] = m.MinPositiveRate(l)
-	}
-	if workers <= 1 {
-		w := newPhysicalWorker(e)
-		err := w.rec(0)
-		return w.out, err
-	}
-	tasks := subtreeTasks(n)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	return parallelRun(workers, len(tasks), func() (func(int) error, func() []Set) {
-		w := newPhysicalWorker(e)
-		return func(t int) error { return w.runTask(tasks[t]) },
-			func() []Set { return w.out }
-	})
-}
+// lowers no member's rate. Each worker walks with a private SetTracker;
+// see parallel.go for the walks and their partition.
 
 // physicalEnum is the read-only state shared by every worker of one
 // physical enumeration.
@@ -68,6 +30,29 @@ type physicalEnum struct {
 	n        int
 	budget   *budget
 }
+
+// newPhysicalEnum records minRate[i], the lowest positive declared
+// rate of universe[i]: the weakest couple it could join a set with.
+// Links with no positive declared rate can never join (nor appear).
+func newPhysicalEnum(ctx context.Context, m *conflict.Physical, universe []topology.LinkID, budget *budget) *physicalEnum {
+	e := &physicalEnum{
+		m:        m,
+		ctx:      ctx,
+		universe: universe,
+		minRate:  make([]radio.Rate, len(universe)),
+		n:        len(universe),
+		budget:   budget,
+	}
+	for i, l := range universe {
+		e.minRate[i] = m.MinPositiveRate(l)
+	}
+	return e
+}
+
+//lint:ignore abw/floateq Rate 0 is the exact no-declared-rate sentinel, never a computed float
+func (e *physicalEnum) hasRate(p int) bool { return e.minRate[p] != 0 }
+
+func (e *physicalEnum) newWalker() walker { return newPhysicalWorker(e) }
 
 // physicalWorker owns the mutable DFS state of one worker: an
 // incremental SetTracker plus the member stack and output family.
@@ -106,12 +91,62 @@ func (w *physicalWorker) pop() {
 	w.tr.Pop()
 }
 
+func (w *physicalWorker) family() []Set { return w.out }
+
+// runWalk pushes wk's link and walks every subset of its order under it.
+func (w *physicalWorker) runWalk(wk walk) error {
+	w.push(wk.lpos)
+	err := w.rec(0, wk.order)
+	w.pop()
+	return err
+}
+
+// runTask runs the leaf {wk's link} alone (branch < 0), or, under that
+// link, the walk of wk.order[branch] over the positions after it. A
+// subtree under an infeasible leaf prunes at its first visit, exactly
+// like the sequential walk never descending past it.
+func (w *physicalWorker) runTask(wk walk, branch int) error {
+	if branch < 0 {
+		return w.runWalk(walk{lpos: wk.lpos})
+	}
+	w.push(wk.lpos)
+	err := w.runWalk(walk{lpos: wk.order[branch], order: wk.order[branch+1:]})
+	w.pop()
+	return err
+}
+
+// rec visits the current member set, then branches over order[oi:].
+// Visiting each node prunes natively: a branch dies the moment any
+// member is silenced, and interference only grows with further members.
+func (w *physicalWorker) rec(oi int, order []int) error {
+	if err := w.chk.Check(); err != nil {
+		return err
+	}
+	ok, err := w.visit()
+	if !ok || err != nil {
+		return err
+	}
+	for k := oi; k < len(order); k++ {
+		w.push(order[k])
+		err := w.rec(k+1, order)
+		w.pop()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // visit charges the budget for the current member set and records it
-// when maximal. ok=false prunes the subtree: some member is silenced,
-// and interference only grows with further members.
+// when maximal. ok=false prunes the subtree: some member is silenced.
+// Feasibility, budget and maximality are member-order-independent
+// (tracker sums and the isMember table); members sit in branch order,
+// which a delta walk does not keep ascending, so materialization
+// re-establishes the canonical ascending-position couple order by
+// insertion-sorting the freshly appended couples (a no-op pass in the
+// full walk; member counts are small).
 func (w *physicalWorker) visit() (ok bool, err error) {
 	e := w.e
-	// Feasibility: every member must keep a positive max rate.
 	for d, mi := range w.members {
 		r := w.tr.MaxRate(mi)
 		//lint:ignore abw/floateq Rate 0 is the exact silenced-link sentinel MaxRate returns, never a computed float
@@ -130,51 +165,14 @@ func (w *physicalWorker) visit() (ok bool, err error) {
 		base := len(w.arena)
 		for d, mi := range w.members {
 			w.arena = append(w.arena, conflict.Couple{Link: e.universe[mi], Rate: w.rateBuf[d]})
+			for k := len(w.arena) - 1; k > base && w.arena[k-1].Link > w.arena[k].Link; k-- {
+				w.arena[k-1], w.arena[k] = w.arena[k], w.arena[k-1]
+			}
 		}
 		couples := w.arena[base:len(w.arena):len(w.arena)]
-		w.out = append(w.out, Set{Couples: couples}) // members ascend, so couples are sorted
+		w.out = append(w.out, Set{Couples: couples})
 	}
 	return true, nil
-}
-
-func (w *physicalWorker) rec(start int) error {
-	if err := w.chk.Check(); err != nil {
-		return err
-	}
-	if len(w.members) > 0 {
-		ok, err := w.visit()
-		if !ok || err != nil {
-			return err
-		}
-	}
-	for i := start; i < w.e.n; i++ {
-		w.push(i)
-		err := w.rec(i + 1)
-		w.pop()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (w *physicalWorker) runTask(t subtreeTask) error {
-	if err := w.chk.Check(); err != nil {
-		return err
-	}
-	for k := 0; k < t.plen; k++ {
-		w.push(t.prefix[k])
-	}
-	var err error
-	if t.leafOnly {
-		_, err = w.visit()
-	} else {
-		err = w.rec(t.start)
-	}
-	for k := 0; k < t.plen; k++ {
-		w.pop()
-	}
-	return err
 }
 
 // physicalMaximal reports link-maximality of the tracker's current

@@ -146,7 +146,9 @@ func decodeDeltaCase(data []byte) (m conflict.Model, base, added []topology.Link
 
 // FuzzEnumerate checks the full walk against the brute-force reference
 // (referenceEnumerate) on decoded models of at most six links, at 1 and
-// 2 workers: the same family, set for set by Key().
+// 2 workers: the same family, set for set by Key(). For Physical
+// models, pinned or not, EnumeratePartialCounted's exploration count
+// must also equal bruteExplored's, which no walk computes.
 func FuzzEnumerate(f *testing.F) {
 	f.Add([]byte{0, 4, 7})
 	f.Add([]byte{2, 3, 9})
@@ -169,8 +171,47 @@ func FuzzEnumerate(f *testing.F) {
 			if !reflect.DeepEqual(keys(got), keys(want)) {
 				t.Fatalf("workers %d: walk differs from reference:\n got  %v\n want %v", workers, keys(got), keys(want))
 			}
+			if p, ok := m.(*conflict.Physical); ok {
+				_, _, explored, err := EnumeratePartialCounted(m, links, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers %d: counted walk: %v", workers, err)
+				}
+				if want := bruteExplored(p, links); explored != want {
+					t.Fatalf("workers %d: explored %d, brute force %d", workers, explored, want)
+				}
+			}
 		}
 	})
+}
+
+// bruteExplored counts what a physical walk must charge its budget:
+// the non-empty subsets of the links with a positive declared rate in
+// which every member has a positive Physical.MaxRate.
+func bruteExplored(m *conflict.Physical, links []topology.LinkID) int64 {
+	var rated []topology.LinkID
+	for _, l := range dedupSorted(links) {
+		if m.MinPositiveRate(l) > 0 {
+			rated = append(rated, l)
+		}
+	}
+	var count int64
+	for mask := 1; mask < 1<<len(rated); mask++ {
+		var cs []conflict.Couple
+		for i, l := range rated {
+			if mask&(1<<i) != 0 {
+				// Physical.MaxRate only reads couple links.
+				cs = append(cs, conflict.Couple{Link: l, Rate: 6})
+			}
+		}
+		feasible := true
+		for _, c := range cs {
+			feasible = feasible && m.MaxRate(c.Link, cs) > 0
+		}
+		if feasible {
+			count++
+		}
+	}
+	return count
 }
 
 // FuzzEnumerateDelta checks the delta walk against its cold equivalent

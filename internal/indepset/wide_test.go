@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"abw/internal/conflict"
+	"abw/internal/geom"
 	"abw/internal/radio"
 	"abw/internal/topology"
 )
@@ -99,6 +100,67 @@ func TestWideLimitTrips(t *testing.T) {
 		_, truncated, _, err := EnumeratePartialCounted(tb, links, Options{Limit: int(explored) - 1})
 		if err != nil || !truncated {
 			t.Fatalf("limit below count: truncated=%v err=%v, want truncated", truncated, err)
+		}
+	}
+}
+
+// TestPhysicalMasksAcrossWords gates the SINR walk's multi-word open
+// masks: a pinned Physical model over 80 links of the Fig. 2
+// topology, where only the 15 links at positions 58-72 carry a pin
+// (their alone maximum or their slowest rate, alternately), so the
+// usable links straddle the 64-position word boundary. They are the
+// first link of 15 distinct transmitters, so spatial reuse leaves
+// sets of several links; the rest of the universe is the lowest 58 and
+// the highest 7 link IDs. The family must equal the brute-force
+// reference at 1 and 2 workers.
+func TestPhysicalMasksAcrossWords(t *testing.T) {
+	net, err := topology.Random(radio.NewProfile80211a(), geom.Rect{W: 400, H: 600}, 30, 26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := net.Links()
+	universe := cappedLinks(net, 58)
+	var usable []topology.LinkID
+	seen := map[topology.NodeID]bool{}
+	for _, l := range all[58 : len(all)-7] {
+		if len(usable) < 15 && !seen[l.Tx] {
+			seen[l.Tx] = true
+			usable = append(usable, l.ID)
+		}
+	}
+	universe = append(universe, usable...)
+	for _, l := range all[len(all)-7:] {
+		universe = append(universe, l.ID)
+	}
+	universe = dedupSorted(universe)
+	if len(universe) != 80 || universe[58] != usable[0] || universe[72] != usable[14] {
+		t.Fatalf("universe of %d links does not hold the usable links at positions 58-72", len(universe))
+	}
+	phys := conflict.NewPhysical(net)
+	var pins []conflict.Couple
+	for k, l := range usable {
+		r := phys.AloneMaxRate(l)
+		if k%2 == 1 {
+			r = phys.MinPositiveRate(l)
+		}
+		pins = append(pins, conflict.Couple{Link: l, Rate: r})
+	}
+	m := phys.Pin(pins)
+	want := referenceEnumerate(t, m, universe)
+	widest := 0
+	for _, s := range want {
+		widest = max(widest, len(s.Couples))
+	}
+	if widest < 3 {
+		t.Fatalf("reference family's largest set has %d links; want spatial reuse", widest)
+	}
+	for _, workers := range []int{1, 2} {
+		got, err := Enumerate(m, universe, Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(keys(got), keys(want)) {
+			t.Fatalf("workers %d: walk differs from reference:\n got  %v\n want %v", workers, keys(got), keys(want))
 		}
 	}
 }

@@ -14,9 +14,8 @@
 //     model for baselines and tests.
 //   - Table: explicitly enumerated pairwise conflicts, used to encode
 //     the paper's worked examples (Fig. 1) exactly as stated.
-//   - Fixed rates (Sec. 2.4, 3.1): (*Physical).Pin pins a Physical
-//     model's links to one rate each and stays a Physical; FixRates
-//     does the same for a PairwiseModel and stays pairwise.
+//   - Fixed rates (Sec. 2.4, 3.1): FixRates pins a PairwiseModel's
+//     links to one rate each and stays pairwise.
 package conflict
 
 import (

@@ -357,51 +357,6 @@ func TestFixedRatesConflictEnforced(t *testing.T) {
 	}
 }
 
-func TestPhysicalPin(t *testing.T) {
-	net, links := chainNet(t, 4, 70)
-	m := NewPhysical(net)
-	top := AloneMaxRate(m, links[0])
-	pinned := m.Pin([]Couple{{Link: links[0], Rate: 6}, {Link: links[1], Rate: top}, {Link: links[2], Rate: 7}, {Link: links[1], Rate: 18}})
-	// Duplicates keep the last assignment; a rate the link does not
-	// declare, and an unassigned link, support nothing.
-	if got := pinned.Rates(links[1]); len(got) != 1 || got[0] != 18 {
-		t.Errorf("Rates(1) = %v, want [18]", got)
-	}
-	if pinned.Rates(links[2]) != nil || pinned.MinPositiveRate(links[2]) != 0 || pinned.MaxRate(links[2], nil) != 0 {
-		t.Error("pin on an undeclared rate should leave the link unusable")
-	}
-	if pinned.Rates(links[3]) != nil || pinned.MinPositiveRate(links[3]) != 0 || pinned.MaxRate(links[3], nil) != 0 {
-		t.Error("unassigned link should support nothing")
-	}
-	if got := pinned.MinPositiveRate(links[0]); got != 6 {
-		t.Errorf("MinPositiveRate(0) = %v, want 6", got)
-	}
-	// A pinned rate survives exactly when the unpinned maximum reaches it.
-	for _, conc := range [][]Couple{nil, {{Link: links[2], Rate: 6}}, {{Link: links[3], Rate: 6}}} {
-		for _, l := range links[:2] {
-			pin := pinned.Rates(l)[0]
-			want := radio.Rate(0)
-			if m.MaxRate(l, conc) >= pin {
-				want = pin
-			}
-			if got := pinned.MaxRate(l, conc); got != want {
-				t.Errorf("MaxRate(%d | %v) = %v, want %v", l, conc, got, want)
-			}
-		}
-	}
-	// Pins join the fingerprint: the pinned model never keys like the
-	// unpinned one, equal pins key alike, different pins apart.
-	same := m.Pin([]Couple{{Link: links[1], Rate: 18}, {Link: links[0], Rate: 6}})
-	other := m.Pin([]Couple{{Link: links[0], Rate: 6}})
-	if pinned.Fingerprint() == m.Fingerprint() || pinned.Fingerprint() != same.Fingerprint() || pinned.Fingerprint() == other.Fingerprint() {
-		t.Errorf("fingerprints: unpinned %s pinned %s same pins %s other pins %s",
-			m.Fingerprint(), pinned.Fingerprint(), same.Fingerprint(), other.Fingerprint())
-	}
-	if m.Pin(nil).Fingerprint() == m.Fingerprint() {
-		t.Error("a model with every link unassigned keys like the unpinned one")
-	}
-}
-
 // fig2Physical builds the Fig. 2 evaluation deployment (30 nodes on
 // 400x600 m, topology seed 26, as experiments.Fig2Setup does).
 func fig2Physical(t *testing.T) *Physical {
@@ -415,43 +370,54 @@ func fig2Physical(t *testing.T) *Physical {
 
 // TestPhysicalAloneMaxRateMatchesRates pins the non-allocating alone
 // maximum to Rates: for every Fig. 2 link, and for an out-of-range
-// link, it is Rates(l)[0], or 0 when Rates is empty — unpinned, and
-// pinned with some links at their slowest rate, some at an unsupported
-// rate and the rest unlisted.
+// link, it is Rates(l)[0], or 0 when Rates is empty.
 func TestPhysicalAloneMaxRateMatchesRates(t *testing.T) {
 	p := fig2Physical(t)
-	var assignment []Couple
+	ids := []topology.LinkID{-1, topology.LinkID(p.Network().NumLinks())}
 	for _, l := range p.Network().Links() {
-		switch l.ID % 3 {
-		case 0:
-			assignment = append(assignment, Couple{Link: l.ID, Rate: p.MinPositiveRate(l.ID)})
-		case 1:
-			assignment = append(assignment, Couple{Link: l.ID, Rate: 1e6})
+		ids = append(ids, l.ID)
+	}
+	positive := 0
+	for _, id := range ids {
+		var want radio.Rate
+		if rates := p.Rates(id); len(rates) > 0 {
+			want = rates[0]
+		}
+		if got := p.AloneMaxRate(id); got != want {
+			t.Fatalf("link %d: AloneMaxRate = %v, Rates()[0] = %v", id, got, want)
+		}
+		if got := AloneMaxRate(p, id); got != want {
+			t.Fatalf("link %d: conflict.AloneMaxRate = %v, Rates()[0] = %v", id, got, want)
+		}
+		if want > 0 {
+			positive++
 		}
 	}
-	for name, m := range map[string]*Physical{"unpinned": p, "pinned": p.Pin(assignment)} {
-		ids := []topology.LinkID{-1, topology.LinkID(p.Network().NumLinks())}
-		for _, l := range p.Network().Links() {
-			ids = append(ids, l.ID)
-		}
-		positive := 0
-		for _, id := range ids {
-			var want radio.Rate
-			if rates := m.Rates(id); len(rates) > 0 {
-				want = rates[0]
-			}
-			if got := m.AloneMaxRate(id); got != want {
-				t.Fatalf("%s link %d: AloneMaxRate = %v, Rates()[0] = %v", name, id, got, want)
-			}
-			if got := AloneMaxRate(m, id); got != want {
-				t.Fatalf("%s link %d: conflict.AloneMaxRate = %v, Rates()[0] = %v", name, id, got, want)
-			}
-			if want > 0 {
-				positive++
-			}
-		}
-		if positive == 0 {
-			t.Fatalf("%s: no link has a positive alone rate", name)
+	if positive == 0 {
+		t.Fatal("no link has a positive alone rate")
+	}
+}
+
+// TestFingerprintStable fixes the memo cache keys of the SINR and
+// interference-range models over the Fig. 2 deployment and a 6-hop
+// chain. The fingerprint keys in-memory entries and the families a
+// -cachedir spill keeps across restarts, so a change to what it hashes
+// must show here, together with a bump of the store's format version.
+func TestFingerprintStable(t *testing.T) {
+	fig2 := fig2Physical(t)
+	chain, _ := chainNet(t, 6, 100)
+	for _, tc := range []struct {
+		name string
+		m    Fingerprinter
+		want string
+	}{
+		{"fig2 physical", fig2, "d541813ea8efa7c1e5c6f39d7c96402f"},
+		{"fig2 protocol", NewProtocol(fig2.Network()), "22659c579ce0afb1d77b84b87169a95e"},
+		{"chain physical", NewPhysical(chain), "115260bc5f86c35550c4467de590eaa1"},
+		{"chain protocol", NewProtocol(chain), "46eef2bc2daad9dcc0a64baad42d0dca"},
+	} {
+		if got := tc.m.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 //
 // The fingerprint is what keys the set-family cache (internal/memo):
 // it must be stable across processes and independent of construction
-// order. Physical (pinned or not), Protocol and Table implement it;
+// order. Physical, Protocol and Table implement it;
 // FixedRates does not, so its enumerations bypass the cache.
 //
 // Models are immutable after construction (the package-wide contract
@@ -120,24 +120,12 @@ func (m *fpMemo) get(compute func() string) string {
 }
 
 // Fingerprint implements Fingerprinter: the canonical identity of the
-// SINR model is its network (profile, positions, links), plus the
-// usable pins in link order when the model is pinned, so a pinned model
-// never shares a cache entry with its unpinned one.
+// SINR model is its network (profile, positions, links).
 func (p *Physical) Fingerprint() string {
 	return p.fp.get(func() string {
 		w := newFPWriter()
 		w.str("conflict.Physical/v1")
 		w.network(p.net)
-		if p.pins != nil {
-			w.str("pins")
-			w.int(len(p.pins))
-			for _, l := range p.net.Links() {
-				if pin, ok := p.pins[l.ID]; ok {
-					w.int(int(l.ID))
-					w.f64(float64(pin))
-				}
-			}
-		}
 		return w.sum()
 	})
 }

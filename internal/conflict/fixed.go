@@ -11,7 +11,7 @@ import (
 // inner model declares the pinned rate for it; links outside the
 // assignment support no rate at all. The result is itself pairwise: a
 // link clears another couple exactly when the inner model clears it at
-// the link's pin. Physical models pin with (*Physical).Pin instead.
+// the link's pin.
 type FixedRates struct {
 	inner PairwiseModel
 	pins  map[topology.LinkID]radio.Rate // usable links only
@@ -19,24 +19,18 @@ type FixedRates struct {
 
 var _ PairwiseModel = (*FixedRates)(nil)
 
-// FixRates builds a FixedRates wrapper from one couple per link.
-// Duplicate links keep the last assignment.
-func FixRates(inner PairwiseModel, assignment []Couple) *FixedRates {
-	return &FixedRates{inner: inner, pins: usablePins(inner, assignment)}
-}
-
-// usablePins maps every assigned link whose unpinned rates (m.Rates)
-// include its pin to that pin; the other assigned links drop out, and
+// FixRates builds a FixedRates wrapper from one couple per link. An
+// assigned link whose inner rates do not include its pin drops out, and
 // a repeated link keeps its last assignment.
-func usablePins(m Model, assignment []Couple) map[topology.LinkID]radio.Rate {
+func FixRates(inner PairwiseModel, assignment []Couple) *FixedRates {
 	pins := make(map[topology.LinkID]radio.Rate, len(assignment))
 	for _, cp := range assignment {
 		delete(pins, cp.Link)
-		if cp.Rate > 0 && SupportsAlone(m, cp.Link, cp.Rate) {
+		if cp.Rate > 0 && SupportsAlone(inner, cp.Link, cp.Rate) {
 			pins[cp.Link] = cp.Rate
 		}
 	}
-	return pins
+	return &FixedRates{inner: inner, pins: pins}
 }
 
 // MaxRate implements Model: the pinned rate when the inner model clears

@@ -102,23 +102,12 @@ func TestTablePairwiseDecomposition(t *testing.T) {
 // TestSetTrackerMatchesMaxRate walks every subset of a chain's links
 // with the incremental tracker and checks, at each DFS node, that the
 // running-sum rates agree *exactly* (bit-for-bit, not approximately)
-// with the from-scratch Physical.MaxRate — including the predictive
-// MaxRateJoinedUnblocked used for in-DFS link-maximality, for every
-// member and every joiner it admits (MaxRate > 0).
+// with the from-scratch Physical.MaxRate — including
+// MaxRateJoinedUnblocked, which ties the walk's keep ceilings to
+// MaxRate, for every member and every joiner it admits (MaxRate > 0).
 func TestSetTrackerMatchesMaxRate(t *testing.T) {
 	net, links := chainNet(t, 6, 100)
 	m := NewPhysical(net)
-	assertTrackerMatchesMaxRate(t, m, links)
-	// Pinned: one link per rate class, one unusable pin (above the
-	// link's alone maximum), the rest unassigned.
-	assertTrackerMatchesMaxRate(t, m.Pin([]Couple{
-		{Link: links[0], Rate: 54}, {Link: links[1], Rate: 36}, {Link: links[2], Rate: 18},
-		{Link: links[3], Rate: 6}, {Link: links[4], Rate: 540},
-	}), links)
-}
-
-func assertTrackerMatchesMaxRate(t *testing.T, m *Physical, links []topology.LinkID) {
-	t.Helper()
 	tr := m.NewSetTracker(links)
 	n := len(links)
 
@@ -337,69 +326,49 @@ func assertJoinedMatchesMaxRate(t *testing.T, m *Physical, tr *SetTracker, unive
 
 // TestRateAtMatchesProfile pins the division-free rate decision to the
 // profile's SINR test: for every Fig. 2 link and every class it
-// decodes, unpinned and pinned (links cycling through their slowest
-// rate, an undeclared rate and no pin), the tables' rate at
-// interference x equals Profile.MaxRate(signal, x) bit for bit — or,
-// pinned, the pin exactly when that maximum reaches it — at x = 0, at
-// the class's ceiling, one ulp either side of it, and at seeded random
-// powers around it.
+// decodes, the tables' rate at interference x equals
+// Profile.MaxRate(signal, x) bit for bit at x = 0, at the class's
+// ceiling, one ulp either side of it, and at seeded random powers
+// around it.
 func TestRateAtMatchesProfile(t *testing.T) {
 	p := fig2Physical(t)
 	prof := p.Network().Profile()
 	var universe []topology.LinkID
-	var assignment []Couple
 	for _, l := range p.Network().Links() {
 		universe = append(universe, l.ID)
-		switch l.ID % 3 {
-		case 0:
-			assignment = append(assignment, Couple{Link: l.ID, Rate: p.MinPositiveRate(l.ID)})
-		case 1:
-			assignment = append(assignment, Couple{Link: l.ID, Rate: 7})
-		}
 	}
 	rng := rand.New(rand.NewSource(11))
-	for name, m := range map[string]*Physical{"unpinned": p, "pinned": p.Pin(assignment)} {
-		s := m.NewSetTables(universe)
-		checked := 0
-		for i, id := range universe {
-			signal := m.SignalPower(id)
-			want := func(x float64) radio.Rate {
-				r, _ := prof.MaxRate(signal, x)
-				if m.pins == nil {
-					return r
-				}
-				if pin, ok := m.pins[id]; ok && r >= pin {
-					return pin
-				}
-				return 0
+	s := p.NewSetTables(universe)
+	checked := 0
+	for i, id := range universe {
+		signal := p.SignalPower(id)
+		check := func(x float64) {
+			t.Helper()
+			want, _ := prof.MaxRate(signal, x)
+			if got := s.rateAt(i, x); got != want {
+				t.Fatalf("link %d: rate at %v = %v, profile gives %v", id, x, got, want)
 			}
-			check := func(x float64) {
-				t.Helper()
-				if got := s.rateAt(i, x); got != want(x) {
-					t.Fatalf("%s link %d: rate at %v = %v, profile gives %v", name, id, x, got, want(x))
-				}
-				checked++
+			checked++
+		}
+		check(0)
+		nc := prof.NumClasses()
+		for k := 0; k < nc; k++ {
+			c := p.ceil[int(id)*nc+k]
+			if math.IsInf(c, -1) {
+				continue // not decodable
 			}
-			check(0)
-			nc := prof.NumClasses()
-			for k := 0; k < nc; k++ {
-				c := p.ceil[int(id)*nc+k]
-				if math.IsInf(c, -1) {
-					continue // not decodable
+			for _, x := range []float64{c, math.Nextafter(c, math.Inf(1)), math.Nextafter(c, math.Inf(-1))} {
+				if x >= 0 {
+					check(x)
 				}
-				for _, x := range []float64{c, math.Nextafter(c, math.Inf(1)), math.Nextafter(c, math.Inf(-1))} {
-					if x >= 0 {
-						check(x)
-					}
-				}
-				for trial := 0; trial < 20; trial++ {
-					check(2 * c * rng.Float64())
-				}
+			}
+			for trial := 0; trial < 20; trial++ {
+				check(2 * c * rng.Float64())
 			}
 		}
-		if checked == 0 {
-			t.Fatalf("%s: nothing checked", name)
-		}
+	}
+	if checked == 0 {
+		t.Fatal("nothing checked")
 	}
 }
 
@@ -438,7 +407,7 @@ func TestSinrCeilingIsExact(t *testing.T) {
 
 // TestOpenMaskAndCeilings pins the tracker's pruning aids to its rates
 // after every Push and Pop of random member sequences over the Fig. 2
-// links, unpinned and pinned:
+// links:
 //   - MemberRates reports MaxRate for each member and whether all are
 //     positive, and then, for every member i and unblocked joiner j,
 //     JoinedLevel(i, j) is within i's keep ceiling exactly when
@@ -451,101 +420,95 @@ func TestSinrCeilingIsExact(t *testing.T) {
 func TestOpenMaskAndCeilings(t *testing.T) {
 	p := fig2Physical(t)
 	var universe []topology.LinkID
-	var assignment []Couple
 	for _, l := range p.Network().Links() {
 		universe = append(universe, l.ID)
-		if l.ID%2 == 0 {
-			assignment = append(assignment, Couple{Link: l.ID, Rate: p.MinPositiveRate(l.ID)})
-		}
 	}
 	rng := rand.New(rand.NewSource(13))
-	for name, m := range map[string]*Physical{"unpinned": p, "pinned": p.Pin(assignment)} {
-		tr := m.NewSetTracker(universe)
-		n := len(universe)
-		isMember := make([]bool, n)
-		closed := 0
-		rates, keeps := make([]radio.Rate, n), make([]float64, n)
-		check := func() {
-			t.Helper()
-			on := tr.MemberRates(rates, keeps)
-			allOn := true
-			for m, i := range tr.members {
-				if r := tr.MaxRate(i); r == 0 {
-					allOn = false
-					break
-				} else if rates[m] != r {
-					t.Fatalf("%s: MemberRates gives member %d rate %v, MaxRate %v", name, i, rates[m], r)
-				}
+	tr := p.NewSetTracker(universe)
+	n := len(universe)
+	isMember := make([]bool, n)
+	closed := 0
+	rates, keeps := make([]radio.Rate, n), make([]float64, n)
+	check := func() {
+		t.Helper()
+		on := tr.MemberRates(rates, keeps)
+		allOn := true
+		for m, i := range tr.members {
+			if r := tr.MaxRate(i); r == 0 {
+				allOn = false
+				break
+			} else if rates[m] != r {
+				t.Fatalf("MemberRates gives member %d rate %v, MaxRate %v", i, rates[m], r)
 			}
-			if on != allOn {
-				t.Fatalf("%s: MemberRates reports %v, members all transmit: %v", name, on, allOn)
-			}
-			for m, i := range tr.members {
-				for j := 0; j < n && on; j++ {
-					if isMember[j] || tr.MaxRate(j) == 0 {
-						continue
-					}
-					if within, kept := tr.JoinedLevel(i, j) <= keeps[m], tr.MaxRateJoinedUnblocked(i, j) >= rates[m]; within != kept {
-						t.Fatalf("%s: member %d joiner %d: within keep ceiling %v, keeps rate %v", name, i, j, within, kept)
-					}
-				}
-			}
-			open := tr.Open()
-			for i := 0; i < n; i++ {
-				isOpen := open[i>>6]&(1<<(i&63)) != 0
-				if isMember[i] {
-					if isOpen {
-						t.Fatalf("%s: member %d is open", name, i)
-					}
+		}
+		if on != allOn {
+			t.Fatalf("MemberRates reports %v, members all transmit: %v", on, allOn)
+		}
+		for m, i := range tr.members {
+			for j := 0; j < n && on; j++ {
+				if isMember[j] || tr.MaxRate(j) == 0 {
 					continue
 				}
-				if !tr.blocked(i) {
-					for k := i * tr.s.nc; k < (i+1)*tr.s.nc; k++ {
-						r := tr.s.rate[k]
-						if r > 0 && (tr.Level(i) <= tr.s.Ceiling(i, r)) != (tr.MaxRate(i) >= r) {
-							t.Fatalf("%s: position %d rate %v: ceiling %v, level %v, MaxRate %v", name, i, r, tr.s.Ceiling(i, r), tr.Level(i), tr.MaxRate(i))
-						}
-					}
+				if within, kept := tr.JoinedLevel(i, j) <= keeps[m], tr.MaxRateJoinedUnblocked(i, j) >= rates[m]; within != kept {
+					t.Fatalf("member %d joiner %d: within keep ceiling %v, keeps rate %v", i, j, within, kept)
 				}
+			}
+		}
+		open := tr.Open()
+		for i := 0; i < n; i++ {
+			isOpen := open[i>>6]&(1<<(i&63)) != 0
+			if isMember[i] {
 				if isOpen {
-					if tr.blocked(i) {
-						t.Fatalf("%s: open position %d is blocked", name, i)
+					t.Fatalf("member %d is open", i)
+				}
+				continue
+			}
+			if !tr.blocked(i) {
+				for k := i * tr.s.nc; k < (i+1)*tr.s.nc; k++ {
+					r := tr.s.rate[k]
+					if r > 0 && (tr.Level(i) <= tr.s.Ceiling(i, r)) != (tr.MaxRate(i) >= r) {
+						t.Fatalf("position %d rate %v: ceiling %v, level %v, MaxRate %v", i, r, tr.s.Ceiling(i, r), tr.Level(i), tr.MaxRate(i))
 					}
-					continue
-				}
-				closed++
-				tr.Push(i)
-				silenced := tr.MaxRate(i) == 0
-				for _, mi := range tr.members[:len(tr.members)-1] {
-					silenced = silenced || tr.MaxRate(mi) == 0
-				}
-				tr.Pop()
-				if !silenced {
-					t.Fatalf("%s: closed position %d joins members %v with everyone transmitting", name, i, tr.members)
 				}
 			}
-		}
-		for trial := 0; trial < 30; trial++ {
-			depth := 1 + rng.Intn(4)
-			var pushed []int
-			for len(pushed) < depth {
-				i := rng.Intn(n)
-				if isMember[i] {
-					continue
+			if isOpen {
+				if tr.blocked(i) {
+					t.Fatalf("open position %d is blocked", i)
 				}
-				tr.Push(i)
-				isMember[i] = true
-				pushed = append(pushed, i)
-				check()
+				continue
 			}
-			for k := len(pushed) - 1; k >= 0; k-- {
-				tr.Pop()
-				isMember[pushed[k]] = false
-				check()
+			closed++
+			tr.Push(i)
+			silenced := tr.MaxRate(i) == 0
+			for _, mi := range tr.members[:len(tr.members)-1] {
+				silenced = silenced || tr.MaxRate(mi) == 0
+			}
+			tr.Pop()
+			if !silenced {
+				t.Fatalf("closed position %d joins members %v with everyone transmitting", i, tr.members)
 			}
 		}
-		if closed == 0 {
-			t.Fatalf("%s: no closed position checked", name)
+	}
+	for trial := 0; trial < 30; trial++ {
+		depth := 1 + rng.Intn(4)
+		var pushed []int
+		for len(pushed) < depth {
+			i := rng.Intn(n)
+			if isMember[i] {
+				continue
+			}
+			tr.Push(i)
+			isMember[i] = true
+			pushed = append(pushed, i)
+			check()
 		}
+		for k := len(pushed) - 1; k >= 0; k-- {
+			tr.Pop()
+			isMember[pushed[k]] = false
+			check()
+		}
+	}
+	if closed == 0 {
+		t.Fatal("no closed position checked")
 	}
 }

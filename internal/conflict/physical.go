@@ -27,9 +27,6 @@ type Physical struct {
 	// classes): the largest interference power under which the class
 	// still decodes, -Inf when it never does (sinrCeiling).
 	ceil []float64
-	// pins, when non-nil, holds the usable links' pinned rates (Pin);
-	// every other link is then unusable.
-	pins map[topology.LinkID]radio.Rate
 	// fp memoizes the canonical content fingerprint (fingerprint.go).
 	fp fpMemo
 }
@@ -73,16 +70,6 @@ func NewPhysical(net *topology.Network) *Physical {
 		}
 	}
 	return p
-}
-
-// Pin returns the model with every listed link pinned to a single rate
-// — the fixed rate assignment regime of paper Sec. 2.4 and 3.1 — sharing
-// p's precomputed powers. A pinned link is usable iff p's rates include
-// its pin, and then transmits at the pin exactly when p would sustain
-// at least the pin; unlisted links support no rate at all. Duplicate
-// links keep the last assignment.
-func (p *Physical) Pin(assignment []Couple) *Physical {
-	return &Physical{net: p.net, interf: p.interf, signal: p.signal, ceil: p.ceil, pins: usablePins(p, assignment)}
 }
 
 // sinrCeiling returns the largest float64 x >= 0 with
@@ -149,14 +136,6 @@ func mustNodeDist(net *topology.Network, a, b topology.NodeID) float64 {
 // Network returns the underlying network.
 func (p *Physical) Network() *topology.Network { return p.net }
 
-// SignalPower returns the received signal power at link's receiver.
-func (p *Physical) SignalPower(link topology.LinkID) float64 {
-	if link < 0 || int(link) >= len(p.signal) {
-		return 0
-	}
-	return p.signal[link]
-}
-
 // InterferencePower returns the interference power that link from's
 // transmitter deposits at link at's receiver.
 func (p *Physical) InterferencePower(from, at topology.LinkID) float64 {
@@ -193,26 +172,12 @@ func (p *Physical) MaxRate(link topology.LinkID, concurrent []Couple) radio.Rate
 	if !ok {
 		return 0
 	}
-	if p.pins != nil {
-		// Pinned: the pin when the unpinned maximum reaches it.
-		if pin, ok := p.pins[link]; ok && r >= pin {
-			return pin
-		}
-		return 0
-	}
 	return r
 }
 
 // Rates implements Model: the rates the link supports alone are every
-// profile rate at or below its distance-limited maximum, or just the
-// pin of a usable pinned link.
+// profile rate at or below its distance-limited maximum.
 func (p *Physical) Rates(link topology.LinkID) []radio.Rate {
-	if p.pins != nil {
-		if pin, ok := p.pins[link]; ok {
-			return []radio.Rate{pin}
-		}
-		return nil
-	}
 	l, err := p.net.Link(link)
 	if err != nil {
 		return nil
@@ -231,9 +196,6 @@ func (p *Physical) Rates(link topology.LinkID) []radio.Rate {
 // when it is unusable. Equivalent to the last positive entry of Rates
 // without materializing the slice.
 func (p *Physical) MinPositiveRate(link topology.LinkID) radio.Rate {
-	if p.pins != nil {
-		return p.pins[link]
-	}
 	l, err := p.net.Link(link)
 	if err != nil {
 		return 0
@@ -252,9 +214,6 @@ func (p *Physical) MinPositiveRate(link topology.LinkID) radio.Rate {
 // when it is unusable. Equivalent to the first entry of Rates without
 // materializing the slice; conflict.AloneMaxRate calls it.
 func (p *Physical) AloneMaxRate(link topology.LinkID) radio.Rate {
-	if p.pins != nil {
-		return p.pins[link]
-	}
 	l, err := p.net.Link(link)
 	if err != nil {
 		return 0
@@ -266,27 +225,6 @@ func (p *Physical) AloneMaxRate(link topology.LinkID) radio.Rate {
 		}
 	}
 	return 0
-}
-
-// MaxRateVector returns the maximum supported rate vector of a concurrent
-// transmission set (paper Sec. 2.3): the i-th entry is the highest rate
-// links[i] sustains while all the other listed links transmit. The
-// second return is false if any link in the set cannot transmit at all
-// (the set is not an independent set).
-func (p *Physical) MaxRateVector(links []topology.LinkID) ([]radio.Rate, bool) {
-	t := p.NewSetTracker(links)
-	for i := range links {
-		t.Push(i)
-	}
-	rates := make([]radio.Rate, len(links))
-	ok := true
-	for i := range links {
-		rates[i] = t.MaxRate(i)
-		if rates[i] == 0 {
-			ok = false
-		}
-	}
-	return rates, ok
 }
 
 // SetTables is the read-only per-universe precomputation that
@@ -326,10 +264,7 @@ type SetTables struct {
 	free, compat []uint64
 }
 
-// NewSetTables builds the tables over the given universe. Under pins a
-// position keeps only the classes at or above its pin, each reporting
-// the pin, so a tracker's MaxRate is the pin exactly when the unpinned
-// maximum reaches it; an unusable pinned-model link keeps no class.
+// NewSetTables builds the tables over the given universe.
 func (p *Physical) NewSetTables(universe []topology.LinkID) *SetTables {
 	n := len(universe)
 	prof := p.net.Profile()
@@ -357,15 +292,10 @@ func (p *Physical) NewSetTables(universe []topology.LinkID) *SetTables {
 		compat: rows[n*w:],
 	}
 	for i, id := range universe {
-		pin, pinned := p.pins[id]
 		for k := 0; k < nc; k++ {
 			c, rate := math.Inf(-1), radio.Rate(0)
-			switch r := prof.Class(k).Rate; {
-			case !valid[i]:
-			case p.pins == nil:
-				c, rate = p.ceil[int(id)*nc+k], r
-			case pinned && r >= pin:
-				c, rate = p.ceil[int(id)*nc+k], pin
+			if valid[i] {
+				c, rate = p.ceil[int(id)*nc+k], prof.Class(k).Rate
 			}
 			s.ceil[i*nc+k], s.rate[i*nc+k] = c, rate
 		}
@@ -440,8 +370,7 @@ func (s *SetTables) Ceiling(i int, r radio.Rate) float64 {
 // set deposits at each receiver is a plain sum over its members
 // (Eq. 3), so a DFS over subsets can maintain one running sum per
 // receiver across Push/Pop instead of recomputing the O(L^2) total at
-// every node. Enumeration (internal/indepset) drives this; MaxRateVector
-// is the one-shot wrapper.
+// every node. Enumeration (internal/indepset) drives this.
 //
 // Push order defines the summation order, matching MaxRate's couple
 // order, so the tracker is bit-for-bit consistent with the
@@ -458,12 +387,6 @@ type SetTracker struct {
 	// (Open).
 	free, open []uint64
 	members    []int
-}
-
-// NewSetTracker builds a tracker with an empty member set over fresh
-// tables for the given universe (see NewSetTables).
-func (p *Physical) NewSetTracker(universe []topology.LinkID) *SetTracker {
-	return p.NewSetTables(universe).NewTracker()
 }
 
 // NewTracker returns a tracker with an empty member set over s.
@@ -525,9 +448,6 @@ func (t *SetTracker) blocked(i int) bool {
 	return t.free[d*t.s.w+i>>6]&(1<<(i&63)) == 0
 }
 
-// Depth returns the number of members currently pushed.
-func (t *SetTracker) Depth() int { return len(t.members) }
-
 // Open returns the current open mask, ⌈n/64⌉ words (at least one) with
 // bit p of word p/64 for position p: the non-members compatible with
 // every member. A position outside it cannot join the members with
@@ -578,15 +498,3 @@ func (t *SetTracker) Level(i int) float64 { return t.sums[i] }
 // JoinedLevel returns the interference power at position i's receiver
 // if position j (not a member) transmitted alongside the members.
 func (t *SetTracker) JoinedLevel(i, j int) float64 { return t.sums[i] + t.s.interf[j*t.s.n+i] }
-
-// MaxRateJoinedUnblocked returns the maximum rate member i would
-// sustain if position j (not currently a member) also transmitted, for
-// a joiner j that no member blocks (MaxRate(j) > 0 implies it): no
-// member, i included, then shares a node with j, so no sharer test is
-// needed. Other arguments get no meaningful answer.
-func (t *SetTracker) MaxRateJoinedUnblocked(i, j int) radio.Rate {
-	if t.blocked(i) {
-		return 0
-	}
-	return t.s.rateAt(i, t.JoinedLevel(i, j))
-}

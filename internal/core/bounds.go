@@ -95,12 +95,6 @@ func UpperBoundLP(m conflict.Model, background []Flow, newPath topology.Path, op
 	return upperBoundOverVectors(context.Background(), m, background, newPath, nil, opts)
 }
 
-// UpperBoundLPContext is UpperBoundLP under a context: the Eq. 9
-// simplex polls ctx between pivots; see AvailableBandwidthContext.
-func UpperBoundLPContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, error) {
-	return upperBoundOverVectors(ctx, m, background, newPath, nil, opts)
-}
-
 // RestrictedUpperBoundLP is the paper's proposed future-work heuristic:
 // Eq. 9 evaluated over an explicit subset of rate vectors rather than
 // the full product space. The result is the exact Eq. 9 bound for

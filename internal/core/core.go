@@ -138,18 +138,13 @@ func AvailableBandwidthContext(ctx context.Context, m conflict.Model, background
 	return solveEq6(ctx, background, newPath, universe, sets, opts.Cache, nil)
 }
 
-// AvailableBandwidthLowerBound is AvailableBandwidth with graceful
-// degradation for large instances: when independent-set enumeration
-// exceeds the limit, the LP runs over the truncated (still sound) set
-// family and the result is a LOWER bound on the true availability
-// (Sec. 3.3); Truncated reports when that happened.
-func AvailableBandwidthLowerBound(m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, bool, error) {
-	return AvailableBandwidthLowerBoundContext(context.Background(), m, background, newPath, opts)
-}
-
-// AvailableBandwidthLowerBoundContext is AvailableBandwidthLowerBound
-// under a context; see AvailableBandwidthContext. Cancellation wins
-// over truncation: a cancelled call returns ErrCanceled and no bound.
+// AvailableBandwidthLowerBoundContext is AvailableBandwidthContext with
+// graceful degradation for large instances: when independent-set
+// enumeration exceeds the limit, the LP runs over the truncated (still
+// sound) set family and the result is a LOWER bound on the true
+// availability (Sec. 3.3); Truncated reports when that happened.
+// Cancellation wins over truncation: a cancelled call returns
+// ErrCanceled and no bound.
 func AvailableBandwidthLowerBoundContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, bool, error) {
 	if len(newPath) == 0 {
 		return nil, false, fmt.Errorf("core: empty new path")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -443,7 +444,7 @@ func TestRestrictedUpperBoundCaveat(t *testing.T) {
 // enumeration limit it reports truncation and stays at or below exact.
 func TestAvailableBandwidthLowerBound(t *testing.T) {
 	s := scenario.NewScenarioII()
-	res, truncated, err := AvailableBandwidthLowerBound(s.Model, nil, s.Path, Options{})
+	res, truncated, err := AvailableBandwidthLowerBoundContext(context.Background(), s.Model, nil, s.Path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +464,7 @@ func TestAvailableBandwidthLowerBound(t *testing.T) {
 		tb.SetRates(i, 54)
 		path = append(path, i)
 	}
-	res, truncated, err = AvailableBandwidthLowerBound(tb, nil, path, Options{SetLimit: 50})
+	res, truncated, err = AvailableBandwidthLowerBoundContext(context.Background(), tb, nil, path, Options{SetLimit: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

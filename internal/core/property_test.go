@@ -129,9 +129,9 @@ func TestExactMonotoneInBackground(t *testing.T) {
 	}
 }
 
-// TestFixedRateNeverBeatsMultirate checks on random physical chains
-// that pinning rates can only lose capacity — the generalization of the
-// paper's Scenario II observation.
+// TestFixedRateNeverBeatsMultirate checks on random chains under the
+// interference-range model that pinning rates can only lose capacity —
+// the generalization of the paper's Scenario II observation.
 func TestFixedRateNeverBeatsMultirate(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
@@ -141,7 +141,7 @@ func TestFixedRateNeverBeatsMultirate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := conflict.NewPhysical(net)
+		m := conflict.NewProtocol(net)
 		multirate, err := AvailableBandwidth(m, nil, path, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +151,7 @@ func TestFixedRateNeverBeatsMultirate(t *testing.T) {
 		for _, l := range path {
 			assignment = append(assignment, conflict.Couple{Link: l, Rate: conflict.AloneMaxRate(m, l)})
 		}
-		fixed := m.Pin(assignment)
+		fixed := conflict.FixRates(m, assignment)
 		pinned, err := AvailableBandwidth(fixed, nil, path, Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -247,18 +247,14 @@ func (s *Session) FeasibleDemandsContext(ctx context.Context, flows []Flow) (boo
 	return b.Feasible, copySchedule(b.Schedule), nil
 }
 
-// IdleRatios returns the per-node carrier-sensed idle ratios induced by
-// the flows' minimal-airtime schedule (estimate.NodeIdleRatios over the
-// FeasibleDemands schedule), memoized by the same demand signature as
-// the feasibility verdict. The routing layer asks this before every
-// admission step with an unchanged background, so the repeat costs a
-// map lookup. net must be the network the session's model was built on.
-func (s *Session) IdleRatios(net *topology.Network, flows []Flow) ([]float64, error) {
-	return s.IdleRatiosContext(context.Background(), net, flows)
-}
-
-// IdleRatiosContext is IdleRatios under a context; cancelled
-// computations memoize nothing.
+// IdleRatiosContext returns the per-node carrier-sensed idle ratios
+// induced by the flows' minimal-airtime schedule
+// (estimate.NodeIdleRatios over the FeasibleDemands schedule), memoized
+// by the same demand signature as the feasibility verdict. The routing
+// layer asks this before every admission step with an unchanged
+// background, so the repeat costs a map lookup. net must be the network
+// the session's model was built on. Cancelled computations memoize
+// nothing.
 func (s *Session) IdleRatiosContext(ctx context.Context, net *topology.Network, flows []Flow) ([]float64, error) {
 	if len(flows) == 0 {
 		idle := make([]float64, net.NumNodes())

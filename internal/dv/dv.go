@@ -151,18 +151,6 @@ func (e *Engine) Rounds() int { return e.rounds }
 // Messages returns how many neighbor advertisements have been sent.
 func (e *Engine) Messages() int { return e.messages }
 
-// Cost returns src's best known cost to dst.
-func (e *Engine) Cost(src, dst topology.NodeID) (float64, bool) {
-	if int(src) < 0 || int(src) >= len(e.tables) {
-		return 0, false
-	}
-	ent, ok := e.tables[src][dst]
-	if !ok {
-		return 0, false
-	}
-	return ent.cost, true
-}
-
 // Route follows next-hop pointers from src to dst. It fails when no
 // route is known or a forwarding loop is detected (which cannot happen
 // after convergence on a static topology).

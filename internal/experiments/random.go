@@ -160,31 +160,6 @@ func Fig3Routing() (*Table, error) {
 	return tbl, nil
 }
 
-// FirstFailures runs the Fig. 3 admission and returns the first-failure
-// index per metric (NumFlows+1 when every flow fits) — the headline
-// ordering statistic, used by tests and benches.
-func FirstFailures() (map[routing.Metric]int, error) {
-	net, m, reqs, err := Fig2Setup()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[routing.Metric]int, 3)
-	for _, metric := range routing.AllMetrics() {
-		decs, err := routing.SequentialAdmission(net, m, metric, reqs, routing.AdmissionOptions{StopAtFirstFailure: true, Core: queryOptions()})
-		if err != nil {
-			return nil, err
-		}
-		out[metric] = NumFlows + 1
-		for i, d := range decs {
-			if !d.Admitted {
-				out[metric] = i + 1
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
 // Fig4Estimation reproduces experiment E5 (Fig. 4): for the paths found
 // by average-e2eD, the five distributed estimators versus the exact
 // value as background traffic accumulates flow by flow.

@@ -170,23 +170,10 @@ func Run(id string) (*Table, error) {
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
-// RunAll executes every experiment in order.
-func RunAll() ([]*Table, error) {
-	var out []*Table
-	for _, e := range Registry() {
-		tbl, err := e.Run()
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", e.ID, err)
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
-}
-
 // RunAllParallel executes every experiment concurrently with at most
 // workers goroutines (0 means GOMAXPROCS) and returns the tables in
 // registry order. Experiments are independent and deterministic, so the
-// output is identical to RunAll.
+// output is identical to running them one after another.
 func RunAllParallel(workers int) ([]*Table, error) {
 	reg := Registry()
 	if workers <= 0 {

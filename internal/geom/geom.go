@@ -60,36 +60,6 @@ func UniformPoints(rng *rand.Rand, r Rect, n int) []Point {
 	return pts
 }
 
-// UniformPointsMinDist places n points uniformly inside r, rejecting
-// candidates closer than minDist to an already placed point. It gives up
-// and returns an error if maxTries successive rejections occur, which
-// indicates the area is too crowded for the requested spacing.
-func UniformPointsMinDist(rng *rand.Rand, r Rect, n int, minDist float64, maxTries int) ([]Point, error) {
-	pts := make([]Point, 0, n)
-	tries := 0
-	for len(pts) < n {
-		cand := Point{X: rng.Float64() * r.W, Y: rng.Float64() * r.H}
-		ok := true
-		for _, p := range pts {
-			if p.Dist(cand) < minDist {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			pts = append(pts, cand)
-			tries = 0
-			continue
-		}
-		tries++
-		if tries >= maxTries {
-			return nil, fmt.Errorf("geom: could not place %d points with min distance %.1fm after %d tries (placed %d)",
-				n, minDist, maxTries, len(pts))
-		}
-	}
-	return pts, nil
-}
-
 // GridPoints places points on a regular grid with the given spacing,
 // row-major from the origin, stopping after n points. It is useful for
 // deterministic chain and lattice test topologies.

@@ -122,28 +122,6 @@ func TestUniformPointsDeterministic(t *testing.T) {
 	}
 }
 
-func TestUniformPointsMinDist(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pts, err := UniformPointsMinDist(rng, Rect{W: 400, H: 600}, 30, 20, 10000)
-	if err != nil {
-		t.Fatalf("UniformPointsMinDist: %v", err)
-	}
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if d := pts[i].Dist(pts[j]); d < 20 {
-				t.Errorf("points %d,%d too close: %.2f < 20", i, j, d)
-			}
-		}
-	}
-}
-
-func TestUniformPointsMinDistImpossible(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	if _, err := UniformPointsMinDist(rng, Rect{W: 10, H: 10}, 100, 50, 100); err == nil {
-		t.Fatal("expected error for impossible spacing, got nil")
-	}
-}
-
 func TestLinePoints(t *testing.T) {
 	pts := LinePoints(4, 50)
 	want := []Point{{0, 0}, {50, 0}, {100, 0}, {150, 0}}

@@ -32,7 +32,7 @@
 // for its first added link) or is a leaf over U (charged by the base
 // enumeration). Seeding the budget with the base count therefore
 // reproduces the full walk's ErrLimit verdict exactly; see
-// EnumeratePartialCounted for where the seed comes from.
+// EnumeratePartialCountedContext for where the seed comes from.
 //
 // Workers: a one-link delta always walks sequentially; a delta adding
 // several links follows the full walk's rule (Options.workerCount over
@@ -59,8 +59,9 @@ import (
 // DeltaBase is a complete enumeration result to warm-start from: the
 // canonical (sorted, deduplicated) universe it was enumerated over, its
 // full maximal-set family in key order, and the exact exploration count
-// the walk charged (EnumeratePartialCounted). Truncated families must
-// never be used as bases — their set list and count are both partial.
+// the walk charged (EnumeratePartialCountedContext). Truncated families
+// must never be used as bases — their set list and count are both
+// partial.
 type DeltaBase struct {
 	Universe []topology.LinkID
 	Sets     []Set

@@ -76,7 +76,7 @@ func assertDeltaGrowth(t *testing.T, m conflict.Model, links []topology.LinkID, 
 	}
 	for _, plan := range growthPlans(dedupSorted(links)) {
 		base := DeltaBase{Universe: plan.base}
-		sets, truncated, explored, err := EnumeratePartialCounted(m, base.Universe, Options{})
+		sets, truncated, explored, err := EnumeratePartialCountedContext(context.Background(), m, base.Universe, Options{})
 		if err != nil || truncated {
 			t.Fatalf("%s %s: seed enumeration: truncated=%v err=%v", label, plan.label, truncated, err)
 		}
@@ -85,7 +85,7 @@ func assertDeltaGrowth(t *testing.T, m conflict.Model, links []topology.LinkID, 
 			grown := dedupSorted(append(append([]topology.LinkID(nil), base.Universe...), add...))
 			got, gotExplored := assertDeltaWorkersAgree(t, m, base, add, Options{}, fmt.Sprintf("%s %s step %d", label, plan.label, step))
 			for _, workers := range []int{1, 2, 4, 8} {
-				want, truncated, wantExplored, err := EnumeratePartialCounted(m, grown, Options{Workers: workers})
+				want, truncated, wantExplored, err := EnumeratePartialCountedContext(context.Background(), m, grown, Options{Workers: workers})
 				if err != nil || truncated {
 					t.Fatalf("%s %s: step %d workers %d: fresh walk: truncated=%v err=%v", label, plan.label, step, workers, truncated, err)
 				}
@@ -209,11 +209,11 @@ func TestDeltaLimitVerdict(t *testing.T) {
 	for k := 1; k <= 4; k++ {
 		baseU := universe[: len(universe)-k : len(universe)-k]
 		add := universe[len(universe)-k:]
-		_, _, baseExplored, err := EnumeratePartialCounted(m, baseU, Options{})
+		_, _, baseExplored, err := EnumeratePartialCountedContext(context.Background(), m, baseU, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, grownExplored, err := EnumeratePartialCounted(m, universe, Options{})
+		_, _, grownExplored, err := EnumeratePartialCountedContext(context.Background(), m, universe, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestDeltaLimitVerdict(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			for limit := baseExplored; limit < grownExplored; limit += (grownExplored - baseExplored + 3) / 4 {
 				opts := Options{Limit: int(limit), Workers: workers}
-				baseSets, truncated, baseCount, err := EnumeratePartialCounted(m, baseU, opts)
+				baseSets, truncated, baseCount, err := EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
 				if err != nil || truncated {
 					t.Fatalf("k=%d limit %d: base walk truncated=%v err=%v", k, limit, truncated, err)
 				}
@@ -236,7 +236,7 @@ func TestDeltaLimitVerdict(t *testing.T) {
 			}
 
 			opts := Options{Limit: int(grownExplored), Workers: workers}
-			baseSets, _, baseCount, err := EnumeratePartialCounted(m, baseU, opts)
+			baseSets, _, baseCount, err := EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,11 +267,11 @@ func assertDeltaMatchesFull(t *testing.T, m conflict.Model, baseU, add []topolog
 		opts := Options{Workers: workers}
 		base := DeltaBase{Universe: baseU}
 		var err error
-		base.Sets, _, base.Explored, err = EnumeratePartialCounted(m, baseU, opts)
+		base.Sets, _, base.Explored, err = EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, wantExplored, err := EnumeratePartialCounted(m, grownU, opts)
+		want, _, wantExplored, err := EnumeratePartialCountedContext(context.Background(), m, grownU, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func TestDeltaLinkAlreadyPresent(t *testing.T) {
 	links := []topology.LinkID(path)
 	m := conflict.NewPhysical(net)
 	base := DeltaBase{Universe: dedupSorted(links)}
-	base.Sets, _, base.Explored, err = EnumeratePartialCounted(m, base.Universe, Options{})
+	base.Sets, _, base.Explored, err = EnumeratePartialCountedContext(context.Background(), m, base.Universe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestDeltaCancellation(t *testing.T) {
 	cancel()
 	for _, k := range []int{1, 3} {
 		base := DeltaBase{Universe: universe[:len(universe)-k]}
-		base.Sets, _, base.Explored, err = EnumeratePartialCounted(m, base.Universe, Options{})
+		base.Sets, _, base.Explored, err = EnumeratePartialCountedContext(context.Background(), m, base.Universe, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func (b *byteStream) next() byte {
 // maxLinks of them. The first byte picks the family — even: a small
 // random topology; odd: a random Table whose links declare any subset
 // of three rates, possibly none — and, in (byte/2)%3, the variant:
-// Physical, Protocol or pinned Physical; plain Table, a Table whose
+// Physical, Protocol or pinned Protocol; plain Table, a Table whose
 // link 0 declares 65-70 rates (two mask words, at most four links to
 // keep brute force tractable) or pinned Table.
 func decodeModel(in *byteStream, maxLinks int) (conflict.Model, []topology.LinkID, bool) {
@@ -45,14 +45,14 @@ func decodeModel(in *byteStream, maxLinks int) (conflict.Model, []topology.LinkI
 		if len(links) == 0 {
 			return nil, nil, false
 		}
-		phys := conflict.NewPhysical(net)
+		prot := conflict.NewProtocol(net)
 		switch variant {
 		case 0:
-			return phys, links, true
+			return conflict.NewPhysical(net), links, true
 		case 1:
-			return conflict.NewProtocol(net), links, true
+			return prot, links, true
 		default:
-			return phys.Pin(decodePins(in, phys, links)), links, true
+			return conflict.FixRates(prot, decodePins(in, prot, links)), links, true
 		}
 	}
 	n := 2 + int(in.next())%(maxLinks-2)
@@ -147,8 +147,8 @@ func decodeDeltaCase(data []byte) (m conflict.Model, base, added []topology.Link
 // FuzzEnumerate checks the full walk against the brute-force reference
 // (referenceEnumerate) on decoded models of at most six links, at 1 and
 // 2 workers: the same family, set for set by Key(). For Physical
-// models, pinned or not, EnumeratePartialCounted's exploration count
-// must also equal bruteExplored's, which no walk computes.
+// models, EnumeratePartialCountedContext's exploration count must also
+// equal bruteExplored's, which no walk computes.
 func FuzzEnumerate(f *testing.F) {
 	f.Add([]byte{0, 4, 7})
 	f.Add([]byte{2, 3, 9})
@@ -172,7 +172,7 @@ func FuzzEnumerate(f *testing.F) {
 				t.Fatalf("workers %d: walk differs from reference:\n got  %v\n want %v", workers, keys(got), keys(want))
 			}
 			if p, ok := m.(*conflict.Physical); ok {
-				_, _, explored, err := EnumeratePartialCounted(m, links, Options{Workers: workers})
+				_, _, explored, err := EnumeratePartialCountedContext(context.Background(), m, links, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers %d: counted walk: %v", workers, err)
 				}
@@ -216,9 +216,9 @@ func bruteExplored(m *conflict.Physical, links []topology.LinkID) int64 {
 
 // FuzzEnumerateDelta checks the delta walk against its cold equivalent
 // on decoded instances, at 1 and 2 workers: the family grown from a
-// complete base equals EnumeratePartialCounted over the grown universe
-// set for set by Key(), with the same exploration count, and ErrLimit
-// fires on the delta exactly when the full walk truncates.
+// complete base equals EnumeratePartialCountedContext over the grown
+// universe set for set by Key(), with the same exploration count, and
+// ErrLimit fires on the delta exactly when the full walk truncates.
 func FuzzEnumerateDelta(f *testing.F) {
 	f.Add([]byte{0, 4, 7, 0x15, 3, 1, 3, 5, 7, 0})
 	f.Add([]byte{0, 3, 2, 0x01, 2, 2, 4, 6, 8})
@@ -241,14 +241,14 @@ func FuzzEnumerateDelta(f *testing.F) {
 		grownU := dedupSorted(append(append([]topology.LinkID(nil), baseU...), added...))
 		for _, workers := range []int{1, 2} {
 			opts := Options{Limit: limit, Workers: workers}
-			baseSets, truncated, baseExplored, err := EnumeratePartialCounted(m, baseU, opts)
+			baseSets, truncated, baseExplored, err := EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
 			if err != nil {
 				t.Fatalf("workers %d: base walk: %v", workers, err)
 			}
 			if truncated {
 				continue // a truncated family is never a delta base
 			}
-			want, wantTruncated, wantExplored, err := EnumeratePartialCounted(m, grownU, opts)
+			want, wantTruncated, wantExplored, err := EnumeratePartialCountedContext(context.Background(), m, grownU, opts)
 			if err != nil {
 				t.Fatalf("workers %d: full walk: %v", workers, err)
 			}

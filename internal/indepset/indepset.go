@@ -152,17 +152,6 @@ func (s Set) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// RateVector returns the set's throughput-rate vector aligned with the
-// given link universe (the R*_i of paper Eq. 4): entry j is the rate of
-// universe[j] in the set, or 0.
-func (s Set) RateVector(universe []topology.LinkID) []radio.Rate {
-	out := make([]radio.Rate, len(universe))
-	for j, l := range universe {
-		out[j] = s.Rate(l)
-	}
-	return out
-}
-
 // ErrLimit is returned when enumeration exceeds the configured set
 // limit; callers may treat partial enumerations as lower bounds
 // (paper Sec. 3.3) but Enumerate refuses to return silently truncated
@@ -186,7 +175,8 @@ type Options struct {
 	// default of 1<<20. The bound is exact, also under parallelism
 	// (workers charge one shared budget): at most Limit sets are
 	// explored in total, the walk stops before exploring set Limit+1,
-	// and a truncated EnumeratePartial hands back at most Limit sets.
+	// and a truncated EnumeratePartialContext hands back at most Limit
+	// sets.
 	Limit int
 
 	// Workers sets the number of concurrent enumeration workers:
@@ -201,9 +191,9 @@ type Options struct {
 	// the sequential walk (same Set.Key order). The conflict model must
 	// be safe for concurrent read-only use when Workers != 1; every
 	// model in internal/conflict is immutable after construction and
-	// qualifies. A truncated parallel EnumeratePartial explores exactly
-	// Limit sets like the sequential walk, but scheduling decides which
-	// subtrees those came from, so the (still sound and maximal)
+	// qualifies. A truncated parallel EnumeratePartialContext explores
+	// exactly Limit sets like the sequential walk, but scheduling decides
+	// which subtrees those came from, so the (still sound and maximal)
 	// partial family may differ run to run.
 	Workers int
 }
@@ -246,38 +236,28 @@ func EnumerateContext(ctx context.Context, m conflict.Model, links []topology.Li
 	return sets, nil
 }
 
-// EnumeratePartial is Enumerate with graceful degradation: when the
-// exploration limit trips, it returns the maximal sets found so far and
-// truncated = true instead of failing. A truncated result is still a
-// sound basis for the paper's Sec. 3.3 LOWER bounds (every returned set
-// is genuinely feasible and maximal); it must not be used where
-// completeness matters (exact Eq. 6 optima, upper bounds).
-func EnumeratePartial(m conflict.Model, links []topology.LinkID, opts Options) ([]Set, bool, error) {
-	return EnumeratePartialContext(context.Background(), m, links, opts)
-}
-
-// EnumeratePartialContext is EnumeratePartial under a context; see
-// EnumerateContext. Cancellation wins over truncation: a cancelled walk
+// EnumeratePartialContext is EnumerateContext with graceful
+// degradation: when the exploration limit trips, it returns the maximal
+// sets found so far and truncated = true instead of failing. A
+// truncated result is still a sound basis for the paper's Sec. 3.3
+// LOWER bounds (every returned set is genuinely feasible and maximal);
+// it must not be used where completeness matters (exact Eq. 6 optima,
+// upper bounds). Cancellation wins over truncation: a cancelled walk
 // returns ErrCanceled and no family, never a truncated partial one.
 func EnumeratePartialContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts Options) ([]Set, bool, error) {
 	sets, truncated, _, err := enumerate(ctx, m, links, opts)
 	return sets, truncated, err
 }
 
-// EnumeratePartialCounted is EnumeratePartial reporting, alongside the
-// family, how many feasible sets (physical walk) or feasible complete
-// couple assignments (pairwise walk) the enumeration charged
-// against Options.Limit. For a complete (untruncated) family the count
-// is exact and deterministic — byte-identical runs charge identically —
-// and it is the accounting seed the delta path (EnumerateDelta) needs
-// to reproduce ErrLimit verdicts without re-walking the base universe.
-// The count of a truncated run is unspecified.
-func EnumeratePartialCounted(m conflict.Model, links []topology.LinkID, opts Options) ([]Set, bool, int64, error) {
-	return enumerate(context.Background(), m, links, opts)
-}
-
-// EnumeratePartialCountedContext is EnumeratePartialCounted under a
-// context; see EnumerateContext for the cancellation contract.
+// EnumeratePartialCountedContext is EnumeratePartialContext reporting,
+// alongside the family, how many feasible sets (physical walk) or
+// feasible complete couple assignments (pairwise walk) the enumeration
+// charged against Options.Limit. For a complete (untruncated) family
+// the count is exact and deterministic — byte-identical runs charge
+// identically — and it is the accounting seed the delta path
+// (EnumerateDelta) needs to reproduce ErrLimit verdicts without
+// re-walking the base universe. The count of a truncated run is
+// unspecified.
 func EnumeratePartialCountedContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts Options) ([]Set, bool, int64, error) {
 	return enumerate(ctx, m, links, opts)
 }

@@ -1,6 +1,7 @@
 package indepset
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -175,11 +176,6 @@ func TestSetAccessors(t *testing.T) {
 	if got := s.Links(); len(got) != 2 || got[0] != 2 || got[1] != 5 {
 		t.Errorf("Links = %v, want [2 5] (sorted)", got)
 	}
-	rv := s.RateVector([]topology.LinkID{2, 3, 5})
-	//lint:ignore abw/floateq RateVector copies stored couples; bit-exact by construction
-	if rv[0] != 54 || rv[1] != 0 || rv[2] != 36 {
-		t.Errorf("RateVector = %v", rv)
-	}
 	if s.Key() != "2@54|5@36" {
 		t.Errorf("Key = %q", s.Key())
 	}
@@ -262,7 +258,7 @@ func TestEnumeratePartialTruncates(t *testing.T) {
 		tb.SetRates(i, 54)
 		links = append(links, i)
 	}
-	sets, truncated, err := EnumeratePartial(tb, links, Options{Limit: 1000})
+	sets, truncated, err := EnumeratePartialContext(context.Background(), tb, links, Options{Limit: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +275,7 @@ func TestEnumeratePartialTruncates(t *testing.T) {
 		}
 	}
 	// The complete run is not truncated and agrees with Enumerate.
-	full, truncated, err := EnumeratePartial(tb, links, Options{})
+	full, truncated, err := EnumeratePartialContext(context.Background(), tb, links, Options{})
 	if err != nil || truncated {
 		t.Fatalf("full run: truncated=%v err=%v", truncated, err)
 	}
@@ -325,7 +321,7 @@ func TestEnumerateLimitBoundary(t *testing.T) {
 	tb, links := allConflictTable(t, n)
 
 	// Limit below the family size: truncated, and at most Limit sets.
-	sets, truncated, err := EnumeratePartial(tb, links, Options{Limit: n - 1})
+	sets, truncated, err := EnumeratePartialContext(context.Background(), tb, links, Options{Limit: n - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +336,7 @@ func TestEnumerateLimitBoundary(t *testing.T) {
 	}
 
 	// Limit exactly the family size: complete and untruncated.
-	sets, truncated, err = EnumeratePartial(tb, links, Options{Limit: n})
+	sets, truncated, err = EnumeratePartialContext(context.Background(), tb, links, Options{Limit: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +355,7 @@ func TestEnumerateLimitBoundaryPinned(t *testing.T) {
 	tb, links := allConflictTable(t, n)
 	m := pinAll(tb, links, 54)
 
-	sets, truncated, err := EnumeratePartial(m, links, Options{Limit: n - 1})
+	sets, truncated, err := EnumeratePartialContext(context.Background(), m, links, Options{Limit: n - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +366,7 @@ func TestEnumerateLimitBoundaryPinned(t *testing.T) {
 		t.Fatalf("truncated run returned %d sets, limit was %d: %v", len(sets), n-1, keys(sets))
 	}
 
-	sets, truncated, err = EnumeratePartial(m, links, Options{Limit: n})
+	sets, truncated, err = EnumeratePartialContext(context.Background(), m, links, Options{Limit: n})
 	if err != nil {
 		t.Fatal(err)
 	}

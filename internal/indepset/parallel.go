@@ -18,8 +18,8 @@
 //  2. Budget accounting — Options.Limit is charged through one shared
 //     budget; exactly Limit explorations succeed across all workers, so
 //     Enumerate trips ErrLimit in precisely the instances the
-//     sequential walk does, and a truncated EnumeratePartial returns at
-//     most Limit sets.
+//     sequential walk does, and a truncated EnumeratePartialContext
+//     returns at most Limit sets.
 //  3. Merge determinism — set keys are unique within a family and the
 //     merged family is sorted by key, so the output is byte-identical
 //     to the sequential walk no matter how the scheduler interleaves

@@ -168,8 +168,7 @@ func (o opaque) MaxRate(link topology.LinkID, concurrent []conflict.Couple) radi
 func (o opaque) Rates(link topology.LinkID) []radio.Rate { return o.m.Rates(link) }
 
 // TestEquivalencePinnedModels gates the fixed-rate regime against the
-// reference: a pinned physical model runs the SINR walk, a pinned
-// protocol model the pairwise one.
+// reference: a pinned protocol model runs the pairwise walk.
 func TestEquivalencePinnedModels(t *testing.T) {
 	prof := radio.NewProfile80211a()
 	net, path, err := topology.Chain(prof, 5, 80)
@@ -178,6 +177,5 @@ func TestEquivalencePinnedModels(t *testing.T) {
 	}
 	links := []topology.LinkID(path)
 	pins := []conflict.Couple{{Link: links[0], Rate: 18}, {Link: links[2], Rate: 6}, {Link: links[4], Rate: 18}}
-	assertSameFamily(t, conflict.NewPhysical(net).Pin(pins), links, "pinned physical")
 	assertSameFamily(t, conflict.FixRates(conflict.NewProtocol(net), pins), links, "pinned protocol")
 }

@@ -1,8 +1,11 @@
 package indepset
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"abw/internal/conflict"
@@ -89,7 +92,7 @@ func TestWideParallelDeterminism(t *testing.T) {
 func TestWideLimitTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tb, links := wideTable(t, rng, 65, 2)
-	_, truncated, explored, err := EnumeratePartialCounted(tb, links, Options{})
+	_, truncated, explored, err := EnumeratePartialCountedContext(context.Background(), tb, links, Options{})
 	if err != nil || truncated {
 		t.Fatalf("full wide walk: truncated=%v err=%v", truncated, err)
 	}
@@ -97,62 +100,85 @@ func TestWideLimitTrips(t *testing.T) {
 		t.Fatalf("wide walk reported %d explored assignments", explored)
 	}
 	if explored > 1 {
-		_, truncated, _, err := EnumeratePartialCounted(tb, links, Options{Limit: int(explored) - 1})
+		_, truncated, _, err := EnumeratePartialCountedContext(context.Background(), tb, links, Options{Limit: int(explored) - 1})
 		if err != nil || !truncated {
 			t.Fatalf("limit below count: truncated=%v err=%v, want truncated", truncated, err)
 		}
 	}
 }
 
-// TestPhysicalMasksAcrossWords gates the SINR walk's multi-word open
-// masks: a pinned Physical model over 80 links of the Fig. 2
-// topology, where only the 15 links at positions 58-72 carry a pin
-// (their alone maximum or their slowest rate, alternately), so the
-// usable links straddle the 64-position word boundary. They are the
-// first link of 15 distinct transmitters, so spatial reuse leaves
-// sets of several links; the rest of the universe is the lowest 58 and
-// the highest 7 link IDs. The family must equal the brute-force
-// reference at 1 and 2 workers.
+// TestPhysicalMasksAcrossWords gates the SINR walk's multi-word masks
+// on an 80-link universe whose spatially reusable links straddle the
+// 64-position word boundary. The network is the Fig. 2 deployment plus
+// five hubs a metre apart at its centre and 14 spokes 150 m around
+// them, 12 listed before the Fig. 2 nodes and 2 after. The 15
+// positions 58-72 hold the first link of 15 distinct Fig. 2
+// transmitters within 250 m of the hubs, so sets of several of them
+// transmit together. The rest are the lowest 58 and the highest 7
+// spoke-to-hub links. These carry only the slowest rate and no two of
+// them transmit together (they share a node, or each hears the other's
+// spoke as loud as its own), and any of the 15 transmitters silences
+// them, so each is a set of its own and the brute-force reference stays
+// cheap. The family must equal the reference at 1 and 2 workers.
 func TestPhysicalMasksAcrossWords(t *testing.T) {
-	net, err := topology.Random(radio.NewProfile80211a(), geom.Rect{W: 400, H: 600}, 30, 26)
+	prof := radio.NewProfile80211a()
+	fig2, err := topology.Random(prof, geom.Rect{W: 400, H: 600}, 30, 26)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := net.Links()
-	universe := cappedLinks(net, 58)
-	var usable []topology.LinkID
+	centre := geom.Point{X: 200, Y: 300}
+	const spokes, before = 14, 12
+	var pos []geom.Point
+	spoke := func(k int) geom.Point {
+		a := 2 * math.Pi * float64(k) / spokes
+		return geom.Point{X: centre.X + 150*math.Cos(a), Y: centre.Y + 150*math.Sin(a)}
+	}
+	for k := 0; k < before; k++ {
+		pos = append(pos, spoke(k))
+	}
+	for _, n := range fig2.Nodes() {
+		pos = append(pos, n.Pos)
+	}
+	for k := before; k < spokes; k++ {
+		pos = append(pos, spoke(k))
+	}
+	firstHub := topology.NodeID(len(pos))
+	for h := 0; h < 5; h++ {
+		pos = append(pos, geom.Point{X: centre.X + float64(h), Y: centre.Y})
+	}
+	net, err := topology.New(prof, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isFig2 := func(n topology.NodeID) bool { return n >= before && n < before+30 }
+	var hubLinks, usable []topology.LinkID
 	seen := map[topology.NodeID]bool{}
-	for _, l := range all[58 : len(all)-7] {
-		if len(usable) < 15 && !seen[l.Tx] {
+	for _, l := range net.Links() {
+		tx, _ := net.Node(l.Tx)
+		switch {
+		case l.Rx >= firstHub && !isFig2(l.Tx) && l.Tx < firstHub:
+			hubLinks = append(hubLinks, l.ID)
+		case isFig2(l.Tx) && isFig2(l.Rx) && len(usable) < 15 && !seen[l.Tx] && tx.Pos.Dist(centre) < 250:
 			seen[l.Tx] = true
 			usable = append(usable, l.ID)
 		}
 	}
-	universe = append(universe, usable...)
-	for _, l := range all[len(all)-7:] {
-		universe = append(universe, l.ID)
-	}
-	universe = dedupSorted(universe)
+	universe := dedupSorted(slices.Concat(hubLinks[:58], usable, hubLinks[len(hubLinks)-7:]))
 	if len(universe) != 80 || universe[58] != usable[0] || universe[72] != usable[14] {
 		t.Fatalf("universe of %d links does not hold the usable links at positions 58-72", len(universe))
 	}
-	phys := conflict.NewPhysical(net)
-	var pins []conflict.Couple
-	for k, l := range usable {
-		r := phys.AloneMaxRate(l)
-		if k%2 == 1 {
-			r = phys.MinPositiveRate(l)
-		}
-		pins = append(pins, conflict.Couple{Link: l, Rate: r})
-	}
-	m := phys.Pin(pins)
+	m := conflict.NewPhysical(net)
 	want := referenceEnumerate(t, m, universe)
-	widest := 0
+	widest, across := 0, false
 	for _, s := range want {
 		widest = max(widest, len(s.Couples))
+		across = across || len(s.Couples) > 1 && s.Couples[0].Link < universe[64] && s.Couples[len(s.Couples)-1].Link >= universe[64]
+		if len(s.Couples) > 1 && (s.Couples[0].Link < usable[0] || s.Couples[len(s.Couples)-1].Link > usable[14]) {
+			t.Fatalf("reference set %v joins a spoke link with others", s)
+		}
 	}
-	if widest < 3 {
-		t.Fatalf("reference family's largest set has %d links; want spatial reuse", widest)
+	if widest < 3 || !across {
+		t.Fatalf("reference family's largest set has %d links, one across the word boundary: %v; want spatial reuse across it", widest, across)
 	}
 	for _, workers := range []int{1, 2} {
 		got, err := Enumerate(m, universe, Options{Workers: workers})

@@ -178,17 +178,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return finish(pkgs, analyzers, raw)
 }
 
-// RunUnfiltered executes the analyzers over one package ignoring their
-// package scopes. Fixture tests use it so rule logic is exercised under
-// testdata import paths that the production scopes would exclude.
-func RunUnfiltered(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	var raw []Diagnostic
-	for _, a := range analyzers {
-		raw = append(raw, runOne(pkg, a)...)
-	}
-	return finish([]*Package{pkg}, analyzers, raw)
-}
-
 func runOne(pkg *Package, a *Analyzer) []Diagnostic {
 	var out []Diagnostic
 	pass := &Pass{

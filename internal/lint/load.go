@@ -290,20 +290,6 @@ func (x *xtestImporter) Import(path string) (*types.Package, error) {
 	return x.base.Import(path)
 }
 
-// LoadDir type-checks a single directory outside the module (fixture
-// packages under testdata) under the given import path. Imports must
-// all be standard library.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	if p, ok := l.pkgs[importPath]; ok {
-		return p, nil
-	}
-	return l.check(importPath, dir)
-}
-
 func findModule(dir string) (root, path string, err error) {
 	for d := dir; ; {
 		data, err := os.ReadFile(filepath.Join(d, "go.mod"))

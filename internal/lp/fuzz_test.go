@@ -43,7 +43,7 @@ func FuzzSimplex(f *testing.F) {
 
 // FuzzWarmResolve decodes a small LP plus a sequence of right-hand-side
 // changes (two bytes each: constraint, new dyadic rhs) and asserts the
-// warm-start contract after every change: Resolve agrees with a fresh
+// warm-start contract after every change: ResolveContext agrees with a fresh
 // cold Solve of the same data — equal status, objectives within 1e-7
 // relative — and a warm optimum is primal- and dual-feasible.
 func FuzzWarmResolve(f *testing.F) {
@@ -56,7 +56,7 @@ func FuzzWarmResolve(f *testing.F) {
 			return
 		}
 		w := NewWarmSolver(p)
-		if _, _, err := w.Resolve(); err != nil {
+		if _, _, err := w.ResolveContext(context.Background()); err != nil {
 			t.Fatalf("cold solve failed: %v", err)
 		}
 		for step := 0; step+1 < len(ops) && step < 16; step += 2 {
@@ -64,7 +64,7 @@ func FuzzWarmResolve(f *testing.F) {
 			if err := w.SetRHS(k, float64(int8(ops[step+1]))/8); err != nil {
 				t.Fatalf("SetRHS: %v", err)
 			}
-			got, _, err := w.Resolve()
+			got, _, err := w.ResolveContext(context.Background())
 			if err != nil {
 				t.Fatalf("step %d: resolve failed: %v", step/2, err)
 			}

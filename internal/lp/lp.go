@@ -163,15 +163,6 @@ func (p *Problem) Reserve(nVars, nCons, nnz int) {
 	p.rows = slices.Grow(p.rows, max(0, nCons-len(p.rows)))
 }
 
-// SetObjCoef replaces the objective coefficient of v.
-func (p *Problem) SetObjCoef(v Var, c float64) error {
-	if int(v) < 0 || int(v) >= len(p.obj) {
-		return fmt.Errorf("lp: variable %d out of range", v)
-	}
-	p.obj[v] = c
-	return nil
-}
-
 // NumVars returns the number of variables added so far.
 func (p *Problem) NumVars() int { return len(p.obj) }
 

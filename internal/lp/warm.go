@@ -26,14 +26,13 @@ import (
 // the exact optimality criterion the cold path uses. When anything
 // about the warm path is off — structure grew, the dual loop stalls, a
 // basic artificial resurfaces above tolerance, or dual simplex claims
-// infeasibility — Resolve falls back to a cold solve, so its answers
-// always match Problem.Solve within pivotTol-scale arithmetic noise.
+// infeasibility — ResolveContext falls back to a cold solve, so its
+// answers always match Problem.Solve within pivotTol-scale arithmetic
+// noise.
 //
 // A WarmSolver owns its Problem between calls: the caller may change
-// bounds through SetRHS and objective coefficients through the
-// Problem's SetObjCoef (the primal cleanup absorbs the latter), but
-// must not add variables or constraints after the first Resolve without
-// expecting cold re-solves.
+// bounds through SetRHS, but must not add variables or constraints
+// after the first ResolveContext without expecting cold re-solves.
 //
 // WarmSolver is not safe for concurrent use.
 type WarmSolver struct {
@@ -49,8 +48,8 @@ type WarmSolver struct {
 	warmCount int
 }
 
-// NewWarmSolver wraps p. The first Resolve runs cold and retains the
-// final simplex state.
+// NewWarmSolver wraps p. The first ResolveContext runs cold and
+// retains the final simplex state.
 func NewWarmSolver(p *Problem) *WarmSolver {
 	return &WarmSolver{p: p}
 }
@@ -62,7 +61,7 @@ func (w *WarmSolver) SetStart(start *Basis) { w.start = start }
 
 // SetRHS changes the right-hand side of constraint k and, when a state
 // is retained, pushes the change through the retained inverse so the
-// next Resolve can start warm.
+// next ResolveContext can start warm.
 func (w *WarmSolver) SetRHS(k int, rhs float64) error {
 	old := w.p.RHS(k)
 	if err := w.p.SetRHS(k, rhs); err != nil {
@@ -98,18 +97,13 @@ func (w *WarmSolver) SetRHS(k int, rhs float64) error {
 	return nil
 }
 
-// Resolve solves the problem as it currently stands. When the retained
-// state is usable it runs the warm path — dual simplex to restore
-// primal feasibility, then a primal cleanup — and reports warm=true;
-// otherwise (no state, structural growth, or any warm-path bailout) it
-// re-solves cold, from the SetStart basis when one is pending, and
-// retains the fresh state.
-func (w *WarmSolver) Resolve() (*Solution, bool, error) {
-	return w.ResolveContext(context.Background())
-}
-
-// ResolveContext is Resolve under a context: both the warm dual loop
-// and any cold fallback poll ctx between pivots. A cancelled resolve
+// ResolveContext solves the problem as it currently stands. When the
+// retained state is usable it runs the warm path — dual simplex to
+// restore primal feasibility, then a primal cleanup — and reports
+// warm=true; otherwise (no state, structural growth, or any warm-path
+// bailout) it re-solves cold, from the SetStart basis when one is
+// pending, and retains the fresh state. Both the warm dual loop and
+// any cold fallback poll ctx between pivots. A cancelled resolve
 // discards the retained state (it may be mid-pivot-sequence), so the
 // next call after cancellation simply runs cold — correctness is never
 // entrusted to a half-repaired basis.
@@ -155,7 +149,7 @@ func (w *WarmSolver) ResolveContext(ctx context.Context) (*Solution, bool, error
 	return sol, false, nil
 }
 
-// WarmResolves returns how many Resolve calls took the warm path.
+// WarmResolves returns how many ResolveContext calls took the warm path.
 func (w *WarmSolver) WarmResolves() int { return w.warmCount }
 
 // dualResolve runs dual simplex on the retained state to repair primal

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -93,7 +94,7 @@ func assertAgrees(t *testing.T, trial, step int, warm, cold *Solution) {
 
 // TestWarmMatchesColdOnBoundChanges is the Sec. 8-style warm-start
 // invariant: over randomized programs and randomized bound-change
-// sequences, every Resolve answer equals a from-scratch solve of the
+// sequences, every ResolveContext answer equals a from-scratch solve of the
 // same data — same status, same optimum within warmTol.
 func TestWarmMatchesColdOnBoundChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
@@ -101,7 +102,7 @@ func TestWarmMatchesColdOnBoundChanges(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		p := randomWarmLP(rng)
 		w := NewWarmSolver(p)
-		sol, _, err := w.Resolve()
+		sol, _, err := w.ResolveContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: cold solve: %v", trial, err)
 		}
@@ -117,7 +118,7 @@ func TestWarmMatchesColdOnBoundChanges(t *testing.T) {
 			if err := w.SetRHS(k, dyadic(rng)+2); err != nil {
 				t.Fatalf("trial %d step %d: SetRHS: %v", trial, step, err)
 			}
-			got, warm, err := w.Resolve()
+			got, warm, err := w.ResolveContext(context.Background())
 			if err != nil {
 				t.Fatalf("trial %d step %d: resolve: %v", trial, step, err)
 			}
@@ -150,7 +151,7 @@ func TestWarmPivotSavings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := availabilityLP(t, rng, 12)
 	w := NewWarmSolver(p)
-	if _, _, err := w.Resolve(); err != nil {
+	if _, _, err := w.ResolveContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	warmPivots, coldPivots := 0, 0
@@ -159,7 +160,7 @@ func TestWarmPivotSavings(t *testing.T) {
 		if err := w.SetRHS(k, float64(rng.Intn(13))/4); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := w.Resolve()
+		got, _, err := w.ResolveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +222,7 @@ func TestWarmSolverRetainsOnlyTheInverse(t *testing.T) {
 	const m = 9 // the share row plus 8 link rows
 	retained := func(nSets int) int {
 		w := NewWarmSolver(availabilityLP(t, rand.New(rand.NewSource(11)), nSets))
-		if _, _, err := w.Resolve(); err != nil {
+		if _, _, err := w.ResolveContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if w.s == nil {
@@ -252,7 +253,7 @@ func TestWarmSolverRetainsOnlyTheInverse(t *testing.T) {
 
 // TestWarmStructuralGrowthFallsBackCold: adding a variable or a
 // constraint after the first solve must not poison the retained
-// state — the next Resolve goes cold and is still correct.
+// state — the next ResolveContext goes cold and is still correct.
 func TestWarmStructuralGrowthFallsBackCold(t *testing.T) {
 	p := NewProblem(Maximize)
 	x := p.AddVar(1)
@@ -260,7 +261,7 @@ func TestWarmStructuralGrowthFallsBackCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWarmSolver(p)
-	sol, _, err := w.Resolve()
+	sol, _, err := w.ResolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestWarmStructuralGrowthFallsBackCold(t *testing.T) {
 	if err := p.AddConstraint(map[Var]float64{y: 1}, LE, 3); err != nil {
 		t.Fatal(err)
 	}
-	got, warm, err := w.Resolve()
+	got, warm, err := w.ResolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestWarmStructuralGrowthFallsBackCold(t *testing.T) {
 	if err := w.SetRHS(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = w.Resolve()
+	got, _, err = w.ResolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestWarmInfeasibleTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWarmSolver(p)
-	if _, _, err := w.Resolve(); err != nil {
+	if _, _, err := w.ResolveContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for step, tc := range []struct {
@@ -322,7 +323,7 @@ func TestWarmInfeasibleTransitions(t *testing.T) {
 		if err := w.SetRHS(1, tc.rhs); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := w.Resolve()
+		got, _, err := w.ResolveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -211,7 +211,7 @@ func TestDeltaNeverSeededFromTruncation(t *testing.T) {
 	opts := indepset.Options{Limit: 2, Workers: 1}
 
 	c := New(0)
-	if _, truncated, err := c.EnumeratePartial(m, small, opts); err != nil {
+	if _, truncated, err := c.EnumeratePartialContext(context.Background(), m, small, opts); err != nil {
 		t.Fatal(err)
 	} else if !truncated {
 		t.Skip("limit did not trip on this topology")
@@ -219,7 +219,7 @@ func TestDeltaNeverSeededFromTruncation(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("truncated family stored: %+v", st)
 	}
-	if _, _, err := c.EnumeratePartial(m, big, opts); err != nil {
+	if _, _, err := c.EnumeratePartialContext(context.Background(), m, big, opts); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()

@@ -284,16 +284,11 @@ func (c *Cache) EnumerateContext(ctx context.Context, m conflict.Model, links []
 	return sets, nil
 }
 
-// EnumeratePartial is indepset.EnumeratePartial through the cache.
-// Complete cached families satisfy partial lookups too; truncated
-// results are handed back but never stored (their content depends on
-// scheduling).
-func (c *Cache) EnumeratePartial(m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, bool, error) {
-	return c.enumerate(context.Background(), m, links, opts)
-}
-
-// EnumeratePartialContext is EnumeratePartial under a context; see
-// EnumerateContext for the cancellation contract.
+// EnumeratePartialContext is indepset.EnumeratePartialContext through
+// the cache. Complete cached families satisfy partial lookups too;
+// truncated results are handed back but never stored (their content
+// depends on scheduling). See EnumerateContext for the cancellation
+// contract.
 func (c *Cache) EnumeratePartialContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, bool, error) {
 	return c.enumerate(ctx, m, links, opts)
 }

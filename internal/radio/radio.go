@@ -53,14 +53,8 @@ type Profile struct {
 type Option func(*options)
 
 type options struct {
-	txPower       float64
 	csRangeFactor float64
 	noiseMarginDB float64
-}
-
-// WithTxPower sets the transmit power in linear units (default 1.0).
-func WithTxPower(p float64) Option {
-	return func(o *options) { o.txPower = p }
 }
 
 // WithCSRangeFactor sets the carrier-sense range as a multiple of the
@@ -87,7 +81,7 @@ func NewProfile(classes []RateClass, exponent float64, opts ...Option) (*Profile
 	if exponent <= 0 {
 		return nil, fmt.Errorf("radio: path-loss exponent must be positive, got %g", exponent)
 	}
-	o := options{txPower: 1.0, csRangeFactor: 1.5}
+	o := options{csRangeFactor: 1.5}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -108,7 +102,7 @@ func NewProfile(classes []RateClass, exponent float64, opts ...Option) (*Profile
 	p := &Profile{
 		classes:  cs,
 		exponent: exponent,
-		txPower:  o.txPower,
+		txPower:  1.0,
 		csRange:  o.csRangeFactor * cs[len(cs)-1].Range,
 		sens:     make([]float64, len(cs)),
 		sinrLin:  make([]float64, len(cs)),
@@ -148,23 +142,6 @@ func NewProfile80211a(opts ...Option) *Profile {
 	return p
 }
 
-// NewProfile80211b returns a four-rate 802.11b CCK profile
-// (11/5.5/2/1 Mbps), useful for rate-diversity ablations against the
-// 802.11a profile. Ranges follow the same path-loss law as the paper's
-// 802.11a constants with the lower SINR requirements of CCK modulation.
-func NewProfile80211b(opts ...Option) *Profile {
-	p, err := NewProfile([]RateClass{
-		{Rate: 11, Range: 115, SINRdB: 10.0},
-		{Rate: 5.5, Range: 135, SINRdB: 8.0},
-		{Rate: 2, Range: 155, SINRdB: 6.0},
-		{Rate: 1, Range: 175, SINRdB: 4.0},
-	}, 4, opts...)
-	if err != nil {
-		panic(fmt.Sprintf("radio: building 802.11b profile: %v", err))
-	}
-	return p
-}
-
 // NewSingleRateProfile returns a profile restricted to one rate class —
 // the "fixed rate" regime used as an ablation baseline.
 func NewSingleRateProfile(class RateClass, exponent float64, opts ...Option) (*Profile, error) {
@@ -181,25 +158,17 @@ func (p *Profile) Rates() []Rate {
 	return out
 }
 
-// Classes returns a copy of the profile's rate classes in descending
-// rate order.
-func (p *Profile) Classes() []RateClass {
-	out := make([]RateClass, len(p.classes))
-	copy(out, p.classes)
-	return out
-}
-
 // NumClasses returns the number of rate classes.
 func (p *Profile) NumClasses() int { return len(p.classes) }
 
-// Class returns the i-th rate class in descending rate order. It is the
-// allocation-free companion of Classes for hot loops.
+// Class returns the i-th rate class in descending rate order.
 func (p *Profile) Class(i int) RateClass { return p.classes[i] }
 
 // Exponent returns the path-loss exponent.
 func (p *Profile) Exponent() float64 { return p.exponent }
 
-// TxPower returns the transmit power in linear units.
+// TxPower returns the transmit power in linear units: 1, the reference
+// the sensitivities and the noise floor are calibrated against.
 func (p *Profile) TxPower() float64 { return p.txPower }
 
 // Noise returns the calibrated noise floor in linear units.
@@ -208,10 +177,6 @@ func (p *Profile) Noise() float64 { return p.noise }
 // CSRange returns the carrier-sense range in meters: a node senses the
 // channel busy whenever some transmitter is within this distance.
 func (p *Profile) CSRange() float64 { return p.csRange }
-
-// MaxRange returns the longest transmission range (that of the lowest
-// rate) in meters.
-func (p *Profile) MaxRange() float64 { return p.classes[len(p.classes)-1].Range }
 
 // RxPower returns the received power at distance d meters from a
 // transmitter using this profile's transmit power. Distances below one

@@ -160,15 +160,12 @@ func TestCSRangeDefault(t *testing.T) {
 }
 
 func TestOptions(t *testing.T) {
-	p := NewProfile80211a(WithTxPower(2), WithCSRangeFactor(2), WithNoiseMarginDB(3))
-	if p.TxPower() != 2 {
-		t.Errorf("TxPower = %g, want 2", p.TxPower())
-	}
+	p := NewProfile80211a(WithCSRangeFactor(2), WithNoiseMarginDB(3))
 	if got, want := p.CSRange(), 2*158.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("CSRange = %g, want %g", got, want)
 	}
 	// Noise margin lowers the floor by 3 dB relative to the default.
-	def := NewProfile80211a(WithTxPower(2))
+	def := NewProfile80211a()
 	if ratio := def.Noise() / p.Noise(); math.Abs(ratio-math.Pow(10, 0.3)) > 1e-9 {
 		t.Errorf("noise margin ratio = %g, want 10^0.3", ratio)
 	}
@@ -212,36 +209,6 @@ func TestRxPowerClampsNearField(t *testing.T) {
 func TestRateString(t *testing.T) {
 	if got := Rate(54).String(); got != "54Mbps" {
 		t.Errorf("Rate.String = %q, want 54Mbps", got)
-	}
-}
-
-func TestNewProfile80211b(t *testing.T) {
-	p := NewProfile80211b()
-	rates := p.Rates()
-	want := []Rate{11, 5.5, 2, 1}
-	if len(rates) != len(want) {
-		t.Fatalf("rates = %v", rates)
-	}
-	for i := range want {
-		if rates[i] != want[i] {
-			t.Errorf("rate %d = %v, want %v", i, rates[i], want[i])
-		}
-	}
-	if r, ok := p.MaxRateAtDistance(100); !ok || r != 11 {
-		t.Errorf("MaxRateAtDistance(100) = (%v,%v), want 11", r, ok)
-	}
-	if r, ok := p.MaxRateAtDistance(170); !ok || r != 1 {
-		t.Errorf("MaxRateAtDistance(170) = (%v,%v), want 1", r, ok)
-	}
-	if _, ok := p.MaxRateAtDistance(180); ok {
-		t.Error("180m should be out of range")
-	}
-	// Noise calibration holds for b too.
-	for _, c := range p.Classes() {
-		thr, _ := p.SINRThreshold(c.Rate)
-		if sinr := p.RxPower(c.Range) / p.Noise(); sinr < thr-1e-9 {
-			t.Errorf("rate %v boundary SINR %.3f below threshold %.3f", c.Rate, sinr, thr)
-		}
 	}
 }
 

@@ -103,22 +103,6 @@ func FindPath(net *topology.Network, m conflict.Model, metric Metric, nodeIdle [
 	return path, nil
 }
 
-// FindPathByLCTT routes by local clique transmission time — the LCTT
-// metric the paper (after its reference [1]) names alongside e2eTD as a
-// good capacity-seeking metric: among up to k loopless e2eTD-shortest
-// candidates, pick the path whose bottleneck local clique has the
-// smallest transmission time, i.e. the largest clique-constraint
-// bandwidth (Eq. 11).
-func FindPathByLCTT(net *topology.Network, m conflict.Model, src, dst topology.NodeID, k int) (topology.Path, float64, error) {
-	idle := make([]float64, net.NumNodes())
-	for i := range idle {
-		idle[i] = 1 // LCTT ignores background by definition
-	}
-	return FindPathByEstimator(net, m, idle, src, dst, k, func(ps estimate.PathState) (float64, error) {
-		return estimate.CliqueConstraint(m, ps)
-	})
-}
-
 // PathEvaluator scores a candidate path; higher is better. The paper
 // proposes using the Sec. 4 bandwidth estimators this way.
 type PathEvaluator func(estimate.PathState) (float64, error)

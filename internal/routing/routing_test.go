@@ -285,30 +285,3 @@ func TestFindPathByEstimatorPrefersHigherBandwidth(t *testing.T) {
 }
 
 func emptySchedule() schedule.Schedule { return schedule.Schedule{} }
-
-func TestFindPathByLCTT(t *testing.T) {
-	net, m := lineNet(t, 5, 50)
-	path, score, err := FindPathByLCTT(net, m, 0, 4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.ValidatePath(path); err != nil {
-		t.Errorf("invalid path: %v", err)
-	}
-	if score <= 0 {
-		t.Errorf("LCTT score = %g", score)
-	}
-	// The score equals the clique-constraint estimate of the chosen
-	// path with full idleness.
-	ps, err := estimate.PathStateFromSchedule(net, m, emptySchedule(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := estimate.CliqueConstraint(m, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if score != direct {
-		t.Errorf("score %.4f != direct clique constraint %.4f", score, direct)
-	}
-}

@@ -358,11 +358,23 @@ func (s *System) UpperBound(background []Flow, path Path) (float64, error) {
 	return res.Bandwidth, nil
 }
 
+// idleness is the carrier-sensed per-node idleness the background
+// induces, shared by the routing entry points.
+func (s *System) idleness(background []Flow) ([]float64, error) {
+	return routing.BackgroundIdlenessContext(context.Background(), s.net, s.model, background, s.coreOptions())
+}
+
+// backgroundSchedule is the background's minimal-airtime schedule,
+// shared by the estimation entry points.
+func (s *System) backgroundSchedule(background []Flow) (Schedule, error) {
+	return routing.BackgroundScheduleContext(context.Background(), s.model, background, s.coreOptions())
+}
+
 // Route finds a path from src to dst under the given metric. The
 // background flows induce the carrier-sensed idleness average-e2eD
 // needs; pass nil for an idle network.
 func (s *System) Route(metric RouteMetric, src, dst NodeID, background []Flow) (Path, error) {
-	idle, err := routing.BackgroundIdleness(s.net, s.model, background, s.coreOptions())
+	idle, err := s.idleness(background)
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +411,7 @@ func (s *System) AdmitContext(ctx context.Context, metric RouteMetric, requests 
 // global topology knowledge; the returned stats report the protocol
 // cost.
 func (s *System) DistributedRoute(metric RouteMetric, src, dst NodeID, background []Flow) (Path, DVStats, error) {
-	idle, err := routing.BackgroundIdleness(s.net, s.model, background, s.coreOptions())
+	idle, err := s.idleness(background)
 	if err != nil {
 		return nil, DVStats{}, err
 	}
@@ -436,7 +448,7 @@ type DVStats struct {
 // reaching it with the given estimator from carrier-sensed idleness.
 // It returns the path and its estimate.
 func (s *System) RouteByEstimate(metric EstimateMetric, src, dst NodeID, background []Flow) (Path, float64, error) {
-	idle, err := routing.BackgroundIdleness(s.net, s.model, background, s.coreOptions())
+	idle, err := s.idleness(background)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -451,7 +463,7 @@ func (s *System) RouteByEstimate(metric EstimateMetric, src, dst NodeID, backgro
 // bandwidth against the background, using carrier-sensed idleness
 // (paper Sec. 4).
 func (s *System) Estimate(metric EstimateMetric, background []Flow, path Path) (float64, error) {
-	sched, err := routing.BackgroundSchedule(s.model, background, s.coreOptions())
+	sched, err := s.backgroundSchedule(background)
 	if err != nil {
 		return 0, err
 	}
@@ -469,7 +481,7 @@ type Explanation = estimate.Explanation
 // lost: the binding local clique (clique-based estimators) or the
 // binding hop (bottleneck estimator).
 func (s *System) Explain(metric EstimateMetric, background []Flow, path Path) (Explanation, error) {
-	sched, err := routing.BackgroundSchedule(s.model, background, s.coreOptions())
+	sched, err := s.backgroundSchedule(background)
 	if err != nil {
 		return Explanation{}, err
 	}
@@ -482,7 +494,7 @@ func (s *System) Explain(metric EstimateMetric, background []Flow, path Path) (E
 
 // EstimateAll computes all five estimators at once.
 func (s *System) EstimateAll(background []Flow, path Path) (map[EstimateMetric]float64, error) {
-	sched, err := routing.BackgroundSchedule(s.model, background, s.coreOptions())
+	sched, err := s.backgroundSchedule(background)
 	if err != nil {
 		return nil, err
 	}
@@ -540,7 +552,7 @@ func (s *System) FixedRateCliqueBound(path Path) (float64, error) {
 // FeasibleDemands reports whether the flows can all be delivered
 // simultaneously, returning a delivering schedule when they can.
 func (s *System) FeasibleDemands(flows []Flow) (bool, Schedule, error) {
-	return core.FeasibleDemands(s.model, flows, s.coreOptions())
+	return core.FeasibleDemandsContext(context.Background(), s.model, flows, s.coreOptions())
 }
 
 // MaxMinFair allocates end-to-end throughput max-min fairly across the
@@ -549,7 +561,7 @@ func (s *System) FeasibleDemands(flows []Flow) (bool, Schedule, error) {
 // positive; Demand 0 means uncapped). Returns per-flow allocations in
 // input order and a delivering schedule.
 func (s *System) MaxMinFair(flows []Flow) ([]float64, Schedule, error) {
-	return core.MaxMinFair(s.model, flows, s.coreOptions())
+	return core.MaxMinFairContext(context.Background(), s.model, flows, s.coreOptions())
 }
 
 // MaxDemandScale returns the largest factor theta such that every new
@@ -557,6 +569,11 @@ func (s *System) MaxMinFair(flows []Flow) ([]float64, Schedule, error) {
 // theta >= 1 means jointly admissible (the paper's multi-flow
 // extension).
 func (s *System) MaxDemandScale(background, newFlows []Flow) (float64, error) {
-	theta, _, err := core.MaxDemandScale(s.model, background, newFlows, s.coreOptions())
+	theta, _, err := s.maxDemandScale(background, newFlows)
 	return theta, err
+}
+
+// maxDemandScale delegates MaxDemandScale to core, schedule included.
+func (s *System) maxDemandScale(background, newFlows []Flow) (float64, Schedule, error) {
+	return core.MaxDemandScaleContext(context.Background(), s.model, background, newFlows, s.coreOptions())
 }

@@ -22,7 +22,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.Run(id)
+		tbl, err := experiments.Run(context.Background(), id)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
@@ -142,7 +142,7 @@ func benchAdmitSequence(b *testing.B, cache *memo.Cache) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decs, err := routing.SequentialAdmission(net, m, routing.MetricHopCount, reqs, opts)
+		decs, err := routing.SequentialAdmissionContext(context.Background(), net, m, routing.MetricHopCount, reqs, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func benchAdmitGrowth(b *testing.B, delta bool) {
 	for dst := topology.NodeID(2); dst <= 26; dst++ {
 		reqs = append(reqs, routing.Request{Src: 0, Dst: dst, Demand: 0.05})
 	}
-	decs, err := routing.SequentialAdmission(net, m, routing.MetricHopCount, reqs,
+	decs, err := routing.SequentialAdmissionContext(context.Background(), net, m, routing.MetricHopCount, reqs,
 		routing.AdmissionOptions{Core: core.Options{Cache: memo.New(0)}})
 	if err != nil {
 		b.Fatal(err)

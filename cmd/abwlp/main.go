@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -95,7 +96,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *workers != 0 {
 		spec.Workers = *workers
 	}
-	// -cachebytes and -cachedir imply -cache (netjson.Solve applies the
+	// -cachebytes and -cachedir imply -cache (netjson.SolveContext applies the
 	// same rule to the spec fields) instead of being silently ignored.
 	if *cache || *cachestats || cacheBytesSet || cacheDirSet {
 		spec.Cache = true
@@ -109,7 +110,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *trace {
 		spec.Trace = true
 	}
-	ans, err := netjson.Solve(spec)
+	ans, err := netjson.SolveContext(context.Background(), spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "abwlp:", err)
 		return 1

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -58,9 +59,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	ctx := context.Background()
 	var tables []*experiments.Table
 	if *exp != "" {
-		tbl, err := experiments.Run(*exp)
+		tbl, err := experiments.Run(ctx, *exp)
 		if err != nil {
 			fmt.Fprintln(stderr, "abwsim:", err)
 			return 1
@@ -68,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tables = append(tables, tbl)
 	} else {
 		var err error
-		tables, err = experiments.RunAllParallel(*par)
+		tables, err = experiments.RunAllParallel(ctx, *par)
 		if err != nil {
 			fmt.Fprintln(stderr, "abwsim:", err)
 			return 1

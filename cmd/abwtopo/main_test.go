@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestRunSpecPipesIntoSolver(t *testing.T) {
 	}
 	// The emitted spec must be directly solvable (or fail only with "no
 	// route" on an unlucky draw — seed 1 is connected).
-	if _, err := netjson.Solve(spec); err != nil {
+	if _, err := netjson.SolveContext(context.Background(), spec); err != nil {
 		t.Errorf("emitted spec not solvable: %v", err)
 	}
 }

@@ -14,15 +14,15 @@ import (
 )
 
 // Background is one request's solved background: the admitted flows'
-// minimal-airtime schedule (FeasibleDemands' verdict and schedule), the
-// feasibility LP's optimal basis in link terms when they are
-// schedulable, and, on the cold path, the complete maximal-set family
-// of their universe U_bg with the walk's exact exploration count.
-// Eq. 6 for a path then grows that family by the path's new links in
-// one delta walk (indepset.EnumerateDelta) instead of walking U_bg ∪ P
-// again, and runs phase 2 only, from the background's basis (see
-// AvailableBandwidthContext). The family lives exactly as long as the
-// caller holds the value; nothing is kept across requests.
+// minimal-airtime schedule (FeasibleDemandsContext's verdict and
+// schedule), the feasibility LP's optimal basis in link terms when they
+// are schedulable, and, on the cold path, the complete maximal-set
+// family of their universe U_bg with the walk's exact exploration
+// count. Eq. 6 for a path then grows that family by the path's new
+// links in one delta walk (indepset.EnumerateDelta) instead of walking
+// U_bg ∪ P again, and runs phase 2 only, from the background's basis
+// (see AvailableBandwidthContext). The family lives exactly as long as
+// the caller holds the value; nothing is kept across requests.
 type Background struct {
 	// Feasible reports whether the flows can all be delivered at once;
 	// Schedule delivers them when they can.
@@ -47,21 +47,16 @@ type Background struct {
 // an error: Feasible is false, and Eq. 6 over it still answers (as
 // lp.Infeasible).
 func SolveBackgroundContext(ctx context.Context, m conflict.Model, flows []Flow, opts Options) (*Background, error) {
-	if err := validateFlows(flows); err != nil {
-		return nil, err
-	}
 	b := &Background{m: m, flows: flows, opts: opts}
 	if len(flows) == 0 {
 		b.Feasible = true
 		return b, nil
 	}
-	paths := make([]topology.Path, 0, len(flows))
-	for _, f := range flows {
-		paths = append(paths, f.Path)
-	}
-	b.universe = topology.LinkUnion(paths...)
-	var sets []indepset.Set
 	var err error
+	if b.universe, err = flowUniverse(nil, flows); err != nil {
+		return nil, err
+	}
+	var sets []indepset.Set
 	if opts.Cache == nil {
 		var truncated bool
 		var explored int64
@@ -85,9 +80,9 @@ func SolveBackgroundContext(ctx context.Context, m conflict.Model, flows []Flow,
 	return b, nil
 }
 
-// feasibleOver runs FeasibleDemands' LP over a complete family of the
-// flows' universe, and returns its optimal basis as a start when the
-// flows are schedulable.
+// feasibleOver runs FeasibleDemandsContext's LP over a complete family
+// of the flows' universe, and returns its optimal basis as a start when
+// the flows are schedulable.
 func feasibleOver(ctx context.Context, universe []topology.LinkID, sets []indepset.Set, flows []Flow, cache *memo.Cache) (bool, schedule.Schedule, *bgStart, error) {
 	// The Eq. 6 machinery with every flow in the background and no
 	// new path: any feasible solution proves deliverability, and

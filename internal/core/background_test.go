@@ -283,11 +283,11 @@ type walkless struct{ conflict.Model }
 func TestWithSetsWithoutBackgroundWalk(t *testing.T) {
 	tb, chain := randomTableModel(rand.New(rand.NewSource(7)), 6, []radio.Rate{54, 18})
 	background, path := []Flow{{Path: chain[0:3], Demand: 1}}, chain[2:6]
-	sets, err := indepset.Enumerate(tb, chain, indepset.Options{})
+	sets, err := indepset.EnumerateContext(context.Background(), tb, chain, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := indepset.Enumerate(walkless{tb}, chain, indepset.Options{}); !errors.Is(err, indepset.ErrUnsupportedModel) {
+	if _, err := indepset.EnumerateContext(context.Background(), walkless{tb}, chain, indepset.Options{}); !errors.Is(err, indepset.ErrUnsupportedModel) {
 		t.Fatalf("walking the hidden model: %v, want ErrUnsupportedModel", err)
 	}
 	got, err := AvailableBandwidthWithSetsContext(context.Background(), walkless{tb}, background, path, sets)

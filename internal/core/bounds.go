@@ -90,26 +90,20 @@ func MaxCliqueLoadFactor(m conflict.Model, assignment []conflict.Couple, through
 //
 // The number of rate vectors is capped by Options.OmegaLimit; the paper
 // itself notes Omega <= Z^L and defers sparser enumerations to future
-// work (see RestrictedUpperBoundLP for that heuristic).
+// work (see RestrictedUpperBoundLPContext for that heuristic).
 func UpperBoundLP(m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, error) {
 	return upperBoundOverVectors(context.Background(), m, background, newPath, nil, opts)
 }
 
-// RestrictedUpperBoundLP is the paper's proposed future-work heuristic:
-// Eq. 9 evaluated over an explicit subset of rate vectors rather than
-// the full product space. The result is the exact Eq. 9 bound for
+// RestrictedUpperBoundLPContext is the paper's proposed future-work
+// heuristic: Eq. 9 evaluated over an explicit subset of rate vectors
+// rather than the full product space. The result is the exact Eq. 9 bound for
 // schedules restricted to those vectors; it remains a GLOBAL upper
 // bound only when the subset contains the rate vectors some optimal
 // schedule uses (Scenario II's {R1, R2}, for instance). An arbitrary
 // subset may cut below the unrestricted optimum — see the package tests
 // for a demonstration. Vectors are given as one couple per link of the
-// universe.
-func RestrictedUpperBoundLP(m conflict.Model, background []Flow, newPath topology.Path, vectors [][]conflict.Couple, opts Options) (*Result, error) {
-	return RestrictedUpperBoundLPContext(context.Background(), m, background, newPath, vectors, opts)
-}
-
-// RestrictedUpperBoundLPContext is RestrictedUpperBoundLP under a
-// context: the Eq. 9 simplex polls ctx between pivots; see
+// universe. The Eq. 9 simplex polls ctx between pivots; see
 // AvailableBandwidthContext.
 func RestrictedUpperBoundLPContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, vectors [][]conflict.Couple, opts Options) (*Result, error) {
 	if len(vectors) == 0 {
@@ -119,23 +113,14 @@ func RestrictedUpperBoundLPContext(ctx context.Context, m conflict.Model, backgr
 }
 
 func upperBoundOverVectors(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, vectors [][]conflict.Couple, opts Options) (*Result, error) {
-	if len(newPath) == 0 {
-		return nil, fmt.Errorf("core: empty new path")
-	}
-	if err := validateFlows(background); err != nil {
+	universe, err := flowUniverse([]topology.Path{newPath}, background)
+	if err != nil {
 		return nil, err
 	}
-	paths := make([]topology.Path, 0, len(background)+1)
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	paths = append(paths, newPath)
-	universe := topology.LinkUnion(paths...)
 	demand := linkDemand(background)
 	newCount := linkCount(newPath)
 
 	if vectors == nil {
-		var err error
 		vectors, err = enumerateRateVectors(m, universe, opts.omegaLimit())
 		if err != nil {
 			return nil, err
@@ -227,7 +212,7 @@ func enumerateRateVectors(m conflict.Model, universe []topology.LinkID, limit in
 		}
 		size *= len(ratesPer[i])
 		if size > limit {
-			return nil, fmt.Errorf("core: rate-vector space exceeds limit %d (paper: Omega <= Z^L); use RestrictedUpperBoundLP", limit)
+			return nil, fmt.Errorf("core: rate-vector space exceeds limit %d (paper: Omega <= Z^L); use RestrictedUpperBoundLPContext", limit)
 		}
 	}
 	var out [][]conflict.Couple
@@ -251,7 +236,8 @@ func enumerateRateVectors(m conflict.Model, universe []topology.LinkID, limit in
 
 // PathCapacity returns the exact capacity of a path with no background
 // traffic — the special case the authors' earlier work [1] addressed,
-// included as a baseline.
-func PathCapacity(m conflict.Model, path topology.Path, opts Options) (*Result, error) {
-	return AvailableBandwidth(m, nil, path, opts)
+// included as a baseline. ctx cancels it as it does
+// AvailableBandwidthContext.
+func PathCapacity(ctx context.Context, m conflict.Model, path topology.Path, opts Options) (*Result, error) {
+	return AvailableBandwidthContext(ctx, m, nil, path, opts)
 }

@@ -104,33 +104,18 @@ type Result struct {
 	Links []topology.LinkID
 }
 
-// AvailableBandwidth solves the paper's exact model (Eq. 6): the maximum
-// throughput deliverable over newPath while every background flow keeps
-// its demand, assuming globally optimal link scheduling. It enumerates
-// the maximal independent sets of the union of all involved paths.
-func AvailableBandwidth(m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, error) {
-	return AvailableBandwidthContext(context.Background(), m, background, newPath, opts)
-}
-
-// AvailableBandwidthContext is AvailableBandwidth under a context: both
-// the set enumeration and the Eq. 6 simplex poll ctx and abandon the
-// computation with an error satisfying errors.Is(err,
-// cancel.ErrCanceled) once it is cancelled. An uncancelled call returns
-// exactly what AvailableBandwidth would.
+// AvailableBandwidthContext solves the paper's exact model (Eq. 6):
+// the maximum throughput deliverable over newPath while every
+// background flow keeps its demand, assuming globally optimal link
+// scheduling. It enumerates the maximal independent sets of the union
+// of all involved paths. Both the set enumeration and the Eq. 6 simplex
+// poll ctx and abandon the computation with an error satisfying
+// errors.Is(err, cancel.ErrCanceled) once it is cancelled.
 func AvailableBandwidthContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, error) {
-	if len(newPath) == 0 {
-		return nil, fmt.Errorf("core: empty new path")
-	}
-	if err := validateFlows(background); err != nil {
+	universe, err := flowUniverse([]topology.Path{newPath}, background)
+	if err != nil {
 		return nil, err
 	}
-	paths := make([]topology.Path, 0, len(background)+1)
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	paths = append(paths, newPath)
-	universe := topology.LinkUnion(paths...)
-
 	sets, err := opts.enumerate(ctx, m, universe)
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
@@ -146,18 +131,10 @@ func AvailableBandwidthContext(ctx context.Context, m conflict.Model, background
 // Cancellation wins over truncation: a cancelled call returns
 // ErrCanceled and no bound.
 func AvailableBandwidthLowerBoundContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, bool, error) {
-	if len(newPath) == 0 {
-		return nil, false, fmt.Errorf("core: empty new path")
-	}
-	if err := validateFlows(background); err != nil {
+	universe, err := flowUniverse([]topology.Path{newPath}, background)
+	if err != nil {
 		return nil, false, err
 	}
-	paths := make([]topology.Path, 0, len(background)+1)
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	paths = append(paths, newPath)
-	universe := topology.LinkUnion(paths...)
 	sets, truncated, err := opts.enumeratePartial(ctx, m, universe)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: enumerating independent sets: %w", err)
@@ -169,10 +146,10 @@ func AvailableBandwidthLowerBoundContext(ctx context.Context, m conflict.Model, 
 	return res, truncated, nil
 }
 
-// AvailableBandwidthWithSets solves the Eq. 6 LP restricted to the given
-// independent sets. With all maximal sets it is exact; with a subset it
-// is the lower bound of Sec. 3.3 (the restricted solution space is
-// contained in the true one).
+// AvailableBandwidthWithSetsContext solves the Eq. 6 LP restricted to
+// the given independent sets. With all maximal sets it is exact; with a
+// subset it is the lower bound of Sec. 3.3 (the restricted solution
+// space is contained in the true one).
 //
 // It solves the LP as a request does: a non-empty background is solved
 // first (SolveBackgroundContext, which walks U_bg) and, when it is
@@ -180,26 +157,14 @@ func AvailableBandwidthLowerBoundContext(ctx context.Context, m conflict.Model, 
 // family of U_bg ∪ newPath, the answer is therefore bit for bit
 // Background.AvailableBandwidthContext's; a subset the start does not
 // map onto solves two-phase. A background whose walk fails (the
-// enumeration limit, a model with no walk) also solves two-phase.
-func AvailableBandwidthWithSets(m conflict.Model, background []Flow, newPath topology.Path, sets []indepset.Set) (*Result, error) {
-	return AvailableBandwidthWithSetsContext(context.Background(), m, background, newPath, sets)
-}
-
-// AvailableBandwidthWithSetsContext is AvailableBandwidthWithSets under
-// a context; see AvailableBandwidthContext.
+// enumeration limit, a model with no walk) also solves two-phase. The
+// background walk and both simplex runs poll ctx; see
+// AvailableBandwidthContext.
 func AvailableBandwidthWithSetsContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, sets []indepset.Set) (*Result, error) {
-	if len(newPath) == 0 {
-		return nil, fmt.Errorf("core: empty new path")
-	}
-	if err := validateFlows(background); err != nil {
+	universe, err := flowUniverse([]topology.Path{newPath}, background)
+	if err != nil {
 		return nil, err
 	}
-	paths := make([]topology.Path, 0, len(background)+1)
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	paths = append(paths, newPath)
-	universe := topology.LinkUnion(paths...)
 	var start *bgStart
 	if len(background) > 0 {
 		bg, err := SolveBackgroundContext(ctx, m, background, Options{})
@@ -237,16 +202,11 @@ func solveEq6(ctx context.Context, background []Flow, newPath topology.Path, uni
 	return res, nil
 }
 
-// FeasibleDemands reports whether the given flows can all be delivered
-// simultaneously (the feasibility side of Eq. 2/4), and returns a
-// delivering schedule when they can.
-func FeasibleDemands(m conflict.Model, flows []Flow, opts Options) (bool, schedule.Schedule, error) {
-	return FeasibleDemandsContext(context.Background(), m, flows, opts)
-}
-
-// FeasibleDemandsContext is FeasibleDemands under a context; see
-// AvailableBandwidthContext. A cancelled call returns no verdict:
-// callers must not treat ErrCanceled as "infeasible".
+// FeasibleDemandsContext reports whether the given flows can all be
+// delivered simultaneously (the feasibility side of Eq. 2/4), and
+// returns a delivering schedule when they can. Enumeration and the LP
+// poll ctx; see AvailableBandwidthContext. A cancelled call returns no
+// verdict: callers must not treat ErrCanceled as "infeasible".
 func FeasibleDemandsContext(ctx context.Context, m conflict.Model, flows []Flow, opts Options) (bool, schedule.Schedule, error) {
 	b, err := SolveBackgroundContext(ctx, m, flows, opts)
 	if err != nil {
@@ -255,25 +215,18 @@ func FeasibleDemandsContext(ctx context.Context, m conflict.Model, flows []Flow,
 	return b.Feasible, b.Schedule, nil
 }
 
-// MaxDemandScale returns the largest theta such that every new flow j
-// can be delivered at theta times its demand alongside the background
-// (the paper's multi-flow extension of Sec. 2.5). theta >= 1 means the
-// new flows are jointly admissible. The second return is the delivering
-// schedule at the optimum.
-func MaxDemandScale(m conflict.Model, background, newFlows []Flow, opts Options) (float64, schedule.Schedule, error) {
-	return MaxDemandScaleContext(context.Background(), m, background, newFlows, opts)
-}
-
-// MaxDemandScaleContext is MaxDemandScale under a context; see
-// AvailableBandwidthContext.
+// MaxDemandScaleContext returns the largest theta such that every new
+// flow j can be delivered at theta times its demand alongside the
+// background (the paper's multi-flow extension of Sec. 2.5). theta >= 1
+// means the new flows are jointly admissible. The second return is the
+// delivering schedule at the optimum. Enumeration and the LP poll ctx;
+// see AvailableBandwidthContext.
 func MaxDemandScaleContext(ctx context.Context, m conflict.Model, background, newFlows []Flow, opts Options) (float64, schedule.Schedule, error) {
 	if len(newFlows) == 0 {
 		return 0, schedule.Schedule{}, fmt.Errorf("core: no new flows")
 	}
-	if err := validateFlows(background); err != nil {
-		return 0, schedule.Schedule{}, err
-	}
-	if err := validateFlows(newFlows); err != nil {
+	universe, err := flowUniverse(nil, background, newFlows)
+	if err != nil {
 		return 0, schedule.Schedule{}, err
 	}
 	for _, f := range newFlows {
@@ -281,14 +234,6 @@ func MaxDemandScaleContext(ctx context.Context, m conflict.Model, background, ne
 			return 0, schedule.Schedule{}, fmt.Errorf("core: new flow demand must be positive, got %g", f.Demand)
 		}
 	}
-	paths := make([]topology.Path, 0, len(background)+len(newFlows))
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	for _, f := range newFlows {
-		paths = append(paths, f.Path)
-	}
-	universe := topology.LinkUnion(paths...)
 	sets, err := opts.enumerate(ctx, m, universe)
 	if err != nil {
 		return 0, schedule.Schedule{}, fmt.Errorf("core: enumerating independent sets: %w", err)
@@ -316,13 +261,14 @@ type rowRule int
 
 const (
 	// nonVacuous drops a link's row only when it has no coefficient and
-	// no positive demand (Eq. 6, MaxDemandScale, progressive filling).
+	// no positive demand (Eq. 6, MaxDemandScaleContext, progressive
+	// filling).
 	nonVacuous rowRule = iota
 	// allLinks keeps every link's row, so any later demand vector is a
 	// pure right-hand-side change (Session).
 	allLinks
 	// demanded keeps only rows with a positive demand; with non-negative
-	// rates every other row holds trivially (FeasibleDemands).
+	// rates every other row holds trivially (FeasibleDemandsContext).
 	demanded
 )
 
@@ -479,6 +425,32 @@ func linkLoad(universe []topology.LinkID, flows []Flow) []float64 {
 		}
 	}
 	return out
+}
+
+// flowUniverse checks a computation's inputs and returns its link
+// universe P: the sorted union of the new paths' and every flow's path
+// links. An empty new path is an error, checked first; the flow lists
+// are then validated in turn.
+func flowUniverse(newPaths []topology.Path, lists ...[]Flow) ([]topology.LinkID, error) {
+	for _, p := range newPaths {
+		if len(p) == 0 {
+			return nil, fmt.Errorf("core: empty new path")
+		}
+	}
+	n := len(newPaths)
+	for _, flows := range lists {
+		n += len(flows)
+	}
+	paths := append(make([]topology.Path, 0, n), newPaths...)
+	for _, flows := range lists {
+		if err := validateFlows(flows); err != nil {
+			return nil, err
+		}
+		for _, f := range flows {
+			paths = append(paths, f.Path)
+		}
+	}
+	return topology.LinkUnion(paths...), nil
 }
 
 func validateFlows(flows []Flow) error {

@@ -20,7 +20,7 @@ const eps = 1e-9
 // optimal multirate scheduling (Sec. 5.1).
 func TestScenarioIIExactBandwidth(t *testing.T) {
 	s := scenario.NewScenarioII()
-	res, err := AvailableBandwidth(s.Model, nil, s.Path, Options{})
+	res, err := AvailableBandwidthContext(context.Background(), s.Model, nil, s.Path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestScenarioIIUpperBoundLP(t *testing.T) {
 // grows monotonically as sets are added back.
 func TestScenarioIILowerBounds(t *testing.T) {
 	s := scenario.NewScenarioII()
-	sets, err := indepset.Enumerate(s.Model, s.Links(), indepset.Options{})
+	sets, err := indepset.EnumerateContext(context.Background(), s.Model, s.Links(), indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestScenarioIILowerBounds(t *testing.T) {
 	}
 	prev := -1.0
 	for k := 1; k <= len(sets); k++ {
-		res, err := AvailableBandwidthWithSets(s.Model, nil, s.Path, sets[:k])
+		res, err := AvailableBandwidthWithSetsContext(context.Background(), s.Model, nil, s.Path, sets[:k])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestScenarioIAvailableBandwidth(t *testing.T) {
 		{Path: topology.Path{s.L1}, Demand: lambda * 54},
 		{Path: topology.Path{s.L2}, Demand: lambda * 54},
 	}
-	res, err := AvailableBandwidth(s.Model, bg, topology.Path{s.L3}, Options{})
+	res, err := AvailableBandwidthContext(context.Background(), s.Model, bg, topology.Path{s.L3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestBackgroundInfeasible(t *testing.T) {
 	// Demand beyond channel capacity on a single link.
 	s := scenario.NewScenarioI(54)
 	bg := []Flow{{Path: topology.Path{s.L1}, Demand: 60}}
-	res, err := AvailableBandwidth(s.Model, bg, topology.Path{s.L3}, Options{})
+	res, err := AvailableBandwidthContext(context.Background(), s.Model, bg, topology.Path{s.L3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestBackgroundInfeasible(t *testing.T) {
 
 func TestFeasibleDemands(t *testing.T) {
 	s := scenario.NewScenarioI(54)
-	ok, sched, err := FeasibleDemands(s.Model, []Flow{
+	ok, sched, err := FeasibleDemandsContext(context.Background(), s.Model, []Flow{
 		{Path: topology.Path{s.L1}, Demand: 20},
 		{Path: topology.Path{s.L2}, Demand: 20},
 		{Path: topology.Path{s.L3}, Demand: 20},
@@ -216,7 +216,7 @@ func TestFeasibleDemands(t *testing.T) {
 		t.Error("schedule does not deliver the demands")
 	}
 
-	ok, _, err = FeasibleDemands(s.Model, []Flow{
+	ok, _, err = FeasibleDemandsContext(context.Background(), s.Model, []Flow{
 		{Path: topology.Path{s.L1}, Demand: 30},
 		{Path: topology.Path{s.L3}, Demand: 30},
 	}, Options{})
@@ -227,7 +227,7 @@ func TestFeasibleDemands(t *testing.T) {
 		t.Error("30+30 over conflicting links exceeds 54: should be infeasible")
 	}
 
-	ok, _, err = FeasibleDemands(s.Model, nil, Options{})
+	ok, _, err = FeasibleDemandsContext(context.Background(), s.Model, nil, Options{})
 	if err != nil || !ok {
 		t.Errorf("no flows should be trivially feasible: ok=%v err=%v", ok, err)
 	}
@@ -237,7 +237,7 @@ func TestMaxDemandScale(t *testing.T) {
 	s := scenario.NewScenarioII()
 	// One new flow on the chain with demand 8.1: optimum 16.2 gives
 	// theta = 2.
-	theta, sched, err := MaxDemandScale(s.Model, nil, []Flow{{Path: s.Path, Demand: 8.1}}, Options{})
+	theta, sched, err := MaxDemandScaleContext(context.Background(), s.Model, nil, []Flow{{Path: s.Path, Demand: 8.1}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestMaxDemandScale(t *testing.T) {
 		t.Errorf("schedule invalid: %v", err)
 	}
 	// Two identical flows split the capacity: theta = 1.
-	theta, _, err = MaxDemandScale(s.Model, nil, []Flow{
+	theta, _, err = MaxDemandScaleContext(context.Background(), s.Model, nil, []Flow{
 		{Path: s.Path, Demand: 8.1},
 		{Path: s.Path, Demand: 8.1},
 	}, Options{})
@@ -262,25 +262,25 @@ func TestMaxDemandScale(t *testing.T) {
 
 func TestMaxDemandScaleValidation(t *testing.T) {
 	s := scenario.NewScenarioII()
-	if _, _, err := MaxDemandScale(s.Model, nil, nil, Options{}); err == nil {
+	if _, _, err := MaxDemandScaleContext(context.Background(), s.Model, nil, nil, Options{}); err == nil {
 		t.Error("no new flows: expected error")
 	}
-	if _, _, err := MaxDemandScale(s.Model, nil, []Flow{{Path: s.Path, Demand: 0}}, Options{}); err == nil {
+	if _, _, err := MaxDemandScaleContext(context.Background(), s.Model, nil, []Flow{{Path: s.Path, Demand: 0}}, Options{}); err == nil {
 		t.Error("zero demand: expected error")
 	}
 }
 
 func TestValidation(t *testing.T) {
 	s := scenario.NewScenarioII()
-	if _, err := AvailableBandwidth(s.Model, nil, nil, Options{}); err == nil {
+	if _, err := AvailableBandwidthContext(context.Background(), s.Model, nil, nil, Options{}); err == nil {
 		t.Error("empty new path: expected error")
 	}
 	bad := []Flow{{Path: nil, Demand: 1}}
-	if _, err := AvailableBandwidth(s.Model, bad, s.Path, Options{}); err == nil {
+	if _, err := AvailableBandwidthContext(context.Background(), s.Model, bad, s.Path, Options{}); err == nil {
 		t.Error("background with empty path: expected error")
 	}
 	negative := []Flow{{Path: s.Path, Demand: -1}}
-	if _, err := AvailableBandwidth(s.Model, negative, s.Path, Options{}); err == nil {
+	if _, err := AvailableBandwidthContext(context.Background(), s.Model, negative, s.Path, Options{}); err == nil {
 		t.Error("negative demand: expected error")
 	}
 	if _, err := FixedRateCliqueBound(s.Model, s.Path, []radio.Rate{54}); err == nil {
@@ -292,7 +292,7 @@ func TestValidation(t *testing.T) {
 	if _, err := FixedRateCliqueBound(s.Model, s.Path, []radio.Rate{0, 54, 54, 54}); err == nil {
 		t.Error("zero rate: expected error")
 	}
-	if _, err := RestrictedUpperBoundLP(s.Model, nil, s.Path, nil, Options{}); err == nil {
+	if _, err := RestrictedUpperBoundLPContext(context.Background(), s.Model, nil, s.Path, nil, Options{}); err == nil {
 		t.Error("no vectors: expected error")
 	}
 }
@@ -312,7 +312,7 @@ func TestRestrictedUpperBound(t *testing.T) {
 		{{Link: s.L1, Rate: 54}, {Link: s.L2, Rate: 54}, {Link: s.L3, Rate: 54}, {Link: s.L4, Rate: 54}},
 		{{Link: s.L1, Rate: 36}, {Link: s.L2, Rate: 54}, {Link: s.L3, Rate: 54}, {Link: s.L4, Rate: 54}},
 	}
-	restricted, err := RestrictedUpperBoundLP(s.Model, nil, s.Path, vectors, Options{})
+	restricted, err := RestrictedUpperBoundLPContext(context.Background(), s.Model, nil, s.Path, vectors, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,11 +336,11 @@ func TestRestrictedUpperBound(t *testing.T) {
 
 func TestPathCapacityEqualsAvailableWithNoBackground(t *testing.T) {
 	s := scenario.NewScenarioII()
-	cap1, err := PathCapacity(s.Model, s.Path, Options{})
+	cap1, err := PathCapacity(context.Background(), s.Model, s.Path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	avail, err := AvailableBandwidth(s.Model, nil, s.Path, Options{})
+	avail, err := AvailableBandwidthContext(context.Background(), s.Model, nil, s.Path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestBoundsSandwichPhysicalChain(t *testing.T) {
 	m := conflict.NewPhysical(net)
 	bg := []Flow{{Path: topology.Path{path[0]}, Demand: 5}}
 
-	exact, err := AvailableBandwidth(m, bg, path, Options{})
+	exact, err := AvailableBandwidthContext(context.Background(), m, bg, path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestBoundsSandwichPhysicalChain(t *testing.T) {
 
 	// Lower bound from half of the maximal sets.
 	half := exact.Sets[:(len(exact.Sets)+1)/2]
-	lower, err := AvailableBandwidthWithSets(m, bg, path, half)
+	lower, err := AvailableBandwidthWithSetsContext(context.Background(), m, bg, path, half)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestBoundsSandwichPhysicalChain(t *testing.T) {
 // key structural insight.
 func TestScenarioIIScheduleMatchesPaperStructure(t *testing.T) {
 	s := scenario.NewScenarioII()
-	res, err := AvailableBandwidth(s.Model, nil, s.Path, Options{})
+	res, err := AvailableBandwidthContext(context.Background(), s.Model, nil, s.Path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestRestrictedUpperBoundCaveat(t *testing.T) {
 	only36 := [][]conflict.Couple{{
 		{Link: s.L1, Rate: 36}, {Link: s.L2, Rate: 36}, {Link: s.L3, Rate: 36}, {Link: s.L4, Rate: 36},
 	}}
-	res, err := RestrictedUpperBoundLP(s.Model, nil, s.Path, only36, Options{})
+	res, err := RestrictedUpperBoundLPContext(context.Background(), s.Model, nil, s.Path, only36, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func BenchmarkSolveEq6Fig2(b *testing.B) {
 		paths = append(paths, f.Path)
 	}
 	universe := topology.LinkUnion(paths...)
-	sets, err := indepset.Enumerate(m, universe, indepset.Options{})
+	sets, err := indepset.EnumerateContext(context.Background(), m, universe, indepset.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func fig2Admitted(b testing.TB) (*topology.Network, *conflict.Physical, []core.F
 	if err != nil {
 		b.Fatal(err)
 	}
-	decs, err := routing.SequentialAdmission(net, m, routing.MetricAvgE2ED, reqs, routing.AdmissionOptions{})
+	decs, err := routing.SequentialAdmissionContext(context.Background(), net, m, routing.MetricAvgE2ED, reqs, routing.AdmissionOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

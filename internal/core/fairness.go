@@ -11,7 +11,7 @@ import (
 	"abw/internal/topology"
 )
 
-// MaxMinFair allocates end-to-end throughput to the given flows
+// MaxMinFairContext allocates end-to-end throughput to the given flows
 // max-min fairly over the exact feasibility polytope (Eq. 4):
 // progressive filling raises every flow's allocation together,
 // freezing flows as they hit their bottleneck (or their Demand, when
@@ -20,25 +20,16 @@ import (
 //
 // Max-min fairness over independent sets is the resource-allocation
 // question of the paper's reference [11], answered here with the
-// paper's own rate-coupled machinery.
-func MaxMinFair(m conflict.Model, flows []Flow, opts Options) ([]float64, schedule.Schedule, error) {
-	return MaxMinFairContext(context.Background(), m, flows, opts)
-}
-
-// MaxMinFairContext is MaxMinFair under a context: enumeration and
-// every progressive-filling LP poll ctx; see AvailableBandwidthContext.
+// paper's own rate-coupled machinery. Enumeration and every
+// progressive-filling LP poll ctx; see AvailableBandwidthContext.
 func MaxMinFairContext(ctx context.Context, m conflict.Model, flows []Flow, opts Options) ([]float64, schedule.Schedule, error) {
 	if len(flows) == 0 {
 		return nil, schedule.Schedule{}, fmt.Errorf("core: no flows")
 	}
-	if err := validateFlows(flows); err != nil {
+	universe, err := flowUniverse(nil, flows)
+	if err != nil {
 		return nil, schedule.Schedule{}, err
 	}
-	paths := make([]topology.Path, 0, len(flows))
-	for _, f := range flows {
-		paths = append(paths, f.Path)
-	}
-	universe := topology.LinkUnion(paths...)
 	sets, err := opts.enumerate(ctx, m, universe)
 	if err != nil {
 		return nil, schedule.Schedule{}, fmt.Errorf("core: enumerating independent sets: %w", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestMaxMinFairScenarioISymmetric(t *testing.T) {
 		{Path: topology.Path{s.L2}},
 		{Path: topology.Path{s.L3}},
 	}
-	alloc, sched, err := MaxMinFair(s.Model, flows, Options{})
+	alloc, sched, err := MaxMinFairContext(context.Background(), s.Model, flows, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestMaxMinFairWithDemandCap(t *testing.T) {
 		{Path: topology.Path{s.L2}},             // uncapped
 		{Path: topology.Path{s.L3}},             // uncapped
 	}
-	alloc, _, err := MaxMinFair(s.Model, flows, Options{})
+	alloc, _, err := MaxMinFairContext(context.Background(), s.Model, flows, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestMaxMinFairWithDemandCap(t *testing.T) {
 
 func TestMaxMinFairScenarioIISingleFlow(t *testing.T) {
 	s := scenario.NewScenarioII()
-	alloc, sched, err := MaxMinFair(s.Model, []Flow{{Path: s.Path}}, Options{})
+	alloc, sched, err := MaxMinFairContext(context.Background(), s.Model, []Flow{{Path: s.Path}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestMaxMinFairScenarioIISingleFlow(t *testing.T) {
 
 func TestMaxMinFairScenarioIITwinFlows(t *testing.T) {
 	s := scenario.NewScenarioII()
-	alloc, _, err := MaxMinFair(s.Model, []Flow{{Path: s.Path}, {Path: s.Path}}, Options{})
+	alloc, _, err := MaxMinFairContext(context.Background(), s.Model, []Flow{{Path: s.Path}, {Path: s.Path}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestMaxMinFairAsymmetricBottlenecks(t *testing.T) {
 		{Path: topology.Path{s.L1}},
 		{Path: topology.Path{s.L2}},
 	}
-	alloc, _, err := MaxMinFair(s.Model, flows, Options{})
+	alloc, _, err := MaxMinFairContext(context.Background(), s.Model, flows, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +110,10 @@ func TestMaxMinFairAsymmetricBottlenecks(t *testing.T) {
 
 func TestMaxMinFairValidation(t *testing.T) {
 	s := scenario.NewScenarioI(54)
-	if _, _, err := MaxMinFair(s.Model, nil, Options{}); err == nil {
+	if _, _, err := MaxMinFairContext(context.Background(), s.Model, nil, Options{}); err == nil {
 		t.Error("no flows: expected error")
 	}
-	if _, _, err := MaxMinFair(s.Model, []Flow{{Path: nil}}, Options{}); err == nil {
+	if _, _, err := MaxMinFairContext(context.Background(), s.Model, []Flow{{Path: nil}}, Options{}); err == nil {
 		t.Error("empty path: expected error")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestBoundsSandwichRandomTables(t *testing.T) {
 		n := 3 + rng.Intn(3)
 		m, path := randomTableModel(rng, n, rates)
 
-		exact, err := AvailableBandwidth(m, nil, path, Options{})
+		exact, err := AvailableBandwidthContext(context.Background(), m, nil, path, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -83,7 +84,7 @@ func TestBoundsSandwichRandomTables(t *testing.T) {
 		// Lower bound from a random half of the maximal sets.
 		if len(exact.Sets) > 1 {
 			k := 1 + rng.Intn(len(exact.Sets))
-			lower, err := AvailableBandwidthWithSets(m, nil, path, exact.Sets[:k])
+			lower, err := AvailableBandwidthWithSetsContext(context.Background(), m, nil, path, exact.Sets[:k])
 			if err != nil {
 				t.Fatalf("trial %d: lower: %v", trial, err)
 			}
@@ -112,7 +113,7 @@ func TestExactMonotoneInBackground(t *testing.T) {
 			if demand > 0 {
 				bg = []Flow{{Path: topology.Path{path[0]}, Demand: demand}}
 			}
-			res, err := AvailableBandwidth(m, bg, path, Options{})
+			res, err := AvailableBandwidthContext(context.Background(), m, bg, path, Options{})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -142,7 +143,7 @@ func TestFixedRateNeverBeatsMultirate(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := conflict.NewProtocol(net)
-		multirate, err := AvailableBandwidth(m, nil, path, Options{})
+		multirate, err := AvailableBandwidthContext(context.Background(), m, nil, path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +153,7 @@ func TestFixedRateNeverBeatsMultirate(t *testing.T) {
 			assignment = append(assignment, conflict.Couple{Link: l, Rate: conflict.AloneMaxRate(m, l)})
 		}
 		fixed := conflict.FixRates(m, assignment)
-		pinned, err := AvailableBandwidth(fixed, nil, path, Options{})
+		pinned, err := AvailableBandwidthContext(context.Background(), fixed, nil, path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestScheduleSetsAreEnumerated(t *testing.T) {
 	rates := []radio.Rate{54, 36}
 	for trial := 0; trial < 15; trial++ {
 		m, path := randomTableModel(rng, 3+rng.Intn(3), rates)
-		res, err := AvailableBandwidth(m, nil, path, Options{})
+		res, err := AvailableBandwidthContext(context.Background(), m, nil, path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +229,7 @@ func TestRandomGeometricAvailability(t *testing.T) {
 		if path == nil {
 			continue // no multi-hop pair in this draw
 		}
-		exact, err := AvailableBandwidth(m, nil, path, Options{})
+		exact, err := AvailableBandwidthContext(context.Background(), m, nil, path, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -41,9 +41,10 @@ import (
 //     Background does; without a memoized verdict it runs two-phase.
 //
 // Answers are exact: the warm-started or basis-started optimum matches
-// a cold AvailableBandwidth solve within pivot-tolerance arithmetic
-// noise (the session property tests pin this), and set families and
-// feasibility schedules are byte-identical to the cold path's.
+// a cold AvailableBandwidthContext solve within pivot-tolerance
+// arithmetic noise (the session property tests pin this), and set
+// families and feasibility schedules are byte-identical to the cold
+// path's.
 //
 // A Session is safe for concurrent use. Enumeration runs outside the
 // session lock (so parallel workers and the cache's singleflight keep
@@ -90,7 +91,7 @@ type availState struct {
 	coldPivots int
 }
 
-// feasResult memoizes one FeasibleDemands verdict, with the
+// feasResult memoizes one FeasibleDemandsContext verdict, with the
 // feasibility LP's optimal basis when the flows are schedulable.
 type feasResult struct {
 	ok    bool
@@ -98,32 +99,18 @@ type feasResult struct {
 	start *bgStart
 }
 
-// AvailableBandwidth is the session-accelerated equivalent of the
-// package-level AvailableBandwidth: same inputs, same answer, but
-// repeated queries for the same universe and candidate path re-solve
-// warm instead of from scratch.
-func (s *Session) AvailableBandwidth(background []Flow, newPath topology.Path) (*Result, error) {
-	return s.AvailableBandwidthContext(context.Background(), background, newPath)
-}
-
-// AvailableBandwidthContext is AvailableBandwidth under a context:
-// enumeration and the (warm or cold) simplex poll ctx. A cancelled
-// resolve discards the retained simplex state, so the next query for the
-// same pair simply re-solves cold — cancellation never corrupts the
-// session's memoized state.
+// AvailableBandwidthContext is the session-accelerated equivalent of
+// the package-level AvailableBandwidthContext: same inputs, same
+// answer, but repeated queries for the same universe and candidate path
+// re-solve warm instead of from scratch. Enumeration and the (warm or
+// cold) simplex poll ctx. A cancelled resolve discards the retained
+// simplex state, so the next query for the same pair simply re-solves
+// cold — cancellation never corrupts the session's memoized state.
 func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Flow, newPath topology.Path) (*Result, error) {
-	if len(newPath) == 0 {
-		return nil, fmt.Errorf("core: empty new path")
-	}
-	if err := validateFlows(background); err != nil {
+	universe, err := flowUniverse([]topology.Path{newPath}, background)
+	if err != nil {
 		return nil, err
 	}
-	paths := make([]topology.Path, 0, len(background)+1)
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	paths = append(paths, newPath)
-	universe := topology.LinkUnion(paths...)
 
 	// Enumeration (and its cache) run unlocked; the family is
 	// deterministic, so a race between two builders of the same state
@@ -202,28 +189,19 @@ func (st *availState) solve(ctx context.Context, cache *memo.Cache, demand []flo
 	return res, nil
 }
 
-// FeasibleDemands is the session-memoized equivalent of the
-// package-level FeasibleDemands: identical demand signatures over the
-// same universe return the recorded verdict and schedule.
-func (s *Session) FeasibleDemands(flows []Flow) (bool, schedule.Schedule, error) {
-	return s.FeasibleDemandsContext(context.Background(), flows)
-}
-
-// FeasibleDemandsContext is FeasibleDemands under a context. A
+// FeasibleDemandsContext is the session-memoized equivalent of the
+// package-level FeasibleDemandsContext: identical demand signatures
+// over the same universe return the recorded verdict and schedule. A
 // cancelled check memoizes nothing: ErrCanceled is never recorded as a
 // verdict, so a later uncancelled repeat re-answers from scratch.
 func (s *Session) FeasibleDemandsContext(ctx context.Context, flows []Flow) (bool, schedule.Schedule, error) {
-	if err := validateFlows(flows); err != nil {
-		return false, schedule.Schedule{}, err
-	}
 	if len(flows) == 0 {
 		return true, schedule.Schedule{}, nil
 	}
-	paths := make([]topology.Path, 0, len(flows))
-	for _, f := range flows {
-		paths = append(paths, f.Path)
+	universe, err := flowUniverse(nil, flows)
+	if err != nil {
+		return false, schedule.Schedule{}, err
 	}
-	universe := topology.LinkUnion(paths...)
 	key := feasKey(universe, flows)
 
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)
@@ -249,9 +227,9 @@ func (s *Session) FeasibleDemandsContext(ctx context.Context, flows []Flow) (boo
 
 // IdleRatiosContext returns the per-node carrier-sensed idle ratios
 // induced by the flows' minimal-airtime schedule
-// (estimate.NodeIdleRatios over the FeasibleDemands schedule), memoized
-// by the same demand signature as the feasibility verdict. The routing
-// layer asks this before every admission step with an unchanged
+// (estimate.NodeIdleRatios over the FeasibleDemandsContext schedule),
+// memoized by the same demand signature as the feasibility verdict. The
+// routing layer asks this before every admission step with an unchanged
 // background, so the repeat costs a map lookup. net must be the network
 // the session's model was built on. Cancelled computations memoize
 // nothing.
@@ -263,14 +241,10 @@ func (s *Session) IdleRatiosContext(ctx context.Context, net *topology.Network, 
 		}
 		return idle, nil
 	}
-	if err := validateFlows(flows); err != nil {
+	universe, err := flowUniverse(nil, flows)
+	if err != nil {
 		return nil, err
 	}
-	paths := make([]topology.Path, 0, len(flows))
-	for _, f := range flows {
-		paths = append(paths, f.Path)
-	}
-	universe := topology.LinkUnion(paths...)
 	key := feasKey(universe, flows)
 
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)

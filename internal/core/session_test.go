@@ -79,11 +79,11 @@ func TestSessionMatchesColdAvailability(t *testing.T) {
 		}
 		var background []Flow
 		for step := 0; step < 6; step++ {
-			got, err := sess.AvailableBandwidth(background, candidate)
+			got, err := sess.AvailableBandwidthContext(context.Background(), background, candidate)
 			if err != nil {
 				t.Fatalf("trial %d step %d: session: %v", trial, step, err)
 			}
-			want, err := AvailableBandwidth(m, background, candidate, Options{})
+			want, err := AvailableBandwidthContext(context.Background(), m, background, candidate, Options{})
 			if err != nil {
 				t.Fatalf("trial %d step %d: cold: %v", trial, step, err)
 			}
@@ -132,7 +132,7 @@ func TestSessionWarmSavesPivots(t *testing.T) {
 	}
 	var background []Flow
 	for step := 0; step < 10; step++ {
-		res, err := sess.AvailableBandwidth(background, candidate)
+		res, err := sess.AvailableBandwidthContext(context.Background(), background, candidate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,18 +173,18 @@ func TestSessionFeasibilityMemo(t *testing.T) {
 		t.Skip("no path in topology")
 	}
 	flows := []Flow{{Path: path, Demand: 1.5}}
-	ok1, sched1, err := sess.FeasibleDemands(flows)
+	ok1, sched1, err := sess.FeasibleDemandsContext(context.Background(), flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	okCold, schedCold, err := FeasibleDemands(m, flows, Options{})
+	okCold, schedCold, err := FeasibleDemandsContext(context.Background(), m, flows, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok1 != okCold {
 		t.Fatalf("session verdict %v, cold %v", ok1, okCold)
 	}
-	ok2, sched2, err := sess.FeasibleDemands(flows)
+	ok2, sched2, err := sess.FeasibleDemandsContext(context.Background(), flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSessionFeasibilityMemo(t *testing.T) {
 	// Mutating the returned schedule must not corrupt the memo.
 	if len(sched2.Slots) > 0 {
 		sched2.Slots[0].Share = -1
-		_, sched3, err := sess.FeasibleDemands(flows)
+		_, sched3, err := sess.FeasibleDemandsContext(context.Background(), flows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,11 +242,11 @@ func TestSessionConcurrentQueries(t *testing.T) {
 			p := paths[g%len(paths)]
 			bg := []Flow{{Path: paths[(g+1)%len(paths)], Demand: 0.5}}
 			for i := 0; i < 5; i++ {
-				if _, err := sess.AvailableBandwidth(bg, p); err != nil {
+				if _, err := sess.AvailableBandwidthContext(context.Background(), bg, p); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				if _, _, err := sess.FeasibleDemands(bg); err != nil {
+				if _, _, err := sess.FeasibleDemandsContext(context.Background(), bg); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
@@ -283,7 +283,7 @@ func TestSessionStartsFromFeasibilityBasis(t *testing.T) {
 		}
 
 		sess := NewSession(m, Options{Cache: memo.New(0)})
-		if _, _, err := sess.FeasibleDemands(background); err != nil {
+		if _, _, err := sess.FeasibleDemandsContext(context.Background(), background); err != nil {
 			t.Fatal(err)
 		}
 		span := obs.NewSpan("")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"abw/internal/core"
@@ -16,7 +17,7 @@ import (
 // idleness; the exact Eq. 6 model is the oracle. A false admit lets a
 // flow in that the network cannot actually carry; a false reject turns
 // away a flow that would have fit.
-func EstimatorAdmission() (*Table, error) {
+func EstimatorAdmission(ctx context.Context) (*Table, error) {
 	net, m, reqs, err := Fig2Setup()
 	if err != nil {
 		return nil, err
@@ -34,7 +35,7 @@ func EstimatorAdmission() (*Table, error) {
 		for _, req := range reqs {
 			// One background solve serves both routing's idle ratios
 			// and the estimator's path state.
-			sched, err := routing.BackgroundSchedule(m, admitted, queryOptions())
+			sched, err := routing.BackgroundScheduleContext(ctx, m, admitted, queryOptions())
 			if err != nil {
 				return nil, err
 			}
@@ -50,7 +51,7 @@ func EstimatorAdmission() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.AvailableBandwidth(m, admitted, path, queryOptions())
+			res, err := core.AvailableBandwidthContext(ctx, m, admitted, path, queryOptions())
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"abw/internal/core"
@@ -19,7 +20,7 @@ func TestBackgroundIdlenessIsIdleRatiosOfSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decisions, err := routing.SequentialAdmission(net, m, routing.MetricAvgE2ED, reqs, routing.AdmissionOptions{})
+	decisions, err := routing.SequentialAdmissionContext(context.Background(), net, m, routing.MetricAvgE2ED, reqs, routing.AdmissionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,11 @@ func TestBackgroundIdlenessIsIdleRatiosOfSchedule(t *testing.T) {
 		{"fig2 cached", fig2, core.Options{Cache: memo.New(0)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			idle, err := routing.BackgroundIdleness(net, m, tc.background, tc.opts)
+			idle, err := routing.BackgroundIdlenessContext(context.Background(), net, m, tc.background, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sched, err := routing.BackgroundSchedule(m, tc.background, tc.opts)
+			sched, err := routing.BackgroundScheduleContext(context.Background(), m, tc.background, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -22,7 +23,7 @@ import (
 // a long one over-hears (exposed-terminal pessimism). The conservative
 // clique estimator's error is reported per CS-range factor on the
 // Sec. 5.2 deployment.
-func CSRangeSensitivity() (*Table, error) {
+func CSRangeSensitivity(ctx context.Context) (*Table, error) {
 	tbl := &Table{
 		ID:     "E17",
 		Title:  "Extension: carrier-sense range vs estimator accuracy (conservative clique, MAE in Mbps)",
@@ -40,14 +41,14 @@ func CSRangeSensitivity() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mae, n, err := estimationMAE(net, m, reqs)
+		mae, n, err := estimationMAE(ctx, net, m, reqs)
 		if err != nil {
 			return nil, err
 		}
 		if n == 0 {
 			continue
 		}
-		idleMean, err := meanIdleUnderLoad(net, m, reqs)
+		idleMean, err := meanIdleUnderLoad(ctx, net, m, reqs)
 		if err != nil {
 			return nil, err
 		}
@@ -64,8 +65,8 @@ func CSRangeSensitivity() (*Table, error) {
 
 // meanIdleUnderLoad admits the request sequence greedily (by the exact
 // model) and returns the mean node idleness under the final background.
-func meanIdleUnderLoad(net *topology.Network, m *conflict.Physical, reqs []routing.Request) (float64, error) {
-	decs, err := routing.SequentialAdmission(net, m, routing.MetricAvgE2ED, reqs,
+func meanIdleUnderLoad(ctx context.Context, net *topology.Network, m *conflict.Physical, reqs []routing.Request) (float64, error) {
+	decs, err := routing.SequentialAdmissionContext(ctx, net, m, routing.MetricAvgE2ED, reqs,
 		routing.AdmissionOptions{StopAtFirstFailure: false})
 	if err != nil {
 		return 0, err
@@ -76,7 +77,7 @@ func meanIdleUnderLoad(net *topology.Network, m *conflict.Physical, reqs []routi
 			admitted = append(admitted, core.Flow{Path: d.Path, Demand: d.Request.Demand})
 		}
 	}
-	idle, err := routing.BackgroundIdleness(net, m, admitted, core.Options{})
+	idle, err := routing.BackgroundIdlenessContext(ctx, net, m, admitted, core.Options{})
 	if err != nil {
 		return 0, err
 	}

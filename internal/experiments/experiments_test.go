@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -14,7 +15,7 @@ import (
 // TestScenarioIPaperNumbers asserts E1 reproduces the introduction's
 // closed forms exactly.
 func TestScenarioIPaperNumbers(t *testing.T) {
-	tbl, err := ScenarioI()
+	tbl, err := ScenarioI(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestScenarioIPaperNumbers(t *testing.T) {
 // TestScenarioIIPaperNumbers asserts E2 reproduces Sec. 5.1 exactly:
 // 16.2 / 13.5 / 108/7 / 1.2 / 1.05.
 func TestScenarioIIPaperNumbers(t *testing.T) {
-	tbl, err := ScenarioII()
+	tbl, err := ScenarioII(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestFig3Ordering(t *testing.T) {
 // TestFig4Shape asserts the paper's Fig. 4 qualitative claims on the
 // calibrated run.
 func TestFig4Shape(t *testing.T) {
-	rows, err := Fig4Series()
+	rows, err := Fig4Series(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +124,14 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestEq9AndLowerBoundTables(t *testing.T) {
-	up, err := Eq9UpperBound()
+	up, err := Eq9UpperBound(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(up.Rows) != 4 {
 		t.Errorf("E6 rows = %d, want 4", len(up.Rows))
 	}
-	lb, err := LowerBounds()
+	lb, err := LowerBounds(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestEq9AndLowerBoundTables(t *testing.T) {
 }
 
 func TestAdaptationAblationTable(t *testing.T) {
-	tbl, err := AdaptationAblation()
+	tbl, err := AdaptationAblation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +164,14 @@ func TestAdaptationAblationTable(t *testing.T) {
 }
 
 func TestValidationTables(t *testing.T) {
-	sv, err := SimValidation()
+	sv, err := SimValidation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sv.Rows) != 3 {
 		t.Errorf("E9 rows = %d, want 3", len(sv.Rows))
 	}
-	ci, err := CSMAIdle()
+	ci, err := CSMAIdle(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +185,14 @@ func TestRegistryAndRun(t *testing.T) {
 	if len(reg) != 17 {
 		t.Fatalf("registry has %d experiments, want 17", len(reg))
 	}
-	tbl, err := Run("e1")
+	tbl, err := Run(context.Background(), "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.ID != "E1" {
 		t.Errorf("Run(e1) returned %s", tbl.ID)
 	}
-	if _, err := Run("nope"); err == nil {
+	if _, err := Run(context.Background(), "nope"); err == nil {
 		t.Error("unknown id: expected error")
 	}
 }
@@ -226,7 +227,7 @@ func assertCell(t *testing.T, tbl *Table, row, col int, want string) {
 // conservative clique constraint never over-admits, while the bare
 // clique constraint does.
 func TestEstimatorAdmissionSafety(t *testing.T) {
-	tbl, err := EstimatorAdmission()
+	tbl, err := EstimatorAdmission(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestEstimatorAdmissionSafety(t *testing.T) {
 // optimum on all chain workloads (within binary-search tolerance) and
 // never exceeds it.
 func TestGreedyVsOptimalEfficiency(t *testing.T) {
-	tbl, err := GreedyVsOptimal()
+	tbl, err := GreedyVsOptimal(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestGreedyVsOptimalEfficiency(t *testing.T) {
 
 // TestFairAllocationShapes asserts E15's workload results.
 func TestFairAllocationShapes(t *testing.T) {
-	tbl, err := FairAllocation()
+	tbl, err := FairAllocation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 // TestInterferenceModelAblation asserts E16: the pairwise protocol
 // model is never less optimistic than the cumulative physical model.
 func TestInterferenceModelAblation(t *testing.T) {
-	tbl, err := InterferenceModelAblation()
+	tbl, err := InterferenceModelAblation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunAllParallel(4)
+	par, err := RunAllParallel(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +406,7 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 // TestCSRangeSensitivityShape asserts E17: longer carrier-sense ranges
 // lower the mean idleness monotonically.
 func TestCSRangeSensitivityShape(t *testing.T) {
-	tbl, err := CSRangeSensitivity()
+	tbl, err := CSRangeSensitivity(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestCSRangeSensitivityShape(t *testing.T) {
 // the paper's Fig. 2 pattern — routes mostly shared, with a divergence
 // between average-e2eD and e2eTD (flow 5 on this seed).
 func TestFig2RouteDivergence(t *testing.T) {
-	tbl, err := Fig2Topology()
+	tbl, err := Fig2Topology(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +457,7 @@ func TestFig2RouteDivergence(t *testing.T) {
 // TestDemandSweepConservativeAlwaysBest asserts E11's conclusion at
 // every load level.
 func TestDemandSweepConservativeAlwaysBest(t *testing.T) {
-	tbl, err := DemandSweep()
+	tbl, err := DemandSweep(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +474,7 @@ func TestDemandSweepConservativeAlwaysBest(t *testing.T) {
 // TestRateDiversityDominance asserts E12: the multirate profile admits
 // at least as much demand as every single-rate variant.
 func TestRateDiversityDominance(t *testing.T) {
-	tbl, err := RateDiversityAblation()
+	tbl, err := RateDiversityAblation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

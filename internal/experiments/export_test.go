@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"abw/internal/routing"
@@ -10,7 +11,7 @@ import (
 func RunAll() ([]*Table, error) {
 	var out []*Table
 	for _, e := range Registry() {
-		tbl, err := e.Run()
+		tbl, err := e.Run(context.Background())
 		if err != nil {
 			return out, fmt.Errorf("experiments: %s: %w", e.ID, err)
 		}
@@ -29,7 +30,7 @@ func FirstFailures() (map[routing.Metric]int, error) {
 	}
 	out := make(map[routing.Metric]int, 3)
 	for _, metric := range routing.AllMetrics() {
-		decs, err := routing.SequentialAdmission(net, m, metric, reqs, routing.AdmissionOptions{StopAtFirstFailure: true, Core: queryOptions()})
+		decs, err := routing.SequentialAdmissionContext(context.Background(), net, m, metric, reqs, routing.AdmissionOptions{StopAtFirstFailure: true, Core: queryOptions()})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -23,7 +24,7 @@ import (
 // mean absolute error per level, confirming the paper's conclusion —
 // conservative clique best — is not an artifact of the single 2 Mbps
 // operating point.
-func DemandSweep() (*Table, error) {
+func DemandSweep(ctx context.Context) (*Table, error) {
 	net, m, baseReqs, err := Fig2Setup()
 	if err != nil {
 		return nil, err
@@ -37,7 +38,7 @@ func DemandSweep() (*Table, error) {
 		},
 	}
 	for _, sweep := range trace.DemandSweep(baseReqs, demands) {
-		mae, n, err := estimationMAE(net, m, sweep)
+		mae, n, err := estimationMAE(ctx, net, m, sweep)
 		if err != nil {
 			return nil, err
 		}
@@ -65,14 +66,14 @@ func DemandSweep() (*Table, error) {
 // estimationMAE runs the Fig. 4 pipeline for one request set and
 // returns the summed absolute error per estimator plus the number of
 // evaluated flows.
-func estimationMAE(net *topology.Network, m *conflict.Physical, reqs []routing.Request) (map[estimate.Metric]float64, int, error) {
+func estimationMAE(ctx context.Context, net *topology.Network, m *conflict.Physical, reqs []routing.Request) (map[estimate.Metric]float64, int, error) {
 	mae := make(map[estimate.Metric]float64, 5)
 	var admitted []core.Flow
 	n := 0
 	for _, req := range reqs {
 		// One background solve serves both routing's idle ratios and
 		// the estimators' path state.
-		sched, err := routing.BackgroundSchedule(m, admitted, core.Options{})
+		sched, err := routing.BackgroundScheduleContext(ctx, m, admitted, core.Options{})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -80,7 +81,7 @@ func estimationMAE(net *topology.Network, m *conflict.Physical, reqs []routing.R
 		if err != nil {
 			return nil, 0, err
 		}
-		res, err := core.AvailableBandwidth(m, admitted, path, core.Options{})
+		res, err := core.AvailableBandwidthContext(ctx, m, admitted, path, core.Options{})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -110,7 +111,7 @@ func estimationMAE(net *topology.Network, m *conflict.Physical, reqs []routing.R
 // itself buys at network scale: the Sec. 5.2 admission experiment run
 // with the full four-rate 802.11a profile versus single-rate profiles
 // (54 Mbps only — fast but short-ranged; 6 Mbps only — far but slow).
-func RateDiversityAblation() (*Table, error) {
+func RateDiversityAblation(ctx context.Context) (*Table, error) {
 	type variant struct {
 		name    string
 		profile *radio.Profile
@@ -151,7 +152,7 @@ func RateDiversityAblation() (*Table, error) {
 			return nil, err
 		}
 		m := conflict.NewPhysical(net)
-		decs, err := routing.SequentialAdmission(net, m, routing.MetricAvgE2ED, reqs,
+		decs, err := routing.SequentialAdmissionContext(ctx, net, m, routing.MetricAvgE2ED, reqs,
 			routing.AdmissionOptions{StopAtFirstFailure: false})
 		if err != nil {
 			return nil, err

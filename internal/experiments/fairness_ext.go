@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"abw/internal/core"
@@ -15,7 +16,7 @@ import (
 // fair throughput shares. Three workloads: Scenario I (one contested
 // and two compatible links), Scenario II twins, and the Sec. 5.2 random
 // deployment's admitted flows freed from their 2 Mbps caps.
-func FairAllocation() (*Table, error) {
+func FairAllocation(ctx context.Context) (*Table, error) {
 	tbl := &Table{
 		ID:     "E15",
 		Title:  "Extension: max-min fair allocation over the exact feasibility polytope",
@@ -29,7 +30,7 @@ func FairAllocation() (*Table, error) {
 		{Path: topology.Path{s1.L2}},
 		{Path: topology.Path{s1.L3}},
 	}
-	alloc1, _, err := core.MaxMinFair(s1.Model, flows1, core.Options{})
+	alloc1, _, err := core.MaxMinFairContext(ctx, s1.Model, flows1, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +41,7 @@ func FairAllocation() (*Table, error) {
 
 	// Scenario II: twin 4-hop flows split the 16.2 capacity.
 	s2 := scenario.NewScenarioII()
-	alloc2, _, err := core.MaxMinFair(s2.Model, []core.Flow{{Path: s2.Path}, {Path: s2.Path}}, core.Options{})
+	alloc2, _, err := core.MaxMinFairContext(ctx, s2.Model, []core.Flow{{Path: s2.Path}, {Path: s2.Path}}, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +59,7 @@ func FairAllocation() (*Table, error) {
 	var flows []core.Flow
 	var admitted []core.Flow
 	for _, req := range reqs[:4] { // the first four keep the LP small
-		idle, err := routing.BackgroundIdleness(net, m, admitted, core.Options{})
+		idle, err := routing.BackgroundIdlenessContext(ctx, net, m, admitted, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +67,7 @@ func FairAllocation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.AvailableBandwidth(m, admitted, path, core.Options{})
+		res, err := core.AvailableBandwidthContext(ctx, m, admitted, path, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +76,7 @@ func FairAllocation() (*Table, error) {
 			flows = append(flows, core.Flow{Path: path}) // uncapped for fairness
 		}
 	}
-	allocR, _, err := core.MaxMinFair(m, flows, core.Options{})
+	allocR, _, err := core.MaxMinFairContext(ctx, m, flows, core.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -26,7 +27,7 @@ func TestGoldenTables(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			tbl, err := e.Run()
+			tbl, err := e.Run(context.Background())
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}

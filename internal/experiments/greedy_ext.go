@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"abw/internal/conflict"
@@ -18,7 +19,7 @@ import (
 // workload, the exact model fixes the maximum equal per-link throughput
 // f*, and greedy is asked to deliver increasing fractions of it; the
 // largest fraction it satisfies is its efficiency.
-func GreedyVsOptimal() (*Table, error) {
+func GreedyVsOptimal(ctx context.Context) (*Table, error) {
 	tbl := &Table{
 		ID:     "E14",
 		Title:  "Extension: greedy TDMA scheduler vs the LP optimum",
@@ -47,7 +48,7 @@ func GreedyVsOptimal() (*Table, error) {
 	}
 
 	for _, wl := range loads {
-		res, err := core.AvailableBandwidth(wl.model, nil, wl.path, core.Options{})
+		res, err := core.AvailableBandwidthContext(ctx, wl.model, nil, wl.path, core.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"abw/internal/conflict"
@@ -17,7 +18,7 @@ import (
 // concurrent sets the physical model rejects and its capacities are
 // optimistic — the modeling gap that motivates the paper's SINR-based
 // formulation.
-func InterferenceModelAblation() (*Table, error) {
+func InterferenceModelAblation(ctx context.Context) (*Table, error) {
 	tbl := &Table{
 		ID:     "E16",
 		Title:  "Extension: physical (SINR) vs protocol interference model, exact chain capacity",
@@ -33,11 +34,11 @@ func InterferenceModelAblation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		phys, err := capacityUnder(conflict.NewPhysical(net), path)
+		phys, err := capacityUnder(ctx, conflict.NewPhysical(net), path)
 		if err != nil {
 			return nil, fmt.Errorf("physical %d@%g: %w", cfg.hops, cfg.spacing, err)
 		}
-		prot, err := capacityUnder(conflict.NewProtocol(net), path)
+		prot, err := capacityUnder(ctx, conflict.NewProtocol(net), path)
 		if err != nil {
 			return nil, fmt.Errorf("protocol %d@%g: %w", cfg.hops, cfg.spacing, err)
 		}
@@ -53,8 +54,8 @@ func InterferenceModelAblation() (*Table, error) {
 	return tbl, nil
 }
 
-func capacityUnder(m conflict.Model, path topology.Path) (float64, error) {
-	res, err := core.AvailableBandwidth(m, nil, path, core.Options{})
+func capacityUnder(ctx context.Context, m conflict.Model, path topology.Path) (float64, error) {
+	res, err := core.AvailableBandwidthContext(ctx, m, nil, path, core.Options{})
 	if err != nil {
 		return 0, err
 	}

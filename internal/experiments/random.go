@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -48,7 +49,7 @@ func Fig2Setup() (*topology.Network, *conflict.Physical, []routing.Request, erro
 // Fig2Topology reproduces experiment E3 (Fig. 2): the random topology
 // and the routes chosen by average-e2eD versus e2eTD, highlighting where
 // they differ (the paper's solid versus dotted arrows).
-func Fig2Topology() (*Table, error) {
+func Fig2Topology(ctx context.Context) (*Table, error) {
 	net, m, reqs, err := Fig2Setup()
 	if err != nil {
 		return nil, err
@@ -62,7 +63,7 @@ func Fig2Topology() (*Table, error) {
 	}
 	var admitted []core.Flow
 	for i, req := range reqs {
-		idle, err := routing.BackgroundIdleness(net, m, admitted, queryOptions())
+		idle, err := routing.BackgroundIdlenessContext(ctx, net, m, admitted, queryOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +91,7 @@ func Fig2Topology() (*Table, error) {
 			nodesString(avgNodes), nodesString(tdNodes), differs)
 		// Admit along the average-e2eD path when feasible, to evolve
 		// the background like the paper's run.
-		res, err := core.AvailableBandwidth(m, admitted, avgPath, queryOptions())
+		res, err := core.AvailableBandwidthContext(ctx, m, admitted, avgPath, queryOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +106,7 @@ func Fig2Topology() (*Table, error) {
 // Fig3Routing reproduces experiment E4 (Fig. 3): the available bandwidth
 // of each flow's path under the three routing metrics, flows joining one
 // by one until a demand cannot be met.
-func Fig3Routing() (*Table, error) {
+func Fig3Routing(ctx context.Context) (*Table, error) {
 	net, m, reqs, err := Fig2Setup()
 	if err != nil {
 		return nil, err
@@ -118,7 +119,7 @@ func Fig3Routing() (*Table, error) {
 	results := make(map[routing.Metric][]routing.Decision, 3)
 	firstFail := make(map[routing.Metric]int, 3)
 	for _, metric := range routing.AllMetrics() {
-		decs, err := routing.SequentialAdmission(net, m, metric, reqs, routing.AdmissionOptions{StopAtFirstFailure: true, Core: queryOptions()})
+		decs, err := routing.SequentialAdmissionContext(ctx, net, m, metric, reqs, routing.AdmissionOptions{StopAtFirstFailure: true, Core: queryOptions()})
 		if err != nil {
 			return nil, err
 		}
@@ -163,8 +164,8 @@ func Fig3Routing() (*Table, error) {
 // Fig4Estimation reproduces experiment E5 (Fig. 4): for the paths found
 // by average-e2eD, the five distributed estimators versus the exact
 // value as background traffic accumulates flow by flow.
-func Fig4Estimation() (*Table, error) {
-	rows, err := Fig4Series()
+func Fig4Estimation(ctx context.Context) (*Table, error) {
+	rows, err := Fig4Series(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +221,7 @@ type Fig4Row struct {
 // average-e2eD paths; before each join, the new path's exact available
 // bandwidth and all five estimates are recorded against the accumulated
 // background.
-func Fig4Series() ([]Fig4Row, error) {
+func Fig4Series(ctx context.Context) ([]Fig4Row, error) {
 	net, m, reqs, err := Fig2Setup()
 	if err != nil {
 		return nil, err
@@ -230,7 +231,7 @@ func Fig4Series() ([]Fig4Row, error) {
 	for i, req := range reqs {
 		// One background solve serves both routing's idle ratios and
 		// the estimators' path state.
-		sched, err := routing.BackgroundSchedule(m, admitted, queryOptions())
+		sched, err := routing.BackgroundScheduleContext(ctx, m, admitted, queryOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +239,7 @@ func Fig4Series() ([]Fig4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.AvailableBandwidth(m, admitted, path, queryOptions())
+		res, err := core.AvailableBandwidthContext(ctx, m, admitted, path, queryOptions())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -22,14 +23,14 @@ const scenarioILambda = 0.3
 // ScenarioI reproduces experiment E1 (Fig. 1 left, Sec. 1): the exact
 // model admits (1-lambda)*r over L3 while channel-idle-time estimation
 // admits only (1-2*lambda)*r.
-func ScenarioI() (*Table, error) {
+func ScenarioI(ctx context.Context) (*Table, error) {
 	s := scenario.NewScenarioI(54)
 	rate := float64(s.Rate)
 	bg := []core.Flow{
 		{Path: topology.Path{s.L1}, Demand: scenarioILambda * rate},
 		{Path: topology.Path{s.L2}, Demand: scenarioILambda * rate},
 	}
-	res, err := core.AvailableBandwidth(s.Model, bg, topology.Path{s.L3}, core.Options{})
+	res, err := core.AvailableBandwidthContext(ctx, s.Model, bg, topology.Path{s.L3}, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -65,9 +66,9 @@ func ScenarioI() (*Table, error) {
 // the multirate optimum f = 16.2 Mbps, the optimal schedule, the two
 // fixed-rate clique bounds (13.5 and 108/7), and the violated clique
 // constraints (load factors 1.2 and 1.05).
-func ScenarioII() (*Table, error) {
+func ScenarioII(ctx context.Context) (*Table, error) {
 	s := scenario.NewScenarioII()
-	res, err := core.AvailableBandwidth(s.Model, nil, s.Path, core.Options{})
+	res, err := core.AvailableBandwidthContext(ctx, s.Model, nil, s.Path, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -118,9 +119,9 @@ func ScenarioII() (*Table, error) {
 // Eq9UpperBound reproduces experiment E6: the rate-coupled clique LP of
 // Eq. 9 on Scenario II (full Omega = 2^4 rate vectors) and its
 // restricted variant on the paper's two discussed vectors.
-func Eq9UpperBound() (*Table, error) {
+func Eq9UpperBound(ctx context.Context) (*Table, error) {
 	s := scenario.NewScenarioII()
-	exact, err := core.AvailableBandwidth(s.Model, nil, s.Path, core.Options{})
+	exact, err := core.AvailableBandwidthContext(ctx, s.Model, nil, s.Path, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +129,7 @@ func Eq9UpperBound() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	restricted, err := core.RestrictedUpperBoundLP(s.Model, nil, s.Path, [][]conflict.Couple{
+	restricted, err := core.RestrictedUpperBoundLPContext(ctx, s.Model, nil, s.Path, [][]conflict.Couple{
 		{{Link: s.L1, Rate: 54}, {Link: s.L2, Rate: 54}, {Link: s.L3, Rate: 54}, {Link: s.L4, Rate: 54}},
 		{{Link: s.L1, Rate: 36}, {Link: s.L2, Rate: 54}, {Link: s.L3, Rate: 54}, {Link: s.L4, Rate: 54}},
 	}, core.Options{})
@@ -151,9 +152,9 @@ func Eq9UpperBound() (*Table, error) {
 // LowerBounds reproduces experiment E7 (Sec. 3.3): the Eq. 6 LP
 // restricted to growing prefixes of the maximal independent sets yields
 // monotone lower bounds reaching the optimum.
-func LowerBounds() (*Table, error) {
+func LowerBounds(ctx context.Context) (*Table, error) {
 	s := scenario.NewScenarioII()
-	sets, err := indepset.Enumerate(s.Model, s.Links(), indepset.Options{})
+	sets, err := indepset.EnumerateContext(ctx, s.Model, s.Links(), indepset.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +164,7 @@ func LowerBounds() (*Table, error) {
 		Header: []string{"sets used", "lower bound (Mbps)", "sets"},
 	}
 	for k := 1; k <= len(sets); k++ {
-		res, err := core.AvailableBandwidthWithSets(s.Model, nil, s.Path, sets[:k])
+		res, err := core.AvailableBandwidthWithSetsContext(ctx, s.Model, nil, s.Path, sets[:k])
 		if err != nil {
 			return nil, err
 		}
@@ -187,9 +188,9 @@ func LowerBounds() (*Table, error) {
 // AdaptationAblation reproduces experiment E8: the exact capacity under
 // every fixed rate assignment versus free link adaptation on Scenario
 // II. No fixed vector reaches the multirate optimum.
-func AdaptationAblation() (*Table, error) {
+func AdaptationAblation(ctx context.Context) (*Table, error) {
 	s := scenario.NewScenarioII()
-	multirate, err := core.AvailableBandwidth(s.Model, nil, s.Path, core.Options{})
+	multirate, err := core.AvailableBandwidthContext(ctx, s.Model, nil, s.Path, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +206,7 @@ func AdaptationAblation() (*Table, error) {
 	rec = func(idx int) error {
 		if idx == 4 {
 			fixed := conflict.FixRates(s.Model, assignment)
-			res, err := core.AvailableBandwidth(fixed, nil, s.Path, core.Options{})
+			res, err := core.AvailableBandwidthContext(ctx, fixed, nil, s.Path, core.Options{})
 			if err != nil {
 				return err
 			}

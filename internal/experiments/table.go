@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -127,8 +128,9 @@ func (t *Table) RenderMarkdown(w io.Writer) error {
 	return err
 }
 
-// Runner produces one experiment table.
-type Runner func() (*Table, error)
+// Runner produces one experiment table. ctx reaches every enumeration
+// and LP the experiment runs.
+type Runner func(context.Context) (*Table, error)
 
 // Registry maps experiment IDs (DESIGN.md Sec. 2) to their drivers, in
 // run order.
@@ -161,10 +163,10 @@ func Registry() []struct {
 }
 
 // Run executes one experiment by ID.
-func Run(id string) (*Table, error) {
+func Run(ctx context.Context, id string) (*Table, error) {
 	for _, e := range Registry() {
 		if strings.EqualFold(e.ID, id) {
-			return e.Run()
+			return e.Run(ctx)
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
@@ -174,7 +176,7 @@ func Run(id string) (*Table, error) {
 // workers goroutines (0 means GOMAXPROCS) and returns the tables in
 // registry order. Experiments are independent and deterministic, so the
 // output is identical to running them one after another.
-func RunAllParallel(workers int) ([]*Table, error) {
+func RunAllParallel(ctx context.Context, workers int) ([]*Table, error) {
 	reg := Registry()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -191,7 +193,7 @@ func RunAllParallel(workers int) ([]*Table, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				tables[i], errs[i] = reg[i].Run()
+				tables[i], errs[i] = reg[i].Run(ctx)
 			}
 		}()
 	}

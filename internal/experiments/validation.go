@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -18,7 +19,7 @@ import (
 // executes LP-produced schedules and its measurements must match the
 // analytic model — per-link throughput on the Scenario II optimum, and
 // carrier-sensed node idleness on a geometric chain.
-func SimValidation() (*Table, error) {
+func SimValidation(ctx context.Context) (*Table, error) {
 	tbl := &Table{
 		ID:     "E9",
 		Title:  "Validation: TDMA simulator vs analytic model",
@@ -27,7 +28,7 @@ func SimValidation() (*Table, error) {
 
 	// Scenario II optimal schedule throughput.
 	s := scenario.NewScenarioII()
-	res, err := core.AvailableBandwidth(s.Model, nil, s.Path, core.Options{})
+	res, err := core.AvailableBandwidthContext(ctx, s.Model, nil, s.Path, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +62,7 @@ func SimValidation() (*Table, error) {
 		return nil, err
 	}
 	pm := conflict.NewPhysical(net)
-	chainRes, err := core.AvailableBandwidth(pm, nil, path, core.Options{})
+	chainRes, err := core.AvailableBandwidthContext(ctx, pm, nil, path, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +94,7 @@ func SimValidation() (*Table, error) {
 // while the true available share after optimal overlap is 1 - busy —
 // idle-time admission is conservative, as the paper's introduction
 // argues.
-func CSMAIdle() (*Table, error) {
+func CSMAIdle(ctx context.Context) (*Table, error) {
 	s := scenario.NewScenarioI(54)
 	hearing := sim.ModelHearing(s.Model, func(topology.LinkID) radio.Rate { return s.Rate })
 	const offered = scenarioILambda * 54
@@ -114,7 +115,7 @@ func CSMAIdle() (*Table, error) {
 		{Path: topology.Path{s.L1}, Demand: rep.Throughput[s.L1]},
 		{Path: topology.Path{s.L2}, Demand: rep.Throughput[s.L2]},
 	}
-	exact, err := core.AvailableBandwidth(s.Model, bg, topology.Path{s.L3}, core.Options{})
+	exact, err := core.AvailableBandwidthContext(ctx, s.Model, bg, topology.Path{s.L3}, core.Options{})
 	if err != nil {
 		return nil, err
 	}

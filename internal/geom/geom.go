@@ -25,11 +25,6 @@ func (p Point) Add(q Point) Point {
 	return Point{X: p.X + q.X, Y: p.Y + q.Y}
 }
 
-// Scale returns p scaled by k.
-func (p Point) Scale(k float64) Point {
-	return Point{X: p.X * k, Y: p.Y * k}
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string {
 	return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y)
@@ -44,11 +39,6 @@ type Rect struct {
 // Contains reports whether p lies inside r (inclusive of the boundary).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= 0 && p.X <= r.W && p.Y >= 0 && p.Y <= r.H
-}
-
-// Area returns the area of r in square meters.
-func (r Rect) Area() float64 {
-	return r.W * r.H
 }
 
 // UniformPoints places n points uniformly at random inside r using rng.

@@ -57,14 +57,11 @@ func TestPointDistTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestPointAddScale(t *testing.T) {
+func TestPointAdd(t *testing.T) {
 	p := Point{1, 2}
 	q := Point{3, -4}
 	if got := p.Add(q); got != (Point{4, -2}) {
 		t.Errorf("Add = %v, want (4,-2)", got)
-	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Errorf("Scale = %v, want (2,4)", got)
 	}
 }
 
@@ -88,13 +85,6 @@ func TestRectContains(t *testing.T) {
 				t.Errorf("Contains(%v) = %v, want %v", tt.p, got, tt.want)
 			}
 		})
-	}
-}
-
-func TestRectArea(t *testing.T) {
-	r := Rect{W: 400, H: 600}
-	if got := r.Area(); got != 240000 {
-		t.Errorf("Area = %v, want 240000", got)
 	}
 }
 

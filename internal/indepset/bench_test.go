@@ -1,6 +1,7 @@
 package indepset
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -21,7 +22,7 @@ func BenchmarkEnumerateScenarioII(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(s.Model, s.Links(), Options{}); err != nil {
+		if _, err := EnumerateContext(context.Background(), s.Model, s.Links(), Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +38,7 @@ func benchEnumeratePhysical(b *testing.B, hops int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(m, path, Options{}); err != nil {
+		if _, err := EnumerateContext(context.Background(), m, path, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +63,7 @@ func BenchmarkEnumerateMesh(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(m, links, Options{}); err != nil {
+		if _, err := EnumerateContext(context.Background(), m, links, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +80,7 @@ func BenchmarkEnumerateProtocolChain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(m, path, Options{}); err != nil {
+		if _, err := EnumerateContext(context.Background(), m, path, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +114,7 @@ func BenchmarkEnumerateTableRandom(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(tb, links, Options{}); err != nil {
+		if _, err := EnumerateContext(context.Background(), tb, links, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,7 +138,7 @@ func TestEnumeratePairwiseAllocs(t *testing.T) {
 	m := conflict.NewProtocol(net)
 	links := []topology.LinkID(path)
 	run := func() {
-		if _, err := Enumerate(m, links, Options{Workers: 1}); err != nil {
+		if _, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +170,7 @@ func benchMeshWorkers(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(m, links, Options{Workers: workers}); err != nil {
+		if _, err := EnumerateContext(context.Background(), m, links, Options{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,7 +191,7 @@ func benchProtocolChainWorkers(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(m, path, Options{Workers: workers}); err != nil {
+		if _, err := EnumerateContext(context.Background(), m, path, Options{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,7 +234,7 @@ func BenchmarkEnumerateWide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(tb, links, Options{}); err != nil {
+		if _, err := EnumerateContext(context.Background(), tb, links, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

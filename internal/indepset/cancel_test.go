@@ -29,12 +29,14 @@ func meshFixture(t *testing.T) (conflict.Model, []topology.LinkID) {
 }
 
 // TestContextRunByteIdentical pins the determinism invariant of the
-// cancellation work: an uncancelled run returns the byte-identical
-// family at every worker count, with or without a context — the
-// checker polls change nothing but responsiveness.
+// cancellation work: a run under a live context that never fires
+// returns, at every worker count, the byte-identical family of a
+// sequential run under context.Background(), which takes the
+// nil-Checker path — the checker polls change nothing but
+// responsiveness.
 func TestContextRunByteIdentical(t *testing.T) {
 	m, links := meshFixture(t)
-	ref, err := Enumerate(m, links, Options{Workers: 1})
+	ref, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestContextRunByteIdentical(t *testing.T) {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
 		if !reflect.DeepEqual(keys(got), keys(ref)) {
-			t.Fatalf("%d workers with context diverge from sequential without", workers)
+			t.Fatalf("%d workers under a live context diverge from sequential under Background", workers)
 		}
 	}
 }
@@ -98,7 +100,7 @@ func TestCanceledDistinctFromLimit(t *testing.T) {
 // silently partial family, never a foreign error.
 func TestConcurrentCancelAllOrNothing(t *testing.T) {
 	m, links := meshFixture(t)
-	ref, err := Enumerate(m, links, Options{Workers: 1})
+	ref, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,14 +69,14 @@ type DeltaBase struct {
 }
 
 // EnumerateDelta returns the maximal-set family over base.Universe plus
-// links, byte-identical to Enumerate over the grown universe under the
-// same Options, along with the grown universe's exploration count (a
-// valid DeltaBase.Explored for chaining). Links already in the base
-// universe and repeated links are ignored. The model must be the one
-// the base was enumerated under. Errors: ErrUnsupportedModel (a model
-// no walk serves, exactly when Enumerate refuses it too), ErrLimit (the
-// grown universe would trip Options.Limit — a full walk would too), or
-// ErrCanceled.
+// links, byte-identical to EnumerateContext over the grown universe
+// under the same Options, along with the grown universe's exploration
+// count (a valid DeltaBase.Explored for chaining). Links already in the
+// base universe and repeated links are ignored. The model must be the
+// one the base was enumerated under. Errors: ErrUnsupportedModel (a
+// model no walk serves, exactly when EnumerateContext refuses it too),
+// ErrLimit (the grown universe would trip Options.Limit — a full walk
+// would too), or ErrCanceled.
 func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, links []topology.LinkID, opts Options) ([]Set, int64, error) {
 	universe := dedupSorted(append(append([]topology.LinkID(nil), base.Universe...), links...))
 	if len(universe) == len(base.Universe) {

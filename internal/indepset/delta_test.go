@@ -245,7 +245,7 @@ func TestDeltaLimitVerdict(t *testing.T) {
 			if err != nil {
 				t.Fatalf("k=%d workers %d: limit == grown count %d: delta err = %v", k, workers, grownExplored, err)
 			}
-			want, err := Enumerate(m, universe, opts)
+			want, err := EnumerateContext(context.Background(), m, universe, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +287,7 @@ func assertDeltaMatchesFull(t *testing.T, m conflict.Model, baseU, add []topolog
 		if opts.Limit <= int(base.Explored) {
 			continue
 		}
-		if _, err := Enumerate(m, grownU, opts); !errors.Is(err, ErrLimit) {
+		if _, err := EnumerateContext(context.Background(), m, grownU, opts); !errors.Is(err, ErrLimit) {
 			t.Fatalf("%s workers %d: full walk at limit %d: err = %v, want ErrLimit", label, workers, opts.Limit, err)
 		}
 		if _, _, err := EnumerateDelta(context.Background(), m, base, add, opts); !errors.Is(err, ErrLimit) {
@@ -311,7 +311,7 @@ func TestDeltaUnsupportedModel(t *testing.T) {
 	assertDeltaMatchesFull(t, phys, dedupSorted(links[:len(links)-1]), links[len(links)-1:], "physical")
 
 	m := opaque{m: phys}
-	if _, err := Enumerate(m, links, Options{}); !errors.Is(err, ErrUnsupportedModel) {
+	if _, err := EnumerateContext(context.Background(), m, links, Options{}); !errors.Is(err, ErrUnsupportedModel) {
 		t.Fatalf("opaque model: Enumerate err = %v, want ErrUnsupportedModel", err)
 	}
 	base := DeltaBase{Universe: dedupSorted(links[:len(links)-1])}

@@ -164,7 +164,7 @@ func FuzzEnumerate(f *testing.F) {
 		}
 		want := referenceEnumerate(t, m, links)
 		for _, workers := range []int{1, 2} {
-			got, err := Enumerate(m, links, Options{Workers: workers})
+			got, err := EnumerateContext(context.Background(), m, links, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers %d: %v", workers, err)
 			}

@@ -154,8 +154,8 @@ func (s Set) String() string {
 
 // ErrLimit is returned when enumeration exceeds the configured set
 // limit; callers may treat partial enumerations as lower bounds
-// (paper Sec. 3.3) but Enumerate refuses to return silently truncated
-// results.
+// (paper Sec. 3.3) but EnumerateContext refuses to return silently
+// truncated results.
 var ErrLimit = fmt.Errorf("indepset: enumeration limit exceeded")
 
 // ErrUnsupportedModel reports a model that no walk serves: enumeration
@@ -211,20 +211,15 @@ func (o Options) limit() int {
 // bounds never share an entry.
 func (o Options) EffectiveLimit() int { return o.limit() }
 
-// Enumerate returns every maximal independent set (with maximum
+// EnumerateContext returns every maximal independent set (with maximum
 // supported rate vectors) over the given links, in deterministic order.
 // The empty set is never returned; if no link can transmit at all the
-// result is empty.
-func Enumerate(m conflict.Model, links []topology.LinkID, opts Options) ([]Set, error) {
-	return EnumerateContext(context.Background(), m, links, opts)
-}
-
-// EnumerateContext is Enumerate under a context: the walk polls
-// ctx.Done() periodically (a countdown check in the DFS hot loops, so
-// uncancellable contexts cost nothing) and returns an error satisfying
-// errors.Is(err, ErrCanceled) promptly once ctx is cancelled. A run
-// whose context is never cancelled returns the byte-identical family
-// of a context-free run at every worker count.
+// result is empty. The walk polls ctx.Done() periodically (a countdown
+// check in the DFS hot loops, so uncancellable contexts cost nothing)
+// and returns an error satisfying errors.Is(err, ErrCanceled) promptly
+// once ctx is cancelled. A run whose context is never cancelled returns
+// the byte-identical family of a run under context.Background() at
+// every worker count.
 func EnumerateContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts Options) ([]Set, error) {
 	sets, truncated, _, err := enumerate(ctx, m, links, opts)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 
 func TestScenarioIIMaximalSets(t *testing.T) {
 	s := scenario.NewScenarioII()
-	sets, err := Enumerate(s.Model, s.Links(), Options{})
+	sets, err := EnumerateContext(context.Background(), s.Model, s.Links(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestScenarioIIMaximalSets(t *testing.T) {
 func TestScenarioIMaximalSets(t *testing.T) {
 	s := scenario.NewScenarioI(54)
 	links := []topology.LinkID{s.L1, s.L2, s.L3}
-	sets, err := Enumerate(s.Model, links, Options{})
+	sets, err := EnumerateContext(context.Background(), s.Model, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestEnumeratePhysicalChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := conflict.NewPhysical(net)
-	sets, err := Enumerate(m, path, Options{})
+	sets, err := EnumerateContext(context.Background(), m, path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestEnumeratePhysicalChain(t *testing.T) {
 
 func TestEnumerateNoDuplicates(t *testing.T) {
 	s := scenario.NewScenarioII()
-	sets, err := Enumerate(s.Model, s.Links(), Options{})
+	sets, err := EnumerateContext(context.Background(), s.Model, s.Links(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,12 @@ func TestEnumerateLimit(t *testing.T) {
 		tb.SetRates(i, 54)
 		links = append(links, i)
 	}
-	if _, err := Enumerate(tb, links, Options{Limit: 100}); !errors.Is(err, ErrLimit) {
+	if _, err := EnumerateContext(context.Background(), tb, links, Options{Limit: 100}); !errors.Is(err, ErrLimit) {
 		t.Errorf("err = %v, want ErrLimit", err)
 	}
 	// With a generous limit it succeeds and returns the single maximal
 	// set of all 16 links.
-	sets, err := Enumerate(tb, links, Options{})
+	sets, err := EnumerateContext(context.Background(), tb, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestEnumerateLimit(t *testing.T) {
 
 func TestEnumerateEmptyAndSilentLinks(t *testing.T) {
 	tb := conflict.NewTable()
-	sets, err := Enumerate(tb, nil, Options{})
+	sets, err := EnumerateContext(context.Background(), tb, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestEnumerateEmptyAndSilentLinks(t *testing.T) {
 	}
 	// A link with no rates can never appear.
 	tb.SetRates(0, 54)
-	sets, err = Enumerate(tb, []topology.LinkID{0, 1}, Options{})
+	sets, err = EnumerateContext(context.Background(), tb, []topology.LinkID{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestEnumerateRandomTableProperty(t *testing.T) {
 				}
 			}
 		}
-		sets, err := Enumerate(tb, links, Options{})
+		sets, err := EnumerateContext(context.Background(), tb, links, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -279,7 +279,7 @@ func TestEnumeratePartialTruncates(t *testing.T) {
 	if err != nil || truncated {
 		t.Fatalf("full run: truncated=%v err=%v", truncated, err)
 	}
-	direct, err := Enumerate(tb, links, Options{})
+	direct, err := EnumerateContext(context.Background(), tb, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestEnumerateLimitBoundary(t *testing.T) {
 	if len(sets) > n-1 {
 		t.Fatalf("truncated run returned %d sets, limit was %d: %v", len(sets), n-1, keys(sets))
 	}
-	if _, err := Enumerate(tb, links, Options{Limit: n - 1}); !errors.Is(err, ErrLimit) {
+	if _, err := EnumerateContext(context.Background(), tb, links, Options{Limit: n - 1}); !errors.Is(err, ErrLimit) {
 		t.Fatalf("Enumerate with tripped limit: got err %v, want ErrLimit", err)
 	}
 

@@ -17,7 +17,7 @@
 //     of per-worker families equals the sequential family.
 //  2. Budget accounting — Options.Limit is charged through one shared
 //     budget; exactly Limit explorations succeed across all workers, so
-//     Enumerate trips ErrLimit in precisely the instances the
+//     EnumerateContext trips ErrLimit in precisely the instances the
 //     sequential walk does, and a truncated EnumeratePartialContext
 //     returns at most Limit sets.
 //  3. Merge determinism — set keys are unique within a family and the

@@ -21,12 +21,12 @@ import (
 // >= 4 workers across every model kind.
 func assertParallelMatchesSequential(t *testing.T, m conflict.Model, links []topology.LinkID, label string) {
 	t.Helper()
-	seq, err := Enumerate(m, links, Options{Workers: 1})
+	seq, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("%s: sequential: %v", label, err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		par, err := Enumerate(m, links, Options{Workers: workers})
+		par, err := EnumerateContext(context.Background(), m, links, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("%s: %d workers: %v", label, workers, err)
 		}
@@ -76,11 +76,11 @@ func TestParallelMatchesSequentialPhysical(t *testing.T) {
 	}
 	m := conflict.NewPhysical(net)
 	assertParallelMatchesSequential(t, m, links, "physical mesh")
-	auto, err := Enumerate(m, links, Options{})
+	auto, err := EnumerateContext(context.Background(), m, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Enumerate(m, links, Options{Workers: 1})
+	seq, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestParallelLimitExact(t *testing.T) {
 						mm.name, limit, workers, parTrunc, seqTrunc)
 				}
 				// Enumerate must agree with the truncation flag.
-				if _, err := Enumerate(mm.m, links, Options{Limit: limit, Workers: workers}); (err != nil) != parTrunc || (parTrunc && !errors.Is(err, ErrLimit)) {
+				if _, err := EnumerateContext(context.Background(), mm.m, links, Options{Limit: limit, Workers: workers}); (err != nil) != parTrunc || (parTrunc && !errors.Is(err, ErrLimit)) {
 					t.Errorf("%s limit %d workers %d: Enumerate err %v, truncated %v",
 						mm.name, limit, workers, err, parTrunc)
 				}
@@ -212,7 +212,7 @@ func TestParallelTruncationSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := conflict.NewPhysical(net)
-	full, err := Enumerate(m, path, Options{Workers: 1})
+	full, err := EnumerateContext(context.Background(), m, path, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package indepset
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -54,7 +55,7 @@ func referenceEnumerate(t *testing.T, m conflict.Model, links []topology.LinkID)
 // set family (same Key multiset, same order).
 func assertSameFamily(t *testing.T, m conflict.Model, links []topology.LinkID, label string) {
 	t.Helper()
-	got, err := Enumerate(m, links, Options{})
+	got, err := EnumerateContext(context.Background(), m, links, Options{})
 	if err != nil {
 		t.Fatalf("%s: Enumerate: %v", label, err)
 	}

@@ -70,12 +70,12 @@ func TestWideParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 3; trial++ {
 		tb, links := wideTable(t, rng, 68, 3)
-		seq, err := Enumerate(tb, links, Options{Workers: 1})
+		seq, err := EnumerateContext(context.Background(), tb, links, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			par, err := Enumerate(tb, links, Options{Workers: workers})
+			par, err := EnumerateContext(context.Background(), tb, links, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers %d: %v", workers, err)
 			}
@@ -181,7 +181,7 @@ func TestPhysicalMasksAcrossWords(t *testing.T) {
 		t.Fatalf("reference family's largest set has %d links, one across the word boundary: %v; want spatial reuse across it", widest, across)
 	}
 	for _, workers := range []int{1, 2} {
-		got, err := Enumerate(m, universe, Options{Workers: workers})
+		got, err := EnumerateContext(context.Background(), m, universe, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -32,7 +33,7 @@ func benchSolve(b *testing.B, n, m int) {
 		b.StopTimer()
 		p := benchProblem(n, m, int64(i))
 		b.StartTimer()
-		sol, err := p.Solve()
+		sol, err := p.SolveContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

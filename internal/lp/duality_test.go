@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,7 +63,7 @@ func TestStrongDuality(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		psol, err := primal.Solve()
+		psol, err := primal.SolveContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d primal: %v", trial, err)
 		}
@@ -84,7 +85,7 @@ func TestStrongDuality(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		dsol, err := dual.Solve()
+		dsol, err := dual.SolveContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d dual: %v", trial, err)
 		}
@@ -130,7 +131,7 @@ func TestComplementarySlackness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sol, err := p.Solve()
+	sol, err := p.SolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

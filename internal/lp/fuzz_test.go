@@ -27,7 +27,7 @@ func FuzzSimplex(f *testing.F) {
 		if !ok {
 			return
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveContext(context.Background())
 		if err != nil {
 			// Malformed inputs are screened out by the decoder, so the
 			// only sanctioned error is the pivot-limit bailout.
@@ -68,7 +68,7 @@ func FuzzWarmResolve(f *testing.F) {
 			if err != nil {
 				t.Fatalf("step %d: resolve failed: %v", step/2, err)
 			}
-			want, err := cloneProblem(p).Solve()
+			want, err := cloneProblem(p).SolveContext(context.Background())
 			if err != nil {
 				t.Fatalf("step %d: reference solve failed: %v", step/2, err)
 			}
@@ -106,7 +106,7 @@ func FuzzSolveFrom(f *testing.F) {
 		if !ok || len(ops) < 2 {
 			return
 		}
-		want, err := cloneProblem(p).Solve()
+		want, err := cloneProblem(p).SolveContext(context.Background())
 		if err != nil {
 			t.Fatalf("two-phase solve failed: %v", err)
 		}

@@ -271,19 +271,13 @@ const (
 // the uncancellable path pays only the nil-Checker branch.
 const pivotCheckEvery = 16
 
-// Solve runs the two-phase simplex. It returns an error only on
-// malformed problems or on an internal failure to converge; infeasible
-// and unbounded programs come back as Solutions with the matching
-// Status.
-func (p *Problem) Solve() (*Solution, error) {
-	sol, _, err := p.solve(nil)
-	return sol, err
-}
-
-// SolveContext is Solve under a context: the simplex loop polls
+// SolveContext runs the two-phase simplex. It returns an error only on
+// malformed problems, on an internal failure to converge, or on
+// cancellation; infeasible and unbounded programs come back as
+// Solutions with the matching Status. The simplex loop polls
 // ctx.Done() between pivots and abandons the solve with an error
-// satisfying errors.Is(err, cancel.ErrCanceled) once ctx is cancelled.
-// An uncancelled solve returns exactly what Solve would.
+// satisfying errors.Is(err, cancel.ErrCanceled) once ctx is cancelled;
+// an uncancelled solve's pivots and answer do not depend on ctx.
 func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageLPSolve)
 	defer tm.End()
@@ -294,7 +288,7 @@ func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 	return sol, err
 }
 
-// solve is Solve returning the final simplex state alongside the
+// solve is SolveContext returning the final simplex state alongside the
 // solution so WarmSolver (warm.go) can retain it across right-hand-side
 // changes. The state is nil unless phase 2 ran to optimality (only then
 // is the retained basis dual-feasible, the warm-start precondition). A
@@ -342,7 +336,7 @@ func (p *Problem) validate() error {
 
 // SetRHS replaces the right-hand side of constraint k (in insertion
 // order). WarmSolver turns this into an incremental update of the
-// basic values; a plain Solve simply starts from the new value.
+// basic values; a plain SolveContext simply starts from the new value.
 func (p *Problem) SetRHS(k int, rhs float64) error {
 	if k < 0 || k >= len(p.rows) {
 		return fmt.Errorf("lp: constraint %d out of range", k)
@@ -373,7 +367,8 @@ func (p *Problem) RHS(k int) float64 {
 // Only B⁻¹ (m×m, row-major), the basis, x_B = B⁻¹b and the O(m) layout
 // of the slack and artificial columns live here; structural columns
 // are read from p, so the state never copies the constraint matrix.
-// Solve builds one per call; WarmSolver keeps it across bound changes.
+// SolveContext builds one per call; WarmSolver keeps it across bound
+// changes.
 type state struct {
 	p       *Problem
 	sign    []float64 // row normalization (±1), frozen at build

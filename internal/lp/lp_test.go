@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func solveOrFatal(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.Solve()
+	sol, err := p.SolveContext(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -164,7 +165,7 @@ func TestZeroConstraints(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	p := NewProblem(Maximize)
-	if _, err := p.Solve(); err == nil {
+	if _, err := p.SolveContext(context.Background()); err == nil {
 		t.Error("no variables: expected error")
 	}
 	x := p.AddVar(1)
@@ -203,7 +204,7 @@ func TestValidation(t *testing.T) {
 	}
 	bad := &Problem{}
 	bad.AddVar(1)
-	if _, err := bad.Solve(); err == nil {
+	if _, err := bad.SolveContext(context.Background()); err == nil {
 		t.Error("zero-value sense: expected error")
 	}
 }

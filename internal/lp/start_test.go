@@ -37,7 +37,7 @@ func assertSameSolution(t *testing.T, label string, got, want *Solution) {
 // trace with the reason.
 func TestSolveFromFallbacks(t *testing.T) {
 	p, x, y, z := startLP(t)
-	want, err := p.Solve()
+	want, err := p.SolveContext(context.Background())
 	if err != nil || want.Status != Optimal || math.Abs(want.Objective-2) > 1e-12 {
 		t.Fatalf("two-phase: %+v, %v", want, err)
 	}
@@ -81,7 +81,7 @@ func TestSolveFromFallbacks(t *testing.T) {
 // start is the two-phase solve.
 func TestSolveFromStarts(t *testing.T) {
 	p, x, y, _ := startLP(t)
-	want, err := p.Solve()
+	want, err := p.SolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestWarmSolverStartsFirstSolveOnly(t *testing.T) {
 	if err != nil || !warm {
 		t.Fatalf("second resolve: warm=%v err=%v", warm, err)
 	}
-	cold, err := cloneProblem(p).Solve()
+	cold, err := cloneProblem(p).SolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestWarmSolverStartsFirstSolveOnly(t *testing.T) {
 	if err != nil || warm {
 		t.Fatalf("third resolve: warm=%v err=%v", warm, err)
 	}
-	cold, err = cloneProblem(p).Solve()
+	cold, err = cloneProblem(p).SolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ import (
 // about the warm path is off — structure grew, the dual loop stalls, a
 // basic artificial resurfaces above tolerance, or dual simplex claims
 // infeasibility — ResolveContext falls back to a cold solve, so its
-// answers always match Problem.Solve within pivotTol-scale arithmetic
+// answers always match Problem.SolveContext within pivotTol-scale arithmetic
 // noise.
 //
 // A WarmSolver owns its Problem between calls: the caller may change

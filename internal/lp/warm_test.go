@@ -106,7 +106,7 @@ func TestWarmMatchesColdOnBoundChanges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold solve: %v", trial, err)
 		}
-		coldRef, err := cloneProblem(p).Solve()
+		coldRef, err := cloneProblem(p).SolveContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: reference solve: %v", trial, err)
 		}
@@ -125,7 +125,7 @@ func TestWarmMatchesColdOnBoundChanges(t *testing.T) {
 			if warm {
 				warmResolves++
 			}
-			want, err := cloneProblem(p).Solve()
+			want, err := cloneProblem(p).SolveContext(context.Background())
 			if err != nil {
 				t.Fatalf("trial %d step %d: reference solve: %v", trial, step, err)
 			}
@@ -164,7 +164,7 @@ func TestWarmPivotSavings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cloneProblem(p).Solve()
+		want, err := cloneProblem(p).SolveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestWarmInfeasibleTransitions(t *testing.T) {
 		if got.Status != tc.want {
 			t.Fatalf("step %d (floor=%g): status %v, want %v", step, tc.rhs, got.Status, tc.want)
 		}
-		want, err := cloneProblem(p).Solve()
+		want, err := cloneProblem(p).SolveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestOversizedEntrySelfEvicts(t *testing.T) {
 	m := conflict.NewPhysical(net)
 	links := allLinks(net)
 	c := New(1) // no real family fits in one byte
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -39,7 +39,7 @@ func TestOversizedEntrySelfEvicts(t *testing.T) {
 	if st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1 (the entry itself)", st.Evictions)
 	}
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st = c.Stats()
@@ -68,7 +68,7 @@ func TestEvictionOrderUnderInterleavedHits(t *testing.T) {
 	// caches here run with the warm-start path off.
 	size := func(uni []topology.LinkID) int64 {
 		probe := New(0)
-		if _, err := probe.Enumerate(m, uni, indepset.Options{}); err != nil {
+		if _, err := probe.EnumerateContext(context.Background(), m, uni, indepset.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		return probe.Stats().Bytes
@@ -82,7 +82,7 @@ func TestEvictionOrderUnderInterleavedHits(t *testing.T) {
 	c.SetDeltaEnabled(false)
 	mustEnum := func(uni []topology.LinkID) {
 		t.Helper()
-		if _, err := c.Enumerate(m, uni, indepset.Options{}); err != nil {
+		if _, err := c.EnumerateContext(context.Background(), m, uni, indepset.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,18 +136,18 @@ func TestLookupIdentityAcrossAllPaths(t *testing.T) {
 		}
 	}
 
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	step++
 	check("miss", int64(step))
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	step++
 	check("hit", int64(step))
 
-	if _, err := c.Enumerate(unkeyedModel{conflict.NewProtocol(net)}, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), unkeyedModel{conflict.NewProtocol(net)}, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	step++
@@ -168,7 +168,7 @@ func TestLookupIdentityAcrossAllPaths(t *testing.T) {
 	swapEnumerate(t, func(context.Context, conflict.Model, []topology.LinkID, indepset.Options) ([]indepset.Set, bool, int64, error) {
 		return nil, false, 0, boom
 	})
-	if _, err := c.Enumerate(m, links[:1], indepset.Options{}); !errors.Is(err, boom) {
+	if _, err := c.EnumerateContext(context.Background(), m, links[:1], indepset.Options{}); !errors.Is(err, boom) {
 		t.Fatalf("injected error not surfaced: %v", err)
 	}
 	step++
@@ -206,14 +206,14 @@ func TestSingleflightMergeAccountingOnError(t *testing.T) {
 	wg.Add(1)
 	go func() { // the leader
 		defer wg.Done()
-		_, errs[0] = c.Enumerate(m, links, indepset.Options{})
+		_, errs[0] = c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	}()
 	<-started // the flight is open; everyone below must join it
 	for i := 1; i <= waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = c.Enumerate(m, links, indepset.Options{})
+			_, errs[i] = c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 		}(i)
 	}
 	// Wait until all waiters are accounted as merges, then fail the
@@ -262,7 +262,7 @@ func TestStatsShapeSnapshotConsistent(t *testing.T) {
 		t.Skip("degenerate topology")
 	}
 	probe := New(0)
-	if _, err := probe.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := probe.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	budget := probe.Stats().Bytes + probe.Stats().Bytes/2 // ~one family: constant churn
@@ -280,7 +280,7 @@ func TestStatsShapeSnapshotConsistent(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := c.Enumerate(m, universes[i%len(universes)], indepset.Options{}); err != nil {
+			if _, err := c.EnumerateContext(context.Background(), m, universes[i%len(universes)], indepset.Options{}); err != nil {
 				t.Error(err)
 				return
 			}

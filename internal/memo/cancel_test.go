@@ -123,7 +123,7 @@ func TestWaiterCancelDoesNotPoisonLeader(t *testing.T) {
 		t.Fatalf("cancellations = %d, want 1 (the waiter)", stats.Cancellations)
 	}
 	// The stored family now serves hits.
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 {

@@ -39,16 +39,16 @@ func TestDeltaHitOnUniverseGrowth(t *testing.T) {
 	m, links := deltaTopology(t)
 	small, big := links[:len(links)-1], links
 
-	fresh, err := indepset.Enumerate(m, big, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, big, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c := New(0)
-	if _, err := c.Enumerate(m, small, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, small, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Enumerate(m, big, indepset.Options{})
+	got, err := c.EnumerateContext(context.Background(), m, big, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDeltaHitOnUniverseGrowth(t *testing.T) {
 
 	// The grown family is now a first-class cached entry: the same
 	// lookup again is a plain memory hit.
-	if _, err := c.Enumerate(m, big, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, big, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.DeltaHits != 1 {
@@ -78,16 +78,16 @@ func TestDeltaChainInsertsIntermediates(t *testing.T) {
 	m, links := deltaTopology(t)
 	small, big := links[:len(links)-3], links
 
-	fresh, err := indepset.Enumerate(m, big, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, big, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c := New(0)
-	if _, err := c.Enumerate(m, small, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, small, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Enumerate(m, big, indepset.Options{})
+	got, err := c.EnumerateContext(context.Background(), m, big, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDeltaChainInsertsIntermediates(t *testing.T) {
 	// An intermediate universe is a complete cached family: looking it
 	// up is a plain hit, no walk.
 	failEnumerate(t)
-	if _, err := c.Enumerate(m, links[:len(links)-2], indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links[:len(links)-2], indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 {
@@ -119,16 +119,16 @@ func TestDeltaDisabledFallsBackToFullWalk(t *testing.T) {
 	m, links := deltaTopology(t)
 	small, big := links[:len(links)-1], links
 
-	fresh, err := indepset.Enumerate(m, big, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, big, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := New(0)
 	c.SetDeltaEnabled(false)
-	if _, err := c.Enumerate(m, small, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, small, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Enumerate(m, big, indepset.Options{})
+	got, err := c.EnumerateContext(context.Background(), m, big, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +147,14 @@ func TestDeltaDisabledFallsBackToFullWalk(t *testing.T) {
 func TestDeltaShrinkIsNotABase(t *testing.T) {
 	m, links := deltaTopology(t)
 	c := New(0)
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := indepset.Enumerate(m, links[:len(links)-1], indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, links[:len(links)-1], indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Enumerate(m, links[:len(links)-1], indepset.Options{})
+	got, err := c.EnumerateContext(context.Background(), m, links[:len(links)-1], indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,18 +177,18 @@ func TestDeltaFallbackCounted(t *testing.T) {
 	m, links := deltaTopology(t)
 	small, big := links[:len(links)-1], links
 
-	fresh, err := indepset.Enumerate(m, big, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, big, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := New(0)
-	if _, err := c.Enumerate(m, small, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, small, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	swapDelta(t, func(context.Context, conflict.Model, indepset.DeltaBase, []topology.LinkID, indepset.Options) ([]indepset.Set, int64, error) {
 		return nil, 0, errDeltaRefused
 	})
-	got, err := c.Enumerate(m, big, indepset.Options{})
+	got, err := c.EnumerateContext(context.Background(), m, big, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDeltaCancelledMidChainCountsMiss(t *testing.T) {
 	small, big := links[:len(links)-1], links
 
 	c := New(0)
-	if _, err := c.Enumerate(m, small, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, small, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	entriesBefore := c.Stats().Entries
@@ -257,7 +257,7 @@ func TestDeltaCancelledMidChainCountsMiss(t *testing.T) {
 	assertIdentity(t, st, "cancelled chain")
 
 	// The cancel poisoned nothing: a live retry is served by delta.
-	if _, err := c.Enumerate(m, big, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, big, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.DeltaHits != 1 {
@@ -273,16 +273,16 @@ func TestDeltaResultSpillsToDisk(t *testing.T) {
 	small, big := links[:len(links)-1], links
 	dir := t.TempDir()
 
-	fresh, err := indepset.Enumerate(m, big, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, big, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c1 := New(0)
 	c1.SetStore(openTestStore(t, dir, 0))
-	if _, err := c1.Enumerate(m, small, indepset.Options{}); err != nil {
+	if _, err := c1.EnumerateContext(context.Background(), m, small, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.Enumerate(m, big, indepset.Options{}); err != nil {
+	if _, err := c1.EnumerateContext(context.Background(), m, big, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c1.Stats(); st.DeltaHits != 1 {
@@ -295,7 +295,7 @@ func TestDeltaResultSpillsToDisk(t *testing.T) {
 	failEnumerate(t)
 	c2 := New(0)
 	c2.SetStore(openTestStore(t, dir, 0))
-	got, err := c2.Enumerate(m, big, indepset.Options{})
+	got, err := c2.EnumerateContext(context.Background(), m, big, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,10 +316,10 @@ func TestDeltaBaseTooFarAway(t *testing.T) {
 	small, big := links[:1], links[:maxDeltaLinks+2]
 
 	c := New(0)
-	if _, err := c.Enumerate(m, small, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, small, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Enumerate(m, big, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, big, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()

@@ -258,16 +258,11 @@ func canonicalUniverse(links []topology.LinkID) []topology.LinkID {
 	return out[:w]
 }
 
-// Enumerate is indepset.Enumerate through the cache: a complete family
-// previously enumerated for the same key is returned without walking.
-// The returned slice is a fresh header over shared Set values; callers
-// must treat the sets as read-only (they already must — core hands the
-// same backing to every Result).
-func (c *Cache) Enumerate(m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, error) {
-	return c.EnumerateContext(context.Background(), m, links, opts)
-}
-
-// EnumerateContext is Enumerate under a context. Cancelled enumerations
+// EnumerateContext is indepset.EnumerateContext through the cache: a
+// complete family previously enumerated for the same key is returned
+// without walking. The returned slice is a fresh header over shared Set
+// values; callers must treat the sets as read-only (they already must —
+// core hands the same backing to every Result). Cancelled enumerations
 // return an error satisfying errors.Is(err, cancel.ErrCanceled) and are
 // never stored — not in memory, not on disk. A waiter merged into
 // another goroutine's flight honors its own context: its cancellation

@@ -36,15 +36,15 @@ func TestHitMissAndIdentity(t *testing.T) {
 	links := allLinks(net)
 	c := New(0)
 
-	fresh, err := indepset.Enumerate(m, links, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatalf("fresh enumerate: %v", err)
 	}
-	first, err := c.Enumerate(m, links, indepset.Options{})
+	first, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatalf("cache enumerate (miss): %v", err)
 	}
-	second, err := c.Enumerate(m, links, indepset.Options{})
+	second, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatalf("cache enumerate (hit): %v", err)
 	}
@@ -84,10 +84,10 @@ func TestOrderInsensitiveKeyAndLookup(t *testing.T) {
 	}
 
 	c := New(0)
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Enumerate(m, reversed, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, reversed, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
@@ -126,7 +126,7 @@ func TestTruncatedNeverStored(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("truncated family was stored: %d entries", st.Entries)
 	}
-	if _, err := c.Enumerate(m, links, opts); err == nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, opts); err == nil {
 		t.Fatal("Enumerate through cache should report the limit error")
 	}
 }
@@ -140,15 +140,15 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	}
 	// A budget only big enough for roughly one family forces eviction.
 	probe := New(0)
-	if _, err := probe.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := probe.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	budget := probe.Stats().Bytes + probe.Stats().Bytes/2
 	c := New(budget)
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Enumerate(m, links[:len(links)-2], indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links[:len(links)-2], indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -160,7 +160,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	}
 	// The most recent family must have survived and hit.
 	before := c.Stats().Hits
-	if _, err := c.Enumerate(m, links[:len(links)-2], indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links[:len(links)-2], indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().Hits != before+1 {
@@ -184,7 +184,7 @@ func TestSingleflightMerges(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i], errs[i] = c.Enumerate(m, links, indepset.Options{Workers: 1})
+			results[i], errs[i] = c.EnumerateContext(context.Background(), m, links, indepset.Options{Workers: 1})
 		}(i)
 	}
 	close(start)
@@ -212,11 +212,11 @@ func TestNilCacheBypasses(t *testing.T) {
 	m := conflict.NewPhysical(net)
 	links := allLinks(net)
 	var c *Cache
-	fresh, err := indepset.Enumerate(m, links, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Enumerate(m, links, indepset.Options{})
+	got, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +236,11 @@ func TestUnfingerprintableModelBypasses(t *testing.T) {
 	m := unkeyedModel{conflict.NewProtocol(net)}
 	links := allLinks(net)
 	c := New(0)
-	fresh, err := indepset.Enumerate(m, links, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Enumerate(m, links, indepset.Options{})
+	got, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestPinnedModelsKeepOwnEntries(t *testing.T) {
 	fresh := make([][]indepset.Set, len(models))
 	for i, m := range models {
 		var err error
-		if fresh[i], err = indepset.Enumerate(m, links, indepset.Options{}); err != nil {
+		if fresh[i], err = indepset.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestPinnedModelsKeepOwnEntries(t *testing.T) {
 	c := New(0)
 	for round := 0; round < 2; round++ {
 		for i, m := range models {
-			got, err := c.Enumerate(m, links, indepset.Options{})
+			got, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestCachedVsFreshByteIdentity(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				opts := indepset.Options{Workers: workers}
-				fresh, err := indepset.Enumerate(tc.m, links, opts)
+				fresh, err := indepset.EnumerateContext(context.Background(), tc.m, links, opts)
 				if err != nil {
 					t.Fatalf("fresh: %v", err)
 				}
@@ -77,10 +78,10 @@ func TestCachedVsFreshByteIdentity(t *testing.T) {
 				// Populate the entry with a *different* worker count than
 				// the lookup: identity must hold across worker settings.
 				warmOpts := indepset.Options{Workers: 1}
-				if _, err := c.Enumerate(tc.m, links, warmOpts); err != nil {
+				if _, err := c.EnumerateContext(context.Background(), tc.m, links, warmOpts); err != nil {
 					t.Fatalf("populate: %v", err)
 				}
-				cached, err := c.Enumerate(tc.m, links, opts)
+				cached, err := c.EnumerateContext(context.Background(), tc.m, links, opts)
 				if err != nil {
 					t.Fatalf("cached: %v", err)
 				}
@@ -121,23 +122,23 @@ func TestCacheKeyCollision(t *testing.T) {
 
 	// End to end: populating with one model must not leak into the other.
 	c := New(0)
-	fa, err := c.Enumerate(a, links, indepset.Options{})
+	fa, err := c.EnumerateContext(context.Background(), a, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := c.Enumerate(b, links, indepset.Options{})
+	fb, err := c.EnumerateContext(context.Background(), b, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("second model should miss, got %+v", st)
 	}
-	freshB, err := indepset.Enumerate(b, links, indepset.Options{})
+	freshB, err := indepset.EnumerateContext(context.Background(), b, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertFamiliesEqual(t, freshB, fb, "model b")
-	freshA, err := indepset.Enumerate(a, links, indepset.Options{})
+	freshA, err := indepset.EnumerateContext(context.Background(), a, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestKillAndRestartWarmsFromDisk(t *testing.T) {
 	links := allLinks(net)
 	dir := t.TempDir()
 
-	fresh, err := indepset.Enumerate(m, links, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestKillAndRestartWarmsFromDisk(t *testing.T) {
 	// Process one: miss, enumerate, write-behind.
 	c1 := New(0)
 	c1.SetStore(openTestStore(t, dir, 0))
-	if _, err := c1.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c1.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st1 := c1.Stats()
@@ -103,7 +103,7 @@ func TestKillAndRestartWarmsFromDisk(t *testing.T) {
 	failEnumerate(t)
 	c2 := New(0)
 	c2.SetStore(openTestStore(t, dir, 0))
-	got, err := c2.Enumerate(m, links, indepset.Options{})
+	got, err := c2.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestKillAndRestartWarmsFromDisk(t *testing.T) {
 	assertIdentity(t, st2, "restart")
 
 	// The disk hit also warmed the in-memory cache.
-	if _, err := c2.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c2.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c2.Stats(); st.Hits != 1 {
@@ -133,7 +133,7 @@ func TestCorruptionDegradesToFreshEnumeration(t *testing.T) {
 	m := conflict.NewPhysical(net)
 	links := allLinks(net)
 
-	fresh, err := indepset.Enumerate(m, links, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestCorruptionDegradesToFreshEnumeration(t *testing.T) {
 			dir := t.TempDir()
 			seed := New(0)
 			seed.SetStore(openTestStore(t, dir, 0))
-			if _, err := seed.Enumerate(m, links, indepset.Options{}); err != nil {
+			if _, err := seed.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 				t.Fatal(err)
 			}
 			seed.FlushStore()
@@ -179,7 +179,7 @@ func TestCorruptionDegradesToFreshEnumeration(t *testing.T) {
 
 			c := New(0)
 			c.SetStore(openTestStore(t, dir, 0))
-			got, err := c.Enumerate(m, links, indepset.Options{})
+			got, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 			if err != nil {
 				t.Fatalf("corruption surfaced as a query error: %v", err)
 			}
@@ -216,7 +216,7 @@ func TestAlienKeyedFileRejected(t *testing.T) {
 	dir := t.TempDir()
 	seed := New(0)
 	seed.SetStore(openTestStore(t, dir, 0))
-	if _, err := seed.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := seed.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	seed.FlushStore()
@@ -232,7 +232,7 @@ func TestAlienKeyedFileRejected(t *testing.T) {
 
 	c := New(0)
 	c.SetStore(openTestStore(t, dir, 0))
-	if _, err := c.Enumerate(m, links[:len(links)-1], indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links[:len(links)-1], indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()

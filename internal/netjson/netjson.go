@@ -199,14 +199,9 @@ func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.
 	return path, bg, err
 }
 
-// Solve answers the spec: exact available bandwidth (Eq. 6), the
-// delivering schedule, and all five distributed estimates.
-func Solve(s *Spec) (*Answer, error) {
-	return SolveContext(context.Background(), s)
-}
-
-// SolveContext is Solve under a context: ctx (tightened by the spec's
-// QueryTimeoutMs, if set) is threaded through routing, enumeration and
+// SolveContext answers the spec: exact available bandwidth (Eq. 6), the
+// delivering schedule, and all five distributed estimates. ctx
+// (tightened by the spec's QueryTimeoutMs, if set) is threaded through routing, enumeration and
 // every LP, so cancellation stops the solve promptly. Canceled solves
 // never store or spill partial results.
 func SolveContext(ctx context.Context, s *Spec) (*Answer, error) {

@@ -27,7 +27,7 @@ func TestSolveExplicitPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := Solve(spec)
+	ans, err := SolveContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSolveRoutedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := Solve(spec)
+	ans, err := SolveContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSolveInfeasibleBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := Solve(spec)
+	ans, err := SolveContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSolveValidation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("spec itself should parse: %v", err)
 			}
-			if _, err := Solve(spec); err == nil {
+			if _, err := SolveContext(context.Background(), spec); err == nil {
 				t.Error("expected solve error")
 			}
 		})
@@ -130,7 +130,7 @@ func TestWriteAnswerRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := Solve(spec)
+	ans, err := SolveContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCacheBytesImpliesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.CacheBytes = 1 << 20
-	ans, err := Solve(spec)
+	ans, err := SolveContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCacheDirWarmsAcrossSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.CacheDir = dir
-	want, err := Solve(cold)
+	want, err := SolveContext(context.Background(), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestCacheDirWarmsAcrossSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm.CacheDir = dir
-	got, err := Solve(warm)
+	got, err := SolveContext(context.Background(), warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestCacheDirOpenErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.CacheDir = file
-	if _, err := Solve(spec); err == nil {
+	if _, err := SolveContext(context.Background(), spec); err == nil {
 		t.Error("Solve accepted a file as the cache directory")
 	}
 }
@@ -253,7 +253,7 @@ func TestSolveContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.QueryTimeoutMs = -1
-	if _, err := Solve(spec); err == nil || !strings.Contains(err.Error(), "queryTimeoutMs") {
+	if _, err := SolveContext(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "queryTimeoutMs") {
 		t.Fatalf("negative timeout: err = %v, want a queryTimeoutMs spec error", err)
 	}
 
@@ -264,12 +264,12 @@ func TestSolveContextCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled solve: err = %v, want ErrCanceled", err)
 	}
 
-	ref, err := Solve(spec)
+	ref, err := SolveContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.QueryTimeoutMs = 60_000
-	timed, err := Solve(spec)
+	timed, err := SolveContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestTraceBlockInAnswer(t *testing.T) {
 		}
 		return spec
 	}
-	plain, err := Solve(parse(chainSpec))
+	plain, err := SolveContext(context.Background(), parse(chainSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestTraceBlockInAnswer(t *testing.T) {
 
 	spec := parse(chainSpec)
 	spec.Trace = true
-	traced, err := Solve(spec)
+	traced, err := SolveContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

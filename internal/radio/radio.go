@@ -230,17 +230,6 @@ func (p *Profile) MaxRate(prSignal, prInterference float64) (Rate, bool) {
 	return 0, false
 }
 
-// Supports reports whether rate r is met for the given received signal
-// power and interference power.
-func (p *Profile) Supports(r Rate, prSignal, prInterference float64) bool {
-	sens, ok := p.Sensitivity(r)
-	if !ok {
-		return false
-	}
-	thr, _ := p.SINRThreshold(r)
-	return prSignal >= sens && prSignal/(prInterference+p.noise) >= thr
-}
-
 // Senses reports whether a node at distance d from a transmitter senses
 // the channel busy (carrier sensing, Sec. 4 of the paper).
 func (p *Profile) Senses(d float64) bool {

@@ -103,20 +103,6 @@ func TestMaxRateWithInterference(t *testing.T) {
 	}
 }
 
-func TestSupports(t *testing.T) {
-	p := NewProfile80211a()
-	sig := p.RxPower(70) // supports 36 at most by sensitivity
-	if p.Supports(54, sig, 0) {
-		t.Error("Supports(54) at 70m should be false (sensitivity)")
-	}
-	if !p.Supports(36, sig, 0) {
-		t.Error("Supports(36) at 70m should be true")
-	}
-	if p.Supports(99, sig, 0) {
-		t.Error("Supports(unknown rate) should be false")
-	}
-}
-
 func TestMaxRateMonotoneInInterference(t *testing.T) {
 	p := NewProfile80211a()
 	f := func(dRaw, iRaw float64) bool {

@@ -48,23 +48,12 @@ type AdmissionOptions struct {
 	Core core.Options
 }
 
-// SequentialAdmission reproduces the paper's Sec. 5.2 experiment: flows
-// join one by one; each is routed with the given metric using the
-// idleness induced by the already-admitted background, its path's exact
-// available bandwidth is computed with the Eq. 6 model, and it is
-// admitted iff the demand fits.
-func SequentialAdmission(
-	net *topology.Network,
-	m conflict.Model,
-	metric Metric,
-	requests []Request,
-	opts AdmissionOptions,
-) ([]Decision, error) {
-	return SequentialAdmissionContext(context.Background(), net, m, metric, requests, opts)
-}
-
-// SequentialAdmissionContext is SequentialAdmission under a context:
-// ctx is checked between admission steps and forwarded into each step's
+// SequentialAdmissionContext reproduces the paper's Sec. 5.2
+// experiment: flows join one by one; each is routed with the given
+// metric using the idleness induced by the already-admitted background,
+// its path's exact available bandwidth is computed with the Eq. 6
+// model, and it is admitted iff the demand fits. ctx is checked between
+// admission steps and forwarded into each step's
 // enumeration and LP solves, so a cancelled run stops promptly with an
 // error satisfying errors.Is(err, cancel.ErrCanceled) alongside the
 // decisions completed so far. Admission state is only extended by fully
@@ -169,19 +158,14 @@ func admitOne(
 	return dec, nil
 }
 
-// BackgroundIdleness derives per-node carrier-sensed idle ratios from
-// the admitted flows: the minimal-airtime schedule delivering the
+// BackgroundIdlenessContext derives per-node carrier-sensed idle ratios
+// from the admitted flows: the minimal-airtime schedule delivering the
 // admitted demands is computed (what an efficient network converges to)
 // and each node senses it. With no background, every node is fully
-// idle. It is estimate.NodeIdleRatios over BackgroundSchedule; callers
-// that also need the schedule should solve it once and derive both.
-func BackgroundIdleness(net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options) ([]float64, error) {
-	return BackgroundIdlenessContext(context.Background(), net, m, admitted, coreOpts)
-}
-
-// BackgroundIdlenessContext is BackgroundIdleness under a context: the
-// feasibility enumeration and LP poll ctx and stop promptly on
-// cancellation.
+// idle. It is estimate.NodeIdleRatios over BackgroundScheduleContext;
+// callers that also need the schedule should solve it once and derive
+// both. The feasibility enumeration and LP poll ctx and stop promptly
+// on cancellation.
 func BackgroundIdlenessContext(ctx context.Context, net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options) ([]float64, error) {
 	sched, err := BackgroundScheduleContext(ctx, m, admitted, coreOpts)
 	if err != nil {
@@ -190,15 +174,10 @@ func BackgroundIdlenessContext(ctx context.Context, net *topology.Network, m con
 	return estimate.NodeIdleRatios(net, sched), nil
 }
 
-// BackgroundSchedule exposes the minimal-airtime schedule used for
-// idleness, for callers that need the schedule itself (e.g. the Fig. 4
-// estimation experiment and the simulators).
-func BackgroundSchedule(m conflict.Model, admitted []core.Flow, coreOpts core.Options) (schedule.Schedule, error) {
-	return BackgroundScheduleContext(context.Background(), m, admitted, coreOpts)
-}
-
-// BackgroundScheduleContext is BackgroundSchedule under a context; see
-// BackgroundIdlenessContext.
+// BackgroundScheduleContext exposes the minimal-airtime schedule used
+// for idleness, for callers that need the schedule itself (e.g. the
+// Fig. 4 estimation experiment and the simulators). Cancellation
+// behaves as in BackgroundIdlenessContext.
 func BackgroundScheduleContext(ctx context.Context, m conflict.Model, admitted []core.Flow, coreOpts core.Options) (schedule.Schedule, error) {
 	bg, err := SolveBackgroundContext(ctx, m, admitted, coreOpts)
 	if err != nil {

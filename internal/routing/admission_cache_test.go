@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,12 +26,12 @@ func TestSequentialAdmissionCachedMatchesUncached(t *testing.T) {
 		{Src: 0, Dst: 3, Demand: 0.7},
 	}
 	for _, metric := range []Metric{MetricHopCount, MetricE2ETD} {
-		plain, err := SequentialAdmission(net, m, metric, reqs, AdmissionOptions{})
+		plain, err := SequentialAdmissionContext(context.Background(), net, m, metric, reqs, AdmissionOptions{})
 		if err != nil {
 			t.Fatalf("%v uncached: %v", metric, err)
 		}
 		cache := memo.New(0)
-		cached, err := SequentialAdmission(net, m, metric, reqs, AdmissionOptions{
+		cached, err := SequentialAdmissionContext(context.Background(), net, m, metric, reqs, AdmissionOptions{
 			Core: core.Options{Cache: cache},
 		})
 		if err != nil {
@@ -81,7 +82,7 @@ func TestSequentialAdmissionDeltaMatchesFullWalks(t *testing.T) {
 	}
 	run := func(cache *memo.Cache) []Decision {
 		t.Helper()
-		decs, err := SequentialAdmission(net, m, MetricHopCount, reqs, AdmissionOptions{
+		decs, err := SequentialAdmissionContext(context.Background(), net, m, MetricHopCount, reqs, AdmissionOptions{
 			Core: core.Options{Cache: cache},
 		})
 		if err != nil {

@@ -135,7 +135,7 @@ func (r *DistributedRouter) Route(src, dst topology.NodeID) (topology.Path, floa
 // label builds the search label for a prefix path, or nil when the
 // prefix is unusable (a silent link).
 func (r *DistributedRouter) label(prefix topology.Path) (*drLabel, error) {
-	ps, err := r.pathState(prefix)
+	ps, err := pathState(r.net, r.model, r.nodeIdle, prefix)
 	if err != nil {
 		return nil, nil // silent link: prune quietly
 	}
@@ -148,25 +148,6 @@ func (r *DistributedRouter) label(prefix topology.Path) (*drLabel, error) {
 		return nil, err
 	}
 	return &drLabel{node: last.Rx, path: prefix, estimate: est}, nil
-}
-
-func (r *DistributedRouter) pathState(path topology.Path) (estimate.PathState, error) {
-	idle, err := estimate.LinkIdleRatios(r.net, r.nodeIdle, path)
-	if err != nil {
-		return estimate.PathState{}, err
-	}
-	ps := estimate.PathState{Path: path, Idle: idle}
-	for _, lid := range path {
-		rate := conflict.AloneMaxRate(r.model, lid)
-		if rate <= 0 {
-			return estimate.PathState{}, fmt.Errorf("routing: link %d supports no rate", lid)
-		}
-		ps.Rates = append(ps.Rates, rate)
-	}
-	if err := ps.Validate(); err != nil {
-		return estimate.PathState{}, err
-	}
-	return ps, nil
 }
 
 func (r *DistributedRouter) pathNodes(path topology.Path, src topology.NodeID) map[topology.NodeID]bool {

@@ -123,7 +123,7 @@ func TestDistributedRouterPrefixMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k < len(path); k++ {
-		ps, err := router.pathState(path[:k])
+		ps, err := pathState(net, m, idle, path[:k])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"context"
 	"testing"
 
 	"abw/internal/conflict"
@@ -111,7 +112,7 @@ func TestAvgE2EDAvoidsBusyNodes(t *testing.T) {
 
 func TestBackgroundIdlenessNoFlows(t *testing.T) {
 	net, m := lineNet(t, 4, 100)
-	idle, err := BackgroundIdleness(net, m, nil, core.Options{})
+	idle, err := BackgroundIdlenessContext(context.Background(), net, m, nil, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestBackgroundIdlenessWithFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle, err := BackgroundIdleness(net, m, []core.Flow{{Path: path, Demand: 2}}, core.Options{})
+	idle, err := BackgroundIdlenessContext(context.Background(), net, m, []core.Flow{{Path: path, Demand: 2}}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestSequentialAdmissionInvariants(t *testing.T) {
 		{Src: 0, Dst: 4, Demand: 1.5},
 		{Src: 0, Dst: 4, Demand: 1.5},
 	}
-	decs, err := SequentialAdmission(net, m, MetricE2ETD, reqs, AdmissionOptions{StopAtFirstFailure: true})
+	decs, err := SequentialAdmissionContext(context.Background(), net, m, MetricE2ETD, reqs, AdmissionOptions{StopAtFirstFailure: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestSequentialAdmissionContinueAfterFailure(t *testing.T) {
 		{Src: 0, Dst: 4, Demand: 100}, // impossible
 		{Src: 0, Dst: 4, Demand: 2},   // fine
 	}
-	decs, err := SequentialAdmission(net, m, MetricHopCount, reqs, AdmissionOptions{StopAtFirstFailure: false})
+	decs, err := SequentialAdmissionContext(context.Background(), net, m, MetricHopCount, reqs, AdmissionOptions{StopAtFirstFailure: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestSequentialAdmissionNoRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := conflict.NewPhysical(net)
-	decs, err := SequentialAdmission(net, m, MetricHopCount, []Request{{Src: 0, Dst: 1, Demand: 1}}, AdmissionOptions{})
+	decs, err := SequentialAdmissionContext(context.Background(), net, m, MetricHopCount, []Request{{Src: 0, Dst: 1, Demand: 1}}, AdmissionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestSequentialAdmissionNoRoute(t *testing.T) {
 
 func TestSequentialAdmissionBadDemand(t *testing.T) {
 	net, m := lineNet(t, 3, 100)
-	if _, err := SequentialAdmission(net, m, MetricHopCount, []Request{{Src: 0, Dst: 2, Demand: 0}}, AdmissionOptions{}); err == nil {
+	if _, err := SequentialAdmissionContext(context.Background(), net, m, MetricHopCount, []Request{{Src: 0, Dst: 2, Demand: 0}}, AdmissionOptions{}); err == nil {
 		t.Error("zero demand: expected error")
 	}
 }

@@ -61,16 +61,6 @@ func (s *Schedule) Throughput(link topology.LinkID) float64 {
 	return total
 }
 
-// ThroughputVector returns the delivered throughput aligned with the
-// given link universe.
-func (s *Schedule) ThroughputVector(universe []topology.LinkID) []float64 {
-	out := make([]float64, len(universe))
-	for i, l := range universe {
-		out[i] = s.Throughput(l)
-	}
-	return out
-}
-
 // Validate checks structural sanity and, when m is non-nil, that every
 // slot's transmission set is feasible under the conflict model.
 func (s *Schedule) Validate(m conflict.Model) error {

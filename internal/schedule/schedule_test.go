@@ -148,17 +148,6 @@ func TestEmptySchedule(t *testing.T) {
 	}
 }
 
-func TestThroughputVector(t *testing.T) {
-	s := scenario.NewScenarioII()
-	sched := paperScheduleII(s)
-	v := sched.ThroughputVector(s.Links())
-	for i, got := range v {
-		if math.Abs(got-16.2) > 1e-9 {
-			t.Errorf("vector[%d] = %g, want 16.2", i, got)
-		}
-	}
-}
-
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	s := scenario.NewScenarioII()
 	orig := paperScheduleII(s)

@@ -15,26 +15,6 @@ import (
 // symmetric.
 type Hearing func(a, b topology.LinkID) bool
 
-// PhysicalHearing derives hearing from geometry: a transmitter senses
-// any other transmitter within the profile's carrier-sense range.
-func PhysicalHearing(net *topology.Network) Hearing {
-	return func(a, b topology.LinkID) bool {
-		la, err := net.Link(a)
-		if err != nil {
-			return false
-		}
-		lb, err := net.Link(b)
-		if err != nil {
-			return false
-		}
-		d, err := net.NodeDist(la.Tx, lb.Tx)
-		if err != nil {
-			return false
-		}
-		return net.Profile().Senses(d)
-	}
-}
-
 // ModelHearing derives hearing from a conflict model with no geometry
 // (table scenarios): a link hears exactly the transmissions that would
 // interfere with it at the given rates.

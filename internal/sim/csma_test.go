@@ -174,22 +174,6 @@ func TestCSMADeterministicAcrossSeeds(t *testing.T) {
 	}
 }
 
-func TestPhysicalHearing(t *testing.T) {
-	net, path, err := topology.Chain(radio.NewProfile80211a(), 3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := PhysicalHearing(net)
-	// Transmitters 0 and 1 are 100m apart: heard (CS range 237m).
-	if !h(path[0], path[1]) {
-		t.Error("adjacent transmitters should hear each other")
-	}
-	// Bogus links are silently unheard.
-	if h(path[0], topology.LinkID(999)) {
-		t.Error("bogus link should not be heard")
-	}
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

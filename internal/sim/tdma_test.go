@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -152,7 +153,7 @@ func TestMeasuredNodeIdleMatchesAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := conflict.NewPhysical(net)
-	res, err := core.AvailableBandwidth(m, nil, path, core.Options{})
+	res, err := core.AvailableBandwidthContext(context.Background(), m, nil, path, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,20 +203,6 @@ func (n *Network) NodeDist(a, b NodeID) (float64, error) {
 	return na.Pos.Dist(nb.Pos), nil
 }
 
-// TxRxDist returns the distance from link a's transmitter to link b's
-// receiver — the interference geometry of paper Eq. 3.
-func (n *Network) TxRxDist(a, b LinkID) (float64, error) {
-	la, err := n.Link(a)
-	if err != nil {
-		return 0, err
-	}
-	lb, err := n.Link(b)
-	if err != nil {
-		return 0, err
-	}
-	return n.NodeDist(la.Tx, lb.Rx)
-}
-
 // PathFromNodes converts a node sequence into the corresponding link
 // path, verifying every hop exists.
 func (n *Network) PathFromNodes(nodes []NodeID) (Path, error) {

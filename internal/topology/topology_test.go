@@ -165,21 +165,6 @@ func TestPathNodesBrokenChain(t *testing.T) {
 	}
 }
 
-func TestTxRxDist(t *testing.T) {
-	net, path, err := Chain(testProfile(), 3, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Link 0 transmits from node 0; link 2's receiver is node 3 at 150m.
-	d, err := net.TxRxDist(path[0], path[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-150) > 1e-9 {
-		t.Errorf("TxRxDist = %g, want 150", d)
-	}
-}
-
 func TestLinkUnion(t *testing.T) {
 	p1 := Path{LinkID(3), LinkID(1)}
 	p2 := Path{LinkID(1), LinkID(2)}

@@ -34,7 +34,7 @@ lint-fix:
 # against cold ones, and solves from a start basis against two-phase
 # ones), enumeration (both walks against the
 # brute-force reference), delta enumeration (grown families against
-# full walks), the set order (indepset.Compare against Key strings),
+# full walks), the set order (conflict.CompareCouples is a total order),
 # the netjson codec, and the memo cache (key
 # fingerprint, on-disk family format, and the delta-base index against
 # a linear scan); CI runs the same targets for 30s each.
@@ -48,7 +48,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveFrom -fuzztime=$(FUZZTIME) ./internal/lp/
 	$(GO) test -run='^$$' -fuzz='^FuzzEnumerate$$' -fuzztime=$(FUZZTIME) ./internal/indepset/
 	$(GO) test -run='^$$' -fuzz=FuzzEnumerateDelta -fuzztime=$(FUZZTIME) ./internal/indepset/
-	$(GO) test -run='^$$' -fuzz=FuzzSetOrder -fuzztime=$(FUZZTIME) ./internal/indepset/
+	$(GO) test -run='^$$' -fuzz=FuzzSetOrder -fuzztime=$(FUZZTIME) ./internal/conflict/
 	$(GO) test -run='^$$' -fuzz=FuzzNetjson -fuzztime=$(FUZZTIME) ./internal/netjson/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/memo/

@@ -9,6 +9,7 @@ package clique
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -55,7 +56,8 @@ func (c Clique) Links() []topology.LinkID {
 	return out
 }
 
-// Key returns a canonical identity string for deduplication.
+// Key returns a canonical identity string, for printing and
+// deduplication.
 func (c Clique) Key() string {
 	var b strings.Builder
 	for i, cp := range c.Couples {
@@ -67,26 +69,9 @@ func (c Clique) Key() string {
 	return b.String()
 }
 
-// sortByKey sorts cliques by Key, formatting each key once rather than
-// twice per comparison.
-func sortByKey(cs []Clique) {
-	keys := make([]string, len(cs))
-	for i := range cs {
-		keys[i] = cs[i].Key()
-	}
-	sort.Sort(cliquesByKey{cs, keys})
-}
-
-type cliquesByKey struct {
-	cs   []Clique
-	keys []string
-}
-
-func (s cliquesByKey) Len() int           { return len(s.cs) }
-func (s cliquesByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s cliquesByKey) Swap(i, j int) {
-	s.cs[i], s.cs[j] = s.cs[j], s.cs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+// sortCliques puts cliques into conflict.CompareCouples order.
+func sortCliques(cs []Clique) {
+	slices.SortFunc(cs, func(a, b Clique) int { return conflict.CompareCouples(a.Couples, b.Couples) })
 }
 
 // String implements fmt.Stringer.
@@ -294,7 +279,7 @@ func MaximalCliques(m conflict.Model, links []topology.LinkID, opts Options) ([]
 		}
 		out = append(out, New(cs...))
 	}
-	sortByKey(out)
+	sortCliques(out)
 	return out, nil
 }
 
@@ -374,7 +359,7 @@ func CliquesForRateVector(m conflict.Model, assignment []conflict.Couple, opts O
 		}
 		out = append(out, New(cs...))
 	}
-	sortByKey(out)
+	sortCliques(out)
 	return out, nil
 }
 

@@ -19,6 +19,7 @@
 package conflict
 
 import (
+	"cmp"
 	"fmt"
 
 	"abw/internal/radio"
@@ -35,6 +36,31 @@ type Couple struct {
 // String implements fmt.Stringer.
 func (c Couple) String() string {
 	return fmt.Sprintf("(L%d, %v)", c.Link, c.Rate)
+}
+
+// CompareCouples is the one order over couple lists, and so over the
+// families of independent sets and cliques built from them (Eq. 6 needs
+// a fixed order, not a particular one). It compares the link IDs
+// lexicographically as integers, a list before its extensions; lists
+// over the same links then compare their rates in turn, numerically
+// (cmp.Compare: NaN first, -0 equal to +0). A sequential full physical
+// walk emits its sets in this order, so sorting them is one linear
+// pass.
+func CompareCouples(a, b []Couple) int {
+	for i := range min(len(a), len(b)) {
+		if c := cmp.Compare(a[i].Link, b[i].Link); c != 0 {
+			return c
+		}
+	}
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
+	}
+	for i := range a {
+		if c := cmp.Compare(a[i].Rate, b[i].Rate); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // Model answers rate-feasibility questions about concurrent

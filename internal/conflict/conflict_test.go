@@ -1,6 +1,9 @@
 package conflict
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 
 	"abw/internal/geom"
@@ -420,4 +423,137 @@ func TestFingerprintStable(t *testing.T) {
 			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
 		}
 	}
+}
+
+func sign(v int) int {
+	switch {
+	case v < 0:
+		return -1
+	case v > 0:
+		return 1
+	}
+	return 0
+}
+
+// TestCompareCouples checks CompareCouples over every pair of a table
+// listed in ascending order: integer link IDs (2 before 10 before 100,
+// negative IDs first), a list before its extensions, the link lists
+// deciding before any rate does, and the same links at different rates
+// ordered numerically.
+func TestCompareCouples(t *testing.T) {
+	asc := [][]Couple{
+		{},
+		{{-12, 6}},
+		{{-1, 6}},
+		{{-1, 6}, {2, 54}},
+		{{0, 54}},
+		{{2, 0.25}},
+		{{2, 6}},
+		{{2, 54}},
+		{{2, 6}, {10, 54}},
+		{{2, 54}, {10, 6}},
+		{{2, 54}, {10, 54}},
+		{{2, 54}, {10, 54}, {100, 6}},
+		{{2, 5.5}, {100, 54}},
+		{{2, 54}, {100, 6}},
+		{{10, 54}},
+		{{10, 1e6}},
+		{{100, 6}},
+	}
+	for i, a := range asc {
+		for j, b := range asc {
+			if got, want := sign(CompareCouples(a, b)), sign(i-j); got != want {
+				t.Errorf("CompareCouples(%v, %v) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	// Equal couples in distinct slices compare equal.
+	if c := CompareCouples([]Couple{{3, 5.5}, {7, 6}}, []Couple{{3, 5.5}, {7, 6}}); c != 0 {
+		t.Errorf("CompareCouples of equal lists = %d, want 0", c)
+	}
+	x, y := []Couple{{3, 5.5}, {7, 6}}, []Couple{{3, 2.5e6}, {7, 6}}
+	if allocs := testing.AllocsPerRun(100, func() { CompareCouples(x, y) }); allocs > 0 {
+		t.Errorf("CompareCouples allocates %v times per call, want 0", allocs)
+	}
+}
+
+// decodeOrderCouples decodes one couple list of at most four couples
+// from in, which it consumes. Link IDs come from a table of neighbours
+// (negative ones included) or straight from a byte; rates from a table,
+// a small integer, or raw float bits (NaN, infinities, negatives, -0
+// and subnormals included).
+func decodeOrderCouples(in *[]byte) []Couple {
+	next := func() byte {
+		if len(*in) == 0 {
+			return 0
+		}
+		v := (*in)[0]
+		*in = (*in)[1:]
+		return v
+	}
+	linkTable := []topology.LinkID{0, 1, 2, 10, 12, 100, 1000, -1, -12}
+	rateTable := []radio.Rate{5, 55, 5.5, 54, 1e6, 2.5e6, 0.25, 0}
+	n := int(next() % 5)
+	var cs []Couple
+	for i := 0; i < n; i++ {
+		var l topology.LinkID
+		if b := next(); b < 128 {
+			l = topology.LinkID(b)
+		} else {
+			l = linkTable[int(b)%len(linkTable)]
+		}
+		var r radio.Rate
+		switch b := next(); {
+		case b < 128:
+			r = rateTable[int(b)%len(rateTable)]
+		case b < 192:
+			r = radio.Rate(next())
+		default:
+			var bits [8]byte
+			for k := range bits {
+				bits[k] = next()
+			}
+			r = radio.Rate(math.Float64frombits(binary.LittleEndian.Uint64(bits[:])))
+		}
+		cs = append(cs, Couple{l, r})
+	}
+	return cs
+}
+
+// equalCouples reports whether a and b hold the same couples, a NaN
+// rate matching any NaN.
+func equalCouples(a, b []Couple) bool {
+	return slices.EqualFunc(a, b, func(x, y Couple) bool {
+		return x.Link == y.Link && (x.Rate == y.Rate || (x.Rate != x.Rate && y.Rate != y.Rate))
+	})
+}
+
+// FuzzSetOrder checks, on three fuzzer-chosen couple lists, that
+// CompareCouples is a total order: antisymmetric, transitive, and 0
+// exactly for equal lists.
+func FuzzSetOrder(f *testing.F) {
+	f.Add([]byte{1, 1, 0, 1, 1, 1})
+	f.Add([]byte{2, 129, 1, 3, 2, 2, 129, 2, 3, 1})
+	f.Add([]byte{1, 3, 200, 0, 0, 0, 0, 0, 0, 248, 127, 1, 3, 200, 0, 0, 0, 0, 0, 0, 248, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := data
+		sets := [3][]Couple{decodeOrderCouples(&in), decodeOrderCouples(&in), decodeOrderCouples(&in)}
+		for _, a := range sets {
+			for _, b := range sets {
+				ab, ba := CompareCouples(a, b), CompareCouples(b, a)
+				if sign(ab) != -sign(ba) {
+					t.Fatalf("CompareCouples(%v, %v) = %d but reversed = %d", a, b, ab, ba)
+				}
+				if (ab == 0) != equalCouples(a, b) {
+					t.Fatalf("CompareCouples(%v, %v) = %d, equal lists: %v", a, b, ab, equalCouples(a, b))
+				}
+				for _, c := range sets {
+					bc, ac := CompareCouples(b, c), CompareCouples(a, c)
+					if ab <= 0 && bc <= 0 && (ac > 0 || (ac == 0 && (ab < 0 || bc < 0))) {
+						t.Fatalf("not transitive: %v vs %v = %d, %v vs %v = %d, %v vs %v = %d", a, b, ab, b, c, bc, a, c, ac)
+					}
+				}
+			}
+		}
+	})
 }

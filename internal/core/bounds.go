@@ -233,11 +233,3 @@ func enumerateRateVectors(m conflict.Model, universe []topology.LinkID, limit in
 	rec(0)
 	return out, nil
 }
-
-// PathCapacity returns the exact capacity of a path with no background
-// traffic — the special case the authors' earlier work [1] addressed,
-// included as a baseline. ctx cancels it as it does
-// AvailableBandwidthContext.
-func PathCapacity(ctx context.Context, m conflict.Model, path topology.Path, opts Options) (*Result, error) {
-	return AvailableBandwidthContext(ctx, m, nil, path, opts)
-}

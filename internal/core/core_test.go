@@ -334,21 +334,6 @@ func TestRestrictedUpperBound(t *testing.T) {
 	}
 }
 
-func TestPathCapacityEqualsAvailableWithNoBackground(t *testing.T) {
-	s := scenario.NewScenarioII()
-	cap1, err := PathCapacity(context.Background(), s.Model, s.Path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	avail, err := AvailableBandwidthContext(context.Background(), s.Model, nil, s.Path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cap1.Bandwidth-avail.Bandwidth) > eps {
-		t.Errorf("PathCapacity %.6f != AvailableBandwidth %.6f", cap1.Bandwidth, avail.Bandwidth)
-	}
-}
-
 // TestBoundsSandwichPhysicalChain checks lower <= exact <= Eq.9 upper on
 // a geometric chain with the physical SINR model and background traffic.
 func TestBoundsSandwichPhysicalChain(t *testing.T) {

@@ -58,10 +58,10 @@ import (
 
 // DeltaBase is a complete enumeration result to warm-start from: the
 // canonical (sorted, deduplicated) universe it was enumerated over, its
-// full maximal-set family in key order, and the exact exploration count
-// the walk charged (EnumeratePartialCountedContext). Truncated families
-// must never be used as bases — their set list and count are both
-// partial.
+// full maximal-set family in family order, and the exact exploration
+// count the walk charged (EnumeratePartialCountedContext). Truncated
+// families must never be used as bases — their set list and count are
+// both partial.
 type DeltaBase struct {
 	Universe []topology.LinkID
 	Sets     []Set
@@ -104,8 +104,8 @@ func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, links
 	if err != nil {
 		return nil, 0, err
 	}
-	sortByKey(grown)
-	return mergeByKey(stripSurvivors(base.Sets, grown, added), grown), b.count(), nil
+	sortFamily(grown)
+	return mergeFamilies(stripSurvivors(base.Sets, grown, added), grown), b.count(), nil
 }
 
 // threatOrder returns the branch order of the delta walk for the link
@@ -355,12 +355,13 @@ func (e *pairwiseEnum) rowEmpty(col, i int) bool {
 	return true
 }
 
-// mergeByKey merges two key-sorted families into canonical key order.
-// The survivors inherit the base family's order (a subsequence of a
-// sorted list), so the delta result needs one linear merge instead of
-// re-sorting the whole family. Keys never collide across the two
-// inputs: every new set contains an added link, no survivor does.
-func mergeByKey(survivors, grown []Set) []Set {
+// mergeFamilies merges two families sorted in family order
+// (conflict.CompareCouples) into one. The survivors inherit the base
+// family's order (a subsequence of a sorted list), so the delta result
+// needs one linear merge instead of re-sorting the whole family. No set
+// occurs in both inputs: every new set contains an added link, no
+// survivor does.
+func mergeFamilies(survivors, grown []Set) []Set {
 	if len(grown) == 0 {
 		return survivors
 	}
@@ -370,7 +371,7 @@ func mergeByKey(survivors, grown []Set) []Set {
 	out := make([]Set, 0, len(survivors)+len(grown))
 	i, j := 0, 0
 	for i < len(survivors) && j < len(grown) {
-		if Compare(survivors[i], grown[j]) < 0 {
+		if conflict.CompareCouples(survivors[i].Couples, grown[j].Couples) < 0 {
 			out = append(out, survivors[i])
 			i++
 		} else {

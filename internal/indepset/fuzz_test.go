@@ -3,6 +3,7 @@ package indepset
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -146,9 +147,10 @@ func decodeDeltaCase(data []byte) (m conflict.Model, base, added []topology.Link
 
 // FuzzEnumerate checks the full walk against the brute-force reference
 // (referenceEnumerate) on decoded models of at most six links, at 1 and
-// 2 workers: the same family, set for set by Key(). For Physical
-// models, EnumeratePartialCountedContext's exploration count must also
-// equal bruteExplored's, which no walk computes.
+// 2 workers: the same family, set for set by Key(), strictly ascending
+// in family order. For Physical models,
+// EnumeratePartialCountedContext's exploration count must also equal
+// bruteExplored's, which no walk computes.
 func FuzzEnumerate(f *testing.F) {
 	f.Add([]byte{0, 4, 7})
 	f.Add([]byte{2, 3, 9})
@@ -171,6 +173,7 @@ func FuzzEnumerate(f *testing.F) {
 			if !reflect.DeepEqual(keys(got), keys(want)) {
 				t.Fatalf("workers %d: walk differs from reference:\n got  %v\n want %v", workers, keys(got), keys(want))
 			}
+			assertStrictlySorted(t, got, fmt.Sprintf("workers %d", workers))
 			if p, ok := m.(*conflict.Physical); ok {
 				_, _, explored, err := EnumeratePartialCountedContext(context.Background(), m, links, Options{Workers: workers})
 				if err != nil {
@@ -217,8 +220,9 @@ func bruteExplored(m *conflict.Physical, links []topology.LinkID) int64 {
 // FuzzEnumerateDelta checks the delta walk against its cold equivalent
 // on decoded instances, at 1 and 2 workers: the family grown from a
 // complete base equals EnumeratePartialCountedContext over the grown
-// universe set for set by Key(), with the same exploration count, and
-// ErrLimit fires on the delta exactly when the full walk truncates.
+// universe set for set by Key() and strictly ascending in family order,
+// with the same exploration count, and ErrLimit fires on the delta
+// exactly when the full walk truncates.
 func FuzzEnumerateDelta(f *testing.F) {
 	f.Add([]byte{0, 4, 7, 0x15, 3, 1, 3, 5, 7, 0})
 	f.Add([]byte{0, 3, 2, 0x01, 2, 2, 4, 6, 8})
@@ -266,6 +270,7 @@ func FuzzEnumerateDelta(f *testing.F) {
 			if !reflect.DeepEqual(keys(got), keys(want)) {
 				t.Fatalf("workers %d: delta %v + %v:\n got  %v\n want %v", workers, baseU, added, keys(got), keys(want))
 			}
+			assertStrictlySorted(t, got, fmt.Sprintf("workers %d: delta %v + %v", workers, baseU, added))
 			if gotExplored != wantExplored {
 				t.Fatalf("workers %d: delta explored %d, full walk %d", workers, gotExplored, wantExplored)
 			}

@@ -38,12 +38,9 @@
 package indepset
 
 import (
-	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -57,8 +54,7 @@ import (
 )
 
 // Set is an independent set: couples sorted by link ID. Families are
-// kept in Key order, which Compare computes from the couples without
-// building any string; Key itself is built on demand for printing.
+// kept in conflict.CompareCouples order.
 type Set struct {
 	Couples []conflict.Couple
 }
@@ -105,9 +101,9 @@ func (s Set) Contains(link topology.LinkID) bool { return s.Rate(link) > 0 }
 // Len returns the number of couples.
 func (s Set) Len() int { return len(s.Couples) }
 
-// Key returns a canonical string identity: "link@rate" fragments
-// joined by '|'. Compare orders sets exactly as strings.Compare orders
-// their keys.
+// Key returns a canonical string identity, for printing and
+// deduplication: "link@rate" fragments joined by '|'. Families are
+// ordered by conflict.CompareCouples, not by Key.
 func (s Set) Key() string {
 	b := make([]byte, 0, 8*len(s.Couples))
 	for i, c := range s.Couples {
@@ -116,31 +112,9 @@ func (s Set) Key() string {
 		}
 		b = strconv.AppendInt(b, int64(c.Link), 10)
 		b = append(b, '@')
-		b = appendRate(b, c.Rate)
+		b = strconv.AppendFloat(b, float64(c.Rate), 'g', -1, 64)
 	}
 	return string(b)
-}
-
-// intRate reports whether r is integral and in [0, 1e6), the range
-// where its key fragment is its plain decimal digits, and returns them
-// as an integer.
-func intRate(r radio.Rate) (int, bool) {
-	f := float64(r)
-	//lint:ignore abw/floateq exact integrality test: both formatting branches print the same key, only speed differs
-	if f >= 0 && f < 1e6 && f == float64(int(f)) {
-		return int(f), true
-	}
-	return 0, false
-}
-
-// appendRate appends r's key fragment: integral rates below 1e6 print
-// identically under %g and plain decimal, skipping shortest-float
-// formatting on the common case.
-func appendRate(b []byte, r radio.Rate) []byte {
-	if v, ok := intRate(r); ok {
-		return strconv.AppendInt(b, int64(v), 10)
-	}
-	return strconv.AppendFloat(b, float64(r), 'g', -1, 64)
 }
 
 // String implements fmt.Stringer.
@@ -188,7 +162,7 @@ type Options struct {
 	//	>1   exactly that many workers, regardless of universe size.
 	//
 	// A parallel enumeration returns the byte-identical set family of
-	// the sequential walk (same Set.Key order). The conflict model must
+	// the sequential walk (same conflict.CompareCouples order). The conflict model must
 	// be safe for concurrent read-only use when Workers != 1; every
 	// model in internal/conflict is immutable after construction and
 	// qualifies. A truncated parallel EnumeratePartialContext explores
@@ -270,117 +244,18 @@ func enumerate(ctx context.Context, m conflict.Model, links []topology.LinkID, o
 	if err != nil && !truncated {
 		return nil, false, 0, err
 	}
-	sortByKey(out)
+	sortFamily(out)
 	tm.AddSets(int64(len(out)))
 	return out, truncated, b.count(), nil
 }
 
-// Compare returns strings.Compare(a.Key(), b.Key()) without building
-// either key. At the first couple whose fragments differ, a different
-// link decides by its digits followed by '@'; the same link decides by
-// the rate fragments, where a fragment that is a proper prefix of the
-// other sorts after it when its set continues ('|' sorts above every
-// fragment byte) and first when its set ends there. When one set's
-// couples are a prefix of the other's, the shorter set sorts first.
-func Compare(a, b Set) int {
-	ac, bc := a.Couples, b.Couples
-	n := min(len(ac), len(bc))
-	for k := 0; k < n; k++ {
-		x, y := ac[k], bc[k]
-		if x.Link != y.Link {
-			return compareLinks(x.Link, y.Link)
-		}
-		if math.Float64bits(float64(x.Rate)) == math.Float64bits(float64(y.Rate)) {
-			continue
-		}
-		c, prefix := compareRates(x.Rate, y.Rate)
-		switch {
-		case c != 0:
-			return c
-		case prefix < 0: // x's fragment is a proper prefix of y's
-			if k == len(ac)-1 {
-				return -1
-			}
-			return 1
-		case prefix > 0:
-			if k == len(bc)-1 {
-				return 1
-			}
-			return -1
-		}
-	}
-	return cmp.Compare(len(ac), len(bc))
+// sortFamily puts a walk's output into family order
+// (conflict.CompareCouples). A sequential full physical walk already
+// emits it, which pdqsort checks in linear time; pairwise walks and
+// parallel runs do not.
+func sortFamily(sets []Set) {
+	slices.SortFunc(sets, func(a, b Set) int { return conflict.CompareCouples(a.Couples, b.Couples) })
 }
-
-// compareLinks compares the fragment heads "x@" and "y@" of two
-// different links. '@' sorts above every digit, so when one ID's
-// digits are a prefix of the other's, that ID sorts after it.
-func compareLinks(x, y topology.LinkID) int {
-	if x < 0 || y < 0 {
-		var xb, yb [24]byte
-		return bytes.Compare(
-			append(strconv.AppendInt(xb[:0], int64(x), 10), '@'),
-			append(strconv.AppendInt(yb[:0], int64(y), 10), '@'))
-	}
-	c, prefix := compareDigits(int(x), int(y))
-	if c != 0 {
-		return c
-	}
-	return -prefix // the prefix ID meets '@' against a digit
-}
-
-// compareRates compares two rates' key fragments. It returns the sign
-// of the first differing byte, or 0 when the fragments are equal or one
-// is a proper prefix of the other; prefix is then -1 when x's fragment
-// is the shorter one, 1 when y's is, and 0 when they are equal.
-func compareRates(x, y radio.Rate) (c, prefix int) {
-	xi, xok := intRate(x)
-	yi, yok := intRate(y)
-	if xok && yok {
-		return compareDigits(xi, yi)
-	}
-	var xb, yb [32]byte
-	xs, ys := appendRate(xb[:0], x), appendRate(yb[:0], y)
-	m := min(len(xs), len(ys))
-	if c := bytes.Compare(xs[:m], ys[:m]); c != 0 {
-		return c, 0
-	}
-	return 0, cmp.Compare(len(xs), len(ys))
-}
-
-// compareDigits compares the decimal digit strings of two non-negative
-// integers the way compareRates reports fragments.
-func compareDigits(x, y int) (c, prefix int) {
-	nx, ny := numDigits(x), numDigits(y)
-	switch {
-	case nx == ny:
-		return cmp.Compare(x, y), 0
-	case nx < ny:
-		if c := cmp.Compare(x, y/pow10[ny-nx]); c != 0 {
-			return c, 0
-		}
-		return 0, -1
-	default:
-		if c := cmp.Compare(x/pow10[nx-ny], y); c != 0 {
-			return c, 0
-		}
-		return 0, 1
-	}
-}
-
-var pow10 = [...]int{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
-
-// numDigits returns the number of decimal digits of v >= 0.
-func numDigits(v int) int {
-	n := 1
-	for n < len(pow10) && v >= pow10[n] {
-		n++
-	}
-	return n
-}
-
-func sortByKey(sets []Set) { slices.SortFunc(sets, Compare) }
 
 // IsMaximal reports whether s is a maximal independent set over the
 // given link universe: feasible, rate-maximal and link-maximal. It is

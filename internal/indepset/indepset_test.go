@@ -176,8 +176,18 @@ func TestSetAccessors(t *testing.T) {
 	if got := s.Links(); len(got) != 2 || got[0] != 2 || got[1] != 5 {
 		t.Errorf("Links = %v, want [2 5] (sorted)", got)
 	}
-	if s.Key() != "2@54|5@36" {
-		t.Errorf("Key = %q", s.Key())
+	// Key prints each rate as strconv's shortest 'g' form.
+	for _, tc := range []struct {
+		s    Set
+		want string
+	}{
+		{s, "2@54|5@36"},
+		{NewSet(conflict.Couple{Link: 12, Rate: 5.5}, conflict.Couple{Link: 100, Rate: 1e6}), "12@5.5|100@1e+06"},
+		{NewSet(conflict.Couple{Link: 0, Rate: 54}, conflict.Couple{Link: 3, Rate: 2.5e6}), "0@54|3@2.5e+06"},
+	} {
+		if got := tc.s.Key(); got != tc.want {
+			t.Errorf("Key = %q, want %q", got, tc.want)
+		}
 	}
 	if s.String() != "{(L2, 54Mbps), (L5, 36Mbps)}" {
 		t.Errorf("String = %q", s.String())

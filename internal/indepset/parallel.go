@@ -20,10 +20,11 @@
 //     EnumerateContext trips ErrLimit in precisely the instances the
 //     sequential walk does, and a truncated EnumeratePartialContext
 //     returns at most Limit sets.
-//  3. Merge determinism — set keys are unique within a family and the
-//     merged family is sorted by key, so the output is byte-identical
-//     to the sequential walk no matter how the scheduler interleaves
-//     workers.
+//  3. Merge determinism — no two sets of a family have the same
+//     couples, and the merged family is sorted by
+//     conflict.CompareCouples, a total order on distinct couple lists,
+//     so the output is byte-identical to the sequential walk no matter
+//     how the scheduler interleaves workers.
 package indepset
 
 import (
@@ -202,7 +203,7 @@ func walkFamily(ctx context.Context, m conflict.Model, universe []topology.LinkI
 // workers that each build their own walker from s. A worker's family is
 // collected even after an ErrLimit stop (truncated walks still hand
 // back the maximal sets found). The merged family is unsorted; the
-// dispatcher sorts by key.
+// dispatcher sorts it into family order.
 func runWalks(s walkSpace, walks []walk, workers int) ([]Set, error) {
 	if len(walks) == 0 {
 		return nil, nil

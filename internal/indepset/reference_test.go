@@ -4,7 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"abw/internal/conflict"
@@ -16,8 +16,9 @@ import (
 // referenceEnumerate is the brute-force reference the incremental DFS
 // walks are gated against: materialize every feasible couple assignment
 // with from-scratch conflict.Feasible checks, post-filter with the
-// reference IsMaximal predicate, and sort by Key. Any divergence from
-// Enumerate is a bug in the incremental maximality/feasibility state.
+// reference IsMaximal predicate, and sort by conflict.CompareCouples.
+// Any divergence from Enumerate is a bug in the incremental
+// maximality/feasibility state.
 func referenceEnumerate(t *testing.T, m conflict.Model, links []topology.LinkID) []Set {
 	t.Helper()
 	universe := dedupSorted(links)
@@ -47,12 +48,23 @@ func referenceEnumerate(t *testing.T, m conflict.Model, links []topology.LinkID)
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(out, func(a, b Set) int { return conflict.CompareCouples(a.Couples, b.Couples) })
 	return out
 }
 
+// assertStrictlySorted fails unless sets ascend strictly in family
+// order (conflict.CompareCouples).
+func assertStrictlySorted(t *testing.T, sets []Set, label string) {
+	t.Helper()
+	for i := 1; i < len(sets); i++ {
+		if conflict.CompareCouples(sets[i-1].Couples, sets[i].Couples) >= 0 {
+			t.Fatalf("%s: set %d %s does not sort strictly before set %d %s", label, i-1, sets[i-1].Key(), i, sets[i].Key())
+		}
+	}
+}
+
 // assertSameFamily checks that Enumerate returns exactly the reference
-// set family (same Key multiset, same order).
+// set family (same sets, same order).
 func assertSameFamily(t *testing.T, m conflict.Model, links []topology.LinkID, label string) {
 	t.Helper()
 	got, err := EnumerateContext(context.Background(), m, links, Options{})

@@ -17,8 +17,8 @@ var AnalyzerMaporder = &Analyzer{
 	Name: "maporder",
 	Doc: "range over a map feeding an append/send/return path without a " +
 		"subsequent sort makes output order depend on map iteration " +
-		"(guards invariant 4: deterministic Set.Key() order, as indepset.Compare " +
-		"computes it, and golden tables)",
+		"(guards invariant 4: deterministic family order, conflict.CompareCouples, " +
+		"and golden tables)",
 	Run: runMaporder,
 }
 

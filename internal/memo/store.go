@@ -57,8 +57,10 @@ const DefaultStoreMaxBytes = 256 << 20
 // storeMagic identifies a store file and pins the format version; a
 // version bump changes the last byte, making every older file stale.
 // Version 2 added the exploration count (the delta path's accounting
-// seed) to the payload; v1 files are deleted as stale on load.
-const storeMagic = "ABWFAM\x00\x02"
+// seed) to the payload; version 3 orders the family by
+// conflict.CompareCouples instead of by Set.Key strings. Older files
+// are deleted as stale on load.
+const storeMagic = "ABWFAM\x00\x03"
 
 // storeExt is the extension of family files; anything in the cache
 // directory not shaped like <64 hex>.fam is ignored entirely (the
@@ -575,10 +577,11 @@ func decodeFamily(key string, data []byte) ([]indepset.Set, int64, error) {
 	if len(body) != 0 {
 		return nil, 0, fmt.Errorf("memo: store file has %d trailing bytes", len(body))
 	}
-	// Enumeration ships families in strict Key order; so must a reload.
+	// Enumeration ships families in strict family order; so must a
+	// reload.
 	for i := 1; i < len(sets); i++ {
-		if indepset.Compare(sets[i], sets[i-1]) <= 0 {
-			return nil, 0, fmt.Errorf("memo: store file family not key-sorted")
+		if conflict.CompareCouples(sets[i].Couples, sets[i-1].Couples) <= 0 {
+			return nil, 0, fmt.Errorf("memo: store file family not sorted")
 		}
 	}
 	return sets, explored, nil

@@ -3,7 +3,7 @@ package memo
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
 	"abw/internal/conflict"
@@ -16,9 +16,9 @@ import (
 var fuzzStoreRates = []radio.Rate{54, 36, 18, 6}
 
 // fuzzStoreFamily decodes a canonical set family from raw bytes: links
-// strictly ascending within each set, set keys strictly ascending
-// across the family — exactly the invariants a complete enumeration
-// guarantees and decodeFamily enforces.
+// strictly ascending within each set, sets strictly ascending in family
+// order (conflict.CompareCouples) — exactly the invariants a complete
+// enumeration guarantees and decodeFamily enforces.
 func fuzzStoreFamily(data []byte) []indepset.Set {
 	next := func() byte {
 		if len(data) == 0 {
@@ -43,10 +43,10 @@ func fuzzStoreFamily(data []byte) []indepset.Set {
 		}
 		sets = append(sets, indepset.NewSet(couples...))
 	}
-	sort.Slice(sets, func(i, j int) bool { return sets[i].Key() < sets[j].Key() })
+	slices.SortFunc(sets, func(a, b indepset.Set) int { return conflict.CompareCouples(a.Couples, b.Couples) })
 	dedup := sets[:0]
 	for i, s := range sets {
-		if i == 0 || s.Key() != sets[i-1].Key() {
+		if i == 0 || conflict.CompareCouples(s.Couples, sets[i-1].Couples) != 0 {
 			dedup = append(dedup, s)
 		}
 	}

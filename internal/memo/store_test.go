@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"testing"
 
 	"abw/internal/conflict"
@@ -125,9 +125,10 @@ func TestKillAndRestartWarmsFromDisk(t *testing.T) {
 
 // TestCorruptionDegradesToFreshEnumeration injects every corruption
 // class the header guards against — truncation, a flipped payload
-// byte, a wrong format version, an alien key — and requires each to
-// degrade to a fresh enumeration with DiskErrors incremented, the bad
-// file deleted, and no error surfaced to the query.
+// byte, a future or previous format version, an alien key — and
+// requires each to degrade to a fresh enumeration with DiskErrors
+// incremented, the bad file deleted, and no error surfaced to the
+// query.
 func TestCorruptionDegradesToFreshEnumeration(t *testing.T) {
 	net := testNetwork(t, 7, 3)
 	m := conflict.NewPhysical(net)
@@ -154,6 +155,11 @@ func TestCorruptionDegradesToFreshEnumeration(t *testing.T) {
 		{"wrong version", func(t *testing.T, path string) {
 			data := readFile(t, path)
 			data[len(storeMagic)-1]++ // future format version
+			writeFile(t, path, data)
+		}},
+		{"previous version", func(t *testing.T, path string) {
+			data := readFile(t, path)
+			data[len(storeMagic)-1]-- // an older format, now stale
 			writeFile(t, path, data)
 		}},
 		{"flipped header byte", func(t *testing.T, path string) {
@@ -336,7 +342,7 @@ func TestStoreRoundTripBytes(t *testing.T) {
 		indepset.NewSet(conflict.Couple{Link: 2, Rate: 5.5}, conflict.Couple{Link: 7, Rate: 54}),
 		indepset.NewSet(conflict.Couple{Link: 3, Rate: 0.25}),
 	}
-	if fam[1].Key() < fam[0].Key() {
+	if conflict.CompareCouples(fam[1].Couples, fam[0].Couples) < 0 {
 		fam[0], fam[1] = fam[1], fam[0]
 	}
 	const key = "some|cache|key"
@@ -399,7 +405,8 @@ func TestEnqueueAfterCloseCountsError(t *testing.T) {
 }
 
 // syntheticFamily builds a small valid family (strictly link-sorted
-// couples, strictly key-sorted sets) without running an enumeration.
+// couples, sets strictly in family order) without running an
+// enumeration.
 func syntheticFamily(base topology.LinkID, nsets int) []indepset.Set {
 	sets := make([]indepset.Set, 0, nsets)
 	for i := 0; i < nsets; i++ {
@@ -408,7 +415,7 @@ func syntheticFamily(base topology.LinkID, nsets int) []indepset.Set {
 			conflict.Couple{Link: base + topology.LinkID(2*i+1), Rate: 54},
 		))
 	}
-	sort.Slice(sets, func(i, j int) bool { return sets[i].Key() < sets[j].Key() })
+	slices.SortFunc(sets, func(a, b indepset.Set) int { return conflict.CompareCouples(a.Couples, b.Couples) })
 	return sets
 }
 

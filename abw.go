@@ -364,10 +364,15 @@ func (s *System) idleness(background []Flow) ([]float64, error) {
 	return routing.BackgroundIdlenessContext(context.Background(), s.net, s.model, background, s.coreOptions())
 }
 
-// backgroundSchedule is the background's minimal-airtime schedule,
-// shared by the estimation entry points.
-func (s *System) backgroundSchedule(background []Flow) (Schedule, error) {
-	return routing.BackgroundScheduleContext(context.Background(), s.model, background, s.coreOptions())
+// pathState is the estimators' input for path, shared by the
+// estimation entry points: its hops' alone rates and the idleness the
+// background induces.
+func (s *System) pathState(background []Flow, path Path) (estimate.PathState, error) {
+	idle, err := s.idleness(background)
+	if err != nil {
+		return estimate.PathState{}, err
+	}
+	return estimate.PathStateFromIdle(s.net, s.model, idle, path)
 }
 
 // Route finds a path from src to dst under the given metric. The
@@ -463,11 +468,7 @@ func (s *System) RouteByEstimate(metric EstimateMetric, src, dst NodeID, backgro
 // bandwidth against the background, using carrier-sensed idleness
 // (paper Sec. 4).
 func (s *System) Estimate(metric EstimateMetric, background []Flow, path Path) (float64, error) {
-	sched, err := s.backgroundSchedule(background)
-	if err != nil {
-		return 0, err
-	}
-	ps, err := estimate.PathStateFromSchedule(s.net, s.model, sched, path)
+	ps, err := s.pathState(background, path)
 	if err != nil {
 		return 0, err
 	}
@@ -481,11 +482,7 @@ type Explanation = estimate.Explanation
 // lost: the binding local clique (clique-based estimators) or the
 // binding hop (bottleneck estimator).
 func (s *System) Explain(metric EstimateMetric, background []Flow, path Path) (Explanation, error) {
-	sched, err := s.backgroundSchedule(background)
-	if err != nil {
-		return Explanation{}, err
-	}
-	ps, err := estimate.PathStateFromSchedule(s.net, s.model, sched, path)
+	ps, err := s.pathState(background, path)
 	if err != nil {
 		return Explanation{}, err
 	}
@@ -494,11 +491,7 @@ func (s *System) Explain(metric EstimateMetric, background []Flow, path Path) (E
 
 // EstimateAll computes all five estimators at once.
 func (s *System) EstimateAll(background []Flow, path Path) (map[EstimateMetric]float64, error) {
-	sched, err := s.backgroundSchedule(background)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := estimate.PathStateFromSchedule(s.net, s.model, sched, path)
+	ps, err := s.pathState(background, path)
 	if err != nil {
 		return nil, err
 	}

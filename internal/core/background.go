@@ -88,8 +88,9 @@ func feasibleOver(ctx context.Context, universe []topology.LinkID, sets []indeps
 	// new path: any feasible solution proves deliverability, and
 	// minimizing the total share picks the minimal-airtime schedule.
 	// Only demanded links get a row; every other row holds trivially.
-	demand := linkLoad(universe, flows)
-	set, err := buildSetLP(universe, sets, -1, demand, nil, demanded)
+	pos := newLinkPos(universe)
+	demand := linkLoad(pos, flows)
+	set, err := buildSetLP(pos, sets, -1, demand, nil, demanded)
 	if err != nil {
 		return false, schedule.Schedule{}, nil, err
 	}
@@ -106,7 +107,7 @@ func feasibleOver(ctx context.Context, universe []topology.LinkID, sets []indeps
 	if sol.Status != lp.Optimal {
 		return false, schedule.Schedule{}, nil, nil
 	}
-	return true, scheduleOf(sets, sol.X), newBgStart(universe, sets, set, basis), nil
+	return true, scheduleOf(sets, sol.X), newBgStart(sets, set, basis), nil
 }
 
 // bgStart is the feasibility LP's optimal basis in link terms, so that
@@ -125,14 +126,14 @@ type bgStart struct {
 
 // newBgStart records basis, the optimal basis of the feasibility LP set
 // over sets, in link terms.
-func newBgStart(universe []topology.LinkID, sets []indepset.Set, set setLP, basis *lp.Basis) *bgStart {
+func newBgStart(sets []indepset.Set, set setLP, basis *lp.Basis) *bgStart {
 	n := 0
 	for _, v := range basis.Vars {
 		n += len(sets[v].Couples)
 	}
 	couples := make([]conflict.Couple, 0, n)
 	st := &bgStart{
-		universe:   universe,
+		universe:   set.universe.links,
 		sets:       make([][]conflict.Couple, len(basis.Vars)),
 		slackLinks: make([]topology.LinkID, 0, len(basis.Slacks)),
 	}
@@ -144,21 +145,21 @@ func newBgStart(universe []topology.LinkID, sets []indepset.Set, set setLP, basi
 		if r == 0 { // buildSetLP's share row (the LP has sets, as it was solved)
 			st.shareSlack = true
 		} else {
-			st.slackLinks = append(st.slackLinks, linkOfRow(universe, set.rowOf, r))
+			st.slackLinks = append(st.slackLinks, set.linkOfRow(r))
 		}
 	}
 	for _, r := range basis.Artificials {
-		st.artLinks = append(st.artLinks, linkOfRow(universe, set.rowOf, r))
+		st.artLinks = append(st.artLinks, set.linkOfRow(r))
 	}
 	return st
 }
 
 // linkOfRow returns the universe link whose throughput row is r; every
 // row but the share row belongs to one.
-func linkOfRow(universe []topology.LinkID, rowOf []int, r int) topology.LinkID {
-	for li, k := range rowOf {
+func (set setLP) linkOfRow(r int) topology.LinkID {
+	for li, k := range set.rowOf {
 		if k == r {
-			return universe[li]
+			return set.universe.links[li]
 		}
 	}
 	return -1
@@ -174,13 +175,19 @@ func linkOfRow(universe []topology.LinkID, rowOf []int, r int) topology.LinkID {
 // non-negative, so the basis is primal feasible. An unmatched set
 // leaves the basis short, which lp refuses as unmapped. A nil start
 // maps to nil: the two-phase solve.
-func (st *bgStart) basis(universe []topology.LinkID, sets []indepset.Set, set setLP, demand []float64) *lp.Basis {
+func (st *bgStart) basis(sets []indepset.Set, set setLP, demand []float64) *lp.Basis {
 	if st == nil {
 		return nil
 	}
+	// Both universes ascend: one merge pass finds the added links.
+	universe := set.universe.links
 	added := make([]topology.LinkID, 0, len(universe)-len(st.universe))
+	j := 0
 	for _, l := range universe {
-		if linkIndex(st.universe, l) < 0 {
+		for j < len(st.universe) && st.universe[j] < l {
+			j++
+		}
+		if j == len(st.universe) || st.universe[j] != l {
 			added = append(added, l)
 		}
 	}
@@ -195,7 +202,7 @@ func (st *bgStart) basis(universe []topology.LinkID, sets []indepset.Set, set se
 		b.Slacks = append(b.Slacks, 0)
 	}
 	for _, l := range st.slackLinks {
-		b.Slacks = append(b.Slacks, set.rowOf[linkIndex(universe, l)])
+		b.Slacks = append(b.Slacks, set.rowOf[set.universe.of(l)])
 	}
 	for li, r := range set.rowOf {
 		if r >= 0 && demand[li] <= 0 {
@@ -203,7 +210,7 @@ func (st *bgStart) basis(universe []topology.LinkID, sets []indepset.Set, set se
 		}
 	}
 	for _, l := range st.artLinks {
-		b.Artificials = append(b.Artificials, set.rowOf[linkIndex(universe, l)])
+		b.Artificials = append(b.Artificials, set.rowOf[set.universe.of(l)])
 	}
 	return b
 }

@@ -183,12 +183,13 @@ func AvailableBandwidthWithSetsContext(ctx context.Context, m conflict.Model, ba
 // counters. A non-nil start (a background basis over a universe the
 // sets' universe contains) runs phase 2 from it; nil solves two-phase.
 func solveEq6(ctx context.Context, background []Flow, newPath topology.Path, universe []topology.LinkID, sets []indepset.Set, cache *memo.Cache, start *bgStart) (*Result, error) {
-	demand := linkLoad(universe, background)
-	set, err := eq6LP(universe, sets, demand, newPath, nonVacuous)
+	pos := newLinkPos(universe)
+	demand := linkLoad(pos, background)
+	set, err := eq6LP(pos, sets, demand, newPath, nonVacuous)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := set.prob.SolveFromContext(ctx, start.basis(universe, sets, set, demand))
+	sol, err := set.prob.SolveFromContext(ctx, start.basis(sets, set, demand))
 	if err != nil {
 		return nil, fmt.Errorf("core: solving Eq.6 LP: %w", err)
 	}
@@ -241,7 +242,8 @@ func MaxDemandScaleContext(ctx context.Context, m conflict.Model, background, ne
 
 	// theta's coefficient on each link is the new flows' demand summed
 	// over their traversals of it.
-	set, err := buildSetLP(universe, sets, 0, linkLoad(universe, background), linkLoad(universe, newFlows), nonVacuous)
+	pos := newLinkPos(universe)
+	set, err := buildSetLP(pos, sets, 0, linkLoad(pos, background), linkLoad(pos, newFlows), nonVacuous)
 	if err != nil {
 		return 0, schedule.Schedule{}, err
 	}
@@ -275,7 +277,8 @@ const (
 // setLP is the LP that Eq. 6 and its variants share over one set
 // family.
 type setLP struct {
-	prob *lp.Problem
+	prob     *lp.Problem
+	universe linkPos
 	// rowOf maps a universe index to its throughput row, -1 when the
 	// rule dropped it.
 	rowOf []int
@@ -294,7 +297,8 @@ type setLP struct {
 // rate). The optional column v (f, theta or the filling objective)
 // comes last and exists when extra is non-nil. Rows follow universe
 // order, so every caller with the same inputs builds the same LP.
-func buildSetLP(universe []topology.LinkID, sets []indepset.Set, lambdaCost float64, rhs, extra []float64, rule rowRule) (setLP, error) {
+func buildSetLP(universe linkPos, sets []indepset.Set, lambdaCost float64, rhs, extra []float64, rule rowRule) (setLP, error) {
+	n := len(universe.links)
 	// Locate every couple's universe index once (-1 when the link is
 	// outside the universe or not served at a positive rate).
 	nnz := 0
@@ -302,12 +306,12 @@ func buildSetLP(universe []topology.LinkID, sets []indepset.Set, lambdaCost floa
 		nnz += len(s.Couples)
 	}
 	at := make([]int32, 0, nnz)
-	served := make([]bool, len(universe))
+	served := make([]bool, n)
 	for _, s := range sets {
 		for _, c := range s.Couples {
 			li := -1
 			if c.Rate > 0 {
-				li = linkIndex(universe, c.Link)
+				li = universe.of(c.Link)
 			}
 			if li >= 0 {
 				served[li] = true
@@ -317,14 +321,14 @@ func buildSetLP(universe []topology.LinkID, sets []indepset.Set, lambdaCost floa
 	}
 
 	prob := lp.NewProblem(lp.Maximize)
-	prob.Reserve(len(sets)+1, len(universe)+1, nnz+len(sets)+len(universe))
+	prob.Reserve(len(sets)+1, n+1, nnz+len(sets)+n)
 	if len(sets) > 0 {
 		if _, err := prob.AddRow(lp.LE, 1); err != nil {
 			return setLP{}, fmt.Errorf("core: %w", err)
 		}
 	}
-	rowOf := make([]int, len(universe))
-	for li := range universe {
+	rowOf := make([]int, n)
+	for li := range rowOf {
 		rowOf[li] = -1
 		hasExtra := extra != nil && extra[li] > 0
 		if rule == allLinks || rhs[li] > 0 || (rule == nonVacuous && (served[li] || hasExtra)) {
@@ -340,7 +344,7 @@ func buildSetLP(universe []topology.LinkID, sets []indepset.Set, lambdaCost floa
 	// A link a set lists twice keeps its first rate, matching Set.Rate.
 	var rows []int32
 	var vals []float64
-	claimed := make([]int, len(universe))
+	claimed := make([]int, n)
 	e := 0
 	for i, s := range sets {
 		rows, vals = append(rows[:0], 0), append(vals[:0], 1)
@@ -378,13 +382,13 @@ func buildSetLP(universe []topology.LinkID, sets []indepset.Set, lambdaCost floa
 			return setLP{}, fmt.Errorf("core: %w", err)
 		}
 	}
-	return setLP{prob: prob, rowOf: rowOf, served: served}, nil
+	return setLP{prob: prob, universe: universe, rowOf: rowOf, served: served}, nil
 }
 
 // eq6LP builds Eq. 6 for newPath over the family: the background
 // demand as the rhs, and f, whose coefficient on a link is the number
 // of times newPath traverses it, as the extra column.
-func eq6LP(universe []topology.LinkID, sets []indepset.Set, demand []float64, newPath topology.Path, rule rowRule) (setLP, error) {
+func eq6LP(universe linkPos, sets []indepset.Set, demand []float64, newPath topology.Path, rule rowRule) (setLP, error) {
 	return buildSetLP(universe, sets, 0, demand, linkLoad(universe, []Flow{{Path: newPath, Demand: 1}}), rule)
 }
 
@@ -401,25 +405,65 @@ func scheduleOf(sets []indepset.Set, x []float64) schedule.Schedule {
 	return sched.Normalized()
 }
 
-// linkIndex returns the position of link in the ascending universe,
-// or -1.
-func linkIndex(universe []topology.LinkID, link topology.LinkID) int {
-	i := sort.Search(len(universe), func(i int) bool { return universe[i] >= link })
-	if i < len(universe) && universe[i] == link {
-		return i
+// linkPos locates links in an ascending universe: of(l) is l's
+// position, -1 when l is outside it. Built once per LP build, it
+// answers every couple lookup of buildSetLP, linkLoad and
+// bgStart.basis from a table indexed by LinkID. A universe whose IDs
+// spread over more than maxLinkSpan per link (no network's dense IDs
+// do) keeps no table and binary-searches instead.
+type linkPos struct {
+	links []topology.LinkID
+	lo    topology.LinkID
+	pos   []int32 // pos[l-lo], -1 for IDs between universe links
+}
+
+const maxLinkSpan = 32
+
+func newLinkPos(universe []topology.LinkID) linkPos {
+	p := linkPos{links: universe}
+	n := len(universe)
+	if n == 0 {
+		return p
+	}
+	// Unsigned, so the span of any two IDs is exact.
+	span := uint64(universe[n-1]) - uint64(universe[0])
+	if span >= uint64(maxLinkSpan*n+1024) {
+		return p
+	}
+	p.lo = universe[0]
+	p.pos = make([]int32, span+1)
+	for i := range p.pos {
+		p.pos[i] = -1
+	}
+	for i, l := range universe {
+		p.pos[l-p.lo] = int32(i)
+	}
+	return p
+}
+
+func (p linkPos) of(link topology.LinkID) int {
+	if p.pos == nil {
+		i := sort.Search(len(p.links), func(i int) bool { return p.links[i] >= link })
+		if i < len(p.links) && p.links[i] == link {
+			return i
+		}
+		return -1
+	}
+	if i := uint64(link) - uint64(p.lo); i < uint64(len(p.pos)) {
+		return int(p.pos[i])
 	}
 	return -1
 }
 
 // linkLoad aggregates the flows' demand per universe link, aligned with
-// universe: a flow contributes its demand to every occurrence of a
+// the universe: a flow contributes its demand to every occurrence of a
 // link on its path, summed in flow then path order (linkDemand's
 // order, so the sums are bit-identical).
-func linkLoad(universe []topology.LinkID, flows []Flow) []float64 {
-	out := make([]float64, len(universe))
+func linkLoad(universe linkPos, flows []Flow) []float64 {
+	out := make([]float64, len(universe.links))
 	for _, f := range flows {
 		for _, l := range f.Path {
-			if li := linkIndex(universe, l); li >= 0 {
+			if li := universe.of(l); li >= 0 {
 				out[li] += f.Demand
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"abw/internal/conflict"
@@ -459,5 +460,65 @@ func TestAvailableBandwidthLowerBound(t *testing.T) {
 	exact := 54.0 // all 12 links compatible: each carries a full 54
 	if res.Status == lp.Optimal && res.Bandwidth > exact+eps {
 		t.Errorf("truncated bound %.4f exceeds the true value %.4f", res.Bandwidth, exact)
+	}
+}
+
+// TestLinkPos checks the universe-position table against a linear scan
+// on a dense universe, on one with negative IDs, and on one whose IDs
+// are too sparse for a table, probing IDs inside, between and outside
+// each.
+func TestLinkPos(t *testing.T) {
+	for _, universe := range [][]topology.LinkID{
+		nil,
+		{7},
+		{0, 1, 2, 5, 9, 40},
+		{-6, -2, 0, 3},
+		{2, 1 << 30},
+		{math.MinInt, -1, math.MaxInt},
+	} {
+		p := newLinkPos(universe)
+		probes := []topology.LinkID{math.MinInt, -7, -6, -1, 0, 1, 3, 4, 8, 41, 1 << 30, math.MaxInt}
+		probes = append(probes, universe...)
+		for _, l := range probes {
+			want := -1
+			for i, u := range universe {
+				if u == l {
+					want = i
+				}
+			}
+			if got := p.of(l); got != want {
+				t.Errorf("universe %v: of(%d) = %d, want %d", universe, l, got, want)
+			}
+		}
+	}
+}
+
+// TestSetLPLookupUnchanged builds the Scenario II Eq. 6 LP (a
+// background flow on the chain, the chain as the new path) once through
+// the position table and once through a linkPos without one, which
+// binary-searches, and requires the same LP row for row and column for
+// column.
+func TestSetLPLookupUnchanged(t *testing.T) {
+	s := scenario.NewScenarioII()
+	universe := s.Links()
+	sets, err := indepset.EnumerateContext(context.Background(), s.Model, universe, indepset.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := []Flow{{Path: topology.Path{s.L1, s.L2}, Demand: 3}}
+	build := func(pos linkPos) setLP {
+		set, err := eq6LP(pos, sets, linkLoad(pos, bg), s.Path, nonVacuous)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
+	table := newLinkPos(universe)
+	if table.pos == nil {
+		t.Fatal("a dense universe should get a position table")
+	}
+	got, want := build(table), build(linkPos{links: universe})
+	if !reflect.DeepEqual(got.prob, want.prob) || !reflect.DeepEqual(got.rowOf, want.rowOf) || !reflect.DeepEqual(got.served, want.served) {
+		t.Fatalf("table-built LP differs from the binary-search one:\n%+v\n%+v", got.prob, want.prob)
 	}
 }

@@ -147,7 +147,7 @@ func solveFill(
 			}
 		}
 	}
-	set, err := buildSetLP(universe, sets, 0, rhs, objCoef, nonVacuous)
+	set, err := buildSetLP(newLinkPos(universe), sets, 0, rhs, objCoef, nonVacuous)
 	if err != nil {
 		return 0, nil, err
 	}

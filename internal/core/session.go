@@ -119,7 +119,8 @@ func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Fl
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
-	demand := linkLoad(universe, background)
+	pos := newLinkPos(universe)
+	demand := linkLoad(pos, background)
 	key := availKey(universe, newPath)
 
 	s.mu.Lock()
@@ -130,7 +131,7 @@ func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Fl
 		if len(background) > 0 {
 			start = s.feas[feasKey(universe, background)].start
 		}
-		st, err = newAvailState(universe, newPath, sets, demand, start)
+		st, err = newAvailState(pos, newPath, sets, demand, start)
 		if err != nil {
 			return nil, err
 		}
@@ -145,17 +146,17 @@ func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Fl
 // vector is reachable by RHS updates alone. Its other rows are the
 // cold path's, in the same order, so both solve the same LP. A non-nil
 // start (the background's feasibility basis) starts the first solve.
-func newAvailState(universe []topology.LinkID, newPath topology.Path, sets []indepset.Set, demand []float64, start *bgStart) (*availState, error) {
+func newAvailState(universe linkPos, newPath topology.Path, sets []indepset.Set, demand []float64, start *bgStart) (*availState, error) {
 	set, err := eq6LP(universe, sets, demand, newPath, allLinks)
 	if err != nil {
 		return nil, err
 	}
 	w := lp.NewWarmSolver(set.prob)
-	w.SetStart(start.basis(universe, sets, set, demand))
+	w.SetStart(start.basis(sets, set, demand))
 	return &availState{
 		w:        w,
 		sets:     sets,
-		universe: universe,
+		universe: universe.links,
 		rowOf:    set.rowOf,
 	}, nil
 }

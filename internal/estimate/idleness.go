@@ -105,15 +105,22 @@ func LinkIdleFromSchedule(m conflict.Model, sched schedule.Schedule, link topolo
 	return idle
 }
 
-// PathStateFromSchedule assembles the distributed estimator input for a
-// path over a geometric network: per-hop effective rates are the
-// links' alone maximum rates, and idleness comes from carrier sensing
-// the background schedule.
+// PathStateFromSchedule is PathStateFromIdle over the node idle
+// ratios the background schedule induces (NodeIdleRatios). perfbench's
+// replay target calls it.
 func PathStateFromSchedule(net *topology.Network, m conflict.Model, sched schedule.Schedule, path topology.Path) (PathState, error) {
+	return PathStateFromIdle(net, m, NodeIdleRatios(net, sched), path)
+}
+
+// PathStateFromIdle assembles the distributed estimator input for a
+// path over a geometric network: per-hop effective rates are the
+// links' alone maximum rates, and idleness comes from nodeIdle, the
+// carrier-sensed idle ratio of every node under the background
+// (NodeIdleRatios).
+func PathStateFromIdle(net *topology.Network, m conflict.Model, nodeIdle []float64, path topology.Path) (PathState, error) {
 	if len(path) == 0 {
 		return PathState{}, fmt.Errorf("estimate: empty path")
 	}
-	nodeIdle := NodeIdleRatios(net, sched)
 	idle, err := LinkIdleRatios(net, nodeIdle, path)
 	if err != nil {
 		return PathState{}, err

@@ -33,17 +33,18 @@ func EstimatorAdmission(ctx context.Context) (*Table, error) {
 		falseReject := 0
 		var admitted []core.Flow
 		for _, req := range reqs {
-			// One background solve serves both routing's idle ratios
-			// and the estimator's path state.
+			// One background solve, and one idle-ratio pass over it,
+			// serve both routing and the estimator's path state.
 			sched, err := routing.BackgroundScheduleContext(ctx, m, admitted, queryOptions())
 			if err != nil {
 				return nil, err
 			}
-			path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, estimate.NodeIdleRatios(net, sched), req.Src, req.Dst)
+			idle := estimate.NodeIdleRatios(net, sched)
+			path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, idle, req.Src, req.Dst)
 			if err != nil {
 				continue // unroutable under current load: skip
 			}
-			ps, err := estimate.PathStateFromSchedule(net, m, sched, path)
+			ps, err := estimate.PathStateFromIdle(net, m, idle, path)
 			if err != nil {
 				return nil, err
 			}

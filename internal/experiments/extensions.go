@@ -71,13 +71,14 @@ func estimationMAE(ctx context.Context, net *topology.Network, m *conflict.Physi
 	var admitted []core.Flow
 	n := 0
 	for _, req := range reqs {
-		// One background solve serves both routing's idle ratios and
-		// the estimators' path state.
+		// One background solve, and one idle-ratio pass over it, serve
+		// both routing and the estimators' path state.
 		sched, err := routing.BackgroundScheduleContext(ctx, m, admitted, core.Options{})
 		if err != nil {
 			return nil, 0, err
 		}
-		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, estimate.NodeIdleRatios(net, sched), req.Src, req.Dst)
+		idle := estimate.NodeIdleRatios(net, sched)
+		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, idle, req.Src, req.Dst)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -88,7 +89,7 @@ func estimationMAE(ctx context.Context, net *topology.Network, m *conflict.Physi
 		if res.Status != lp.Optimal {
 			break
 		}
-		ps, err := estimate.PathStateFromSchedule(net, m, sched, path)
+		ps, err := estimate.PathStateFromIdle(net, m, idle, path)
 		if err != nil {
 			return nil, 0, err
 		}

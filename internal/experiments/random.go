@@ -229,13 +229,14 @@ func Fig4Series(ctx context.Context) ([]Fig4Row, error) {
 	var admitted []core.Flow
 	var rows []Fig4Row
 	for i, req := range reqs {
-		// One background solve serves both routing's idle ratios and
-		// the estimators' path state.
+		// One background solve, and one idle-ratio pass over it, serve
+		// both routing and the estimators' path state.
 		sched, err := routing.BackgroundScheduleContext(ctx, m, admitted, queryOptions())
 		if err != nil {
 			return nil, err
 		}
-		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, estimate.NodeIdleRatios(net, sched), req.Src, req.Dst)
+		idle := estimate.NodeIdleRatios(net, sched)
+		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, idle, req.Src, req.Dst)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +247,7 @@ func Fig4Series(ctx context.Context) ([]Fig4Row, error) {
 		if res.Status != lp.Optimal {
 			return nil, fmt.Errorf("flow %d: availability LP %v", i+1, res.Status)
 		}
-		ps, err := estimate.PathStateFromSchedule(net, m, sched, path)
+		ps, err := estimate.PathStateFromIdle(net, m, idle, path)
 		if err != nil {
 			return nil, err
 		}

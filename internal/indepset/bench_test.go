@@ -2,6 +2,7 @@ package indepset
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -151,9 +152,11 @@ func TestEnumeratePairwiseAllocs(t *testing.T) {
 }
 
 // Worker-scaling benchmarks: the same enumeration at 1/2/4/8 workers on
-// the biggest walks above. On a multi-core machine the mesh walk is
-// wide enough (40 links) to show near-linear scaling; compare with
-// `go test -bench=Workers -benchmem ./internal/indepset/`.
+// the biggest walks above; compare with
+// `go test -bench=Workers -benchmem ./internal/indepset/`. Both walks
+// are below the crossover BenchmarkEnumerateSweepFig2 finds, so extra
+// workers only add overhead: on a 2-vCPU VM the 40-link mesh took
+// 61.2 µs at 2 workers against 21.5 µs at 1.
 
 func benchMeshWorkers(b *testing.B, workers int) {
 	b.Helper()
@@ -236,6 +239,36 @@ func BenchmarkEnumerateWide(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := EnumerateContext(context.Background(), tb, links, Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEnumerateSweepFig2 is the size sweep behind
+// minParallelLinks: the first k links of the Fig. 2 network (30 nodes
+// in 400 m x 600 m, seed 26, 802.11a) at 1 and 2 workers, k = 10 to
+// 120. Compare each links=k pair's ns/op with
+// `go test -run '^$' -bench SweepFig2 -count 5 ./internal/indepset/`;
+// the threshold is the smallest k at which 2 workers beat 1.
+func BenchmarkEnumerateSweepFig2(b *testing.B) {
+	net, err := topology.Random(radio.NewProfile80211a(), geom.Rect{W: 400, H: 600}, 30, 26)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := conflict.NewPhysical(net)
+	links := make([]topology.LinkID, 0, net.NumLinks())
+	for _, l := range net.Links() {
+		links = append(links, l.ID)
+	}
+	for k := 10; k <= 120; k += 10 {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("links=%d/workers=%d", k, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := EnumerateContext(context.Background(), m, links[:k], Options{Workers: workers}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -156,8 +156,8 @@ type Options struct {
 	// Workers sets the number of concurrent enumeration workers:
 	//
 	//	 0   automatic — GOMAXPROCS workers for universes of at least
-	//	     ten links, sequential below that (tiny walks finish faster
-	//	     than workers start);
+	//	     80 links (minParallelLinks), sequential below that (smaller
+	//	     walks finish faster than workers start and merge);
 	//	 1   sequential (any negative value likewise);
 	//	>1   exactly that many workers, regardless of universe size.
 	//

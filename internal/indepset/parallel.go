@@ -39,10 +39,15 @@ import (
 )
 
 // minParallelLinks is the smallest universe the automatic mode
-// (Options.Workers == 0) parallelizes. Below it the whole walk finishes
-// in the time it takes to start workers; an explicit Workers > 1 still
-// forces parallelism (property tests rely on that).
-const minParallelLinks = 10
+// (Options.Workers == 0) parallelizes: the crossover of
+// BenchmarkEnumerateSweepFig2, the smallest size at which 2 workers
+// beat 1. On a 2-vCPU Intel Xeon VM (go1.24.0, linux/amd64) the
+// 2-worker/1-worker wall ratio read 2.24–2.43 at 10–40 links, 1.79 at
+// 50, 1.34 at 60, 1.13 at 70, 0.99 at 80 and 0.80–0.87 at 90–120.
+// Below it the task partition, the atomic budget and the merge cost
+// more than a second core saves. An explicit Workers > 1 still forces
+// parallelism (property tests rely on that).
+const minParallelLinks = 80
 
 // workerCount resolves Options.Workers against the universe size.
 func (o Options) workerCount(universeLinks int) int {

@@ -254,6 +254,8 @@ func TestWorkerCount(t *testing.T) {
 	}{
 		{Options{}, len(small), 1},
 		{Options{}, len(big), runtime.GOMAXPROCS(0)},
+		// The largest full walk a cold Fig. 2 query serves.
+		{Options{}, 28, 1},
 		{Options{Workers: 1}, len(big), 1},
 		{Options{Workers: -3}, len(big), 1},
 		{Options{Workers: 5}, 2, 5},

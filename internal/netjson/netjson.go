@@ -166,37 +166,38 @@ func parseMetric(name string) (routing.Metric, error) {
 
 // queryPath resolves the query to a concrete link path, routing when
 // only endpoints are given, and solves the background once: its
-// schedule gives routing's idle ratios and the estimates, and its set
-// family grows into the path's Eq. 6 family. A routed query needs a
-// schedulable background; an explicit path gets its Eq. 6 answer
-// (infeasible) either way.
-func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.Model, background []core.Flow) (topology.Path, *core.Background, error) {
+// schedule gives the node idle ratios that routing and the estimates
+// read, and its set family grows into the path's Eq. 6 family. A
+// routed query needs a schedulable background and returns the idle
+// ratios it routed by; an explicit path gets its Eq. 6 answer
+// (infeasible) either way, and nil idle ratios.
+func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.Model, background []core.Flow) (topology.Path, *core.Background, []float64, error) {
 	if len(s.Query.Path) > 0 {
 		path, err := nodePath(net, s.Query.Path)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		bg, err := core.SolveBackgroundContext(ctx, m, background, s.coreOptions())
-		return path, bg, err
+		return path, bg, nil, err
 	}
 	if s.Query.Src == nil || s.Query.Dst == nil {
-		return nil, nil, fmt.Errorf("netjson: query needs either a path or src+dst")
+		return nil, nil, nil, fmt.Errorf("netjson: query needs either a path or src+dst")
 	}
 	metric := routing.MetricAvgE2ED
 	if s.Query.Metric != "" {
 		var err error
 		metric, err = parseMetric(s.Query.Metric)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	bg, err := routing.SolveBackgroundContext(ctx, m, background, s.coreOptions())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	idle := estimate.NodeIdleRatios(net, bg.Schedule)
 	path, err := routing.FindPath(net, m, metric, idle, topology.NodeID(*s.Query.Src), topology.NodeID(*s.Query.Dst))
-	return path, bg, err
+	return path, bg, idle, err
 }
 
 // SolveContext answers the spec: exact available bandwidth (Eq. 6), the
@@ -240,7 +241,7 @@ func SolveContext(ctx context.Context, s *Spec) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	path, bg, err := s.queryPath(ctx, net, m, background)
+	path, bg, idle, err := s.queryPath(ctx, net, m, background)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +278,10 @@ func SolveContext(ctx context.Context, s *Spec) (*Answer, error) {
 		// background.
 		return nil, fmt.Errorf("netjson: background not schedulable")
 	}
-	ps, err := estimate.PathStateFromSchedule(net, m, bg.Schedule, path)
+	if idle == nil {
+		idle = estimate.NodeIdleRatios(net, bg.Schedule)
+	}
+	ps, err := estimate.PathStateFromIdle(net, m, idle, path)
 	if err != nil {
 		return nil, err
 	}

@@ -651,32 +651,41 @@ func resolvePath(ctx context.Context, bg *background, nodeIDs []int, src, dst *i
 }
 
 // background is one request's view of the snapshot's admitted flows.
-// Their minimal-airtime schedule feeds both routing's idle ratios (Eq.
-// 14) and the Fig. 4 estimators' path state, so a request solves it at
-// most once, on first use, and every later reader shares that solve.
+// Their minimal-airtime schedule induces the node idle ratios that
+// both routing (Eq. 14) and the Fig. 4 estimators' path state read, so
+// a request solves it and derives the ratios at most once each, on
+// first use, and every later reader shares them.
 // Without a session that solve also keeps the background's set family,
 // which the request's Eq. 6 grows by its path's new links instead of
 // walking the whole universe again. With a session every answer comes
 // from its memo instead. A background lives for one request: nothing
 // carries over to the next.
 type background struct {
-	snap   *snapshot
-	cold   *core.Background // the cold solve, once made
-	sched  schedule.Schedule
-	solved bool
+	snap     *snapshot
+	cold     *core.Background // the cold solve, once made
+	sched    schedule.Schedule
+	solved   bool
+	nodeIdle []float64 // the node idle ratios, once derived
 }
 
 // idle returns the per-node idle ratios the background induces, through
-// the session's memo when one is active.
+// the session's memo when one is active, deriving them on the first
+// call and returning them on every later one.
 func (b *background) idle(ctx context.Context) ([]float64, error) {
+	if b.nodeIdle != nil {
+		return b.nodeIdle, nil
+	}
+	var err error
 	if b.snap.sess != nil {
-		return b.snap.sess.IdleRatiosContext(ctx, b.snap.net, b.snap.background)
+		b.nodeIdle, err = b.snap.sess.IdleRatiosContext(ctx, b.snap.net, b.snap.background)
+		return b.nodeIdle, err
 	}
 	sched, err := b.schedule(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return estimate.NodeIdleRatios(b.snap.net, sched), nil
+	b.nodeIdle = estimate.NodeIdleRatios(b.snap.net, sched)
+	return b.nodeIdle, nil
 }
 
 // solveCold returns the cold background solve, making it on the first
@@ -767,15 +776,21 @@ func (s *Server) availability(ctx context.Context, bg *background, path topology
 }
 
 // estimates returns the five Fig. 4 estimates of path, read off the
-// background schedule.
+// background schedule through the node idle ratios routing derived
+// (derived here when the request named its path).
 func (b *background) estimates(ctx context.Context, path topology.Path) (map[string]float64, error) {
-	sched, err := b.schedule(ctx)
+	// The schedule read also fails an unschedulable background on the
+	// session path, and records its stage there.
+	if _, err := b.schedule(ctx); err != nil {
+		return nil, err
+	}
+	idle, err := b.idle(ctx)
 	if err != nil {
 		return nil, err
 	}
 	et := obs.SpanFrom(ctx).StartStage(obs.StageEstimate)
 	defer et.End()
-	ps, err := estimate.PathStateFromSchedule(b.snap.net, b.snap.model, sched, path)
+	ps, err := estimate.PathStateFromIdle(b.snap.net, b.snap.model, idle, path)
 	if err != nil {
 		return nil, err
 	}

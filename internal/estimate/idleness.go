@@ -14,13 +14,16 @@ import (
 // channel busy during a slot iff it takes part in one of the slot's
 // transmissions or some slot transmitter lies within its carrier-sense
 // range; the unscheduled remainder of the period is idle for everyone.
+//
+// Each slot ORs its couples' BusyNodes bitsets (built once per network)
+// and credits the share to the nodes left clear.
 func NodeIdleRatios(net *topology.Network, sched schedule.Schedule) []float64 {
-	prof := net.Profile()
-	nodes := net.Nodes()
-	idle := make([]float64, len(nodes))
+	idle := make([]float64, net.NumNodes())
+	base := sched.IdleShare()
 	for i := range idle {
-		idle[i] = sched.IdleShare()
+		idle[i] = base
 	}
+	busy := make([]uint64, net.BusyWords())
 	for _, slot := range sched.Slots {
 		if slot.Share <= 0 || slot.Set.Len() == 0 {
 			// An empty slot leaves the channel idle for its duration.
@@ -29,27 +32,15 @@ func NodeIdleRatios(net *topology.Network, sched schedule.Schedule) []float64 {
 			}
 			continue
 		}
-		for i, n := range nodes {
-			busy := false
-			for _, cp := range slot.Set.Couples {
-				link, err := net.Link(cp.Link)
-				if err != nil {
-					continue
-				}
-				if link.Tx == n.ID || link.Rx == n.ID {
-					busy = true
-					break
-				}
-				tx, err := net.Node(link.Tx)
-				if err != nil {
-					continue
-				}
-				if prof.Senses(tx.Pos.Dist(n.Pos)) {
-					busy = true
-					break
-				}
+		clear(busy)
+		for _, cp := range slot.Set.Couples {
+			// An unknown link (nil set) keeps nobody busy.
+			for w, bits := range net.BusyNodes(cp.Link) {
+				busy[w] |= bits
 			}
-			if !busy {
+		}
+		for i := range idle {
+			if busy[i/64]&(1<<(uint(i)%64)) == 0 {
 				idle[i] += slot.Share
 			}
 		}

@@ -6,9 +6,9 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"sync"
 
 	"abw/internal/topology"
 )
@@ -18,6 +18,9 @@ import (
 type Network interface {
 	NumNodes() int
 	OutLinks(topology.NodeID) []topology.LinkID
+	// OutLinksView is OutLinks without the copy; the search loop only
+	// reads it.
+	OutLinksView(topology.NodeID) []topology.LinkID
 	Link(topology.LinkID) (topology.Link, error)
 }
 
@@ -34,29 +37,101 @@ func HopWeight(topology.Link) float64 { return 1 }
 // given weight.
 var ErrNoPath = fmt.Errorf("graph: no path")
 
-type pqItem struct {
-	node topology.NodeID
-	dist float64
-	idx  int
+// search is one Dijkstra run's working memory, indexed by node and
+// pooled across runs so a search allocates only the path it returns.
+type search struct {
+	dist []float64
+	prev []topology.LinkID
+	done []bool
+	pos  []int             // heap index of a queued node, -1 otherwise
+	heap []topology.NodeID // binary min-heap on dist
+	rev  []topology.LinkID // the path back from dst
 }
 
-type priorityQueue []*pqItem
+var searches = sync.Pool{New: func() any { return new(search) }}
 
-func (pq priorityQueue) Len() int           { return len(pq) }
-func (pq priorityQueue) Less(i, j int) bool { return pq[i].dist < pq[j].dist }
-func (pq priorityQueue) Swap(i, j int)      { pq[i], pq[j] = pq[j], pq[i]; pq[i].idx = i; pq[j].idx = j }
-func (pq *priorityQueue) Push(x interface{}) {
-	it := x.(*pqItem)
-	it.idx = len(*pq)
-	*pq = append(*pq, it)
+// reset sizes the memory for n nodes and clears it.
+func (q *search) reset(n int) {
+	if cap(q.dist) < n {
+		q.dist = make([]float64, n)
+		q.prev = make([]topology.LinkID, n)
+		q.done = make([]bool, n)
+		q.pos = make([]int, n)
+	}
+	q.dist, q.prev, q.done, q.pos = q.dist[:n], q.prev[:n], q.done[:n], q.pos[:n]
+	for i := range q.dist {
+		q.dist[i] = math.Inf(1)
+		q.prev[i] = -1
+		q.done[i] = false
+		q.pos[i] = -1
+	}
+	q.heap = q.heap[:0]
+	q.rev = q.rev[:0]
 }
-func (pq *priorityQueue) Pop() interface{} {
-	old := *pq
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*pq = old[:n-1]
-	return it
+
+// The heap operations below are container/heap's Push, Pop, Fix, up
+// and down over a typed slice, step for step, so equal-cost ties
+// resolve in the same order.
+
+func (q *search) less(i, j int) bool { return q.dist[q.heap[i]] < q.dist[q.heap[j]] }
+
+func (q *search) swap(i, j int) {
+	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
+	q.pos[q.heap[i]] = i
+	q.pos[q.heap[j]] = j
+}
+
+func (q *search) push(v topology.NodeID) {
+	q.pos[v] = len(q.heap)
+	q.heap = append(q.heap, v)
+	q.up(len(q.heap) - 1)
+}
+
+func (q *search) pop() topology.NodeID {
+	n := len(q.heap) - 1
+	q.swap(0, n)
+	q.down(0, n)
+	v := q.heap[n]
+	q.heap = q.heap[:n]
+	q.pos[v] = -1
+	return v
+}
+
+func (q *search) fix(i int) {
+	if !q.down(i, len(q.heap)) {
+		q.up(i)
+	}
+}
+
+func (q *search) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+func (q *search) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // ShortestPath returns a minimum-weight path from src to dst and its
@@ -83,31 +158,20 @@ func shortestPathConstrained(
 		return nil, 0, fmt.Errorf("graph: src equals dst (%d)", src)
 	}
 
-	dist := make([]float64, n)
-	prev := make([]topology.LinkID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-
-	pq := priorityQueue{{node: src, dist: 0}}
-	heap.Init(&pq)
-	items := make(map[topology.NodeID]*pqItem, n)
-	items[src] = pq[0]
-
-	for pq.Len() > 0 {
-		cur := heap.Pop(&pq).(*pqItem)
-		delete(items, cur.node)
-		if done[cur.node] {
-			continue
-		}
-		done[cur.node] = true
-		if cur.node == dst {
+	q := searches.Get().(*search)
+	defer searches.Put(q)
+	q.reset(n)
+	q.dist[src] = 0
+	q.push(src)
+	for len(q.heap) > 0 {
+		cur := q.pop()
+		q.done[cur] = true
+		if cur == dst {
 			break
 		}
-		for _, lid := range g.OutLinks(cur.node) {
+		// Each link is weighed at most once: only when its transmitter
+		// settles, and only while its receiver is unsettled.
+		for _, lid := range g.OutLinksView(cur) {
 			if excludedLinks[lid] {
 				continue
 			}
@@ -115,7 +179,7 @@ func shortestPathConstrained(
 			if err != nil {
 				return nil, 0, fmt.Errorf("graph: resolving link %d: %w", lid, err)
 			}
-			if excludedNodes[link.Rx] || done[link.Rx] {
+			if excludedNodes[link.Rx] || q.done[link.Rx] {
 				continue
 			}
 			lw := w(link)
@@ -125,40 +189,36 @@ func shortestPathConstrained(
 			if lw < 0 {
 				return nil, 0, fmt.Errorf("graph: negative weight %g on link %d", lw, lid)
 			}
-			if nd := cur.dist + lw; nd < dist[link.Rx] {
-				dist[link.Rx] = nd
-				prev[link.Rx] = lid
-				if it, ok := items[link.Rx]; ok {
-					it.dist = nd
-					heap.Fix(&pq, it.idx)
+			if nd := q.dist[cur] + lw; nd < q.dist[link.Rx] {
+				q.dist[link.Rx] = nd
+				q.prev[link.Rx] = lid
+				if i := q.pos[link.Rx]; i >= 0 {
+					q.fix(i)
 				} else {
-					it := &pqItem{node: link.Rx, dist: nd}
-					heap.Push(&pq, it)
-					items[link.Rx] = it
+					q.push(link.Rx)
 				}
 			}
 		}
 	}
 
-	if math.IsInf(dist[dst], 1) {
+	if math.IsInf(q.dist[dst], 1) {
 		return nil, 0, ErrNoPath
 	}
 	// Walk predecessors back to src.
-	var rev topology.Path
 	for at := dst; at != src; {
-		lid := prev[at]
+		lid := q.prev[at]
 		link, err := g.Link(lid)
 		if err != nil {
 			return nil, 0, fmt.Errorf("graph: resolving link %d: %w", lid, err)
 		}
-		rev = append(rev, lid)
+		q.rev = append(q.rev, lid)
 		at = link.Tx
 	}
-	path := make(topology.Path, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = append(path, rev[i])
+	path := make(topology.Path, len(q.rev))
+	for i, lid := range q.rev {
+		path[len(path)-1-i] = lid
 	}
-	return path, dist[dst], nil
+	return path, q.dist[dst], nil
 }
 
 // PathWeight sums w over the links of path.

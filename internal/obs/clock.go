@@ -13,6 +13,13 @@ func now() time.Time { return time.Now() }
 
 func since(t time.Time) time.Duration { return time.Since(t) }
 
+// nanos is now as UnixNano. It is kept out of line so that
+// Span.StartStage stays cheap enough to inline, which lets callers
+// keep their StageTimer on the stack.
+//
+//go:noinline
+func nanos() int64 { return time.Now().UnixNano() }
+
 // procEpoch salts request ids so ids from different daemon runs are
 // distinguishable in aggregated logs.
 var procEpoch = now().UnixNano()

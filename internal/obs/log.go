@@ -2,9 +2,9 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -36,10 +36,15 @@ var requestIDKey requestIDKeyType
 // the ids stay unique across daemon restarts.
 var reqSeq atomic.Uint64
 
+// reqPrefix is the per-process part of every request id: procEpoch in
+// lower-case hex and a dash.
+var reqPrefix = strconv.FormatInt(procEpoch, 16) + "-"
+
 // NextRequestID returns a process-unique request id of the form
-// <epoch36>-<seq>, cheap enough to mint per request.
+// <epoch hex>-<seq>, cheap enough to mint per request.
 func NextRequestID() string {
-	return fmt.Sprintf("%s-%d", strings.ToLower(fmt.Sprintf("%x", procEpoch)), reqSeq.Add(1))
+	var b [40]byte
+	return string(strconv.AppendUint(append(b[:0], reqPrefix...), reqSeq.Add(1), 10))
 }
 
 // WithRequestID attaches a request id to a context.

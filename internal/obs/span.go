@@ -2,8 +2,10 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
+	"time"
 )
 
 // Stage names one segment of the query path. The constants below are
@@ -46,6 +48,26 @@ const (
 	StageEstimate Stage = "estimate"
 )
 
+// stages is the vocabulary in slot order: a span keeps one fixed
+// record per entry, indexed by Stage.slot.
+var stages = [...]Stage{
+	StageRoute, StageAdmit, StageEnumerate, StageMemo, StageDelta,
+	StageSession, StageLPSolve, StageLPWarm, StageSchedule, StageEstimate,
+}
+
+const numStages = len(stages)
+
+// slot returns the stage's index in stages. A stage outside the
+// vocabulary is a programming error.
+func (st Stage) slot() uint8 {
+	for i, v := range stages {
+		if v == st {
+			return uint8(i)
+		}
+	}
+	panic(fmt.Sprintf("obs: unknown stage %q", string(st)))
+}
+
 // StageRecord aggregates every timer that ended on one stage within a
 // span. Wall time is summed, not unioned: concurrent workers in the
 // same stage count their overlap twice, which is the useful number for
@@ -67,22 +89,54 @@ type StageRecord struct {
 	StartFallbacks map[string]int64 `json:"startFallbacks,omitempty"`
 }
 
+// Tally is one keyed count of a stage within a span: a cache outcome
+// (StageRecord.Cache) or, when Fallback is set, a refused start's
+// reason (StageRecord.StartFallbacks).
+type Tally struct {
+	Stage    Stage
+	Fallback bool
+	Key      string
+	N        int64
+}
+
+// tally is a Tally with the stage held as its slot.
+type tally struct {
+	slot     uint8
+	fallback bool
+	key      string
+	n        int64
+}
+
+// tallyCap is the number of keyed counts a span holds without
+// allocating; a query's memo and session outcomes and refused-start
+// reasons rarely reach it, and the rest spill to the heap.
+const tallyCap = 12
+
 // Span accumulates the stage records of one query. Create with
 // NewSpan, thread through context.Context with WithSpan/SpanFrom. A
 // nil *Span is the uninstrumented fast path: StartStage returns an
 // inert timer and no clock is read anywhere.
+//
+// Records live in fixed slots, one per stage of the vocabulary, and
+// keyed counts in a small inline table, so timing a stage allocates
+// nothing.
 type Span struct {
 	id    string
 	start int64 // UnixNano at creation
 
-	mu     sync.Mutex
-	stages map[Stage]*StageRecord // guarded by mu
-	order  []Stage                // first-End order, guarded by mu
+	mu      sync.Mutex
+	recs    [numStages]StageRecord // Cache and StartFallbacks unused; guarded by mu
+	order   [numStages]uint8       // slots in first-End order, guarded by mu
+	nOrder  int                    // guarded by mu
+	tallies []tally                // keyed counts, backed by buf; guarded by mu
+	buf     [tallyCap]tally
 }
 
 // NewSpan returns an empty span with the given request id (may be "").
 func NewSpan(id string) *Span {
-	return &Span{id: id, start: now().UnixNano(), stages: make(map[Stage]*StageRecord)}
+	s := &Span{id: id, start: nanos()}
+	s.tallies = s.buf[:0]
+	return s
 }
 
 // ID returns the request id the span was created with ("" on nil).
@@ -91,6 +145,14 @@ func (s *Span) ID() string {
 		return ""
 	}
 	return s.id
+}
+
+// Elapsed returns the wall time since NewSpan (zero on nil).
+func (s *Span) Elapsed() time.Duration {
+	if s == nil {
+		return 0
+	}
+	return time.Duration(nanos() - s.start)
 }
 
 type spanKeyType struct{}
@@ -143,7 +205,7 @@ func (s *Span) StartStage(stage Stage) *StageTimer {
 	if s == nil {
 		return nil
 	}
-	return &StageTimer{span: s, stage: stage, startNs: now().UnixNano()}
+	return &StageTimer{span: s, stage: stage, startNs: nanos()}
 }
 
 // SetStage re-labels the timer before End — used when a warm LP
@@ -222,15 +284,16 @@ func (t *StageTimer) End() {
 		return
 	}
 	t.done = true
-	wall := now().UnixNano() - t.startNs
+	wall := nanos() - t.startNs
+	slot := t.stage.slot()
 	s := t.span
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec := s.stages[t.stage]
-	if rec == nil {
-		rec = &StageRecord{Stage: t.stage}
-		s.stages[t.stage] = rec
-		s.order = append(s.order, t.stage)
+	rec := &s.recs[slot]
+	if rec.Calls == 0 {
+		rec.Stage = t.stage
+		s.order[s.nOrder] = slot
+		s.nOrder++
 	}
 	rec.Calls++
 	rec.WallNs += wall
@@ -247,17 +310,22 @@ func (t *StageTimer) End() {
 		rec.StartedPivots += t.pivots
 	}
 	if t.refused != "" {
-		if rec.StartFallbacks == nil {
-			rec.StartFallbacks = make(map[string]int64)
-		}
-		rec.StartFallbacks[t.refused]++
+		s.count(slot, true, t.refused)
 	}
 	if t.outcome != "" {
-		if rec.Cache == nil {
-			rec.Cache = make(map[string]int64)
-		}
-		rec.Cache[t.outcome]++
+		s.count(slot, false, t.outcome)
 	}
+}
+
+// count adds one to a keyed count. Caller holds s.mu.
+func (s *Span) count(slot uint8, fallback bool, key string) {
+	for i := range s.tallies {
+		if tl := &s.tallies[i]; tl.slot == slot && tl.fallback == fallback && tl.key == key {
+			tl.n++
+			return
+		}
+	}
+	s.tallies = append(s.tallies, tally{slot: slot, fallback: fallback, key: key, n: 1})
 }
 
 // TraceData is the JSON "trace" block of a query response: total wall
@@ -274,32 +342,50 @@ func (s *Span) Trace() *TraceData {
 	if s == nil {
 		return nil
 	}
-	td := &TraceData{RequestID: s.id, TotalNs: now().UnixNano() - s.start}
+	td := &TraceData{RequestID: s.id, TotalNs: nanos() - s.start}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	td.Stages = make([]StageRecord, 0, len(s.order))
-	for _, st := range s.order {
-		rec := *s.stages[st]
-		if rec.Cache != nil {
-			// Copy so the snapshot can't race later End calls; sorted
-			// iteration isn't needed for a map copy, but callers
-			// serialize via encoding/json, which sorts keys.
-			c := make(map[string]int64, len(rec.Cache))
-			for k, v := range rec.Cache {
-				c[k] = v
+	td.Stages = make([]StageRecord, 0, s.nOrder)
+	for _, slot := range s.order[:s.nOrder] {
+		rec := s.recs[slot]
+		for _, tl := range s.tallies {
+			if tl.slot != slot {
+				continue
 			}
-			rec.Cache = c
-		}
-		if rec.StartFallbacks != nil {
-			f := make(map[string]int64, len(rec.StartFallbacks))
-			for k, v := range rec.StartFallbacks {
-				f[k] = v
+			m := &rec.Cache
+			if tl.fallback {
+				m = &rec.StartFallbacks
 			}
-			rec.StartFallbacks = f
+			if *m == nil {
+				*m = make(map[string]int64)
+			}
+			(*m)[tl.key] = tl.n
 		}
 		td.Stages = append(td.Stages, rec)
 	}
 	return td
+}
+
+// Fold reports the span's records without building a TraceData: stage
+// is called once per recorded stage in first-End order, with Cache and
+// StartFallbacks left nil, and keyed once per keyed count in first-seen
+// order. The records are copied under the span's lock and reported
+// after it is released. A nil span reports nothing.
+func (s *Span) Fold(stage func(StageRecord), keyed func(Tally)) {
+	if s == nil {
+		return
+	}
+	var buf [tallyCap]tally
+	s.mu.Lock()
+	recs, order, n := s.recs, s.order, s.nOrder
+	tallies := append(buf[:0], s.tallies...)
+	s.mu.Unlock()
+	for _, slot := range order[:n] {
+		stage(recs[slot])
+	}
+	for _, tl := range tallies {
+		keyed(Tally{Stage: stages[tl.slot], Fallback: tl.fallback, Key: tl.key, N: tl.n})
+	}
 }
 
 // StageNames returns the stages recorded so far, sorted — test helper
@@ -310,9 +396,9 @@ func (s *Span) StageNames() []string {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.stages))
-	for st := range s.stages {
-		names = append(names, string(st))
+	names := make([]string, 0, s.nOrder)
+	for _, slot := range s.order[:s.nOrder] {
+		names = append(names, string(stages[slot]))
 	}
 	sort.Strings(names)
 	return names

@@ -3,9 +3,10 @@ package server
 import (
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"abw/internal/obs"
@@ -21,7 +22,13 @@ import (
 // series into it, completed query spans fold into the stage series,
 // and GET /metrics exposes it (404 without one). Call before serving
 // requests.
-func (s *Server) SetMetrics(r *obs.Registry) { s.metrics = r }
+func (s *Server) SetMetrics(r *obs.Registry) {
+	s.metrics = r
+	s.series = nil
+	if r != nil {
+		s.series = newServerSeries(r)
+	}
+}
 
 // Metrics returns the installed registry (nil when disabled).
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
@@ -183,14 +190,12 @@ func (s *Server) instrument(inner http.Handler) http.Handler {
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		if s.metrics != nil {
-			s.metrics.Counter("abw_http_requests_total", "HTTP requests served",
-				obs.L{K: "handler", V: label}, obs.L{K: "code", V: strconv.Itoa(sw.status)}).Inc()
-			s.metrics.Histogram("abw_http_request_seconds", "HTTP request latency", nil,
-				obs.L{K: "handler", V: label}).Observe(watch.Seconds())
+		if s.series != nil {
+			s.series.requests.get(requestKey{handler: label, code: sw.status}).Inc()
+			s.series.requestSeconds.get(label).Observe(watch.Seconds())
 		}
 		if s.logger != nil {
-			s.logger.Info("request",
+			s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 				slog.String("requestId", reqID),
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
@@ -215,47 +220,21 @@ func (s *Server) querySpan(reqID string, traceRequested bool) *obs.Span {
 
 // finishQuerySpan folds a completed span into the registry's stage
 // series, applies the slow-query policy, and returns the trace block
-// when the client asked for it (nil otherwise).
+// when the client asked for it (nil otherwise). The trace is built
+// only when the client or the slow-query log reads it.
 func (s *Server) finishQuerySpan(span *obs.Span, wantTrace bool) *obs.TraceData {
-	td := span.Trace()
-	if td == nil {
+	if span == nil {
 		return nil
 	}
-	if s.metrics != nil {
-		for _, rec := range td.Stages {
-			stage := obs.L{K: "stage", V: string(rec.Stage)}
-			s.metrics.Histogram("abw_stage_seconds", "per-query stage wall time", nil, stage).
-				Observe(float64(rec.WallNs) / 1e9)
-			if rec.Sets > 0 {
-				s.metrics.Counter("abw_enumerated_sets_total",
-					"independent sets enumerated or served from cache", stage).Add(rec.Sets)
-			}
-			if rec.Pivots > 0 {
-				mode := "cold"
-				if rec.Stage == obs.StageLPWarm {
-					mode = "warm"
-				}
-				if cold := rec.Pivots - rec.StartedPivots; cold > 0 {
-					s.metrics.Counter("abw_lp_pivots_total", "simplex pivots spent",
-						obs.L{K: "mode", V: mode}).Add(cold)
-				}
-				if rec.StartedPivots > 0 {
-					s.metrics.Counter("abw_lp_pivots_total", "simplex pivots spent",
-						obs.L{K: "mode", V: "started"}).Add(rec.StartedPivots)
-				}
-			}
-			for _, reason := range outcomeKeys(rec.StartFallbacks) {
-				s.metrics.Counter("abw_lp_start_fallbacks_total",
-					"LP start bases refused, solved two-phase instead",
-					obs.L{K: "reason", V: reason}).Add(rec.StartFallbacks[reason])
-			}
-			for _, oc := range outcomeKeys(rec.Cache) {
-				s.metrics.Counter("abw_memo_outcomes_total", "memo-cache lookup outcomes",
-					obs.L{K: "outcome", V: oc}).Add(rec.Cache[oc])
-			}
-		}
+	slow := s.slowQuery > 0 && span.Elapsed() > s.slowQuery
+	if s.series != nil {
+		span.Fold(s.series.foldStage, s.series.foldTally)
 	}
-	if s.slowQuery > 0 && time.Duration(td.TotalNs) > s.slowQuery {
+	if !wantTrace && !slow {
+		return nil
+	}
+	td := span.Trace()
+	if slow {
 		s.metrics.Counter("abw_slow_queries_total",
 			"queries slower than the -slowquery threshold").Inc()
 		if s.logger != nil {
@@ -279,16 +258,129 @@ func (s *Server) finishQuerySpan(span *obs.Span, wantTrace bool) *obs.TraceData 
 	return td
 }
 
-// outcomeKeys returns a cache-outcome map's keys sorted, so metric
-// folding (and therefore first-registration order) is deterministic.
-func outcomeKeys(m map[string]int64) []string {
-	if len(m) == 0 {
-		return nil
+// serverSeries holds the labelled series the server records on every
+// request. Each is looked up in the registry the first time it is
+// observed and recorded through the kept pointer afterwards, so
+// /metrics lists exactly the series that have been observed.
+type serverSeries struct {
+	requests       seriesCache[requestKey, obs.Counter]
+	requestSeconds seriesCache[string, obs.Histogram]
+	stageSeconds   seriesCache[obs.Stage, obs.Histogram]
+	enumeratedSets seriesCache[obs.Stage, obs.Counter]
+	lpPivots       seriesCache[string, obs.Counter]
+	startFallbacks seriesCache[string, obs.Counter]
+	memoOutcomes   seriesCache[string, obs.Counter]
+}
+
+// requestKey labels one abw_http_requests_total series.
+type requestKey struct {
+	handler string
+	code    int
+}
+
+func newServerSeries(r *obs.Registry) *serverSeries {
+	sr := &serverSeries{}
+	sr.requests.resolve = func(k requestKey) *obs.Counter {
+		return r.Counter("abw_http_requests_total", "HTTP requests served",
+			obs.L{K: "handler", V: k.handler}, obs.L{K: "code", V: strconv.Itoa(k.code)})
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	sr.requestSeconds.resolve = func(handler string) *obs.Histogram {
+		return r.Histogram("abw_http_request_seconds", "HTTP request latency", nil,
+			obs.L{K: "handler", V: handler})
 	}
-	sort.Strings(keys)
-	return keys
+	sr.stageSeconds.resolve = func(st obs.Stage) *obs.Histogram {
+		return r.Histogram("abw_stage_seconds", "per-query stage wall time", nil,
+			obs.L{K: "stage", V: string(st)})
+	}
+	sr.enumeratedSets.resolve = func(st obs.Stage) *obs.Counter {
+		return r.Counter("abw_enumerated_sets_total",
+			"independent sets enumerated or served from cache", obs.L{K: "stage", V: string(st)})
+	}
+	sr.lpPivots.resolve = func(mode string) *obs.Counter {
+		return r.Counter("abw_lp_pivots_total", "simplex pivots spent", obs.L{K: "mode", V: mode})
+	}
+	sr.startFallbacks.resolve = func(reason string) *obs.Counter {
+		return r.Counter("abw_lp_start_fallbacks_total",
+			"LP start bases refused, solved two-phase instead", obs.L{K: "reason", V: reason})
+	}
+	sr.memoOutcomes.resolve = func(oc string) *obs.Counter {
+		return r.Counter("abw_memo_outcomes_total", "memo-cache lookup outcomes",
+			obs.L{K: "outcome", V: oc})
+	}
+	return sr
+}
+
+// foldStage records one stage of a finished span.
+func (sr *serverSeries) foldStage(rec obs.StageRecord) {
+	sr.stageSeconds.get(rec.Stage).Observe(float64(rec.WallNs) / 1e9)
+	if rec.Sets > 0 {
+		sr.enumeratedSets.get(rec.Stage).Add(rec.Sets)
+	}
+	if rec.Pivots > 0 {
+		mode := "cold"
+		if rec.Stage == obs.StageLPWarm {
+			mode = "warm"
+		}
+		if cold := rec.Pivots - rec.StartedPivots; cold > 0 {
+			sr.lpPivots.get(mode).Add(cold)
+		}
+		if rec.StartedPivots > 0 {
+			sr.lpPivots.get("started").Add(rec.StartedPivots)
+		}
+	}
+}
+
+// foldTally records one keyed count of a finished span.
+func (sr *serverSeries) foldTally(t obs.Tally) {
+	if t.Fallback {
+		sr.startFallbacks.get(t.Key).Add(t.N)
+		return
+	}
+	sr.memoOutcomes.get(t.Key).Add(t.N)
+}
+
+// seriesCache keeps the series of one metric family that have been
+// resolved, by label value. A registry lookup renders the label string
+// and takes the registry mutex; the cache pays that once per series,
+// and later reads scan a short immutable list without locking.
+type seriesCache[K comparable, T any] struct {
+	resolve func(K) *T
+	mu      sync.Mutex // serializes resolution
+	seen    atomic.Pointer[[]seriesEntry[K, T]]
+}
+
+type seriesEntry[K comparable, T any] struct {
+	key K
+	val *T
+}
+
+// get returns the series for key, resolving it on first use.
+func (c *seriesCache[K, T]) get(key K) *T {
+	if v, ok := c.find(key); ok {
+		return v
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.find(key); ok {
+		return v
+	}
+	var seen []seriesEntry[K, T]
+	if p := c.seen.Load(); p != nil {
+		seen = *p
+	}
+	v := c.resolve(key)
+	grown := append(seen[:len(seen):len(seen)], seriesEntry[K, T]{key: key, val: v})
+	c.seen.Store(&grown)
+	return v
+}
+
+func (c *seriesCache[K, T]) find(key K) (*T, bool) {
+	if p := c.seen.Load(); p != nil {
+		for _, e := range *p {
+			if e.key == key {
+				return e.val, true
+			}
+		}
+	}
+	return nil, false
 }

@@ -70,6 +70,7 @@ type Server struct {
 	// Observability (obs.go): all three default off, and the nil fast
 	// path keeps the uninstrumented server byte-identical.
 	metrics   *obs.Registry
+	series    *serverSeries // metrics' per-request series; nil without metrics
 	logger    *slog.Logger
 	slowQuery time.Duration
 

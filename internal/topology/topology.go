@@ -8,6 +8,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"abw/internal/geom"
 	"abw/internal/radio"
@@ -58,6 +59,9 @@ type Network struct {
 	out        [][]LinkID
 	in         [][]LinkID
 	linkByPair map[[2]NodeID]LinkID
+
+	busyOnce sync.Once
+	busy     []uint64 // BusyNodes' bitsets, busyWords per link; set by busyOnce
 }
 
 // New builds a network from node positions using the given radio
@@ -177,6 +181,48 @@ func (n *Network) OutLinks(id NodeID) []LinkID {
 	out := make([]LinkID, len(n.out[id]))
 	copy(out, n.out[id])
 	return out
+}
+
+// OutLinksView is OutLinks without the copy: the returned slice is the
+// network's own and must not be modified. It is for hot read-only loops
+// such as shortest-path search.
+func (n *Network) OutLinksView(id NodeID) []LinkID {
+	if id < 0 || int(id) >= len(n.out) {
+		return nil
+	}
+	return n.out[id]
+}
+
+// BusyNodes returns the nodes a transmission on link id keeps busy, as
+// a bitset over node IDs (bit i%64 of word i/64): the link's two
+// endpoints and every node within carrier-sense range of its
+// transmitter (Profile().Senses). The bitsets of all links are built
+// once, on first use; the returned slice is shared and must not be
+// modified. An out-of-range id yields nil.
+func (n *Network) BusyNodes(id LinkID) []uint64 {
+	if id < 0 || int(id) >= len(n.links) {
+		return nil
+	}
+	n.busyOnce.Do(n.buildBusy)
+	w := n.BusyWords()
+	return n.busy[int(id)*w : (int(id)+1)*w]
+}
+
+// BusyWords is the length of every BusyNodes bitset.
+func (n *Network) BusyWords() int { return (len(n.nodes) + 63) / 64 }
+
+func (n *Network) buildBusy() {
+	w := n.BusyWords()
+	n.busy = make([]uint64, len(n.links)*w)
+	for _, l := range n.links {
+		set := n.busy[int(l.ID)*w : (int(l.ID)+1)*w]
+		tx := n.nodes[l.Tx].Pos
+		for _, nd := range n.nodes {
+			if nd.ID == l.Tx || nd.ID == l.Rx || n.profile.Senses(tx.Dist(nd.Pos)) {
+				set[nd.ID/64] |= 1 << (uint(nd.ID) % 64)
+			}
+		}
+	}
 }
 
 // InLinks returns the links received by node id. The returned slice is a

@@ -145,7 +145,6 @@ type Option func(*config)
 
 type config struct {
 	radioOpts  []radio.Option
-	workers    int
 	cacheOn    bool
 	cacheBytes int64
 	cacheDir   string
@@ -186,28 +185,18 @@ func WithCacheDir(dir string) Option {
 	return func(c *config) { c.cacheOn = true; c.cacheDir = dir }
 }
 
-// WithWorkers sets the number of concurrent workers independent-set
-// enumeration uses for this system's queries: 0 (the default) picks
-// automatically from GOMAXPROCS and the problem size, 1 or negative
-// forces sequential, larger values force that many workers. Results are
-// identical at every setting.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.workers = n }
-}
-
 // System is a multirate wireless network under the paper's physical
 // (cumulative SINR) interference model with the four-rate 802.11a
 // profile of Sec. 5.2.
 type System struct {
-	net     *topology.Network
-	model   *conflict.Physical
-	workers int
-	cache   *memo.Cache
+	net   *topology.Network
+	model *conflict.Physical
+	cache *memo.Cache
 }
 
 // coreOptions returns the core options every query of this system uses.
 func (s *System) coreOptions() core.Options {
-	return core.Options{Workers: s.workers, Cache: s.cache}
+	return core.Options{Cache: s.cache}
 }
 
 // NewSystem builds a System from a layout.
@@ -227,7 +216,7 @@ func NewSystem(layout Layout, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("abw: %w", err)
 	}
-	sys := &System{net: net, model: conflict.NewPhysical(net), workers: cfg.workers}
+	sys := &System{net: net, model: conflict.NewPhysical(net)}
 	if cfg.cacheOn {
 		sys.cache = memo.New(cfg.cacheBytes)
 		if cfg.cacheDir != "" {
@@ -255,8 +244,7 @@ func (s *System) CacheStats() CacheStats { return s.cache.Stats() }
 type CacheStats = memo.Stats
 
 // Span accumulates a per-stage trace of one query: wall time, sets
-// enumerated, simplex pivots, cache outcomes and worker counts for
-// every stage the computation passed through (routing, enumeration,
+// enumerated, simplex pivots and cache outcomes for every stage the computation passed through (routing, enumeration,
 // memo lookup, LP solve/warm-resolve, scheduling, estimation). Attach
 // one with WithTrace; read it back with Span.Trace after the query.
 type Span = obs.Span
@@ -326,7 +314,7 @@ func (s *System) AvailableBandwidth(background []Flow, path Path) (*Result, erro
 }
 
 // AvailableBandwidthContext is AvailableBandwidth under a context:
-// enumeration workers and LP pivots poll ctx, so cancellation (or a
+// the enumeration walk and LP pivots poll ctx, so cancellation (or a
 // deadline) stops the computation promptly with an error satisfying
 // errors.Is(err, ErrCanceled).
 func (s *System) AvailableBandwidthContext(ctx context.Context, background []Flow, path Path) (*Result, error) {

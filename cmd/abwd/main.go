@@ -59,7 +59,6 @@ const drainTimeout = 10 * time.Second
 // cliConfig is the parsed abwd command line.
 type cliConfig struct {
 	addr         string
-	workers      int
 	cache        bool
 	cacheBytes   int64
 	cacheDir     string
@@ -79,7 +78,6 @@ func parseArgs(args []string, stderr io.Writer) (*cliConfig, error) {
 	fs.SetOutput(stderr)
 	cfg := &cliConfig{}
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&cfg.workers, "workers", 0, "enumeration workers (0 = automatic: GOMAXPROCS from 80 links, sequential below; 1 = sequential)")
 	fs.BoolVar(&cfg.cache, "cache", false, "enable the memo cache: set-family reuse, LP warm-starting, GET /v1/stats counters")
 	fs.Int64Var(&cfg.cacheBytes, "cachebytes", 0, "retained-bytes budget for cached set families (0 = default; implies -cache)")
 	fs.StringVar(&cfg.cacheDir, "cachedir", "", "directory for the crash-safe on-disk set-family spill, so a restarted abwd warms instantly (implies -cache)")
@@ -158,7 +156,6 @@ func run(args []string) int {
 		"metrics", cfg.metrics, "slowQuery", cfg.slowQuery.String(), "pprofAddr", cfg.pprofAddr)
 
 	s := server.New()
-	s.SetWorkers(cfg.workers)
 	s.SetQueryTimeout(cfg.queryTimeout)
 	s.SetLogger(logger)
 	s.SetSlowQuery(cfg.slowQuery)

@@ -52,10 +52,9 @@ func TestParseArgsCacheImplications(t *testing.T) {
 		},
 		{
 			name: "all together",
-			args: []string{"-addr", ":9999", "-workers", "2", "-cache", "-cachebytes", "1", "-cachedir", "d"},
+			args: []string{"-addr", ":9999", "-cache", "-cachebytes", "1", "-cachedir", "d"},
 			want: base(func(c *cliConfig) {
 				c.addr = ":9999"
-				c.workers = 2
 				c.cache = true
 				c.cacheBytes = 1
 				c.cacheDir = "d"
@@ -129,6 +128,11 @@ func TestParseArgsCacheImplications(t *testing.T) {
 		{
 			name:    "unknown flag",
 			args:    []string{"-bogus"},
+			wantErr: true,
+		},
+		{
+			name:    "workers is an unknown flag",
+			args:    []string{"-workers", "2"},
 			wantErr: true,
 		},
 	}

@@ -38,7 +38,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var (
 		in         = fs.String("i", "", "input JSON file (default: stdin)")
 		out        = fs.String("o", "", "output JSON file (default: stdout)")
-		workers    = fs.Int("workers", 0, "enumeration workers (0 = the spec's \"workers\" field, else automatic: GOMAXPROCS from 80 links, sequential below; 1 = sequential)")
 		cache      = fs.Bool("cache", false, "enable the memo cache (set-family reuse across the solve; answers are identical)")
 		cacheBytes = fs.Int64("cachebytes", 0, "retained-bytes budget for cached set families (0 = default; implies -cache)")
 		cacheDir   = fs.String("cachedir", "", "directory for the crash-safe on-disk set-family spill, reused across runs (implies -cache)")
@@ -92,9 +91,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "abwlp:", err)
 		return 1
-	}
-	if *workers != 0 {
-		spec.Workers = *workers
 	}
 	// -cachebytes and -cachedir imply -cache (netjson.SolveContext applies the
 	// same rule to the spec fields) instead of being silently ignored.

@@ -17,11 +17,8 @@ import (
 func main() {
 	// A 5x5 campus grid, 100 m between access points (18 Mbps adjacent
 	// links); carrier sensing at the decode range so channel business is
-	// a local observation. WithWorkers(0) — the default, spelled out —
-	// parallelizes independent-set enumeration across GOMAXPROCS
-	// goroutines on the larger queries; results are identical at every
-	// worker count.
-	sys, err := abw.NewSystem(abw.Grid(25, 5, 100), abw.WithCSRangeFactor(1.0), abw.WithWorkers(0))
+	// a local observation.
+	sys, err := abw.NewSystem(abw.Grid(25, 5, 100), abw.WithCSRangeFactor(1.0))
 	if err != nil {
 		log.Fatal(err)
 	}

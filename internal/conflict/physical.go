@@ -230,7 +230,8 @@ func (p *Physical) AloneMaxRate(link topology.LinkID) radio.Rate {
 // SetTables is the read-only per-universe precomputation that
 // SetTrackers walk over: interference rows, SINR ceilings, and
 // node-sharing and pairwise-compatibility masks. One enumeration builds it
-// once and every worker's tracker shares it.
+// once and its walker's tracker reads it; it is never written after
+// NewSetTables, so any number of trackers may share it.
 //
 // Positions index into the universe passed to NewSetTables. Duplicate
 // positions of one link ignore each other, like MaxRate ignores couples
@@ -374,8 +375,8 @@ func (s *SetTables) Ceiling(i int, r radio.Rate) float64 {
 //
 // Push order defines the summation order, matching MaxRate's couple
 // order, so the tracker is bit-for-bit consistent with the
-// non-incremental path. A tracker is one worker's DFS state over
-// shared SetTables.
+// non-incremental path. A tracker is one walker's DFS state over
+// read-only SetTables.
 type SetTracker struct {
 	s *SetTables
 	// levels holds level d (n sums, the interference from the first d

@@ -47,8 +47,8 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // assertBackgroundMatchesCold solves the background once and checks
-// Eq. 6 over it, for every path, at 1 and 2 workers and through a
-// cache, against two references. Bit for bit, it equals Eq. 6 over a full walk of
+// Eq. 6 over it, for every path, without and through a cache, against
+// two references. Bit for bit, it equals Eq. 6 over a full walk of
 // U_bg ∪ P started from the same background basis, so the grown family
 // changes nothing. Within tolerance, it matches the package-level
 // two-phase AvailableBandwidthContext (assertSameOptimum). An empty or
@@ -57,7 +57,7 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 func assertBackgroundMatchesCold(t *testing.T, m conflict.Model, background []Flow, paths []topology.Path, label string) {
 	t.Helper()
 	ctx := context.Background()
-	for oi, opts := range []Options{{Workers: 1}, {Workers: 2}, {Cache: memo.New(0)}} {
+	for oi, opts := range []Options{{}, {Cache: memo.New(0)}} {
 		bg, err := SolveBackgroundContext(ctx, m, background, opts)
 		if err != nil {
 			t.Fatalf("%s: solving the background: %v", label, err)

@@ -45,10 +45,6 @@ type Options struct {
 	// LP enumerates (0 = 4096). The paper notes Omega can reach Z^L and
 	// proposes restricted enumerations; exceeding the cap is an error.
 	OmegaLimit int
-	// Workers sets the number of concurrent enumeration workers (see
-	// indepset.Options.Workers): 0 picks automatically, 1 or negative
-	// forces sequential, >1 forces that many workers.
-	Workers int
 	// Cache, when non-nil, memoizes complete set families across calls
 	// keyed by (model fingerprint, universe, enumeration limit) and
 	// collects solver statistics. When the cache carries an on-disk
@@ -63,7 +59,7 @@ type Options struct {
 
 // indepOptions translates the core options into enumeration options.
 func (o Options) indepOptions() indepset.Options {
-	return indepset.Options{Limit: o.SetLimit, Workers: o.Workers}
+	return indepset.Options{Limit: o.SetLimit}
 }
 
 // enumerate runs a complete maximal-set enumeration through the cache

@@ -15,8 +15,8 @@ import (
 // TestTracedQueryByteIdentical pins the nil-span fast-path invariant
 // from DESIGN.md Sec. 14: attaching a trace span to the context must
 // not change a single bit of the answer — status, bandwidth (exact
-// float bits), set family, link universe, and schedule — at 1/2/4/8
-// workers, with and without a memo cache in the path.
+// float bits), set family, link universe, and schedule — with and
+// without a memo cache in the path.
 func TestTracedQueryByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	net := sessionNetwork(t, 12, 99)
@@ -27,78 +27,76 @@ func TestTracedQueryByteIdentical(t *testing.T) {
 	}
 	background := []Flow{{Path: candidate, Demand: 0.5}}
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, cached := range []bool{false, true} {
-			t.Run(fmt.Sprintf("workers=%d/cache=%v", workers, cached), func(t *testing.T) {
-				mkOpts := func() Options {
-					o := Options{Workers: workers}
-					if cached {
-						o.Cache = memo.New(0)
-					}
-					return o
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			mkOpts := func() Options {
+				var o Options
+				if cached {
+					o.Cache = memo.New(0)
 				}
-				plain, err := AvailableBandwidthContext(context.Background(), m, background, candidate, mkOpts())
-				if err != nil {
-					t.Fatalf("uninstrumented: %v", err)
-				}
-				span := obs.NewSpan("identity")
-				ctx := obs.WithSpan(context.Background(), span)
-				traced, err := AvailableBandwidthContext(ctx, m, background, candidate, mkOpts())
-				if err != nil {
-					t.Fatalf("instrumented: %v", err)
-				}
+				return o
+			}
+			plain, err := AvailableBandwidthContext(context.Background(), m, background, candidate, mkOpts())
+			if err != nil {
+				t.Fatalf("uninstrumented: %v", err)
+			}
+			span := obs.NewSpan("identity")
+			ctx := obs.WithSpan(context.Background(), span)
+			traced, err := AvailableBandwidthContext(ctx, m, background, candidate, mkOpts())
+			if err != nil {
+				t.Fatalf("instrumented: %v", err)
+			}
 
-				if traced.Status != plain.Status {
-					t.Fatalf("status %v != %v", traced.Status, plain.Status)
+			if traced.Status != plain.Status {
+				t.Fatalf("status %v != %v", traced.Status, plain.Status)
+			}
+			if math.Float64bits(traced.Bandwidth) != math.Float64bits(plain.Bandwidth) {
+				t.Fatalf("bandwidth bits differ: %x != %x",
+					math.Float64bits(traced.Bandwidth), math.Float64bits(plain.Bandwidth))
+			}
+			if len(traced.Sets) != len(plain.Sets) {
+				t.Fatalf("%d sets != %d sets", len(traced.Sets), len(plain.Sets))
+			}
+			for i := range plain.Sets {
+				if traced.Sets[i].Key() != plain.Sets[i].Key() {
+					t.Fatalf("set %d: %s != %s", i, traced.Sets[i].Key(), plain.Sets[i].Key())
 				}
-				if math.Float64bits(traced.Bandwidth) != math.Float64bits(plain.Bandwidth) {
-					t.Fatalf("bandwidth bits differ: %x != %x",
-						math.Float64bits(traced.Bandwidth), math.Float64bits(plain.Bandwidth))
+			}
+			if len(traced.Links) != len(plain.Links) {
+				t.Fatalf("%d links != %d links", len(traced.Links), len(plain.Links))
+			}
+			for i := range plain.Links {
+				if traced.Links[i] != plain.Links[i] {
+					t.Fatalf("link %d: %d != %d", i, traced.Links[i], plain.Links[i])
 				}
-				if len(traced.Sets) != len(plain.Sets) {
-					t.Fatalf("%d sets != %d sets", len(traced.Sets), len(plain.Sets))
+			}
+			if len(traced.Schedule.Slots) != len(plain.Schedule.Slots) {
+				t.Fatalf("%d slots != %d slots", len(traced.Schedule.Slots), len(plain.Schedule.Slots))
+			}
+			for i := range plain.Schedule.Slots {
+				a, b := traced.Schedule.Slots[i], plain.Schedule.Slots[i]
+				if a.Set.Key() != b.Set.Key() || math.Float64bits(a.Share) != math.Float64bits(b.Share) {
+					t.Fatalf("slot %d differs: %+v != %+v", i, a, b)
 				}
-				for i := range plain.Sets {
-					if traced.Sets[i].Key() != plain.Sets[i].Key() {
-						t.Fatalf("set %d: %s != %s", i, traced.Sets[i].Key(), plain.Sets[i].Key())
-					}
-				}
-				if len(traced.Links) != len(plain.Links) {
-					t.Fatalf("%d links != %d links", len(traced.Links), len(plain.Links))
-				}
-				for i := range plain.Links {
-					if traced.Links[i] != plain.Links[i] {
-						t.Fatalf("link %d: %d != %d", i, traced.Links[i], plain.Links[i])
-					}
-				}
-				if len(traced.Schedule.Slots) != len(plain.Schedule.Slots) {
-					t.Fatalf("%d slots != %d slots", len(traced.Schedule.Slots), len(plain.Schedule.Slots))
-				}
-				for i := range plain.Schedule.Slots {
-					a, b := traced.Schedule.Slots[i], plain.Schedule.Slots[i]
-					if a.Set.Key() != b.Set.Key() || math.Float64bits(a.Share) != math.Float64bits(b.Share) {
-						t.Fatalf("slot %d differs: %+v != %+v", i, a, b)
-					}
-				}
+			}
 
-				// And the span really did observe the work: the traced run
-				// must have recorded the enumeration and LP stages.
-				td := span.Trace()
-				seen := map[obs.Stage]bool{}
-				for _, rec := range td.Stages {
-					seen[rec.Stage] = true
-				}
-				if !seen[obs.StageEnumerate] {
-					t.Fatalf("trace missing enumerate stage: %v", span.StageNames())
-				}
-				if !seen[obs.StageLPSolve] {
-					t.Fatalf("trace missing lp_solve stage: %v", span.StageNames())
-				}
-				if cached && !seen[obs.StageMemo] {
-					t.Fatalf("trace missing memo stage with cache enabled: %v", span.StageNames())
-				}
-			})
-		}
+			// And the span really did observe the work: the traced run
+			// must have recorded the enumeration and LP stages.
+			td := span.Trace()
+			seen := map[obs.Stage]bool{}
+			for _, rec := range td.Stages {
+				seen[rec.Stage] = true
+			}
+			if !seen[obs.StageEnumerate] {
+				t.Fatalf("trace missing enumerate stage: %v", span.StageNames())
+			}
+			if !seen[obs.StageLPSolve] {
+				t.Fatalf("trace missing lp_solve stage: %v", span.StageNames())
+			}
+			if cached && !seen[obs.StageMemo] {
+				t.Fatalf("trace missing memo stage with cache enabled: %v", span.StageNames())
+			}
+		})
 	}
 }
 

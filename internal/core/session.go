@@ -47,7 +47,7 @@ import (
 // path's.
 //
 // A Session is safe for concurrent use. Enumeration runs outside the
-// session lock (so parallel workers and the cache's singleflight keep
+// session lock (so concurrent queries and the cache's singleflight keep
 // their concurrency); only LP state and the memo maps are guarded.
 type Session struct {
 	m    conflict.Model

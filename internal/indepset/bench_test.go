@@ -70,10 +70,9 @@ func BenchmarkEnumerateMesh(b *testing.B) {
 	}
 }
 
-// BenchmarkEnumerateProtocolChain exercises the bitmask pairwise walk
-// with the protocol (interference-range) model on an 8-hop chain.
-func BenchmarkEnumerateProtocolChain(b *testing.B) {
-	net, path, err := topology.Chain(radio.NewProfile80211a(), 8, 100)
+func benchEnumerateProtocol(b *testing.B, hops int) {
+	b.Helper()
+	net, path, err := topology.Chain(radio.NewProfile80211a(), hops, 100)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,6 +85,12 @@ func BenchmarkEnumerateProtocolChain(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEnumerateProtocolChain and BenchmarkEnumerateProtocol
+// exercise the bitmask pairwise walk with the protocol
+// (interference-range) model on an 8-hop and a 12-hop chain.
+func BenchmarkEnumerateProtocolChain(b *testing.B) { benchEnumerateProtocol(b, 8) }
+func BenchmarkEnumerateProtocol(b *testing.B)      { benchEnumerateProtocol(b, 12) }
 
 // BenchmarkEnumerateTableRandom exercises the bitmask pairwise walk on a
 // dense random conflict table (10 links, 3 rates, 40% pair conflicts).
@@ -121,16 +126,17 @@ func BenchmarkEnumerateTableRandom(b *testing.B) {
 	}
 }
 
-// TestEnumeratePairwiseAllocs pins the steady-state allocation count of
-// the sequential pairwise walk (also visible as allocs/op under
+// TestEnumeratePairwiseAllocs pins the allocation count of the pairwise
+// walk (also visible as allocs/op under
 // `go test -bench=EnumerateTableRandom -benchmem`). The clear table is
 // one flat array plus its column offsets, however many links, and the
-// worker's avail/saved/member scratch comes from a pool, so per-call
-// allocations are a small constant plus the returned family itself —
-// nowhere near the old n^2 mask slices. This walk measured ~115
-// allocs/op when pinned (dominated by the returned sets and their
-// cached keys); the bound leaves noise headroom while still catching a
-// per-pair regression, which would add ~100 on its own.
+// walker's avail/member scratch is a few slices, with the per-depth
+// snapshots grown by append, so per-call allocations are a small
+// constant plus the returned family itself — nowhere near the old n^2
+// mask slices. This walk measured ~100 allocs/op when pinned
+// (dominated by the returned sets); the bound leaves noise headroom
+// while still catching a per-pair regression, which would add ~100 on
+// its own.
 func TestEnumeratePairwiseAllocs(t *testing.T) {
 	net, path, err := topology.Chain(radio.NewProfile80211a(), 10, 100)
 	if err != nil {
@@ -139,71 +145,16 @@ func TestEnumeratePairwiseAllocs(t *testing.T) {
 	m := conflict.NewProtocol(net)
 	links := []topology.LinkID(path)
 	run := func() {
-		if _, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1}); err != nil {
+		if _, err := EnumerateContext(context.Background(), m, links, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the scratch pool
 	allocs := testing.AllocsPerRun(50, run)
 	const maxAllocs = 150
 	if allocs > maxAllocs {
 		t.Fatalf("sequential pairwise Enumerate: %.0f allocs/op, want <= %d", allocs, maxAllocs)
 	}
 }
-
-// Worker-scaling benchmarks: the same enumeration at 1/2/4/8 workers on
-// the biggest walks above; compare with
-// `go test -bench=Workers -benchmem ./internal/indepset/`. Both walks
-// are below the crossover BenchmarkEnumerateSweepFig2 finds, so extra
-// workers only add overhead: on a 2-vCPU VM the 40-link mesh took
-// 61.2 µs at 2 workers against 21.5 µs at 1.
-
-func benchMeshWorkers(b *testing.B, workers int) {
-	b.Helper()
-	net, err := topology.New(radio.NewProfile80211a(),
-		geom.GridPoints(9, 3, 80))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := conflict.NewPhysical(net)
-	links := make([]topology.LinkID, 0, net.NumLinks())
-	for _, l := range net.Links() {
-		links = append(links, l.ID)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EnumerateContext(context.Background(), m, links, Options{Workers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEnumerateMeshWorkers1(b *testing.B) { benchMeshWorkers(b, 1) }
-func BenchmarkEnumerateMeshWorkers2(b *testing.B) { benchMeshWorkers(b, 2) }
-func BenchmarkEnumerateMeshWorkers4(b *testing.B) { benchMeshWorkers(b, 4) }
-func BenchmarkEnumerateMeshWorkers8(b *testing.B) { benchMeshWorkers(b, 8) }
-
-func benchProtocolChainWorkers(b *testing.B, workers int) {
-	b.Helper()
-	net, path, err := topology.Chain(radio.NewProfile80211a(), 12, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := conflict.NewProtocol(net)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EnumerateContext(context.Background(), m, path, Options{Workers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEnumerateProtocolWorkers1(b *testing.B) { benchProtocolChainWorkers(b, 1) }
-func BenchmarkEnumerateProtocolWorkers2(b *testing.B) { benchProtocolChainWorkers(b, 2) }
-func BenchmarkEnumerateProtocolWorkers4(b *testing.B) { benchProtocolChainWorkers(b, 4) }
-func BenchmarkEnumerateProtocolWorkers8(b *testing.B) { benchProtocolChainWorkers(b, 8) }
 
 // BenchmarkEnumerateWide exercises two-word rate masks: a random
 // conflict table (40% pair conflicts) where link 0 declares 70 rates
@@ -243,12 +194,10 @@ func BenchmarkEnumerateWide(b *testing.B) {
 	}
 }
 
-// BenchmarkEnumerateSweepFig2 is the size sweep behind
-// minParallelLinks: the first k links of the Fig. 2 network (30 nodes
-// in 400 m x 600 m, seed 26, 802.11a) at 1 and 2 workers, k = 10 to
-// 120. Compare each links=k pair's ns/op with
-// `go test -run '^$' -bench SweepFig2 -count 5 ./internal/indepset/`;
-// the threshold is the smallest k at which 2 workers beat 1.
+// BenchmarkEnumerateSweepFig2 is the size sweep of the physical walk:
+// the first k links of the Fig. 2 network (30 nodes in 400 m x 600 m,
+// seed 26, 802.11a), k = 10 to 120. Compare the links=k rows with
+// `go test -run '^$' -bench SweepFig2 -count 5 ./internal/indepset/`.
 func BenchmarkEnumerateSweepFig2(b *testing.B) {
 	net, err := topology.Random(radio.NewProfile80211a(), geom.Rect{W: 400, H: 600}, 30, 26)
 	if err != nil {
@@ -260,15 +209,13 @@ func BenchmarkEnumerateSweepFig2(b *testing.B) {
 		links = append(links, l.ID)
 	}
 	for k := 10; k <= 120; k += 10 {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("links=%d/workers=%d", k, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := EnumerateContext(context.Background(), m, links[:k], Options{Workers: workers}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("links=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EnumerateContext(context.Background(), m, links[:k], Options{}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // meshFixture builds a mesh large enough that enumeration does real
-// work at every worker count.
+// work.
 func meshFixture(t *testing.T) (conflict.Model, []topology.LinkID) {
 	t.Helper()
 	net, err := topology.New(radio.NewProfile80211a(), geom.GridPoints(9, 3, 80))
@@ -30,51 +30,46 @@ func meshFixture(t *testing.T) (conflict.Model, []topology.LinkID) {
 
 // TestContextRunByteIdentical pins the determinism invariant of the
 // cancellation work: a run under a live context that never fires
-// returns, at every worker count, the byte-identical family of a
-// sequential run under context.Background(), which takes the
-// nil-Checker path — the checker polls change nothing but
-// responsiveness.
+// returns the byte-identical family of a run under
+// context.Background(), which takes the nil-Checker path — the checker
+// polls change nothing but responsiveness.
 func TestContextRunByteIdentical(t *testing.T) {
 	m, links := meshFixture(t)
-	ref, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1})
+	ref, err := EnumerateContext(context.Background(), m, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancelCtx := context.WithCancel(context.Background())
-	defer cancelCtx() // live but never fired during the runs
-	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := EnumerateContext(ctx, m, links, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("%d workers: %v", workers, err)
-		}
-		if !reflect.DeepEqual(keys(got), keys(ref)) {
-			t.Fatalf("%d workers under a live context diverge from sequential under Background", workers)
-		}
+	defer cancelCtx() // live but never fired during the run
+	got, err := EnumerateContext(ctx, m, links, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(keys(got), keys(ref)) {
+		t.Fatalf("a run under a live context diverges from one under Background")
 	}
 }
 
 // TestPreCanceledContextFailsFast pins the checker's first-poll-is-real
 // contract: a context canceled before the walk starts yields
-// ErrCanceled deterministically at every worker count, and the partial
-// variant reports it as an error, never as truncation.
+// ErrCanceled deterministically, and the partial variant reports it as
+// an error, never as truncation.
 func TestPreCanceledContextFailsFast(t *testing.T) {
 	m, links := meshFixture(t)
 	ctx, cancelCtx := context.WithCancel(context.Background())
 	cancelCtx()
-	for _, workers := range []int{1, 2, 4} {
-		if _, err := EnumerateContext(ctx, m, links, Options{Workers: workers}); !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%d workers: err = %v, want ErrCanceled", workers, err)
-		}
-		sets, truncated, err := EnumeratePartialContext(ctx, m, links, Options{Workers: workers})
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%d workers partial: err = %v, want ErrCanceled", workers, err)
-		}
-		if truncated {
-			t.Fatalf("%d workers: cancellation must not masquerade as truncation", workers)
-		}
-		if sets != nil {
-			t.Fatalf("%d workers: cancelled walk returned a partial family", workers)
-		}
+	if _, err := EnumerateContext(ctx, m, links, Options{}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	sets, truncated, err := EnumeratePartialContext(ctx, m, links, Options{})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("partial: err = %v, want ErrCanceled", err)
+	}
+	if truncated {
+		t.Fatal("cancellation must not masquerade as truncation")
+	}
+	if sets != nil {
+		t.Fatal("cancelled walk returned a partial family")
 	}
 }
 
@@ -100,7 +95,7 @@ func TestCanceledDistinctFromLimit(t *testing.T) {
 // silently partial family, never a foreign error.
 func TestConcurrentCancelAllOrNothing(t *testing.T) {
 	m, links := meshFixture(t)
-	ref, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1})
+	ref, err := EnumerateContext(context.Background(), m, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +107,7 @@ func TestConcurrentCancelAllOrNothing(t *testing.T) {
 			defer wg.Done()
 			cancelCtx()
 		}()
-		got, err := EnumerateContext(ctx, m, links, Options{Workers: 4})
+		got, err := EnumerateContext(ctx, m, links, Options{})
 		wg.Wait()
 		switch {
 		case err == nil:

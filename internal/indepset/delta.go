@@ -17,7 +17,7 @@
 // l_1 … l_{i-1}, so every new set is walked exactly once. The skipped
 // earlier links stay in the universe, so the maximality checks still
 // test them. With an empty base these are the full walk's walks (see
-// parallel.go), except that each delta walk branches in
+// walkFamily), except that each delta walk branches in
 // descending-conflict order so l_i's interference prunes subtrees at
 // their shallowest node (feasibility, the budget and maximality are
 // all branch-order independent; see the threatOrder methods). The
@@ -33,18 +33,6 @@
 // enumeration). Seeding the budget with the base count therefore
 // reproduces the full walk's ErrLimit verdict exactly; see
 // EnumeratePartialCountedContext for where the seed comes from.
-//
-// Workers: a one-link delta always walks sequentially; a delta adding
-// several links follows the full walk's rule (Options.workerCount over
-// the grown universe) and the full walk's task partition. The split
-// follows the input, not a knob: one-link steps are the memo cache's
-// per-link chain, where a parallel walk measured about 20% fewer
-// admit-churn operations per second and 10% more allocation per
-// operation (the sequential walk is at parity with the full walk's
-// cost there), while multi-link deltas are the cold path's whole
-// new-path growth, where a sequential walk lost to the 2-worker full
-// walk on 116 of 870 Fig. 2 query pairs (all long paths adding 7-9
-// links) and the parallel one on 1 of 870.
 package indepset
 
 import (
@@ -95,17 +83,13 @@ func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, links
 		added = append(added, universe[p])
 		apos = append(apos, p)
 	}
-	workers := 1
-	if len(added) > 1 {
-		workers = opts.workerCount(len(universe))
-	}
-	b := newBudget(opts.limit(), workers, base.Explored)
-	grown, err := walkFamily(ctx, m, universe, apos, b, workers)
+	b := &budget{n: base.Explored, limit: int64(opts.limit())}
+	grown, err := walkFamily(ctx, m, universe, apos, b)
 	if err != nil {
 		return nil, 0, err
 	}
 	sortFamily(grown)
-	return mergeFamilies(stripSurvivors(base.Sets, grown, added), grown), b.count(), nil
+	return mergeFamilies(stripSurvivors(base.Sets, grown, added), grown), b.n, nil
 }
 
 // threatOrder returns the branch order of the delta walk for the link
@@ -117,8 +101,8 @@ func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, links
 // subsets in any order, and the final sort restores canonical emission.
 // Fronting l's conflictors makes the subtrees that would die of l's
 // interference die at the root instead of one level above the leaves.
-func (e *physicalEnum) threatOrder(lpos int, skip []bool) []int {
-	m, universe := e.m, e.universe
+func (w *physicalWalker) threatOrder(lpos int, skip []bool) []int {
+	m, universe := w.m, w.universe
 	net := m.Network()
 	l := universe[lpos]
 	ll, lerr := net.Link(l)
@@ -313,22 +297,22 @@ func restrictedEqual(g, s []conflict.Couple, added []topology.LinkID) bool {
 // strongest conflictors of the grown link first, measured from the
 // clear table — the number of couple rates the grown link cannot clear
 // plus the number of its own rates the position denies it — with ties
-// by position. See (*physicalEnum).threatOrder for why branch order is
-// free to choose.
-func (e *pairwiseEnum) threatOrder(lpos int, skip []bool) []int {
-	threat := make([]int, e.n)
-	order := make([]int, 0, e.n-1)
-	for p := 0; p < e.n; p++ {
+// by position. See (*physicalWalker).threatOrder for why branch order
+// is free to choose.
+func (w *pairwiseWalker) threatOrder(lpos int, skip []bool) []int {
+	threat := make([]int, w.n)
+	order := make([]int, 0, w.n-1)
+	for p := 0; p < w.n; p++ {
 		if p == lpos || skip[p] {
 			continue
 		}
-		for rp := range e.rates[p] {
-			if e.rowEmpty(e.column(p, rp), lpos) {
+		for rp := range w.rates[p] {
+			if w.rowEmpty(w.column(p, rp), lpos) {
 				threat[p]++
 			}
 		}
-		for rl := range e.rates[lpos] {
-			if e.rowEmpty(e.column(lpos, rl), p) {
+		for rl := range w.rates[lpos] {
+			if w.rowEmpty(w.column(lpos, rl), p) {
 				threat[p]++
 			}
 		}
@@ -346,8 +330,8 @@ func (e *pairwiseEnum) threatOrder(lpos int, skip []bool) []int {
 
 // rowEmpty reports whether no rate of link i clears the couple whose
 // clear-table column starts at col.
-func (e *pairwiseEnum) rowEmpty(col, i int) bool {
-	for _, mask := range e.clear[col+i*e.w : col+(i+1)*e.w] {
+func (w *pairwiseWalker) rowEmpty(col, i int) bool {
+	for _, mask := range w.clear[col+i*w.w : col+(i+1)*w.w] {
 		if mask != 0 {
 			return false
 		}

@@ -65,10 +65,8 @@ func chunks(links []topology.LinkID, k int) [][]topology.LinkID {
 // assertDeltaGrowth runs every growth plan over the links and checks, at
 // every step, that EnumerateDelta from the previous step's base returns
 // the byte-identical family and exploration count of a fresh full walk
-// over the grown universe (at 1, 2, 4 and 8 workers), and that the
-// delta itself gives identical output at 1 and 2 workers. The delta
-// result then becomes the next step's base, exercising the chained form
-// the memo cache uses.
+// over the grown universe. The delta result then becomes the next
+// step's base, exercising the chained form the memo cache uses.
 func assertDeltaGrowth(t *testing.T, m conflict.Model, links []topology.LinkID, label string) {
 	t.Helper()
 	if len(links) < 2 {
@@ -83,45 +81,25 @@ func assertDeltaGrowth(t *testing.T, m conflict.Model, links []topology.LinkID, 
 		base.Sets, base.Explored = sets, explored
 		for step, add := range plan.steps {
 			grown := dedupSorted(append(append([]topology.LinkID(nil), base.Universe...), add...))
-			got, gotExplored := assertDeltaWorkersAgree(t, m, base, add, Options{}, fmt.Sprintf("%s %s step %d", label, plan.label, step))
-			for _, workers := range []int{1, 2, 4, 8} {
-				want, truncated, wantExplored, err := EnumeratePartialCountedContext(context.Background(), m, grown, Options{Workers: workers})
-				if err != nil || truncated {
-					t.Fatalf("%s %s: step %d workers %d: fresh walk: truncated=%v err=%v", label, plan.label, step, workers, truncated, err)
-				}
-				if !reflect.DeepEqual(keys(got), keys(want)) {
-					t.Fatalf("%s %s: step %d (+%v) workers %d: delta family differs:\n got  %v\n want %v",
-						label, plan.label, step, add, workers, keys(got), keys(want))
-				}
-				if gotExplored != wantExplored {
-					t.Fatalf("%s %s: step %d workers %d: delta explored %d, fresh %d",
-						label, plan.label, step, workers, gotExplored, wantExplored)
-				}
+			got, gotExplored, err := EnumerateDelta(context.Background(), m, base, add, Options{})
+			if err != nil {
+				t.Fatalf("%s %s: step %d: EnumerateDelta(+%v): %v", label, plan.label, step, add, err)
+			}
+			want, truncated, wantExplored, err := EnumeratePartialCountedContext(context.Background(), m, grown, Options{})
+			if err != nil || truncated {
+				t.Fatalf("%s %s: step %d: fresh walk: truncated=%v err=%v", label, plan.label, step, truncated, err)
+			}
+			if !reflect.DeepEqual(keys(got), keys(want)) {
+				t.Fatalf("%s %s: step %d (+%v): delta family differs:\n got  %v\n want %v",
+					label, plan.label, step, add, keys(got), keys(want))
+			}
+			if gotExplored != wantExplored {
+				t.Fatalf("%s %s: step %d: delta explored %d, fresh %d",
+					label, plan.label, step, gotExplored, wantExplored)
 			}
 			base = DeltaBase{Universe: grown, Sets: got, Explored: gotExplored}
 		}
 	}
-}
-
-// assertDeltaWorkersAgree runs the delta at 1 and 2 workers and fails
-// unless both return the same error, family and exploration count. It
-// returns the 1-worker result.
-func assertDeltaWorkersAgree(t *testing.T, m conflict.Model, base DeltaBase, add []topology.LinkID, opts Options, label string) ([]Set, int64) {
-	t.Helper()
-	opts.Workers = 1
-	seq, seqExplored, err := EnumerateDelta(context.Background(), m, base, add, opts)
-	if err != nil {
-		t.Fatalf("%s: EnumerateDelta(+%v) at 1 worker: %v", label, add, err)
-	}
-	opts.Workers = 2
-	par, parExplored, err := EnumerateDelta(context.Background(), m, base, add, opts)
-	if err != nil {
-		t.Fatalf("%s: EnumerateDelta(+%v) at 2 workers: %v", label, add, err)
-	}
-	if !reflect.DeepEqual(seq, par) || seqExplored != parExplored {
-		t.Fatalf("%s: 1 and 2 workers differ:\n 1: %v (%d)\n 2: %v (%d)", label, keys(seq), seqExplored, keys(par), parExplored)
-	}
-	return seq, seqExplored
 }
 
 func TestDeltaPhysicalRandomTopologies(t *testing.T) {
@@ -196,8 +174,7 @@ func TestDeltaRandomTables(t *testing.T) {
 // TestDeltaLimitVerdict pins the accounting contract: with a limit
 // between the base count and the grown count, the delta walk trips
 // ErrLimit exactly like a fresh walk over the grown universe would; at
-// the grown count, both succeed. It adds k = 1…4 links at once, at 1
-// and 2 workers.
+// the grown count, both succeed. It adds k = 1…4 links at once.
 func TestDeltaLimitVerdict(t *testing.T) {
 	prof := radio.NewProfile80211a()
 	net, path, err := topology.Chain(prof, 7, 80)
@@ -220,79 +197,75 @@ func TestDeltaLimitVerdict(t *testing.T) {
 		if grownExplored <= baseExplored {
 			t.Fatalf("k=%d: degenerate topology: grown %d <= base %d", k, grownExplored, baseExplored)
 		}
-		for _, workers := range []int{1, 2} {
-			for limit := baseExplored; limit < grownExplored; limit += (grownExplored - baseExplored + 3) / 4 {
-				opts := Options{Limit: int(limit), Workers: workers}
-				baseSets, truncated, baseCount, err := EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
-				if err != nil || truncated {
-					t.Fatalf("k=%d limit %d: base walk truncated=%v err=%v", k, limit, truncated, err)
-				}
-				base := DeltaBase{Universe: baseU, Sets: baseSets, Explored: baseCount}
-				sets, _, err := EnumerateDelta(context.Background(), m, base, add, opts)
-				if !errors.Is(err, ErrLimit) || sets != nil {
-					t.Fatalf("k=%d workers %d limit %d (< grown %d): delta err = %v (%d sets), want ErrLimit and no family",
-						k, workers, limit, grownExplored, err, len(sets))
-				}
-			}
-
-			opts := Options{Limit: int(grownExplored), Workers: workers}
-			baseSets, _, baseCount, err := EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
-			if err != nil {
-				t.Fatal(err)
+		for limit := baseExplored; limit < grownExplored; limit += (grownExplored - baseExplored + 3) / 4 {
+			opts := Options{Limit: int(limit)}
+			baseSets, truncated, baseCount, err := EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
+			if err != nil || truncated {
+				t.Fatalf("k=%d limit %d: base walk truncated=%v err=%v", k, limit, truncated, err)
 			}
 			base := DeltaBase{Universe: baseU, Sets: baseSets, Explored: baseCount}
-			got, gotExplored, err := EnumerateDelta(context.Background(), m, base, add, opts)
-			if err != nil {
-				t.Fatalf("k=%d workers %d: limit == grown count %d: delta err = %v", k, workers, grownExplored, err)
+			sets, _, err := EnumerateDelta(context.Background(), m, base, add, opts)
+			if !errors.Is(err, ErrLimit) || sets != nil {
+				t.Fatalf("k=%d limit %d (< grown %d): delta err = %v (%d sets), want ErrLimit and no family",
+					k, limit, grownExplored, err, len(sets))
 			}
-			want, err := EnumerateContext(context.Background(), m, universe, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(keys(got), keys(want)) || gotExplored != grownExplored {
-				t.Fatalf("k=%d workers %d: exact-limit delta diverged: explored %d vs %d", k, workers, gotExplored, grownExplored)
-			}
+		}
+
+		opts := Options{Limit: int(grownExplored)}
+		baseSets, _, baseCount, err := EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := DeltaBase{Universe: baseU, Sets: baseSets, Explored: baseCount}
+		got, gotExplored, err := EnumerateDelta(context.Background(), m, base, add, opts)
+		if err != nil {
+			t.Fatalf("k=%d: limit == grown count %d: delta err = %v", k, grownExplored, err)
+		}
+		want, err := EnumerateContext(context.Background(), m, universe, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(keys(got), keys(want)) || gotExplored != grownExplored {
+			t.Fatalf("k=%d: exact-limit delta diverged: explored %d vs %d", k, gotExplored, grownExplored)
 		}
 	}
 }
 
 // assertDeltaMatchesFull grows the base universe by add and checks the
-// delta against a full walk over the grown universe at 1 and 2
-// workers: byte-identical family and the same exploration count, and,
-// with the limit one below that count, ErrLimit on both.
+// delta against a full walk over the grown universe: byte-identical
+// family and the same exploration count, and, with the limit one below
+// that count, ErrLimit on both.
 func assertDeltaMatchesFull(t *testing.T, m conflict.Model, baseU, add []topology.LinkID, label string) {
 	t.Helper()
 	grownU := dedupSorted(append(append([]topology.LinkID(nil), baseU...), add...))
-	for _, workers := range []int{1, 2} {
-		opts := Options{Workers: workers}
-		base := DeltaBase{Universe: baseU}
-		var err error
-		base.Sets, _, base.Explored, err = EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, wantExplored, err := EnumeratePartialCountedContext(context.Background(), m, grownU, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotExplored, err := EnumerateDelta(context.Background(), m, base, add, opts)
-		if err != nil {
-			t.Fatalf("%s workers %d: delta: %v", label, workers, err)
-		}
-		if !reflect.DeepEqual(got, want) || gotExplored != wantExplored {
-			t.Fatalf("%s workers %d: delta %v (%d explored) != full walk %v (%d explored)",
-				label, workers, keys(got), gotExplored, keys(want), wantExplored)
-		}
-		opts.Limit = int(wantExplored) - 1
-		if opts.Limit <= int(base.Explored) {
-			continue
-		}
-		if _, err := EnumerateContext(context.Background(), m, grownU, opts); !errors.Is(err, ErrLimit) {
-			t.Fatalf("%s workers %d: full walk at limit %d: err = %v, want ErrLimit", label, workers, opts.Limit, err)
-		}
-		if _, _, err := EnumerateDelta(context.Background(), m, base, add, opts); !errors.Is(err, ErrLimit) {
-			t.Fatalf("%s workers %d: delta at limit %d: err = %v, want ErrLimit", label, workers, opts.Limit, err)
-		}
+	var opts Options
+	base := DeltaBase{Universe: baseU}
+	var err error
+	base.Sets, _, base.Explored, err = EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, wantExplored, err := EnumeratePartialCountedContext(context.Background(), m, grownU, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotExplored, err := EnumerateDelta(context.Background(), m, base, add, opts)
+	if err != nil {
+		t.Fatalf("%s: delta: %v", label, err)
+	}
+	if !reflect.DeepEqual(got, want) || gotExplored != wantExplored {
+		t.Fatalf("%s: delta %v (%d explored) != full walk %v (%d explored)",
+			label, keys(got), gotExplored, keys(want), wantExplored)
+	}
+	opts.Limit = int(wantExplored) - 1
+	if opts.Limit <= int(base.Explored) {
+		return
+	}
+	if _, err := EnumerateContext(context.Background(), m, grownU, opts); !errors.Is(err, ErrLimit) {
+		t.Fatalf("%s: full walk at limit %d: err = %v, want ErrLimit", label, opts.Limit, err)
+	}
+	if _, _, err := EnumerateDelta(context.Background(), m, base, add, opts); !errors.Is(err, ErrLimit) {
+		t.Fatalf("%s: delta at limit %d: err = %v, want ErrLimit", label, opts.Limit, err)
 	}
 }
 
@@ -365,7 +338,7 @@ func TestDeltaLinkAlreadyPresent(t *testing.T) {
 
 // TestDeltaCancellation pins the contract shared with Enumerate: a
 // cancelled delta walk returns ErrCanceled and no family, for one and
-// several added links, sequential and parallel.
+// several added links.
 func TestDeltaCancellation(t *testing.T) {
 	prof := radio.NewProfile80211a()
 	net, path, err := topology.Chain(prof, 7, 80)
@@ -382,14 +355,12 @@ func TestDeltaCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2} {
-			sets, _, err := EnumerateDelta(ctx, m, base, universe[len(universe)-k:], Options{Workers: workers})
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("k=%d workers %d: cancelled delta: err = %v, want ErrCanceled", k, workers, err)
-			}
-			if sets != nil {
-				t.Fatalf("k=%d workers %d: cancelled delta returned a family (%d sets)", k, workers, len(sets))
-			}
+		sets, _, err := EnumerateDelta(ctx, m, base, universe[len(universe)-k:], Options{})
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("k=%d: cancelled delta: err = %v, want ErrCanceled", k, err)
+		}
+		if sets != nil {
+			t.Fatalf("k=%d: cancelled delta returned a family (%d sets)", k, len(sets))
 		}
 	}
 }

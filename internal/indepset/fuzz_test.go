@@ -146,9 +146,9 @@ func decodeDeltaCase(data []byte) (m conflict.Model, base, added []topology.Link
 }
 
 // FuzzEnumerate checks the full walk against the brute-force reference
-// (referenceEnumerate) on decoded models of at most six links, at 1 and
-// 2 workers: the same family, set for set by Key(), strictly ascending
-// in family order. For Physical models,
+// (referenceEnumerate) on decoded models of at most six links: the
+// same family, set for set by Key(), strictly ascending in family
+// order. For Physical models,
 // EnumeratePartialCountedContext's exploration count must also equal
 // bruteExplored's, which no walk computes.
 func FuzzEnumerate(f *testing.F) {
@@ -165,23 +165,21 @@ func FuzzEnumerate(f *testing.F) {
 			return
 		}
 		want := referenceEnumerate(t, m, links)
-		for _, workers := range []int{1, 2} {
-			got, err := EnumerateContext(context.Background(), m, links, Options{Workers: workers})
+		got, err := EnumerateContext(context.Background(), m, links, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(keys(got), keys(want)) {
+			t.Fatalf("walk differs from reference:\n got  %v\n want %v", keys(got), keys(want))
+		}
+		assertStrictlySorted(t, got, "walk")
+		if p, ok := m.(*conflict.Physical); ok {
+			_, _, explored, err := EnumeratePartialCountedContext(context.Background(), m, links, Options{})
 			if err != nil {
-				t.Fatalf("workers %d: %v", workers, err)
+				t.Fatalf("counted walk: %v", err)
 			}
-			if !reflect.DeepEqual(keys(got), keys(want)) {
-				t.Fatalf("workers %d: walk differs from reference:\n got  %v\n want %v", workers, keys(got), keys(want))
-			}
-			assertStrictlySorted(t, got, fmt.Sprintf("workers %d", workers))
-			if p, ok := m.(*conflict.Physical); ok {
-				_, _, explored, err := EnumeratePartialCountedContext(context.Background(), m, links, Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("workers %d: counted walk: %v", workers, err)
-				}
-				if want := bruteExplored(p, links); explored != want {
-					t.Fatalf("workers %d: explored %d, brute force %d", workers, explored, want)
-				}
+			if want := bruteExplored(p, links); explored != want {
+				t.Fatalf("explored %d, brute force %d", explored, want)
 			}
 		}
 	})
@@ -218,8 +216,7 @@ func bruteExplored(m *conflict.Physical, links []topology.LinkID) int64 {
 }
 
 // FuzzEnumerateDelta checks the delta walk against its cold equivalent
-// on decoded instances, at 1 and 2 workers: the family grown from a
-// complete base equals EnumeratePartialCountedContext over the grown
+// on decoded instances: the family grown from a complete base equals EnumeratePartialCountedContext over the grown
 // universe set for set by Key() and strictly ascending in family order,
 // with the same exploration count, and ErrLimit fires on the delta
 // exactly when the full walk truncates.
@@ -243,37 +240,35 @@ func FuzzEnumerateDelta(f *testing.F) {
 		}
 		baseU := dedupSorted(baseLinks)
 		grownU := dedupSorted(append(append([]topology.LinkID(nil), baseU...), added...))
-		for _, workers := range []int{1, 2} {
-			opts := Options{Limit: limit, Workers: workers}
-			baseSets, truncated, baseExplored, err := EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
-			if err != nil {
-				t.Fatalf("workers %d: base walk: %v", workers, err)
+		opts := Options{Limit: limit}
+		baseSets, truncated, baseExplored, err := EnumeratePartialCountedContext(context.Background(), m, baseU, opts)
+		if err != nil {
+			t.Fatalf("base walk: %v", err)
+		}
+		if truncated {
+			return // a truncated family is never a delta base
+		}
+		want, wantTruncated, wantExplored, err := EnumeratePartialCountedContext(context.Background(), m, grownU, opts)
+		if err != nil {
+			t.Fatalf("full walk: %v", err)
+		}
+		base := DeltaBase{Universe: baseU, Sets: baseSets, Explored: baseExplored}
+		got, gotExplored, err := EnumerateDelta(context.Background(), m, base, added, opts)
+		if wantTruncated {
+			if !errors.Is(err, ErrLimit) || got != nil {
+				t.Fatalf("full walk truncates at limit %d, delta err = %v (%d sets)", limit, err, len(got))
 			}
-			if truncated {
-				continue // a truncated family is never a delta base
-			}
-			want, wantTruncated, wantExplored, err := EnumeratePartialCountedContext(context.Background(), m, grownU, opts)
-			if err != nil {
-				t.Fatalf("workers %d: full walk: %v", workers, err)
-			}
-			base := DeltaBase{Universe: baseU, Sets: baseSets, Explored: baseExplored}
-			got, gotExplored, err := EnumerateDelta(context.Background(), m, base, added, opts)
-			if wantTruncated {
-				if !errors.Is(err, ErrLimit) || got != nil {
-					t.Fatalf("workers %d: full walk truncates at limit %d, delta err = %v (%d sets)", workers, limit, err, len(got))
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("workers %d: delta %v + %v: %v", workers, baseU, added, err)
-			}
-			if !reflect.DeepEqual(keys(got), keys(want)) {
-				t.Fatalf("workers %d: delta %v + %v:\n got  %v\n want %v", workers, baseU, added, keys(got), keys(want))
-			}
-			assertStrictlySorted(t, got, fmt.Sprintf("workers %d: delta %v + %v", workers, baseU, added))
-			if gotExplored != wantExplored {
-				t.Fatalf("workers %d: delta explored %d, full walk %d", workers, gotExplored, wantExplored)
-			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("delta %v + %v: %v", baseU, added, err)
+		}
+		if !reflect.DeepEqual(keys(got), keys(want)) {
+			t.Fatalf("delta %v + %v:\n got  %v\n want %v", baseU, added, keys(got), keys(want))
+		}
+		assertStrictlySorted(t, got, fmt.Sprintf("delta %v + %v", baseU, added))
+		if gotExplored != wantExplored {
+			t.Fatalf("delta explored %d, full walk %d", gotExplored, wantExplored)
 		}
 	})
 }

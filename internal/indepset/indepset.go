@@ -29,12 +29,9 @@
 // complete family by new links with one such walk per added link,
 // without re-walking the old universe; the full enumeration is the
 // same thing grown from the empty universe, one walk per link over the
-// positions after it. The walks also run across goroutines
-// (Options.Workers): they split into a leaf and one subtree per first
-// branch, each worker owns its full mutable DFS state, and the merged
-// family is byte-identical to the sequential walk's. See parallel.go
-// for the partitioning, budget-accounting and merge-determinism
-// invariants (DESIGN.md Sec. 8 pins them).
+// positions after it. One walker runs every walk of an enumeration in
+// order; see walkFamily for the walk plan, and DESIGN.md Sec. 8 for the
+// walk-plan, budget and family-order invariants.
 package indepset
 
 import (
@@ -146,30 +143,11 @@ var ErrCanceled = cancel.ErrCanceled
 // Options configure enumeration.
 type Options struct {
 	// Limit bounds the number of feasible sets explored; 0 means the
-	// default of 1<<20. The bound is exact, also under parallelism
-	// (workers charge one shared budget): at most Limit sets are
-	// explored in total, the walk stops before exploring set Limit+1,
-	// and a truncated EnumeratePartialContext hands back at most Limit
-	// sets.
+	// default of 1<<20. The bound is exact: at most Limit sets are
+	// explored, the walk stops before exploring set Limit+1, and a
+	// truncated EnumeratePartialContext hands back at most Limit sets —
+	// the same ones on every run.
 	Limit int
-
-	// Workers sets the number of concurrent enumeration workers:
-	//
-	//	 0   automatic — GOMAXPROCS workers for universes of at least
-	//	     80 links (minParallelLinks), sequential below that (smaller
-	//	     walks finish faster than workers start and merge);
-	//	 1   sequential (any negative value likewise);
-	//	>1   exactly that many workers, regardless of universe size.
-	//
-	// A parallel enumeration returns the byte-identical set family of
-	// the sequential walk (same conflict.CompareCouples order). The conflict model must
-	// be safe for concurrent read-only use when Workers != 1; every
-	// model in internal/conflict is immutable after construction and
-	// qualifies. A truncated parallel EnumeratePartialContext explores
-	// exactly Limit sets like the sequential walk, but scheduling decides
-	// which subtrees those came from, so the (still sound and maximal)
-	// partial family may differ run to run.
-	Workers int
 }
 
 func (o Options) limit() int {
@@ -192,8 +170,10 @@ func (o Options) EffectiveLimit() int { return o.limit() }
 // check in the DFS hot loops, so uncancellable contexts cost nothing)
 // and returns an error satisfying errors.Is(err, ErrCanceled) promptly
 // once ctx is cancelled. A run whose context is never cancelled returns
-// the byte-identical family of a run under context.Background() at
-// every worker count.
+// the byte-identical family of a run under context.Background(). The
+// model must be safe for concurrent read-only use when several
+// enumerations share it (concurrent requests do); every model in
+// internal/conflict is immutable after construction and qualifies.
 func EnumerateContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts Options) ([]Set, error) {
 	sets, truncated, _, err := enumerate(ctx, m, links, opts)
 	if err != nil {
@@ -233,26 +213,109 @@ func EnumeratePartialCountedContext(ctx context.Context, m conflict.Model, links
 
 func enumerate(ctx context.Context, m conflict.Model, links []topology.LinkID, opts Options) ([]Set, bool, int64, error) {
 	universe := dedupSorted(links)
-	limit := opts.limit()
-	workers := opts.workerCount(len(universe))
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageEnumerate)
-	tm.SetWorkers(workers)
 	defer tm.End()
-	b := newBudget(limit, workers, 0)
-	out, err := walkFamily(ctx, m, universe, nil, b, workers)
+	b := &budget{limit: int64(opts.limit())}
+	out, err := walkFamily(ctx, m, universe, nil, b)
 	truncated := errors.Is(err, ErrLimit)
 	if err != nil && !truncated {
 		return nil, false, 0, err
 	}
 	sortFamily(out)
 	tm.AddSets(int64(len(out)))
-	return out, truncated, b.count(), nil
+	return out, truncated, b.n, nil
+}
+
+// budget is one enumeration's exploration budget: take charges one
+// explored feasible set and reports whether it was within the limit,
+// so exactly `limit` takes succeed. n starts at the charges already
+// made: the delta walk (delta.go) seeds it with the base universe's
+// exploration count, so the combined count — and therefore the
+// ErrLimit verdict — is identical to a full walk over the grown
+// universe. n is exact for a complete walk; after a tripped limit it
+// is one past the limit, and truncated walks never report it.
+type budget struct {
+	n, limit int64
+}
+
+func (b *budget) take() bool {
+	b.n++
+	return b.n <= b.limit
+}
+
+// walk is the walk for one link: its universe position and the
+// positions it branches over.
+type walk struct {
+	lpos  int
+	order []int
+}
+
+// walker is one model's enumeration state: the universe's
+// precomputation, the mutable DFS state and the sets found so far.
+type walker interface {
+	// hasRate reports whether the link at position p has a positive
+	// declared rate; a link without one never appears in a set and
+	// has nothing to walk.
+	hasRate(p int) bool
+	// threatOrder is the delta walk's branch order for the link at p:
+	// every position except p and the skipped ones, strongest
+	// conflictors of p first.
+	threatOrder(p int, skip []bool) []int
+	// runWalk runs wk whole: every set made of wk's link and positions
+	// of its order.
+	runWalk(wk walk) error
+	// family returns the sets found so far, unsorted.
+	family() []Set
+}
+
+// walkFamily runs the model's walks over universe in order and returns
+// their sets, unsorted; after an ErrLimit stop it still returns the
+// maximal sets found. apos lists the added positions (ascending) of a
+// delta walk, each walked in threat order with the earlier ones
+// skipped; nil walks the full universe, every position branching in
+// ascending order over the ones after it — the same walks from an
+// empty base, whose pre-order is the plain subset (or assignment)
+// walk's.
+func walkFamily(ctx context.Context, m conflict.Model, universe []topology.LinkID, apos []int, b *budget) ([]Set, error) {
+	var w walker
+	switch mm := m.(type) {
+	case *conflict.Physical:
+		w = newPhysicalWalker(ctx, mm, universe, b)
+	case conflict.PairwiseModel:
+		w = newPairwiseWalker(ctx, mm, universe, b)
+	default:
+		return nil, ErrUnsupportedModel
+	}
+	if apos == nil {
+		asc := make([]int, len(universe))
+		for p := range asc {
+			asc[p] = p
+		}
+		for p := range asc {
+			if !w.hasRate(p) {
+				continue
+			}
+			if err := w.runWalk(walk{lpos: p, order: asc[p+1:]}); err != nil {
+				return w.family(), err
+			}
+		}
+		return w.family(), nil
+	}
+	skip := make([]bool, len(universe))
+	for _, p := range apos {
+		if w.hasRate(p) {
+			if err := w.runWalk(walk{lpos: p, order: w.threatOrder(p, skip)}); err != nil {
+				return w.family(), err
+			}
+		}
+		skip[p] = true
+	}
+	return w.family(), nil
 }
 
 // sortFamily puts a walk's output into family order
-// (conflict.CompareCouples). A sequential full physical walk already
-// emits it, which pdqsort checks in linear time; pairwise walks and
-// parallel runs do not.
+// (conflict.CompareCouples). A full physical walk already emits it,
+// which pdqsort checks in linear time; pairwise walks do not.
 func sortFamily(sets []Set) {
 	slices.SortFunc(sets, func(a, b Set) int { return conflict.CompareCouples(a.Couples, b.Couples) })
 }

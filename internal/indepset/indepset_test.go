@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"abw/internal/conflict"
@@ -327,64 +328,89 @@ func allConflictTable(t *testing.T, n int) (*conflict.Table, []topology.LinkID) 
 // the limit check ran only after appending set Limit+1, so callers got
 // Limit+1 sets from a "limited" enumeration.
 func TestEnumerateLimitBoundary(t *testing.T) {
-	const n = 5
-	tb, links := allConflictTable(t, n)
-
-	// Limit below the family size: truncated, and at most Limit sets.
-	sets, truncated, err := EnumeratePartialContext(context.Background(), tb, links, Options{Limit: n - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !truncated {
-		t.Fatalf("limit %d over %d-set family: want truncated", n-1, n)
-	}
-	if len(sets) > n-1 {
-		t.Fatalf("truncated run returned %d sets, limit was %d: %v", len(sets), n-1, keys(sets))
-	}
-	if _, err := EnumerateContext(context.Background(), tb, links, Options{Limit: n - 1}); !errors.Is(err, ErrLimit) {
-		t.Fatalf("Enumerate with tripped limit: got err %v, want ErrLimit", err)
-	}
-
-	// Limit exactly the family size: complete and untruncated.
-	sets, truncated, err = EnumeratePartialContext(context.Background(), tb, links, Options{Limit: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if truncated {
-		t.Fatalf("limit %d over %d-set family: spuriously truncated", n, n)
-	}
-	if len(sets) != n {
-		t.Fatalf("got %d sets at exact limit, want %d", len(sets), n)
-	}
+	tb, links := allConflictTable(t, limitBoundaryLinks)
+	assertLimitBoundary(t, tb, links)
 }
 
 // TestEnumerateLimitBoundaryPinned is the same boundary check with
 // the table behind rate pins.
 func TestEnumerateLimitBoundaryPinned(t *testing.T) {
-	const n = 5
-	tb, links := allConflictTable(t, n)
-	m := pinAll(tb, links, 54)
+	tb, links := allConflictTable(t, limitBoundaryLinks)
+	assertLimitBoundary(t, pinAll(tb, links, 54), links)
+}
 
-	sets, truncated, err := EnumeratePartialContext(context.Background(), m, links, Options{Limit: n - 1})
+const limitBoundaryLinks = 6
+
+// assertLimitBoundary runs an allConflictTable family at every limit
+// from 1 to one past its size: since every explored set is a maximal
+// singleton, a run returns exactly min(Limit, family) sets, truncates
+// exactly when Limit is below the family size, and EnumerateContext
+// fails with ErrLimit exactly when the partial run truncates.
+func assertLimitBoundary(t *testing.T, m conflict.Model, links []topology.LinkID) {
+	t.Helper()
+	n := len(links)
+	for limit := 1; limit <= n+1; limit++ {
+		sets, truncated, err := EnumeratePartialContext(context.Background(), m, links, Options{Limit: limit})
+		if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+		if want := min(limit, n); len(sets) != want {
+			t.Fatalf("limit %d over %d-set family: got %d sets %v, want %d", limit, n, len(sets), keys(sets), want)
+		}
+		if truncated != (limit < n) {
+			t.Fatalf("limit %d over %d-set family: truncated=%v", limit, n, truncated)
+		}
+		if _, err := EnumerateContext(context.Background(), m, links, Options{Limit: limit}); (err != nil) != truncated || (truncated && !errors.Is(err, ErrLimit)) {
+			t.Fatalf("limit %d: Enumerate err %v, truncated %v", limit, err, truncated)
+		}
+	}
+}
+
+// TestTruncationSound checks truncated physical walks: at most Limit
+// sets come back, every one is feasible, maximal and in the complete
+// family, and two runs at the same limit return byte-identical
+// families.
+func TestTruncationSound(t *testing.T) {
+	prof := radio.NewProfile80211a()
+	net, path, err := topology.Chain(prof, 8, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !truncated {
-		t.Fatalf("limit %d over %d-set family: want truncated", n-1, n)
-	}
-	if len(sets) > n-1 {
-		t.Fatalf("truncated run returned %d sets, limit was %d: %v", len(sets), n-1, keys(sets))
-	}
-
-	sets, truncated, err = EnumeratePartialContext(context.Background(), m, links, Options{Limit: n})
+	m := conflict.NewPhysical(net)
+	full, err := EnumerateContext(context.Background(), m, path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if truncated {
-		t.Fatalf("limit %d over %d-set family: spuriously truncated", n, n)
+	inFull := make(map[string]bool, len(full))
+	for _, s := range full {
+		inFull[s.Key()] = true
 	}
-	if len(sets) != n {
-		t.Fatalf("got %d sets at exact limit, want %d", len(sets), n)
+	for _, limit := range []int{3, 7, 19} {
+		sets, truncated, err := EnumeratePartialContext(context.Background(), m, path, Options{Limit: limit})
+		if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+		if !truncated {
+			t.Fatalf("limit %d: expected truncation", limit)
+		}
+		if len(sets) > limit {
+			t.Errorf("limit %d: %d sets exceed the limit", limit, len(sets))
+		}
+		for _, s := range sets {
+			if !inFull[s.Key()] {
+				t.Errorf("limit %d: %v not in the complete family", limit, s)
+			}
+			if !IsMaximal(m, s, path) { // IsMaximal checks feasibility too
+				t.Errorf("limit %d: %v not feasible and maximal", limit, s)
+			}
+		}
+		again, _, err := EnumeratePartialContext(context.Background(), m, path, Options{Limit: limit})
+		if err != nil {
+			t.Fatalf("limit %d: second run: %v", limit, err)
+		}
+		if !reflect.DeepEqual(again, sets) {
+			t.Errorf("limit %d: truncated runs differ:\n %v\n %v", limit, keys(sets), keys(again))
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package indepset
 import (
 	"context"
 	"math/bits"
-	"sync"
 
 	"abw/internal/cancel"
 	"abw/internal/conflict"
@@ -19,14 +18,13 @@ import (
 // and leaf maximality is a handful of mask intersections instead of
 // from-scratch feasibility calls. Every mask is W consecutive words,
 // W = ⌈max declared rates per link / 64⌉, so one walk serves any rate
-// count; at W = 1 each mask operation is a single word. The clear
-// table is built once and shared read-only, each worker owning only
-// its avail/member stacks; see parallel.go for the walks and their
-// partition.
+// count; at W = 1 each mask operation is a single word.
 
-// pairwiseEnum is the read-only state shared by every worker of one
-// pairwise enumeration: the universe, its declared positive rates, and
-// the precomputed clear table.
+// pairwiseWalker is the state of one pairwise enumeration: the
+// universe, its declared positive rates and the precomputed clear
+// table, plus the DFS state — the per-link masks of rates still
+// clearing every member (n rows of W words), their per-depth
+// snapshots, the member stack — and the output family.
 //
 // The clear table is stored by column: the couple (universe[j],
 // rates[j][rj]) owns the n·W words at col[j] + rj·n·W, whose row i
@@ -34,9 +32,7 @@ import (
 // couple. The diagonal rows are all-ones: a link never constrains
 // itself (MaxRate ignores couples on the queried link). Pushing a
 // couple is then one AND of its column into the avail rows.
-type pairwiseEnum struct {
-	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the Enumerate call that received ctx
-	ctx      context.Context
+type pairwiseWalker struct {
 	universe []topology.LinkID
 	rates    [][]radio.Rate
 	clear    []uint64
@@ -44,12 +40,25 @@ type pairwiseEnum struct {
 	n, w     int
 	nw       int // n·W, one column's (and one avail snapshot's) length
 	budget   *budget
+	chk      *cancel.Checker // nil for uncancellable contexts (zero cost)
+	avail    []uint64        // n·W: rates of each link clearing every member
+	saved    []uint64        // avail snapshot per depth, n·W words each
+	members  []pairMember
+	isMember []bool
+	out      []Set
 }
 
-// newPairwiseEnum collects each link's positive declared rates,
-// preserving the model's descending order (non-positive rates can never
-// appear in a feasible couple), and builds the clear table.
-func newPairwiseEnum(ctx context.Context, m conflict.PairwiseModel, universe []topology.LinkID, budget *budget) *pairwiseEnum {
+type pairMember struct {
+	pos int
+	ri  int
+	row int // pos·W: offset of the member's row in avail and in every column
+	col int // offset of the member couple's clear-table column
+}
+
+// newPairwiseWalker collects each link's positive declared rates,
+// preserving the model's descending order (non-positive rates can
+// never appear in a feasible couple), and builds the clear table.
+func newPairwiseWalker(ctx context.Context, m conflict.PairwiseModel, universe []topology.LinkID, budget *budget) *pairwiseWalker {
 	n := len(universe)
 	total := 0
 	for _, l := range universe {
@@ -70,8 +79,7 @@ func newPairwiseEnum(ctx context.Context, m conflict.PairwiseModel, universe []t
 		maxRates = max(maxRates, len(rates[i]))
 	}
 	W := max(1, (maxRates+63)/64)
-	e := &pairwiseEnum{
-		ctx:      ctx,
+	w := &pairwiseWalker{
 		universe: universe,
 		rates:    rates,
 		clear:    make([]uint64, len(slab)*n*W),
@@ -80,12 +88,16 @@ func newPairwiseEnum(ctx context.Context, m conflict.PairwiseModel, universe []t
 		w:        W,
 		nw:       n * W,
 		budget:   budget,
+		chk:      cancel.NewChecker(ctx, 0),
+		avail:    make([]uint64, n*W),
+		members:  make([]pairMember, 0, n),
+		isMember: make([]bool, n),
 	}
 	off := 0
 	for j := range rates {
-		e.col[j] = off
+		w.col[j] = off
 		for _, rate := range rates[j] {
-			column := e.clear[off : off+n*W]
+			column := w.clear[off : off+n*W]
 			off += n * W
 			other := conflict.Couple{Link: universe[j], Rate: rate}
 			for i := range rates {
@@ -104,106 +116,21 @@ func newPairwiseEnum(ctx context.Context, m conflict.PairwiseModel, universe []t
 			}
 		}
 	}
-	return e
+	for i, rs := range rates {
+		for ri := range rs {
+			w.avail[i*W+ri>>6] |= 1 << uint(ri&63)
+		}
+	}
+	return w
 }
 
 // column returns the offset of the couple (universe[j], rates[j][rj])'s
 // clear-table column.
-func (e *pairwiseEnum) column(j, rj int) int { return e.col[j] + rj*e.nw }
+func (w *pairwiseWalker) column(j, rj int) int { return w.col[j] + rj*w.nw }
 
-func (e *pairwiseEnum) hasRate(p int) bool { return len(e.rates[p]) > 0 }
+func (w *pairwiseWalker) hasRate(p int) bool { return len(w.rates[p]) > 0 }
 
-func (e *pairwiseEnum) newWalker() walker { return newPairwiseWorker(e) }
-
-type pairMember struct {
-	pos int
-	ri  int
-	row int // pos·W: offset of the member's row in avail and in every column
-	col int // offset of the member couple's clear-table column
-}
-
-// pairwiseWorker owns the mutable DFS state of one worker: the
-// per-link masks of rates still clearing every member (n rows of W
-// words), their per-depth snapshots, the member stack, and the output
-// family. The buffers come from a package-level pool (pairScratchPool)
-// so repeated enumerations reuse them instead of reallocating the
-// n·W + n²·W words per worker.
-type pairwiseWorker struct {
-	e        *pairwiseEnum
-	chk      *cancel.Checker // nil for uncancellable contexts (zero cost)
-	scratch  *pairScratch
-	avail    []uint64 // n·W: rates of each link clearing every member
-	saved    []uint64 // n·n·W: avail snapshot per depth
-	members  []pairMember
-	isMember []bool
-	out      []Set
-}
-
-// pairScratch holds one worker's reusable buffers. Pooled globally:
-// sizes are re-sliced (or grown) to the current n and W on checkout,
-// and the walk's push/pop discipline guarantees members is empty and
-// isMember all-false at release, so only avail needs re-initializing.
-type pairScratch struct {
-	avail    []uint64
-	saved    []uint64
-	members  []pairMember
-	isMember []bool
-}
-
-var pairScratchPool = sync.Pool{New: func() any { return new(pairScratch) }}
-
-func (s *pairScratch) grow(n, w int) {
-	if cap(s.avail) < n*w {
-		s.avail = make([]uint64, n*w)
-	}
-	s.avail = s.avail[:n*w]
-	if cap(s.saved) < n*n*w {
-		s.saved = make([]uint64, n*n*w)
-	}
-	s.saved = s.saved[:n*n*w]
-	if cap(s.members) < n {
-		s.members = make([]pairMember, 0, n)
-	}
-	s.members = s.members[:0]
-	if cap(s.isMember) < n {
-		s.isMember = make([]bool, n)
-	}
-	s.isMember = s.isMember[:n]
-	clear(s.isMember)
-}
-
-func newPairwiseWorker(e *pairwiseEnum) *pairwiseWorker {
-	s := pairScratchPool.Get().(*pairScratch)
-	s.grow(e.n, e.w)
-	clear(s.avail)
-	for i, rs := range e.rates {
-		for ri := range rs {
-			s.avail[i*e.w+ri>>6] |= 1 << uint(ri&63)
-		}
-	}
-	return &pairwiseWorker{
-		e:        e,
-		chk:      cancel.NewChecker(e.ctx, 0),
-		scratch:  s,
-		avail:    s.avail,
-		saved:    s.saved,
-		members:  s.members,
-		isMember: s.isMember,
-	}
-}
-
-// family returns the worker's scratch to the pool and its sets. The
-// worker must not be used afterwards; the sets stay valid (they never
-// alias the scratch).
-func (w *pairwiseWorker) family() []Set {
-	if w.scratch != nil {
-		w.scratch.members = w.members[:0]
-		pairScratchPool.Put(w.scratch)
-		w.scratch = nil
-		w.avail, w.saved, w.members, w.isMember = nil, nil, nil, nil
-	}
-	return w.out
-}
+func (w *pairwiseWalker) family() []Set { return w.out }
 
 // lowest returns the index of the lowest bit set in both W-word masks
 // a[i:i+W] and b[j:j+W] — the fastest declared rate in both — or a
@@ -225,23 +152,21 @@ func lowest(a []uint64, i int, b []uint64, j, W int) int {
 // members (some clearing rate at or above it, i.e. a clearing rate
 // index at most ri) and every member must retain a clearing rate at or
 // above its own. It reports whether the couple was pushed; on false the
-// worker state is unchanged.
-func (w *pairwiseWorker) push(idx, ri int) bool {
-	e := w.e
-	W, nw, avail, clear := e.w, e.nw, w.avail, e.clear
+// walker state is unchanged.
+func (w *pairwiseWalker) push(idx, ri int) bool {
+	W, nw, avail, clear := w.w, w.nw, w.avail, w.clear
 	row := idx * W
 	if lowest(avail, row, avail, row, W) > ri {
 		return false
 	}
-	col := e.column(idx, ri)
+	col := w.column(idx, ri)
 	for ii := range w.members {
 		a := &w.members[ii]
 		if lowest(avail, a.row, clear, col+a.row, W) > a.ri {
 			return false
 		}
 	}
-	d := len(w.members)
-	copy(w.saved[d*nw:(d+1)*nw], avail)
+	w.saved = append(w.saved, avail...)
 	c := clear[col : col+nw]
 	avail = avail[:len(c)]
 	for k := range avail {
@@ -252,18 +177,17 @@ func (w *pairwiseWorker) push(idx, ri int) bool {
 	return true
 }
 
-func (w *pairwiseWorker) pop() {
+func (w *pairwiseWalker) pop() {
 	d := len(w.members) - 1
 	w.isMember[w.members[d].pos] = false
 	w.members = w.members[:d]
-	nw := w.e.nw
-	copy(w.avail, w.saved[d*nw:(d+1)*nw])
+	copy(w.avail, w.saved[d*w.nw:])
+	w.saved = w.saved[:d*w.nw]
 }
 
 // maximal reports whether the current full assignment is maximal.
-func (w *pairwiseWorker) maximal() bool {
-	e := w.e
-	W, avail, clear, members := e.w, w.avail, e.clear, w.members
+func (w *pairwiseWalker) maximal() bool {
+	W, avail, clear, members := w.w, w.avail, w.clear, w.members
 	// Rate-maximality: some member could be raised to a higher
 	// declared rate with every other member keeping its rate.
 	for ii := range members {
@@ -272,7 +196,7 @@ func (w *pairwiseWorker) maximal() bool {
 		// some still-clearing rate is at least rates[a.pos][rj], i.e.
 		// rj is at or below the best clearing rate.
 		for rj := lowest(avail, a.row, avail, a.row, W); rj < a.ri; rj++ {
-			raised := e.column(a.pos, rj)
+			raised := w.column(a.pos, rj)
 			ok := true
 			for jj := range members {
 				if jj == ii {
@@ -305,13 +229,13 @@ func (w *pairwiseWorker) maximal() bool {
 	}
 	// Link-maximality: some outside link could join at a declared
 	// rate with every member keeping its rate.
-	for j := 0; j < e.n; j++ {
+	for j := 0; j < w.n; j++ {
 		if w.isMember[j] {
 			continue
 		}
 		row := j * W
-		for rj := lowest(avail, row, avail, row, W); rj < len(e.rates[j]); rj++ {
-			col := e.column(j, rj)
+		for rj := lowest(avail, row, avail, row, W); rj < len(w.rates[j]); rj++ {
+			col := w.column(j, rj)
 			ok := true
 			for ii := range members {
 				a := &members[ii]
@@ -335,15 +259,15 @@ func (w *pairwiseWorker) maximal() bool {
 // isMember table), so only materialization re-establishes the
 // canonical ascending-link couple order, by insertion-sorting the
 // freshly built couples (a no-op pass in the full walk).
-func (w *pairwiseWorker) visitLeaf() error {
-	if !w.e.budget.take() {
+func (w *pairwiseWalker) visitLeaf() error {
+	if !w.budget.take() {
 		return ErrLimit
 	}
 	if w.maximal() {
 		couples := make([]conflict.Couple, 0, len(w.members))
 		for d := range w.members {
 			a := &w.members[d]
-			couples = append(couples, conflict.Couple{Link: w.e.universe[a.pos], Rate: w.e.rates[a.pos][a.ri]})
+			couples = append(couples, conflict.Couple{Link: w.universe[a.pos], Rate: w.rates[a.pos][a.ri]})
 			for k := len(couples) - 1; k > 0 && couples[k-1].Link > couples[k].Link; k-- {
 				couples[k-1], couples[k] = couples[k], couples[k-1]
 			}
@@ -355,34 +279,13 @@ func (w *pairwiseWorker) visitLeaf() error {
 
 // runWalk walks every complete assignment of wk's order under wk's
 // link, at each of its rates.
-func (w *pairwiseWorker) runWalk(wk walk) error {
+func (w *pairwiseWalker) runWalk(wk walk) error {
 	return w.include(wk.lpos, 0, wk.order)
-}
-
-// runTask runs, at every rate of wk's link, the leaf that excludes
-// every branch position (branch < 0), or the assignments whose first
-// included branch position is wk.order[branch]. Together the tasks
-// cover runWalk(wk)'s leaves exactly once.
-func (w *pairwiseWorker) runTask(wk walk, branch int) error {
-	if branch < 0 {
-		return w.runWalk(walk{lpos: wk.lpos})
-	}
-	for ri := range w.e.rates[wk.lpos] {
-		if !w.push(wk.lpos, ri) {
-			continue
-		}
-		err := w.include(wk.order[branch], branch+1, wk.order)
-		w.pop()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // rec walks every complete assignment of the positions order[oi:] on
 // top of the current members: exclude order[oi], then include it.
-func (w *pairwiseWorker) rec(oi int, order []int) error {
+func (w *pairwiseWalker) rec(oi int, order []int) error {
 	if err := w.chk.Check(); err != nil {
 		return err
 	}
@@ -397,8 +300,8 @@ func (w *pairwiseWorker) rec(oi int, order []int) error {
 
 // include pushes position idx at each rate that keeps the partial set
 // feasible and walks order[oi:] under it.
-func (w *pairwiseWorker) include(idx, oi int, order []int) error {
-	for ri := range w.e.rates[idx] {
+func (w *pairwiseWalker) include(idx, oi int, order []int) error {
+	for ri := range w.rates[idx] {
 		if !w.push(idx, ri) {
 			continue
 		}

@@ -21,86 +21,68 @@ import (
 // lowers no member's rate. The tracker's open mask (the positions
 // compatible with every member, conflict.SetTables) skips in O(1) the
 // branches whose first visit would find a member silenced and the
-// joiners that could not join. Each worker walks with a private
-// SetTracker over the enumeration's shared SetTables; see parallel.go
-// for the walks and their partition.
+// joiners that could not join.
 
-// physicalEnum is the read-only state shared by every worker of one
-// physical enumeration.
-type physicalEnum struct {
-	m *conflict.Physical
-	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the Enumerate call that received ctx
-	ctx      context.Context
+// physicalWalker is the state of one physical enumeration: the
+// universe's per-position join data, an incremental SetTracker over
+// the universe's SetTables, the member stack and the output family.
+type physicalWalker struct {
+	m        *conflict.Physical
 	universe []topology.LinkID
-	tables   *conflict.SetTables
 	minRate  []radio.Rate
 	// joinCeil[p] is the largest interference under which position p
 	// sustains its lowest positive declared rate, -Inf without one.
 	joinCeil []float64
 	n        int
 	budget   *budget
+	tr       *conflict.SetTracker
+	chk      *cancel.Checker // nil for uncancellable contexts (zero cost)
+	members  []int
+	rateBuf  []radio.Rate
+	keepBuf  []float64         // members' keep ceilings (SetTracker.MemberRates)
+	arena    []conflict.Couple // chunked backing for materialized sets
+	out      []Set
 }
 
-// newPhysicalEnum records minRate[i], the lowest positive declared
+// newPhysicalWalker records minRate[i], the lowest positive declared
 // rate of universe[i]: the weakest couple it could join a set with,
 // and the interference ceiling under which it does. Links with no
 // positive declared rate can never join (nor appear).
-func newPhysicalEnum(ctx context.Context, m *conflict.Physical, universe []topology.LinkID, budget *budget) *physicalEnum {
-	e := &physicalEnum{
+func newPhysicalWalker(ctx context.Context, m *conflict.Physical, universe []topology.LinkID, budget *budget) *physicalWalker {
+	n := len(universe)
+	tables := m.NewSetTables(universe)
+	w := &physicalWalker{
 		m:        m,
-		ctx:      ctx,
 		universe: universe,
-		tables:   m.NewSetTables(universe),
-		minRate:  make([]radio.Rate, len(universe)),
-		joinCeil: make([]float64, len(universe)),
-		n:        len(universe),
+		minRate:  make([]radio.Rate, n),
+		joinCeil: make([]float64, n),
+		n:        n,
 		budget:   budget,
+		tr:       tables.NewTracker(),
+		chk:      cancel.NewChecker(ctx, 0),
+		members:  make([]int, 0, n),
+		rateBuf:  make([]radio.Rate, n),
+		keepBuf:  make([]float64, n),
 	}
 	for i, l := range universe {
-		e.minRate[i] = m.MinPositiveRate(l)
-		e.joinCeil[i] = math.Inf(-1)
-		if e.hasRate(i) {
-			e.joinCeil[i] = e.tables.Ceiling(i, e.minRate[i])
+		w.minRate[i] = m.MinPositiveRate(l)
+		w.joinCeil[i] = math.Inf(-1)
+		if w.hasRate(i) {
+			w.joinCeil[i] = tables.Ceiling(i, w.minRate[i])
 		}
 	}
-	return e
+	return w
 }
 
 //lint:ignore abw/floateq Rate 0 is the exact no-declared-rate sentinel, never a computed float
-func (e *physicalEnum) hasRate(p int) bool { return e.minRate[p] != 0 }
+func (w *physicalWalker) hasRate(p int) bool { return w.minRate[p] != 0 }
 
-func (e *physicalEnum) newWalker() walker { return newPhysicalWorker(e) }
-
-// physicalWorker owns the mutable DFS state of one worker: an
-// incremental SetTracker plus the member stack and output family.
-type physicalWorker struct {
-	e       *physicalEnum
-	tr      *conflict.SetTracker
-	chk     *cancel.Checker // nil for uncancellable contexts (zero cost)
-	members []int
-	rateBuf []radio.Rate
-	keepBuf []float64         // members' keep ceilings (SetTracker.MemberRates)
-	arena   []conflict.Couple // chunked backing for materialized sets
-	out     []Set
-}
-
-func newPhysicalWorker(e *physicalEnum) *physicalWorker {
-	return &physicalWorker{
-		e:       e,
-		tr:      e.tables.NewTracker(),
-		chk:     cancel.NewChecker(e.ctx, 0),
-		members: make([]int, 0, e.n),
-		rateBuf: make([]radio.Rate, e.n),
-		keepBuf: make([]float64, e.n),
-	}
-}
-
-func (w *physicalWorker) push(i int) {
+func (w *physicalWalker) push(i int) {
 	w.tr.Push(i)
 	w.members = append(w.members, i)
 }
 
-func (w *physicalWorker) pop() {
+func (w *physicalWalker) pop() {
 	w.members = w.members[:len(w.members)-1]
 	w.tr.Pop()
 }
@@ -109,30 +91,12 @@ func (w *physicalWorker) pop() {
 // p's push would only be visited to find a member silenced.
 func opens(open []uint64, p int) bool { return open[p>>6]&(1<<(p&63)) != 0 }
 
-func (w *physicalWorker) family() []Set { return w.out }
+func (w *physicalWalker) family() []Set { return w.out }
 
 // runWalk pushes wk's link and walks every subset of its order under it.
-func (w *physicalWorker) runWalk(wk walk) error {
+func (w *physicalWalker) runWalk(wk walk) error {
 	w.push(wk.lpos)
 	err := w.rec(0, wk.order)
-	w.pop()
-	return err
-}
-
-// runTask runs the leaf {wk's link} alone (branch < 0), or, under that
-// link, the walk of wk.order[branch] over the positions after it. A
-// subtree under an infeasible leaf prunes at its first visit, exactly
-// like the sequential walk never descending past it, and a branch
-// outside the leaf's open mask is skipped like rec skips it.
-func (w *physicalWorker) runTask(wk walk, branch int) error {
-	if branch < 0 {
-		return w.runWalk(walk{lpos: wk.lpos})
-	}
-	w.push(wk.lpos)
-	var err error
-	if p := wk.order[branch]; opens(w.tr.Open(), p) {
-		err = w.runWalk(walk{lpos: p, order: wk.order[branch+1:]})
-	}
 	w.pop()
 	return err
 }
@@ -142,7 +106,7 @@ func (w *physicalWorker) runTask(wk walk, branch int) error {
 // member is silenced, and interference only grows with further members.
 // Branches outside the open mask are not pushed at all: their visit
 // would find a member silenced before charging the budget.
-func (w *physicalWorker) rec(oi int, order []int) error {
+func (w *physicalWalker) rec(oi int, order []int) error {
 	if err := w.chk.Check(); err != nil {
 		return err
 	}
@@ -173,21 +137,20 @@ func (w *physicalWorker) rec(oi int, order []int) error {
 // re-establishes the canonical ascending-position couple order by
 // insertion-sorting the freshly appended couples (a no-op pass in the
 // full walk; member counts are small).
-func (w *physicalWorker) visit() (ok bool, err error) {
-	e := w.e
+func (w *physicalWalker) visit() (ok bool, err error) {
 	if !w.tr.MemberRates(w.rateBuf, w.keepBuf) {
 		return false, nil
 	}
-	if !e.budget.take() {
+	if !w.budget.take() {
 		return false, ErrLimit
 	}
-	if physicalMaximal(w.tr, w.members, w.keepBuf, e.joinCeil) {
+	if physicalMaximal(w.tr, w.members, w.keepBuf, w.joinCeil) {
 		if cap(w.arena)-len(w.arena) < len(w.members) {
-			w.arena = make([]conflict.Couple, 0, 16*e.n)
+			w.arena = make([]conflict.Couple, 0, 16*w.n)
 		}
 		base := len(w.arena)
 		for d, mi := range w.members {
-			w.arena = append(w.arena, conflict.Couple{Link: e.universe[mi], Rate: w.rateBuf[d]})
+			w.arena = append(w.arena, conflict.Couple{Link: w.universe[mi], Rate: w.rateBuf[d]})
 			for k := len(w.arena) - 1; k > base && w.arena[k-1].Link > w.arena[k].Link; k-- {
 				w.arena[k-1], w.arena[k] = w.arena[k], w.arena[k-1]
 			}

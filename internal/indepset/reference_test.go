@@ -184,11 +184,13 @@ func (o opaque) Rates(link topology.LinkID) []radio.Rate { return o.m.Rates(link
 // reference: a pinned protocol model runs the pairwise walk.
 func TestEquivalencePinnedModels(t *testing.T) {
 	prof := radio.NewProfile80211a()
-	net, path, err := topology.Chain(prof, 5, 80)
-	if err != nil {
-		t.Fatal(err)
+	for _, hops := range []int{5, 6} {
+		net, path, err := topology.Chain(prof, hops, 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links := []topology.LinkID(path)
+		pins := []conflict.Couple{{Link: links[0], Rate: 18}, {Link: links[2], Rate: 6}, {Link: links[4], Rate: 18}}
+		assertSameFamily(t, conflict.FixRates(conflict.NewProtocol(net), pins), links, "pinned protocol")
 	}
-	links := []topology.LinkID(path)
-	pins := []conflict.Couple{{Link: links[0], Rate: 18}, {Link: links[2], Rate: 6}, {Link: links[4], Rate: 18}}
-	assertSameFamily(t, conflict.FixRates(conflict.NewProtocol(net), pins), links, "pinned protocol")
 }

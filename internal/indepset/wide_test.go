@@ -63,29 +63,6 @@ func TestWideEquivalenceReference(t *testing.T) {
 	}
 }
 
-// TestWideParallelDeterminism pins the parallel contract for
-// multi-word masks: 2/4/8 workers return the byte-identical family of
-// the sequential walk.
-func TestWideParallelDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 3; trial++ {
-		tb, links := wideTable(t, rng, 68, 3)
-		seq, err := EnumerateContext(context.Background(), tb, links, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			par, err := EnumerateContext(context.Background(), tb, links, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("workers %d: %v", workers, err)
-			}
-			if !reflect.DeepEqual(keys(seq), keys(par)) {
-				t.Fatalf("workers %d family differs:\n got  %v\n want %v", workers, keys(par), keys(seq))
-			}
-		}
-	}
-}
-
 // TestWideLimitTrips pins the exploration count under multi-word
 // masks: a 65-class universe reports a count, and a limit below it
 // trips ErrLimit.
@@ -119,7 +96,7 @@ func TestWideLimitTrips(t *testing.T) {
 // them transmit together (they share a node, or each hears the other's
 // spoke as loud as its own), and any of the 15 transmitters silences
 // them, so each is a set of its own and the brute-force reference stays
-// cheap. The family must equal the reference at 1 and 2 workers.
+// cheap. The family must equal the reference.
 func TestPhysicalMasksAcrossWords(t *testing.T) {
 	prof := radio.NewProfile80211a()
 	fig2, err := topology.Random(prof, geom.Rect{W: 400, H: 600}, 30, 26)
@@ -180,13 +157,11 @@ func TestPhysicalMasksAcrossWords(t *testing.T) {
 	if widest < 3 || !across {
 		t.Fatalf("reference family's largest set has %d links, one across the word boundary: %v; want spatial reuse across it", widest, across)
 	}
-	for _, workers := range []int{1, 2} {
-		got, err := EnumerateContext(context.Background(), m, universe, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(keys(got), keys(want)) {
-			t.Fatalf("workers %d: walk differs from reference:\n got  %v\n want %v", workers, keys(got), keys(want))
-		}
+	got, err := EnumerateContext(context.Background(), m, universe, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(keys(got), keys(want)) {
+		t.Fatalf("walk differs from reference:\n got  %v\n want %v", keys(got), keys(want))
 	}
 }

@@ -7,20 +7,21 @@ import (
 	"path/filepath"
 )
 
-// AnalyzerAtomicfield guards DESIGN.md Sec. 8 invariants 6–8 (the
-// shared exploration budget): a variable or struct field that is ever
-// passed to sync/atomic must be accessed through sync/atomic
-// everywhere in the package — one plain read of a budget counter that
-// workers bump atomically is a data race the race detector only
-// catches when the schedule cooperates. Deliberate single-owner plain
-// access (the sequential walk's non-atomic fast path) must carry a
-// //lint:ignore stating why no concurrent writer can exist.
+// AnalyzerAtomicfield guards the counters concurrent requests bump (the
+// memo cache's and its store's sync/atomic fields; obs and server use
+// the typed atomics of sync/atomic, which admit no plain access): a
+// variable or struct field that is ever passed to sync/atomic must be
+// accessed through sync/atomic everywhere in the package — one plain
+// read of a counter that requests bump atomically is a data race the
+// race detector only catches when the schedule cooperates. Deliberate
+// single-owner plain access must carry a //lint:ignore stating why no
+// concurrent writer can exist.
 var AnalyzerAtomicfield = &Analyzer{
 	Name: "atomicfield",
 	Doc: "mixed atomic and plain access to the same variable or field; " +
 		"every access must go through sync/atomic, or the plain site must " +
-		"prove exclusivity in a //lint:ignore (guards invariants 6-8: the " +
-		"shared exploration budget)",
+		"prove exclusivity in a //lint:ignore (guards the counters " +
+		"concurrent requests bump)",
 	Run: runAtomicfield,
 }
 

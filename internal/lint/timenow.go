@@ -6,15 +6,15 @@ import (
 )
 
 // AnalyzerTimenow keeps wall-clock time out of result-producing code:
-// golden experiment tables, parallel-determinism tests and the
-// byte-identical enumeration contract (DESIGN.md Sec. 8 invariant 8)
+// golden experiment tables, determinism tests and the byte-identical
+// enumeration contract (DESIGN.md Sec. 8 invariant 8)
 // all assume outputs depend only on inputs and seeds. CLI mains are
 // exempt (abwbench legitimately date-stamps baseline files).
 var AnalyzerTimenow = &Analyzer{
 	Name: "timenow",
 	Doc: "time.Now/Since/Until in a result-producing package makes output " +
 		"depend on the wall clock, breaking golden-table and " +
-		"parallel-determinism gates (package main is exempt)",
+		"determinism gates (package main is exempt)",
 	Run: runTimenow,
 }
 

@@ -154,7 +154,7 @@ func TestLookupIdentityAcrossAllPaths(t *testing.T) {
 	check("bypass", int64(step))
 
 	// Truncated flight: counted as a miss, never stored.
-	if _, truncated, err := c.EnumeratePartialContext(context.Background(), m, links, indepset.Options{Limit: 2, Workers: 1}); err != nil {
+	if _, truncated, err := c.EnumeratePartialContext(context.Background(), m, links, indepset.Options{Limit: 2}); err != nil {
 		t.Fatal(err)
 	} else if !truncated {
 		t.Skip("limit did not trip on this topology")

@@ -32,7 +32,7 @@ func TestCanceledEnumerationNotStoredOrSpilled(t *testing.T) {
 	t.Cleanup(func() { c.Close() })
 
 	ctx, cancelCtx := context.WithCancel(context.Background())
-	cancelCtx() // the workers' first poll fires deterministically
+	cancelCtx() // the walker's first poll fires deterministically
 	if _, err := c.EnumerateContext(ctx, m, links, indepset.Options{}); !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("cancelled enumeration: err = %v, want ErrCanceled", err)
 	}

@@ -208,7 +208,7 @@ func TestDeltaFallbackCounted(t *testing.T) {
 func TestDeltaNeverSeededFromTruncation(t *testing.T) {
 	m, links := deltaTopology(t)
 	small, big := links[:len(links)-1], links
-	opts := indepset.Options{Limit: 2, Workers: 1}
+	opts := indepset.Options{Limit: 2}
 
 	c := New(0)
 	if _, truncated, err := c.EnumeratePartialContext(context.Background(), m, small, opts); err != nil {

@@ -6,7 +6,7 @@
 // Its centerpiece is the set-family cache: enumerated rate-coupled
 // maximal independent-set families keyed by a canonical fingerprint of
 // (conflict-model identity, link universe, enumeration limit). Complete
-// families are deterministic — byte-identical across worker counts
+// families are deterministic — byte-identical from run to run
 // (DESIGN.md Sec. 8) — so a cached family is bit-for-bit the family a
 // fresh enumeration would produce, and the cache is invisible to every
 // result. Three mechanisms keep it cheap and bounded:
@@ -196,9 +196,8 @@ func (c *Cache) Close() error {
 // Key derives the canonical cache key for an enumeration of links under
 // m with the given options, and reports whether the model supports
 // keying at all. The key is insensitive to the order (and duplication)
-// of links, embeds the effective enumeration limit, and deliberately
-// excludes Workers: complete families are byte-identical at every
-// worker count. The second return is false when m does not implement
+// of links and embeds the effective enumeration limit. The second
+// return is false when m does not implement
 // conflict.Fingerprinter — such enumerations bypass the cache.
 func Key(m conflict.Model, links []topology.LinkID, opts indepset.Options) (string, bool) {
 	key, _, _, ok := keyParts(m, links, opts)

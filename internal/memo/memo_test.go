@@ -104,10 +104,6 @@ func TestLimitInKey(t *testing.T) {
 	if kDefault == kSmall {
 		t.Fatal("different limits must not share a key")
 	}
-	kWorkers, _ := Key(m, links, indepset.Options{Workers: 4})
-	if kDefault != kWorkers {
-		t.Fatal("worker count must not affect the key (families are byte-identical)")
-	}
 }
 
 func TestTruncatedNeverStored(t *testing.T) {
@@ -115,7 +111,7 @@ func TestTruncatedNeverStored(t *testing.T) {
 	m := conflict.NewPhysical(net)
 	links := allLinks(net)
 	c := New(0)
-	opts := indepset.Options{Limit: 2, Workers: 1}
+	opts := indepset.Options{Limit: 2}
 	_, truncated, err := c.EnumeratePartialContext(context.Background(), m, links, opts)
 	if err != nil {
 		t.Fatalf("partial: %v", err)
@@ -184,7 +180,7 @@ func TestSingleflightMerges(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i], errs[i] = c.EnumerateContext(context.Background(), m, links, indepset.Options{Workers: 1})
+			results[i], errs[i] = c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 		}(i)
 	}
 	close(start)

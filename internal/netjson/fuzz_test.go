@@ -16,7 +16,7 @@ func FuzzNetjson(f *testing.F) {
 	f.Add([]byte(`{"nodes":[]}`))
 	f.Add([]byte(`{"nodes":[{"x":0,"y":0},{"x":50,"y":0}],"query":{"path":[0,1]}}`))
 	f.Add([]byte(`{"nodes":[{"x":0,"y":0},{"x":50,"y":0},{"x":100,"y":0}],` +
-		`"csRangeFactor":1.5,"workers":2,` +
+		`"csRangeFactor":1.5,` +
 		`"background":[{"path":[0,1],"demand":2}],` +
 		`"query":{"src":0,"dst":2,"metric":"average-e2eD"}}`))
 	f.Add([]byte(`{"nodes":[{"x":1e308,"y":-1e308}],"query":{}}`))

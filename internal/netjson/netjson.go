@@ -50,10 +50,6 @@ type Spec struct {
 	CSRangeFactor float64    `json:"csRangeFactor,omitempty"`
 	Background    []FlowSpec `json:"background,omitempty"`
 	Query         QuerySpec  `json:"query"`
-	// Workers sets the enumeration worker count (see
-	// indepset.Options.Workers; 0 = automatic, 1 = sequential). The
-	// answer is identical at every setting.
-	Workers int `json:"workers,omitempty"`
 	// Cache enables the memo cache for the solve: set families
 	// enumerated for the availability LP are reused by the background
 	// schedule and estimates, and the answer reports the counters. The
@@ -68,7 +64,7 @@ type Spec struct {
 	// walk entirely across processes. Implies Cache.
 	CacheDir string `json:"cacheDir,omitempty"`
 	// QueryTimeoutMs bounds the whole solve in milliseconds (0 =
-	// unbounded): enumeration workers and LP pivots poll the deadline,
+	// unbounded): the enumeration walk and LP pivots poll the deadline,
 	// and an expired solve fails with an error satisfying
 	// errors.Is(err, context.DeadlineExceeded). The answer of a solve
 	// that finishes in time is identical with or without a timeout.
@@ -84,7 +80,7 @@ type Spec struct {
 }
 
 func (s *Spec) coreOptions() core.Options {
-	return core.Options{Workers: s.Workers, Cache: s.cache}
+	return core.Options{Cache: s.cache}
 }
 
 // SlotAnswer is one schedule slot of the answer.

@@ -89,13 +89,23 @@ func TestSolveInfeasibleBackground(t *testing.T) {
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	bad := []string{
-		`{`,
-		`{"unknown": 1, "nodes": [], "query": {}}`,
+	bad := []struct {
+		doc   string
+		names string // a substring the error must carry; empty for any error
+	}{
+		{`{`, ""},
+		{`{"unknown": 1, "nodes": [], "query": {}}`, `"unknown"`},
+		// Enumeration runs as one walker; there is no worker count to set.
+		{`{"nodes": [{"x":0,"y":0},{"x":50,"y":0}], "query": {"path":[0,1]}, "workers": 2}`, `"workers"`},
 	}
-	for i, doc := range bad {
-		if _, err := ParseSpec(strings.NewReader(doc)); err == nil {
+	for i, tc := range bad {
+		_, err := ParseSpec(strings.NewReader(tc.doc))
+		if err == nil {
 			t.Errorf("case %d: expected parse error", i)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("case %d: error %q does not name %s", i, err, tc.names)
 		}
 	}
 }

@@ -117,7 +117,7 @@ func (g *Gauge) Value() int64 {
 
 // Histogram is a fixed-bucket histogram with atomic per-bucket counts:
 // recording is lock-free (one atomic add per bucket, count, and sum),
-// so concurrent Observe calls from enumeration workers never contend on
+// so concurrent Observe calls from concurrent requests never contend on
 // a mutex. Bounds are upper-inclusive (Prometheus `le` semantics) and
 // an implicit +Inf bucket catches overflow. All methods are safe on a
 // nil receiver.

@@ -69,18 +69,17 @@ func (st Stage) slot() uint8 {
 }
 
 // StageRecord aggregates every timer that ended on one stage within a
-// span. Wall time is summed, not unioned: concurrent workers in the
+// span. Wall time is summed, not unioned: concurrent timers in the
 // same stage count their overlap twice, which is the useful number for
 // "where did the CPU go".
 type StageRecord struct {
-	Stage   Stage            `json:"stage"`
-	Calls   int64            `json:"calls"`
-	WallNs  int64            `json:"wallNs"`
-	Sets    int64            `json:"sets,omitempty"`
-	Pivots  int64            `json:"pivots,omitempty"`
-	Workers int              `json:"workers,omitempty"`
-	Warm    int64            `json:"warm,omitempty"`
-	Cache   map[string]int64 `json:"cache,omitempty"`
+	Stage  Stage            `json:"stage"`
+	Calls  int64            `json:"calls"`
+	WallNs int64            `json:"wallNs"`
+	Sets   int64            `json:"sets,omitempty"`
+	Pivots int64            `json:"pivots,omitempty"`
+	Warm   int64            `json:"warm,omitempty"`
+	Cache  map[string]int64 `json:"cache,omitempty"`
 	// Started counts solves that ran from a given start basis, and
 	// StartedPivots the part of Pivots they spent.
 	Started       int64 `json:"started,omitempty"`
@@ -191,7 +190,6 @@ type StageTimer struct {
 	startNs int64
 	sets    int64
 	pivots  int64
-	workers int
 	warm    bool
 	started bool
 	outcome string
@@ -232,14 +230,6 @@ func (t *StageTimer) AddPivots(n int64) {
 		return
 	}
 	t.pivots += n
-}
-
-// SetWorkers notes the worker count the stage ran with.
-func (t *StageTimer) SetWorkers(n int) {
-	if t == nil {
-		return
-	}
-	t.workers = n
 }
 
 // SetWarm marks the call as a successful warm re-solve.
@@ -299,9 +289,6 @@ func (t *StageTimer) End() {
 	rec.WallNs += wall
 	rec.Sets += t.sets
 	rec.Pivots += t.pivots
-	if t.workers > rec.Workers {
-		rec.Workers = t.workers
-	}
 	if t.warm {
 		rec.Warm++
 	}

@@ -20,7 +20,6 @@ func TestNilSpanFastPath(t *testing.T) {
 	tm.SetStage(StageLPSolve)
 	tm.AddSets(5)
 	tm.AddPivots(5)
-	tm.SetWorkers(4)
 	tm.SetWarm(true)
 	tm.SetOutcome("hit")
 	tm.End()
@@ -52,13 +51,11 @@ func TestSpanAggregation(t *testing.T) {
 
 	t1 := s.StartStage(StageEnumerate)
 	t1.AddSets(10)
-	t1.SetWorkers(4)
 	t1.End()
 	t1.End() // second End is a no-op
 
 	t2 := s.StartStage(StageEnumerate)
 	t2.AddSets(5)
-	t2.SetWorkers(2) // lower than first call: Workers keeps the max
 	t2.End()
 
 	t3 := s.StartStage(StageLPWarm)
@@ -101,7 +98,7 @@ func TestSpanAggregation(t *testing.T) {
 		byStage[rec.Stage] = rec
 	}
 	enum := byStage[StageEnumerate]
-	if enum.Calls != 2 || enum.Sets != 15 || enum.Workers != 4 {
+	if enum.Calls != 2 || enum.Sets != 15 {
 		t.Fatalf("enumerate record = %+v", enum)
 	}
 	warm := byStage[StageLPWarm]

@@ -22,12 +22,14 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,13 +54,12 @@ import (
 // zero value serves errors until a network is installed.
 type Server struct {
 	mu      sync.Mutex
-	net     *topology.Network   //guards: mu
-	model   *conflict.Physical  //guards: mu
-	flows   map[int]*flowRecord //guards: mu
-	nextID  int                 //guards: mu
-	gen     int                 //guards: mu — bumped on every network install; guards admissions
+	net     *topology.Network  //guards: mu
+	model   *conflict.Physical //guards: mu
+	flows   []*flowRecord      //guards: mu — the live flows, ascending by ID
+	nextID  int                //guards: mu
+	gen     int                //guards: mu — bumped on every network install; guards admissions
 	maxBody int64
-	workers int
 	cache   *memo.Cache
 	sess    *core.Session
 
@@ -87,7 +88,7 @@ type Server struct {
 
 // coreOptions returns the core options every computation uses.
 func (s *Server) coreOptions() core.Options {
-	return core.Options{Workers: s.workers, Cache: s.cache}
+	return core.Options{Cache: s.cache}
 }
 
 // snapshot is an immutable view of the server state: the network and
@@ -132,17 +133,17 @@ type flowRecord struct {
 
 // New returns an empty server.
 func New() *Server {
-	return &Server{flows: make(map[int]*flowRecord), nextID: 1, maxBody: 1 << 20}
+	return &Server{nextID: 1, maxBody: 1 << 20}
 }
 
-// SetWorkers sets the enumeration worker count used by every
-// computation (see indepset.Options.Workers; 0 = automatic). Call
-// before serving requests.
-func (s *Server) SetWorkers(n int) { s.workers = n }
+// SetWorkers does nothing: every enumeration runs as one walker. It is
+// kept because the benchmark client (perfbench/client.go) still calls
+// it, and goes with the next change to the benchmark.
+func (s *Server) SetWorkers(int) {}
 
 // SetQueryTimeout bounds the computation of every request: contexts
-// derived from incoming requests gain the deadline, enumeration and LP
-// workers poll it, and a request that exceeds it answers 504 Gateway
+// derived from incoming requests gain the deadline, the enumeration
+// walk and LP pivots poll it, and a request that exceeds it answers 504 Gateway
 // Timeout. Zero (the default) leaves computations unbounded. Call
 // before serving requests.
 func (s *Server) SetQueryTimeout(d time.Duration) { s.queryTimeout = d }
@@ -312,7 +313,7 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		s.net = net
 		s.model = conflict.NewPhysical(net)
-		s.flows = make(map[int]*flowRecord)
+		s.flows = nil
 		s.gen++
 		if s.cache != nil {
 			// Fresh session: the old network's warm LPs are useless and
@@ -427,13 +428,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		out := make([]*flowRecord, 0, len(s.flows))
-		for id := 1; id < s.nextID; id++ {
-			if f, ok := s.flows[id]; ok {
-				out = append(out, f)
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, append([]*flowRecord{}, s.flows...))
 	case http.MethodPost:
 		var req flowRequest
 		if err := s.decode(w, r, &req); err != nil {
@@ -501,7 +496,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 			Nodes: avail.PathNodes, path: path,
 		}
 		s.nextID++
-		s.flows[rec.ID] = rec
+		s.flows = append(s.flows, rec) // IDs only grow: still ascending
 		s.mu.Unlock()
 		resp.Admitted = true
 		resp.Flow = rec
@@ -520,16 +515,17 @@ func (s *Server) handleFlowByID(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, ok := s.flows[id]
+	i, ok := slices.BinarySearchFunc(s.flows, id, func(f *flowRecord, id int) int { return cmp.Compare(f.ID, id) })
 	if !ok {
 		writeError(w, http.StatusNotFound, "flow %d not found", id)
 		return
 	}
+	rec := s.flows[i]
 	switch r.Method {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, rec)
 	case http.MethodDelete:
-		delete(s.flows, id)
+		s.flows = slices.Delete(s.flows, i, i+1)
 		writeJSON(w, http.StatusOK, rec)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
@@ -586,12 +582,10 @@ func (s *Server) handleFairshare(w http.ResponseWriter, r *http.Request) {
 	var flows []core.Flow
 	var ids []int
 	var demands []float64
-	for id := 1; id < s.nextID; id++ {
-		if f, ok := s.flows[id]; ok {
-			flows = append(flows, core.Flow{Path: f.path}) // uncapped
-			ids = append(ids, f.ID)
-			demands = append(demands, f.Demand)
-		}
+	for _, f := range s.flows {
+		flows = append(flows, core.Flow{Path: f.path}) // uncapped
+		ids = append(ids, f.ID)
+		demands = append(demands, f.Demand)
 	}
 	s.mu.Unlock()
 	if len(flows) == 0 {
@@ -826,10 +820,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) backgroundLocked() []core.Flow {
 	out := make([]core.Flow, 0, len(s.flows))
-	for id := 1; id < s.nextID; id++ {
-		if f, ok := s.flows[id]; ok {
-			out = append(out, core.Flow{Path: f.path, Demand: f.Demand})
-		}
+	for _, f := range s.flows {
+		out = append(out, core.Flow{Path: f.path, Demand: f.Demand})
 	}
 	return out
 }

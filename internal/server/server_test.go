@@ -2,12 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"abw/internal/core"
+	"abw/internal/routing"
+	"abw/internal/topology"
 )
 
 // chainNetworkBody is a 5-node 100m chain (capacity 54/11 ~ 4.909 Mbps
@@ -305,5 +310,102 @@ func TestFairshareEndpoint(t *testing.T) {
 		if share < 2.40 || share > 2.51 {
 			t.Errorf("fair share = %v, want ~2.4545", share)
 		}
+	}
+}
+
+// TestFlowSnapshotsNameLiveFlows churns several hundred admissions and
+// deletions, keeping a few flows, and checks that every flow snapshot
+// reads exactly the live ones in ascending ID order: the listing and
+// the fair-share output name them, and the schedule is the one solved
+// directly over them.
+func TestFlowSnapshotsNameLiveFlows(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	install(t, ts)
+	srv.mu.Lock()
+	net, model := srv.net, srv.model
+	srv.mu.Unlock()
+
+	const churn = 300
+	keep := map[int]bool{3: true, 128: true, 129: true, 297: true}
+	ends := [][2]int{{0, 4}, {1, 3}, {0, 2}, {2, 4}}
+	var want []int
+	var live []core.Flow
+	for i := 1; i <= churn; i++ {
+		e := ends[i%len(ends)]
+		body := fmt.Sprintf(`{"src":%d,"dst":%d,"demandMbps":0.01}`, e[0], e[1])
+		code, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/flows", body)
+		if code != http.StatusCreated || resp["admitted"] != true {
+			t.Fatalf("admit %d: %d %v", i, code, resp)
+		}
+		flow := resp["flow"].(map[string]interface{})
+		id := int(flow["id"].(float64))
+		if id != i {
+			t.Fatalf("admission %d got id %d", i, id)
+		}
+		if keep[id] {
+			want = append(want, id)
+			var nodes []topology.NodeID
+			for _, n := range flow["pathNodes"].([]interface{}) {
+				nodes = append(nodes, topology.NodeID(n.(float64)))
+			}
+			path, err := net.PathFromNodes(nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, core.Flow{Path: path, Demand: 0.01})
+			continue
+		}
+		if code, _ := doJSON(t, http.MethodDelete, fmt.Sprintf("%s/v1/flows/%d", ts.URL, id), ""); code != http.StatusOK {
+			t.Fatalf("delete %d: %d", id, code)
+		}
+	}
+
+	ids := func(url, field string) []int {
+		t.Helper()
+		code, list := doJSONArray(t, http.MethodGet, url)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: %d", url, code)
+		}
+		out := make([]int, 0, len(list))
+		for _, e := range list {
+			out = append(out, int(e[field].(float64)))
+		}
+		return out
+	}
+	if got := ids(ts.URL+"/v1/flows", "id"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("listing names flows %v, want %v", got, want)
+	}
+	if got := ids(ts.URL+"/v1/fairshare", "flow"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("fair share names flows %v, want %v", got, want)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/schedule")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct{ Schedule json.RawMessage }
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("schedule: %d %v", resp.StatusCode, err)
+	}
+	ref, err := routing.SolveBackgroundContext(context.Background(), model, live, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSched, err := json.Marshal(ref.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := json.Compact(&a, got.Schedule); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&b, wantSched); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("schedule after churn is not the live flows' schedule:\n got  %s\n want %s", a.String(), b.String())
 	}
 }

@@ -35,9 +35,11 @@ lint-fix:
 # ones), enumeration (both walks against the
 # brute-force reference), delta enumeration (grown families against
 # full walks), the set order (conflict.CompareCouples is a total order),
-# the netjson codec, and the memo cache (key
+# the netjson codec, the memo cache (key
 # fingerprint, on-disk family format, and the delta-base index against
-# a linear scan); CI runs the same targets for 30s each.
+# a linear scan), and the admission session (a cache-backed
+# Session.Background against a cold background solve over admit,
+# delete and query steps); CI runs the same targets for 30s each.
 # FuzzDeltaBaseIndex caps minimizing at 2s per input: its decoder reads
 # many inputs as new coverage, and minimizing each of them for the
 # default minute left little of the budget for new sequences.
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaBaseIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/memo/
+	$(GO) test -run='^$$' -fuzz=FuzzSessionMatchesCold -fuzztime=$(FUZZTIME) ./internal/core/
 
 test:
 	$(GO) test ./...

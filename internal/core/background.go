@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"abw/internal/conflict"
+	"abw/internal/estimate"
 	"abw/internal/indepset"
 	"abw/internal/lp"
 	"abw/internal/memo"
@@ -13,32 +15,44 @@ import (
 	"abw/internal/topology"
 )
 
-// Background is one request's solved background: the admitted flows'
+// Background is a solved background: the admitted flows'
 // minimal-airtime schedule (FeasibleDemandsContext's verdict and
 // schedule), the feasibility LP's optimal basis in link terms when they
-// are schedulable, and, on the cold path, the complete maximal-set
-// family of their universe U_bg with the walk's exact exploration
-// count. Eq. 6 for a path then grows that family by the path's new
-// links in one delta walk (indepset.EnumerateDelta) instead of walking
-// U_bg ∪ P again, and runs phase 2 only, from the background's basis
-// (see AvailableBandwidthContext). The family lives exactly as long as
-// the caller holds the value; nothing is kept across requests.
+// are schedulable, and the node idle ratios the schedule induces, the
+// one value routing (Eq. 14), the Fig. 4 estimators and Eq. 6 read.
+// Solved without a cache it also holds the complete maximal-set family
+// of the flows' universe U_bg with the walk's exact exploration count:
+// Eq. 6 for a path then grows that family by the path's new links in
+// one delta walk (indepset.EnumerateDelta) instead of walking U_bg ∪ P
+// again, and runs phase 2 only, from the background's basis (see
+// AvailableBandwidthContext). That family lives exactly as long as the
+// caller holds the value. A Session's memoized Background holds no
+// family; its Eq. 6 goes through the session's retained LPs.
 type Background struct {
 	// Feasible reports whether the flows can all be delivered at once;
 	// Schedule delivers them when they can.
 	Feasible bool
+	// memoized reports that sess memoized the background, so Eq. 6
+	// over it re-solves sess's retained LPs.
+	memoized bool
 	Schedule schedule.Schedule
 
-	m        conflict.Model
-	flows    []Flow
-	opts     Options
+	// sess carries the model and options the background was solved
+	// with.
+	sess *Session
+	// universe is U_bg, ascending, and demand the flows' summed demand
+	// on each of its links, as linkLoad sums it.
 	universe []topology.LinkID
-	// base is the background's complete family, set only on the cold
-	// path (no Options.Cache) over a non-empty background.
+	demand   []float64
+	// base is the background's complete family, set only without
+	// Options.Cache over a non-empty background.
 	base *indepset.DeltaBase
 	// start is the feasibility LP's optimal basis, set when the
 	// background is non-empty and schedulable.
 	start *bgStart
+
+	idleOnce sync.Once
+	idle     []float64
 }
 
 // SolveBackgroundContext solves the flows' minimal-airtime schedule,
@@ -47,49 +61,67 @@ type Background struct {
 // an error: Feasible is false, and Eq. 6 over it still answers (as
 // lp.Infeasible).
 func SolveBackgroundContext(ctx context.Context, m conflict.Model, flows []Flow, opts Options) (*Background, error) {
-	b := &Background{m: m, flows: flows, opts: opts}
+	universe, err := flowUniverse(nil, flows)
+	if err != nil {
+		return nil, err
+	}
+	return solveBackground(ctx, &Session{m: m, opts: opts}, flows, universe)
+}
+
+// solveBackground is SolveBackgroundContext with the session's model
+// and options, over the flows' universe.
+func solveBackground(ctx context.Context, s *Session, flows []Flow, universe []topology.LinkID) (*Background, error) {
+	m, opts := s.m, s.opts
+	pos := newLinkPos(universe)
+	b := &Background{sess: s, universe: universe, demand: linkLoad(pos, flows)}
 	if len(flows) == 0 {
 		b.Feasible = true
 		return b, nil
 	}
-	var err error
-	if b.universe, err = flowUniverse(nil, flows); err != nil {
-		return nil, err
-	}
 	var sets []indepset.Set
+	var err error
 	if opts.Cache == nil {
 		var truncated bool
 		var explored int64
-		sets, truncated, explored, err = indepset.EnumeratePartialCountedContext(ctx, m, b.universe, opts.indepOptions())
+		sets, truncated, explored, err = indepset.EnumeratePartialCountedContext(ctx, m, universe, opts.indepOptions())
 		if err == nil && truncated {
 			err = indepset.ErrLimit
 		}
 		if err == nil {
-			b.base = &indepset.DeltaBase{Universe: b.universe, Sets: sets, Explored: explored}
+			b.base = &indepset.DeltaBase{Universe: universe, Sets: sets, Explored: explored}
 		}
 	} else {
-		sets, err = opts.enumerate(ctx, m, b.universe)
+		sets, err = opts.enumerate(ctx, m, universe)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
-	b.Feasible, b.Schedule, b.start, err = feasibleOver(ctx, b.universe, sets, flows, opts.Cache)
+	b.Feasible, b.Schedule, b.start, err = feasibleOver(ctx, pos, b.demand, sets, opts.Cache)
 	if err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// feasibleOver runs FeasibleDemandsContext's LP over a complete family
-// of the flows' universe, and returns its optimal basis as a start when
-// the flows are schedulable.
-func feasibleOver(ctx context.Context, universe []topology.LinkID, sets []indepset.Set, flows []Flow, cache *memo.Cache) (bool, schedule.Schedule, *bgStart, error) {
+// IdleRatios returns the per-node carrier-sensed idle ratios the
+// background's schedule induces (estimate.NodeIdleRatios; all ones
+// when the flows are unschedulable, as the schedule is empty), derived
+// on the first call and shared by every later one, concurrent ones
+// included. net must be the network the background's model was built
+// on. Callers must not modify the returned slice.
+func (b *Background) IdleRatios(net *topology.Network) []float64 {
+	b.idleOnce.Do(func() { b.idle = estimate.NodeIdleRatios(net, b.Schedule) })
+	return b.idle
+}
+
+// feasibleOver runs FeasibleDemandsContext's LP for the flows' demand
+// over a complete family of their universe, and returns its optimal
+// basis as a start when the flows are schedulable.
+func feasibleOver(ctx context.Context, pos linkPos, demand []float64, sets []indepset.Set, cache *memo.Cache) (bool, schedule.Schedule, *bgStart, error) {
 	// The Eq. 6 machinery with every flow in the background and no
 	// new path: any feasible solution proves deliverability, and
 	// minimizing the total share picks the minimal-airtime schedule.
 	// Only demanded links get a row; every other row holds trivially.
-	pos := newLinkPos(universe)
-	demand := linkLoad(pos, flows)
 	set, err := buildSetLP(pos, sets, -1, demand, nil, demanded)
 	if err != nil {
 		return false, schedule.Schedule{}, nil, err
@@ -220,16 +252,22 @@ func (st *bgStart) basis(sets []indepset.Set, set setLP, demand []float64) *lp.B
 // returns when started from the same basis (as
 // AvailableBandwidthWithSetsContext over that walk does), and the
 // package-level AvailableBandwidthContext's answer within
-// pivot-tolerance arithmetic noise. On the cold path the family of U_bg ∪ P is the background's
-// family grown by the path's new links in one delta walk, recorded as
-// the delta stage (nothing to walk when the path lies inside U_bg);
-// with Options.Cache it comes from the cache. A schedulable background
-// starts the LP from the feasibility LP's optimal basis (bgStart.basis),
-// so only phase 2 runs; an unschedulable one solves two-phase, and an
-// empty one is the package-level call.
+// pivot-tolerance arithmetic noise. Without a cache the family of
+// U_bg ∪ P is the background's family grown by the path's new links in
+// one delta walk, recorded as the delta stage (nothing to walk when
+// the path lies inside U_bg); with Options.Cache it comes from the
+// cache, and a session's memoized background re-solves the session's
+// retained LP for the pair. A schedulable background starts the LP
+// from the feasibility LP's optimal basis (bgStart.basis), so only
+// phase 2 runs; an unschedulable one solves two-phase, and an empty
+// one is the package-level call.
 func (b *Background) AvailableBandwidthContext(ctx context.Context, newPath topology.Path) (*Result, error) {
-	if len(b.flows) == 0 {
-		return AvailableBandwidthContext(ctx, b.m, b.flows, newPath, b.opts)
+	s := b.sess
+	if b.memoized {
+		return s.availableBandwidth(ctx, b.universe, b.demand, newPath, b.start)
+	}
+	if len(b.universe) == 0 {
+		return AvailableBandwidthContext(ctx, s.m, nil, newPath, s.opts)
 	}
 	if len(newPath) == 0 {
 		return nil, fmt.Errorf("core: empty new path")
@@ -242,14 +280,14 @@ func (b *Background) AvailableBandwidthContext(ctx context.Context, newPath topo
 		if len(universe) > len(b.universe) {
 			tm = obs.SpanFrom(ctx).StartStage(obs.StageDelta)
 		}
-		sets, _, err = indepset.EnumerateDelta(ctx, b.m, *b.base, newPath, b.opts.indepOptions())
+		sets, _, err = indepset.EnumerateDelta(ctx, s.m, *b.base, newPath, s.opts.indepOptions())
 		tm.AddSets(int64(len(sets)))
 		tm.End()
 	} else {
-		sets, err = b.opts.enumerate(ctx, b.m, universe)
+		sets, err = s.opts.enumerate(ctx, s.m, universe)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
-	return solveEq6(ctx, b.flows, newPath, universe, sets, b.opts.Cache, b.start)
+	return solveEq6(ctx, newLinkPos(universe), widen(b.demand, b.universe, universe), newPath, sets, s.opts.Cache, b.start)
 }

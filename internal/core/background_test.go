@@ -83,7 +83,7 @@ func assertBackgroundMatchesCold(t *testing.T, m conflict.Model, background []Fl
 			if rec := lpSolveRecord(span); rec.Started != wantStarted || len(rec.StartFallbacks) != 0 {
 				t.Fatalf("%s: lp_solve record %+v, want a started solve exactly when the background has a start", at, rec)
 			}
-			assertSameResult(t, at+" vs the full walk from the same start", got, fullWalkFromStart(t, bg, path, opts))
+			assertSameResult(t, at+" vs the full walk from the same start", got, fullWalkFromStart(t, bg, background, path, opts))
 			want, err := AvailableBandwidthContext(ctx, m, background, path, opts)
 			if err != nil {
 				t.Fatalf("%s: two-phase Eq. 6: %v", at, err)
@@ -101,22 +101,19 @@ func assertBackgroundMatchesCold(t *testing.T, m conflict.Model, background []Fl
 // the grown family must equal bit for bit. The package-level
 // AvailableBandwidthWithSetsContext over the same walk, which solves
 // the background again for its start, must return it bit for bit too.
-func fullWalkFromStart(t *testing.T, bg *Background, path topology.Path, opts Options) *Result {
+func fullWalkFromStart(t *testing.T, bg *Background, background []Flow, path topology.Path, opts Options) *Result {
 	t.Helper()
-	paths := []topology.Path{path}
-	for _, f := range bg.flows {
-		paths = append(paths, f.Path)
-	}
-	universe := topology.LinkUnion(paths...)
-	sets, err := indepset.EnumerateContext(context.Background(), bg.m, universe, opts.indepOptions())
+	universe := topology.LinkUnion(bg.universe, path)
+	sets, err := indepset.EnumerateContext(context.Background(), bg.sess.m, universe, opts.indepOptions())
 	if err != nil {
 		t.Fatalf("full walk of %v: %v", universe, err)
 	}
-	res, err := solveEq6(context.Background(), bg.flows, path, universe, sets, nil, bg.start)
+	pos := newLinkPos(universe)
+	res, err := solveEq6(context.Background(), pos, linkLoad(pos, background), path, sets, nil, bg.start)
 	if err != nil {
 		t.Fatalf("Eq. 6 over the full walk: %v", err)
 	}
-	withSets, err := AvailableBandwidthWithSetsContext(context.Background(), bg.m, bg.flows, path, sets)
+	withSets, err := AvailableBandwidthWithSetsContext(context.Background(), bg.sess.m, background, path, sets)
 	if err != nil {
 		t.Fatalf("AvailableBandwidthWithSets over the full walk: %v", err)
 	}
@@ -250,7 +247,8 @@ func TestBackgroundDeltaCanceled(t *testing.T) {
 	ctx, cancelCtx := context.WithCancel(context.Background())
 	defer cancelCtx()
 	m := &cancelOnClear{Table: tb, cancel: cancelCtx}
-	bg, err := SolveBackgroundContext(ctx, m, []Flow{{Path: chain[0:3], Demand: 2}}, Options{})
+	background := []Flow{{Path: chain[0:3], Demand: 2}}
+	bg, err := SolveBackgroundContext(ctx, m, background, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +264,12 @@ func TestBackgroundDeltaCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "after a cancelled delta", got, fullWalkFromStart(t, bg, chain[2:7], Options{}))
-	want, err := AvailableBandwidthContext(context.Background(), m, bg.flows, chain[2:7], Options{})
+	assertSameResult(t, "after a cancelled delta", got, fullWalkFromStart(t, bg, background, chain[2:7], Options{}))
+	want, err := AvailableBandwidthContext(context.Background(), m, background, chain[2:7], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameOptimum(t, "after a cancelled delta vs two-phase", got, want, bg.flows, chain[2:7])
+	assertSameOptimum(t, "after a cancelled delta vs two-phase", got, want, background, chain[2:7])
 }
 
 // walkless hides a Table's pairwise method, so no walk serves it.
@@ -294,7 +292,8 @@ func TestWithSetsWithoutBackgroundWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := solveEq6(context.Background(), background, path, chain, sets, nil, nil)
+	pos := newLinkPos(chain)
+	want, err := solveEq6(context.Background(), pos, linkLoad(pos, background), path, sets, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

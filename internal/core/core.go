@@ -116,7 +116,8 @@ func AvailableBandwidthContext(ctx context.Context, m conflict.Model, background
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
-	return solveEq6(ctx, background, newPath, universe, sets, opts.Cache, nil)
+	pos := newLinkPos(universe)
+	return solveEq6(ctx, pos, linkLoad(pos, background), newPath, sets, opts.Cache, nil)
 }
 
 // AvailableBandwidthLowerBoundContext is AvailableBandwidthContext with
@@ -135,7 +136,8 @@ func AvailableBandwidthLowerBoundContext(ctx context.Context, m conflict.Model, 
 	if err != nil {
 		return nil, false, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
-	res, err := solveEq6(ctx, background, newPath, universe, sets, opts.Cache, nil)
+	pos := newLinkPos(universe)
+	res, err := solveEq6(ctx, pos, linkLoad(pos, background), newPath, sets, opts.Cache, nil)
 	if err != nil {
 		return nil, truncated, err
 	}
@@ -171,17 +173,17 @@ func AvailableBandwidthWithSetsContext(ctx context.Context, m conflict.Model, ba
 			return nil, err
 		}
 	}
-	return solveEq6(ctx, background, newPath, universe, sets, nil, start)
+	pos := newLinkPos(universe)
+	return solveEq6(ctx, pos, linkLoad(pos, background), newPath, sets, nil, start)
 }
 
-// solveEq6 solves Eq. 6 over the sets, a family of universe, reporting
-// the solve's pivot count into the (possibly nil) cache's cold-solve
-// counters. A non-nil start (a background basis over a universe the
-// sets' universe contains) runs phase 2 from it; nil solves two-phase.
-func solveEq6(ctx context.Context, background []Flow, newPath topology.Path, universe []topology.LinkID, sets []indepset.Set, cache *memo.Cache, start *bgStart) (*Result, error) {
-	pos := newLinkPos(universe)
-	demand := linkLoad(pos, background)
-	set, err := eq6LP(pos, sets, demand, newPath, nonVacuous)
+// solveEq6 solves Eq. 6 over the sets, a family of the universe, with
+// the background demand aligned with it, reporting the solve's pivot
+// count into the (possibly nil) cache's cold-solve counters. A non-nil
+// start (a background basis over a universe the sets' universe
+// contains) runs phase 2 from it; nil solves two-phase.
+func solveEq6(ctx context.Context, universe linkPos, demand []float64, newPath topology.Path, sets []indepset.Set, cache *memo.Cache, start *bgStart) (*Result, error) {
+	set, err := eq6LP(universe, sets, demand, newPath, nonVacuous)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +192,7 @@ func solveEq6(ctx context.Context, background []Flow, newPath topology.Path, uni
 		return nil, fmt.Errorf("core: solving Eq.6 LP: %w", err)
 	}
 	cache.AddSolvePivots(false, sol.Pivots, 0)
-	res := &Result{Status: sol.Status, Sets: sets, Links: universe}
+	res := &Result{Status: sol.Status, Sets: sets, Links: universe.links}
 	if sol.Status != lp.Optimal {
 		return res, nil
 	}
@@ -463,6 +465,22 @@ func linkLoad(universe linkPos, flows []Flow) []float64 {
 				out[li] += f.Demand
 			}
 		}
+	}
+	return out
+}
+
+// widen aligns demand, given over the ascending universe sub, with
+// universe, an ascending superset of sub: the other links carry none.
+// It equals linkLoad over universe of the flows demand was summed from,
+// bit for bit.
+func widen(demand []float64, sub, universe []topology.LinkID) []float64 {
+	out := make([]float64, len(universe))
+	j := 0
+	for i, l := range sub {
+		for universe[j] != l {
+			j++
+		}
+		out[j] = demand[i]
 	}
 	return out
 }

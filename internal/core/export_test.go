@@ -17,5 +17,6 @@ func (b *Background) Eq6OverSets(ctx context.Context, newPath topology.Path, set
 	if !fromBasis {
 		start = nil
 	}
-	return solveEq6(ctx, b.flows, newPath, topology.LinkUnion(b.universe, newPath), sets, cache, start)
+	universe := topology.LinkUnion(b.universe, newPath)
+	return solveEq6(ctx, newLinkPos(universe), widen(b.demand, b.universe, universe), newPath, sets, cache, start)
 }

@@ -5,13 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"abw/internal/conflict"
-	"abw/internal/estimate"
 	"abw/internal/indepset"
 	"abw/internal/lp"
 	"abw/internal/memo"
@@ -23,40 +23,46 @@ import (
 // Session amortizes repeated availability queries against one conflict
 // model: the shape an admission loop produces, where the same
 // (universe, candidate path) pair is solved again and again with only
-// the background demands moving between steps. Three layers stack:
+// the background demands moving between steps. Background is its one
+// entry point: it hands out the admitted flows' solved background,
+// which routing's idle ratios, the Fig. 4 estimates and Eq. 6 all read.
+// With Options.Cache three layers stack:
 //
-//  1. set families come from Options.Cache (or a fresh enumeration
-//     when no cache is configured) — byte-identical either way;
-//  2. the Eq. 6 LP for each (universe, path) pair is built once with a
+//  1. set families come from the cache;
+//  2. solved backgrounds are memoized by exact demand signature, so the
+//     repeated "is the current background still deliverable, and which
+//     nodes does it keep busy?" before each admission step costs a map
+//     lookup. Each schedulable one keeps its feasibility LP's optimal
+//     basis in link terms;
+//  3. the Eq. 6 LP for each (universe, path) pair is built once with a
 //     row for EVERY universe link (vacuous 0 >= 0 rows are harmless,
 //     and make the structure independent of which links carry demand),
 //     so a background change is a pure right-hand-side update the
-//     retained lp.WarmSolver repairs in a few dual-simplex pivots;
-//  3. feasibility verdicts are memoized by exact demand signature, so
-//     the repeated "is the current background still deliverable?"
-//     check before each admission step costs a map lookup. Each
-//     schedulable verdict keeps its LP's optimal basis in link terms,
-//     and the first solve of a new (universe, path) state starts from
-//     the basis memoized for its background, phase 2 only, as a cold
-//     Background does; without a memoized verdict it runs two-phase.
+//     retained lp.WarmSolver repairs in a few dual-simplex pivots. The
+//     first solve of a new pair starts from the background's basis,
+//     phase 2 only, as a cold Background does.
+//
+// Without a cache Background is SolveBackgroundContext and the session
+// keeps no background: each one holds its set family, which Eq. 6 grows
+// by a delta walk, for as long as its caller does.
 //
 // Answers are exact: the warm-started or basis-started optimum matches
 // a cold AvailableBandwidthContext solve within pivot-tolerance
 // arithmetic noise (the session property tests pin this), and set
-// families and feasibility schedules are byte-identical to the cold
-// path's.
+// families, feasibility schedules and idle ratios are bit-identical to
+// the cold path's.
 //
-// A Session is safe for concurrent use. Enumeration runs outside the
-// session lock (so concurrent queries and the cache's singleflight keep
-// their concurrency); only LP state and the memo maps are guarded.
+// A Session is safe for concurrent use. Enumeration and background
+// solves run outside the session lock (so concurrent queries and the
+// cache's singleflight keep their concurrency); only LP state and the
+// memo maps are guarded.
 type Session struct {
 	m    conflict.Model
 	opts Options
 
 	mu    sync.Mutex
 	avail map[string]*availState //guards: mu
-	feas  map[string]feasResult  //guards: mu
-	idle  map[string][]float64   //guards: mu
+	bgs   map[string]*Background //guards: mu — memoized by feasKey; cache-backed sessions only
 }
 
 // NewSession wraps the model and options. The options' Cache (which
@@ -66,16 +72,47 @@ func NewSession(m conflict.Model, opts Options) *Session {
 		m:     m,
 		opts:  opts,
 		avail: make(map[string]*availState),
-		feas:  make(map[string]feasResult),
-		idle:  make(map[string][]float64),
+		bgs:   make(map[string]*Background),
 	}
 }
 
-// Options returns the options the session was built with.
-func (s *Session) Options() Options { return s.opts }
-
-// Model returns the conflict model the session answers for.
-func (s *Session) Model() conflict.Model { return s.m }
+// Background solves the flows' background (SolveBackgroundContext).
+// With Options.Cache it is memoized by exact demand signature, recorded
+// as the session stage's hit or miss, and its AvailableBandwidthContext
+// re-solves the session's retained Eq. 6 LPs. The returned value is
+// shared: callers must not modify it. A cancelled solve memoizes
+// nothing, so a later uncancelled repeat answers from scratch.
+func (s *Session) Background(ctx context.Context, flows []Flow) (*Background, error) {
+	universe, err := flowUniverse(nil, flows)
+	if err != nil {
+		return nil, err
+	}
+	if s.opts.Cache == nil {
+		return solveBackground(ctx, s, flows, universe)
+	}
+	key := feasKey(universe, flows)
+	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)
+	defer tm.End()
+	s.mu.Lock()
+	b := s.bgs[key]
+	s.mu.Unlock()
+	if b != nil {
+		tm.SetOutcome("hit")
+		return b, nil
+	}
+	tm.SetOutcome("miss")
+	if b, err = solveBackground(ctx, s, flows, universe); err != nil {
+		return nil, err
+	}
+	b.memoized = true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev := s.bgs[key]; prev != nil {
+		return prev, nil // a concurrent miss got there first
+	}
+	s.bgs[key] = b
+	return b, nil
+}
 
 // availState is the retained LP for one (universe, path) pair: the
 // sparse Eq. 6 problem, whose set columns come from the family, and
@@ -91,26 +128,39 @@ type availState struct {
 	coldPivots int
 }
 
-// feasResult memoizes one FeasibleDemandsContext verdict, with the
-// feasibility LP's optimal basis when the flows are schedulable.
-type feasResult struct {
-	ok    bool
-	sched schedule.Schedule
-	start *bgStart
-}
-
 // AvailableBandwidthContext is the session-accelerated equivalent of
 // the package-level AvailableBandwidthContext: same inputs, same
 // answer, but repeated queries for the same universe and candidate path
-// re-solve warm instead of from scratch. Enumeration and the (warm or
-// cold) simplex poll ctx. A cancelled resolve discards the retained
-// simplex state, so the next query for the same pair simply re-solves
-// cold — cancellation never corrupts the session's memoized state.
+// re-solve warm instead of from scratch. The first solve of a pair
+// starts from the basis of the background memoized for the same
+// demands, when Background has memoized one, and runs two-phase
+// otherwise.
 func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Flow, newPath topology.Path) (*Result, error) {
-	universe, err := flowUniverse([]topology.Path{newPath}, background)
+	universe, err := flowUniverse(nil, background)
 	if err != nil {
 		return nil, err
 	}
+	var start *bgStart
+	s.mu.Lock()
+	if b := s.bgs[feasKey(universe, background)]; b != nil {
+		start = b.start
+	}
+	s.mu.Unlock()
+	return s.availableBandwidth(ctx, universe, linkLoad(newLinkPos(universe), background), newPath, start)
+}
+
+// availableBandwidth answers Eq. 6 for newPath against a background
+// of the given demand over U_bg through the retained LP of the
+// (U_bg ∪ P, path) pair, building it, started from start, on first
+// use. Enumeration and the (warm or cold) simplex poll ctx. A cancelled
+// resolve discards the retained simplex state, so the next query for
+// the same pair simply re-solves cold — cancellation never corrupts
+// the session's memoized state.
+func (s *Session) availableBandwidth(ctx context.Context, bgUniverse []topology.LinkID, bgDemand []float64, newPath topology.Path, start *bgStart) (*Result, error) {
+	if len(newPath) == 0 {
+		return nil, fmt.Errorf("core: empty new path")
+	}
+	universe := topology.LinkUnion(bgUniverse, newPath)
 
 	// Enumeration (and its cache) run unlocked; the family is
 	// deterministic, so a race between two builders of the same state
@@ -120,17 +170,13 @@ func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Fl
 		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
 	pos := newLinkPos(universe)
-	demand := linkLoad(pos, background)
+	demand := widen(bgDemand, bgUniverse, universe)
 	key := availKey(universe, newPath)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.avail[key]
 	if st == nil {
-		var start *bgStart
-		if len(background) > 0 {
-			start = s.feas[feasKey(universe, background)].start
-		}
 		st, err = newAvailState(pos, newPath, sets, demand, start)
 		if err != nil {
 			return nil, err
@@ -191,90 +237,30 @@ func (st *availState) solve(ctx context.Context, cache *memo.Cache, demand []flo
 }
 
 // FeasibleDemandsContext is the session-memoized equivalent of the
-// package-level FeasibleDemandsContext: identical demand signatures
-// over the same universe return the recorded verdict and schedule. A
-// cancelled check memoizes nothing: ErrCanceled is never recorded as a
-// verdict, so a later uncancelled repeat re-answers from scratch.
+// package-level FeasibleDemandsContext: the verdict and schedule of
+// Background, with a schedule the caller owns.
 func (s *Session) FeasibleDemandsContext(ctx context.Context, flows []Flow) (bool, schedule.Schedule, error) {
-	if len(flows) == 0 {
-		return true, schedule.Schedule{}, nil
-	}
-	universe, err := flowUniverse(nil, flows)
+	b, err := s.Background(ctx, flows)
 	if err != nil {
 		return false, schedule.Schedule{}, err
 	}
-	key := feasKey(universe, flows)
-
-	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)
-	defer tm.End()
-	s.mu.Lock()
-	if r, ok := s.feas[key]; ok {
-		s.mu.Unlock()
-		tm.SetOutcome("hit")
-		return r.ok, copySchedule(r.sched), nil
-	}
-	s.mu.Unlock()
-	tm.SetOutcome("miss")
-
-	b, err := SolveBackgroundContext(ctx, s.m, flows, s.opts)
-	if err != nil {
-		return false, schedule.Schedule{}, err
-	}
-	s.mu.Lock()
-	s.feas[key] = feasResult{ok: b.Feasible, sched: b.Schedule, start: b.start}
-	s.mu.Unlock()
 	return b.Feasible, copySchedule(b.Schedule), nil
 }
 
 // IdleRatiosContext returns the per-node carrier-sensed idle ratios
-// induced by the flows' minimal-airtime schedule
-// (estimate.NodeIdleRatios over the FeasibleDemandsContext schedule),
-// memoized by the same demand signature as the feasibility verdict. The
-// routing layer asks this before every admission step with an unchanged
-// background, so the repeat costs a map lookup. net must be the network
-// the session's model was built on. Cancelled computations memoize
-// nothing.
+// induced by the flows' minimal-airtime schedule: Background's
+// IdleRatios, as a slice the caller owns. An unschedulable background
+// is an error. net must be the network the session's model was built
+// on.
 func (s *Session) IdleRatiosContext(ctx context.Context, net *topology.Network, flows []Flow) ([]float64, error) {
-	if len(flows) == 0 {
-		idle := make([]float64, net.NumNodes())
-		for i := range idle {
-			idle[i] = 1
-		}
-		return idle, nil
-	}
-	universe, err := flowUniverse(nil, flows)
+	b, err := s.Background(ctx, flows)
 	if err != nil {
 		return nil, err
 	}
-	key := feasKey(universe, flows)
-
-	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)
-	defer tm.End()
-	s.mu.Lock()
-	if idle, ok := s.idle[key]; ok {
-		s.mu.Unlock()
-		tm.SetOutcome("hit")
-		out := make([]float64, len(idle))
-		copy(out, idle)
-		return out, nil
-	}
-	s.mu.Unlock()
-	tm.SetOutcome("miss")
-
-	ok, sched, err := s.FeasibleDemandsContext(ctx, flows)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
+	if !b.Feasible {
 		return nil, fmt.Errorf("core: background flows are not jointly schedulable")
 	}
-	idle := estimate.NodeIdleRatios(net, sched)
-	s.mu.Lock()
-	s.idle[key] = idle
-	s.mu.Unlock()
-	out := make([]float64, len(idle))
-	copy(out, idle)
-	return out, nil
+	return slices.Clone(b.IdleRatios(net)), nil
 }
 
 // copySchedule hands callers their own slot slice so a memoized

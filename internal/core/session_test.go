@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -219,7 +220,9 @@ func TestSessionFeasibilityMemo(t *testing.T) {
 }
 
 // TestSessionConcurrentQueries drives one session from many goroutines
-// mixing availability and feasibility queries; run under -race in CI.
+// mixing availability, feasibility and idle-ratio reads; every
+// goroutine must read the idle ratios of the cold background solve,
+// bit for bit. Run under -race in CI.
 func TestSessionConcurrentQueries(t *testing.T) {
 	net := sessionNetwork(t, 10, 33)
 	m := conflict.NewPhysical(net)
@@ -234,13 +237,22 @@ func TestSessionConcurrentQueries(t *testing.T) {
 	if len(paths) == 0 {
 		t.Skip("no paths in topology")
 	}
+	background := func(g int) []Flow { return []Flow{{Path: paths[(g+1)%len(paths)], Demand: 0.5}} }
+	wantIdle := make([][]float64, len(paths))
+	for g := range paths {
+		cold, err := SolveBackgroundContext(context.Background(), m, background(g), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIdle[g] = cold.IdleRatios(net)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			p := paths[g%len(paths)]
-			bg := []Flow{{Path: paths[(g+1)%len(paths)], Demand: 0.5}}
+			bg := background(g)
 			for i := 0; i < 5; i++ {
 				if _, err := sess.AvailableBandwidthContext(context.Background(), bg, p); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
@@ -250,10 +262,47 @@ func TestSessionConcurrentQueries(t *testing.T) {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
+				b, err := sess.Background(context.Background(), bg)
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				idle := b.IdleRatios(net)
+				if !slices.EqualFunc(idle, wantIdle[g%len(paths)], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+					t.Errorf("goroutine %d: idle ratios %v, cold %v", g, idle, wantIdle[g%len(paths)])
+					return
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSessionWithoutCacheRetainsNothing: without Options.Cache,
+// Session.Background is SolveBackgroundContext: each call solves anew,
+// keeps its set family for the delta walk, and the session memoizes
+// no background.
+func TestSessionWithoutCacheRetainsNothing(t *testing.T) {
+	net := sessionNetwork(t, 9, 21)
+	m := conflict.NewPhysical(net)
+	path := randomPath(rand.New(rand.NewSource(5)), net)
+	flows := []Flow{{Path: path, Demand: 0.5}}
+	sess := NewSession(m, Options{})
+	a, err := sess.Background(context.Background(), flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sess.Background(context.Background(), flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.mu.Lock()
+	kept := len(sess.bgs)
+	sess.mu.Unlock()
+	if a == b || a.base == nil || a.memoized || kept != 0 {
+		t.Fatalf("an uncached session kept its background (same value %v, family kept %v, memo size %d)",
+			a == b, a.base != nil, kept)
+	}
 }
 
 // TestSessionStartsFromFeasibilityBasis: once the session holds a

@@ -30,8 +30,8 @@ const (
 	// the requested one instead of re-enumerating from scratch. Nested
 	// inside the memo stage's lookup (whose outcome is then "delta").
 	StageDelta Stage = "delta"
-	// StageSession is a session-level availability/feasibility/idle
-	// memo consultation in internal/core.
+	// StageSession is a core.Session background memo lookup (its
+	// outcome is "hit" or "miss"), the solve on a miss included.
 	StageSession Stage = "session"
 	// StageLPSolve is a cold simplex solve in internal/lp: two-phase,
 	// or phase 2 only from a given start basis (counted as Started, or

@@ -66,21 +66,18 @@ func SequentialAdmissionContext(
 	requests []Request,
 	opts AdmissionOptions,
 ) ([]Decision, error) {
-	// A configured cache opts the run into session acceleration: set
-	// families, warm-started availability LPs and memoized feasibility
-	// verdicts persist across the admission steps. Answers are the same
-	// either way (core's session property tests pin warm == cold).
-	var sess *core.Session
-	if opts.Core.Cache != nil {
-		sess = core.NewSession(m, opts.Core)
-	}
+	// A configured cache makes the session keep set families,
+	// warm-started availability LPs and solved backgrounds across the
+	// admission steps. Answers are the same either way (core's session
+	// property tests pin warm == cold).
+	sess := core.NewSession(m, opts.Core)
 	var admitted []core.Flow
 	decisions := make([]Decision, 0, len(requests))
 	for _, req := range requests {
 		if ctx.Err() != nil {
 			return decisions, cancel.Cause(ctx)
 		}
-		dec, err := admitOne(ctx, net, m, metric, req, admitted, opts.Core, sess)
+		dec, err := admitOne(ctx, net, m, metric, req, admitted, sess)
 		if err != nil {
 			return decisions, err
 		}
@@ -101,7 +98,6 @@ func admitOne(
 	metric Metric,
 	req Request,
 	admitted []core.Flow,
-	coreOpts core.Options,
 	sess *core.Session,
 ) (Decision, error) {
 	dec := Decision{Request: req}
@@ -110,22 +106,14 @@ func admitOne(
 	}
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageAdmit)
 	defer tm.End()
-	// Without a session the background is solved once: its schedule
-	// gives routing's idle ratios, and its set family grows into the
-	// chosen path's Eq. 6 family.
-	var bg *core.Background
-	var idle []float64
-	var err error
-	if sess != nil {
-		idle, err = sess.IdleRatiosContext(ctx, net, admitted)
-	} else if bg, err = SolveBackgroundContext(ctx, m, admitted, coreOpts); err == nil {
-		idle = estimate.NodeIdleRatios(net, bg.Schedule)
-	}
+	// The background is solved once: its schedule gives routing's idle
+	// ratios, and Eq. 6 for the chosen path is solved over it.
+	bg, err := schedulable(sess.Background(ctx, admitted))
 	if err != nil {
 		return dec, err
 	}
 	rt := obs.SpanFrom(ctx).StartStage(obs.StageRoute)
-	path, err := FindPath(net, m, metric, idle, req.Src, req.Dst)
+	path, err := FindPath(net, m, metric, bg.IdleRatios(net), req.Src, req.Dst)
 	rt.End()
 	if errors.Is(err, graph.ErrNoPath) {
 		dec.Reason = "no route"
@@ -136,12 +124,7 @@ func admitOne(
 	}
 	dec.Path = path
 
-	var res *core.Result
-	if sess != nil {
-		res, err = sess.AvailableBandwidthContext(ctx, admitted, path)
-	} else {
-		res, err = bg.AvailableBandwidthContext(ctx, path)
-	}
+	res, err := bg.AvailableBandwidthContext(ctx, path)
 	if err != nil {
 		return dec, fmt.Errorf("routing: availability of %v: %w", path, err)
 	}
@@ -191,7 +174,12 @@ func BackgroundScheduleContext(ctx context.Context, m conflict.Model, admitted [
 // schedule and Eq. 6 over it. An unschedulable background is an error
 // here, as it is for BackgroundScheduleContext.
 func SolveBackgroundContext(ctx context.Context, m conflict.Model, admitted []core.Flow, coreOpts core.Options) (*core.Background, error) {
-	bg, err := core.SolveBackgroundContext(ctx, m, admitted, coreOpts)
+	return schedulable(core.SolveBackgroundContext(ctx, m, admitted, coreOpts))
+}
+
+// schedulable passes a solved background through, making an
+// unschedulable one an error.
+func schedulable(bg *core.Background, err error) (*core.Background, error) {
 	if err != nil {
 		return nil, fmt.Errorf("routing: background schedule: %w", err)
 	}

@@ -193,3 +193,20 @@ func TestColdAndCachedQueryBodiesAgree(t *testing.T) {
 		t.Fatalf("cached server never hit its cache: %+v", st)
 	}
 }
+
+// TestBadPathSolvesNothing: a query whose explicit path does not parse
+// answers 400 before the background is solved.
+func TestBadPathSolvesNothing(t *testing.T) {
+	_, ts, _ := newObsServer(t)
+	install(t, ts)
+	admitFlow(t, ts.URL, `{"src":0,"dst":2,"demandMbps":1.0}`)
+	before, _ := metricValue(t, scrape(t, ts.URL), `abw_stage_seconds_count{stage="schedule"}`)
+	for _, q := range []string{`{"path":[0,4]}`, `{"path":[3]}`, `{"src":0,"dst":4,"metric":"bogus"}`} {
+		if code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", q); code != http.StatusBadRequest {
+			t.Fatalf("query %s: %d %v, want 400", q, code, body)
+		}
+	}
+	if after, _ := metricValue(t, scrape(t, ts.URL), `abw_stage_seconds_count{stage="schedule"}`); after != before {
+		t.Fatalf("bad paths ran the schedule stage: %v calls before, %v after", before, after)
+	}
+}

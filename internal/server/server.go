@@ -61,7 +61,7 @@ type Server struct {
 	gen     int                //guards: mu — bumped on every network install; guards admissions
 	maxBody int64
 	cache   *memo.Cache
-	sess    *core.Session
+	sess    *core.Session //guards: mu — over model and cache; nil until a network is installed
 
 	// queryTimeout bounds each request's computation (0 = unbounded).
 	// Handlers derive their context from the request's, so a client
@@ -91,6 +91,17 @@ func (s *Server) coreOptions() core.Options {
 	return core.Options{Cache: s.cache}
 }
 
+// resetSessionLocked starts a fresh session over the installed model:
+// the old one's warm LPs and memoized backgrounds answer for another
+// network or cache, and the old network's set families age out of the
+// (shared) cache by LRU.
+func (s *Server) resetSessionLocked() {
+	s.sess = nil
+	if s.model != nil {
+		s.sess = core.NewSession(s.model, s.coreOptions())
+	}
+}
+
 // snapshot is an immutable view of the server state: the network and
 // model are immutable by construction, the background slice is a copy,
 // and the session is internally synchronized — everything a
@@ -101,7 +112,6 @@ type snapshot struct {
 	sess       *core.Session
 	background []core.Flow
 	gen        int
-	opts       core.Options
 }
 
 // snapshot captures the state under the mutex; ok is false when no
@@ -118,7 +128,6 @@ func (s *Server) snapshot() (*snapshot, bool) {
 		sess:       s.sess,
 		background: s.backgroundLocked(),
 		gen:        s.gen,
-		opts:       s.coreOptions(),
 	}, true
 }
 
@@ -192,14 +201,11 @@ func (s *Server) SetCacheBytes(n int64) {
 	if n < 0 {
 		_ = store.Close()
 		s.cache = nil
-		s.sess = nil
-		return
+	} else {
+		s.cache = memo.New(n)
+		s.cache.SetStore(store)
 	}
-	s.cache = memo.New(n)
-	s.cache.SetStore(store)
-	if s.model != nil {
-		s.sess = core.NewSession(s.model, s.coreOptions())
-	}
+	s.resetSessionLocked()
 }
 
 // SetCacheDir attaches a crash-safe on-disk spill of the set-family
@@ -216,9 +222,7 @@ func (s *Server) SetCacheDir(dir string) error {
 	defer s.mu.Unlock()
 	if s.cache == nil {
 		s.cache = memo.New(0)
-		if s.model != nil {
-			s.sess = core.NewSession(s.model, s.coreOptions())
-		}
+		s.resetSessionLocked()
 	}
 	s.cache.SetStore(store)
 	return nil
@@ -315,11 +319,7 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 		s.model = conflict.NewPhysical(net)
 		s.flows = nil
 		s.gen++
-		if s.cache != nil {
-			// Fresh session: the old network's warm LPs are useless and
-			// its set families age out of the (shared) cache by LRU.
-			s.sess = core.NewSession(s.model, s.coreOptions())
-		}
+		s.resetSessionLocked()
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, networkSummary{
 			Nodes: net.NumNodes(), Links: net.NumLinks(), Installed: true,
@@ -380,20 +380,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	span := s.querySpan(obs.RequestIDFrom(r.Context()), req.Trace)
 	ctx = obs.WithSpan(ctx, span)
 	// Everything below runs unlocked: queries never block state access.
-	bg := &background{snap: snap}
-	path, err := resolvePath(ctx, bg, req.Path, req.Src, req.Dst, req.Metric)
+	bg, path, err := resolvePath(ctx, snap, req.Path, req.Src, req.Dst, req.Metric)
 	if err != nil {
 		s.finishQuerySpan(span, false)
-		if errors.Is(err, cancel.ErrCanceled) {
-			writeComputeError(w, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writePathError(w, err)
 		return
 	}
-	resp, err := s.availability(ctx, bg, path)
+	resp, err := s.availability(ctx, snap, bg, path)
 	if err == nil {
-		resp.Estimates, err = bg.estimates(ctx, path)
+		resp.Estimates, err = estimates(ctx, snap, bg, path)
 	}
 	if err != nil {
 		s.finishQuerySpan(span, false)
@@ -456,20 +451,13 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		span := s.querySpan(obs.RequestIDFrom(r.Context()), false)
 		ctx = obs.WithSpan(ctx, span)
 		defer func() { s.finishQuerySpan(span, false) }()
-		// Admission reads only the Eq. 6 verdict, so the background is
-		// solved for routing's idle ratios and, without a session, as
-		// the family Eq. 6 grows; no estimate runs.
-		bg := &background{snap: snap}
-		path, err := resolvePath(ctx, bg, nil, &req.Src, &req.Dst, req.Metric)
+		// Admission reads only the Eq. 6 verdict: no estimate runs.
+		bg, path, err := resolvePath(ctx, snap, nil, &req.Src, &req.Dst, req.Metric)
 		if err != nil {
-			if errors.Is(err, cancel.ErrCanceled) {
-				writeComputeError(w, err)
-				return
-			}
-			writeError(w, http.StatusBadRequest, "%v", err)
+			writePathError(w, err)
 			return
 		}
-		avail, err := s.availability(ctx, bg, path)
+		avail, err := s.availability(ctx, snap, bg, path)
 		if err != nil {
 			writeComputeError(w, err)
 			return
@@ -546,7 +534,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancelCtx := s.queryContext(r)
 	defer cancelCtx()
-	sched, err := (&background{snap: snap}).schedule(ctx)
+	bg, err := solveBackground(ctx, snap)
 	if err != nil {
 		writeComputeError(w, err)
 		return
@@ -554,7 +542,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		TotalShare float64           `json:"totalShare"`
 		Schedule   schedule.Schedule `json:"schedule"`
-	}{TotalShare: sched.TotalShare(), Schedule: sched})
+	}{TotalShare: bg.Schedule.TotalShare(), Schedule: bg.Schedule})
 }
 
 type fairShareEntry struct {
@@ -607,142 +595,84 @@ func (s *Server) handleFairshare(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// resolvePath turns a query into a concrete path: either explicit node
-// IDs or a routed src/dst pair under the request's background. Runs
-// without the state mutex.
-func resolvePath(ctx context.Context, bg *background, nodeIDs []int, src, dst *int, metricName string) (topology.Path, error) {
-	snap := bg.snap
-	if len(nodeIDs) > 0 {
+// badPath marks a resolvePath error that is the request's fault.
+type badPath struct{ error }
+
+// writePathError answers a resolvePath error: 400 for the request's
+// fault, the computation's status otherwise.
+func writePathError(w http.ResponseWriter, err error) {
+	if errors.As(err, new(badPath)) {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeComputeError(w, err)
+}
+
+// resolvePath solves the request's background and turns the request
+// into a concrete path: explicit node IDs, or a src/dst pair routed by
+// the node idle ratios the background induces (Eq. 14). The path
+// fields are checked first, so a bad path answers 400 before any
+// solve. Runs without the state mutex.
+func resolvePath(ctx context.Context, snap *snapshot, nodeIDs []int, src, dst *int, metricName string) (*core.Background, topology.Path, error) {
+	var path topology.Path
+	metric := routing.MetricAvgE2ED
+	switch {
+	case len(nodeIDs) > 0:
 		nodes := make([]topology.NodeID, 0, len(nodeIDs))
 		for _, id := range nodeIDs {
 			nodes = append(nodes, topology.NodeID(id))
 		}
-		return snap.net.PathFromNodes(nodes)
-	}
-	if src == nil || dst == nil {
-		return nil, fmt.Errorf("need either path or src+dst")
-	}
-	metric := routing.MetricAvgE2ED
-	if metricName != "" {
-		found := false
-		for _, m := range routing.AllMetrics() {
-			if m.String() == metricName {
-				metric = m
-				found = true
-				break
-			}
+		var err error
+		if path, err = snap.net.PathFromNodes(nodes); err != nil {
+			return nil, nil, badPath{err}
 		}
-		if !found {
-			return nil, fmt.Errorf("unknown metric %q", metricName)
+	case src == nil || dst == nil:
+		return nil, nil, badPath{errors.New("need either path or src+dst")}
+	case metricName != "":
+		metrics := routing.AllMetrics()
+		i := slices.IndexFunc(metrics, func(m routing.Metric) bool { return m.String() == metricName })
+		if i < 0 {
+			return nil, nil, badPath{fmt.Errorf("unknown metric %q", metricName)}
 		}
+		metric = metrics[i]
 	}
-	idle, err := bg.idle(ctx)
-	if err != nil {
-		return nil, err
+	bg, err := solveBackground(ctx, snap)
+	if err != nil || path != nil {
+		return bg, path, err
 	}
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageRoute)
 	defer tm.End()
-	return routing.FindPath(snap.net, snap.model, metric, idle, topology.NodeID(*src), topology.NodeID(*dst))
+	if path, err = routing.FindPath(snap.net, snap.model, metric, bg.IdleRatios(snap.net), topology.NodeID(*src), topology.NodeID(*dst)); err != nil {
+		return nil, nil, badPath{err}
+	}
+	return bg, path, nil
 }
 
-// background is one request's view of the snapshot's admitted flows.
-// Their minimal-airtime schedule induces the node idle ratios that
-// both routing (Eq. 14) and the Fig. 4 estimators' path state read, so
-// a request solves it and derives the ratios at most once each, on
-// first use, and every later reader shares them.
-// Without a session that solve also keeps the background's set family,
-// which the request's Eq. 6 grows by its path's new links instead of
-// walking the whole universe again. With a session every answer comes
-// from its memo instead. A background lives for one request: nothing
-// carries over to the next.
-type background struct {
-	snap     *snapshot
-	cold     *core.Background // the cold solve, once made
-	sched    schedule.Schedule
-	solved   bool
-	nodeIdle []float64 // the node idle ratios, once derived
-}
-
-// idle returns the per-node idle ratios the background induces, through
-// the session's memo when one is active, deriving them on the first
-// call and returning them on every later one.
-func (b *background) idle(ctx context.Context) ([]float64, error) {
-	if b.nodeIdle != nil {
-		return b.nodeIdle, nil
-	}
-	var err error
-	if b.snap.sess != nil {
-		b.nodeIdle, err = b.snap.sess.IdleRatiosContext(ctx, b.snap.net, b.snap.background)
-		return b.nodeIdle, err
-	}
-	sched, err := b.schedule(ctx)
-	if err != nil {
-		return nil, err
-	}
-	b.nodeIdle = estimate.NodeIdleRatios(b.snap.net, sched)
-	return b.nodeIdle, nil
-}
-
-// solveCold returns the cold background solve, making it on the first
-// call and returning that solve on every later one.
-func (b *background) solveCold(ctx context.Context) (*core.Background, error) {
-	if b.cold != nil {
-		return b.cold, nil
-	}
+// solveBackground solves the snapshot's admitted flows once for the
+// request, through its session, as the schedule stage: routing, Eq. 6,
+// the estimates and /v1/schedule all read the one value. An
+// unschedulable background is an error.
+func solveBackground(ctx context.Context, snap *snapshot) (*core.Background, error) {
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSchedule)
 	defer tm.End()
-	cold, err := routing.SolveBackgroundContext(ctx, b.snap.model, b.snap.background, b.snap.opts)
+	bg, err := snap.sess.Background(ctx, snap.background)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("background schedule: %w", err)
 	}
-	b.cold = cold
-	return cold, nil
-}
-
-// schedule returns the background's minimal-airtime schedule, solving
-// it on the first call (memoized through the session when one is
-// active) and returning that solve on every later one.
-func (b *background) schedule(ctx context.Context) (schedule.Schedule, error) {
-	if b.snap.sess == nil {
-		cold, err := b.solveCold(ctx)
-		if err != nil {
-			return schedule.Schedule{}, err
-		}
-		return cold.Schedule, nil
+	if !bg.Feasible {
+		return nil, errors.New("background not schedulable")
 	}
-	if b.solved {
-		return b.sched, nil
-	}
-	tm := obs.SpanFrom(ctx).StartStage(obs.StageSchedule)
-	defer tm.End()
-	snap := b.snap
-	var sched schedule.Schedule
-	var err error
-	if len(snap.background) > 0 {
-		var ok bool
-		ok, sched, err = snap.sess.FeasibleDemandsContext(ctx, snap.background)
-		if err != nil {
-			err = fmt.Errorf("background schedule: %w", err)
-		} else if !ok {
-			err = fmt.Errorf("background not schedulable")
-		}
-	}
-	if err != nil {
-		return schedule.Schedule{}, err
-	}
-	b.sched, b.solved = sched, true
-	return sched, nil
+	return bg, nil
 }
 
 // availability computes the path's exact available bandwidth (Eq. 6)
 // against the request's background — all an admission decision reads.
 // Runs without the state mutex, so slow solves never block other
 // requests.
-func (s *Server) availability(ctx context.Context, bg *background, path topology.Path) (*queryResponse, error) {
+func (s *Server) availability(ctx context.Context, snap *snapshot, bg *core.Background, path topology.Path) (*queryResponse, error) {
 	if s.computeHook != nil {
 		s.computeHook(ctx)
 	}
-	snap := bg.snap
 	nodes, err := snap.net.PathNodes(path)
 	if err != nil {
 		return nil, err
@@ -751,15 +681,7 @@ func (s *Server) availability(ctx context.Context, bg *background, path topology
 	for _, n := range nodes {
 		resp.PathNodes = append(resp.PathNodes, int(n))
 	}
-	var res *core.Result
-	if snap.sess != nil {
-		res, err = snap.sess.AvailableBandwidthContext(ctx, snap.background, path)
-	} else {
-		var cold *core.Background
-		if cold, err = bg.solveCold(ctx); err == nil {
-			res, err = cold.AvailableBandwidthContext(ctx, path)
-		}
-	}
+	res, err := bg.AvailableBandwidthContext(ctx, path)
 	if err != nil {
 		return nil, err
 	}
@@ -771,25 +693,15 @@ func (s *Server) availability(ctx context.Context, bg *background, path topology
 }
 
 // estimates returns the five Fig. 4 estimates of path, read off the
-// background schedule through the node idle ratios routing derived
-// (derived here when the request named its path).
-func (b *background) estimates(ctx context.Context, path topology.Path) (map[string]float64, error) {
-	// The schedule read also fails an unschedulable background on the
-	// session path, and records its stage there.
-	if _, err := b.schedule(ctx); err != nil {
-		return nil, err
-	}
-	idle, err := b.idle(ctx)
-	if err != nil {
-		return nil, err
-	}
+// background's node idle ratios.
+func estimates(ctx context.Context, snap *snapshot, bg *core.Background, path topology.Path) (map[string]float64, error) {
 	et := obs.SpanFrom(ctx).StartStage(obs.StageEstimate)
 	defer et.End()
-	ps, err := estimate.PathStateFromIdle(b.snap.net, b.snap.model, idle, path)
+	ps, err := estimate.PathStateFromIdle(snap.net, snap.model, bg.IdleRatios(snap.net), path)
 	if err != nil {
 		return nil, err
 	}
-	ests, err := estimate.EstimateAll(b.snap.model, ps)
+	ests, err := estimate.EstimateAll(snap.model, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -830,7 +742,11 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) e
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "decoding request: %v", err)
 		return err
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -197,6 +198,22 @@ func TestBadRequests(t *testing.T) {
 		if code != tc.want {
 			t.Errorf("%s %s: %d, want %d", tc.method, tc.path, code, tc.want)
 		}
+	}
+}
+
+// TestOversizedBodyIs413: a body over the 1 MiB limit answers 413, not
+// 400, and installs nothing.
+func TestOversizedBodyIs413(t *testing.T) {
+	ts := newTestServer(t)
+	body := `{"nodes":[` + strings.Repeat(`{"x":1,"y":2},`, 90000) + `{"x":0,"y":0}]}`
+	if len(body) < 1200000 {
+		t.Fatalf("body is %d bytes, want about 1.2 MB", len(body))
+	}
+	if code, resp := doJSON(t, http.MethodPut, ts.URL+"/v1/network", body); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized network: %d %v, want 413", code, resp)
+	}
+	if _, summary := doJSON(t, http.MethodGet, ts.URL+"/v1/network", ""); summary["installed"] != false {
+		t.Fatalf("an oversized body installed a network: %v", summary)
 	}
 }
 

@@ -36,13 +36,14 @@ lint-fix:
 # brute-force reference), delta enumeration (grown families against
 # full walks), the set order (conflict.CompareCouples is a total order),
 # the netjson codec, the memo cache (key
-# fingerprint, on-disk family format, and the delta-base index against
-# a linear scan), and the admission session (a cache-backed
+# fingerprint, on-disk family format, and grows through the cache
+# against full walks), and the admission session (a cache-backed
 # Session.Background against a cold background solve over admit,
-# delete and query steps); CI runs the same targets for 30s each.
-# FuzzDeltaBaseIndex caps minimizing at 2s per input: its decoder reads
-# many inputs as new coverage, and minimizing each of them for the
-# default minute left little of the budget for new sequences.
+# delete and query steps, under physical, table and fixed-rate
+# models); CI runs the same targets for 30s each.
+# FuzzGrowMatchesEnumerate caps minimizing at 2s per input: its decoder
+# reads many inputs as new coverage, and minimizing each of them for
+# the default minute leaves little of the budget for new sequences.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSimplex -fuzztime=$(FUZZTIME) ./internal/lp/
@@ -54,7 +55,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzNetjson -fuzztime=$(FUZZTIME) ./internal/netjson/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/memo/
-	$(GO) test -run='^$$' -fuzz=FuzzDeltaBaseIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/memo/
+	$(GO) test -run='^$$' -fuzz=FuzzGrowMatchesEnumerate -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzSessionMatchesCold -fuzztime=$(FUZZTIME) ./internal/core/
 
 test:

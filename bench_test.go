@@ -160,7 +160,7 @@ func BenchmarkAdmitSequenceCold(b *testing.B) { benchAdmitSequence(b, nil) }
 // LP warm-starting enabled — the long-lived controller workload.
 func BenchmarkAdmitSequenceWarm(b *testing.B) { benchAdmitSequence(b, memo.New(0)) }
 
-// benchAdmitGrowth is the Sec. 5.2 install workload the delta path
+// benchAdmitGrowth is the Sec. 5.2 install workload delta growth
 // exists for: flows whose paths extend hop by hop down a chain, so each
 // admission step grows the enumeration universe by one link and misses
 // the exact-key cache. The setup runs the real admission once to
@@ -169,13 +169,13 @@ func BenchmarkAdmitSequenceWarm(b *testing.B) { benchAdmitSequence(b, memo.New(0
 // the availability query); the timed loop then replays the per-step
 // family derivation through the memo cache. A fresh cache per iteration
 // keeps every step on the growth path (a shared cache would degenerate
-// to pure hits after the first iteration). With delta on, each step
-// warm-starts from the previous step's family via the survivor strip +
-// new-link walk; with delta off, it re-enumerates the grown universe
-// from scratch — the cost gap is the tentpole's per-install speedup.
-// The LP and routing stages are identical either way (pinned by the
-// routing property tests), so they stay out of the timed loop.
-func benchAdmitGrowth(b *testing.B, delta bool) {
+// to pure hits after the first iteration). Grown, each step's family
+// is memo.Cache.GrowContext from the previous step's (the survivor
+// strip + new-link walk); full, each step enumerates the grown universe
+// from scratch — the cost gap is the per-install speedup. The LP and
+// routing stages are identical either way (pinned by the routing
+// property tests), so they stay out of the timed loop.
+func benchAdmitGrowth(b *testing.B, grow bool) {
 	b.Helper()
 	sys, err := NewSystem(Line(27, 100))
 	if err != nil {
@@ -197,7 +197,11 @@ func benchAdmitGrowth(b *testing.B, delta bool) {
 	universes := make([][]topology.LinkID, 0, len(decs))
 	var admitted []topology.Path
 	for _, dec := range decs {
-		universes = append(universes, topology.LinkUnion(append(admitted[:len(admitted):len(admitted)], dec.Path)...))
+		u := topology.LinkUnion(append(admitted[:len(admitted):len(admitted)], dec.Path)...)
+		if n := len(universes); n > 0 && len(topology.LinkUnion(universes[n-1], u)) != len(u) {
+			b.Fatalf("step %d's universe does not contain step %d's", n, n-1)
+		}
+		universes = append(universes, u)
 		if dec.Admitted {
 			admitted = append(admitted, dec.Path)
 		}
@@ -207,27 +211,35 @@ func benchAdmitGrowth(b *testing.B, delta bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cache := memo.New(0)
-		cache.SetDeltaEnabled(delta)
+		var base indepset.DeltaBase
 		for _, u := range universes {
-			if _, err := cache.EnumerateContext(ctx, m, u, indepset.Options{}); err != nil {
+			if !grow {
+				if _, err := cache.EnumerateContext(ctx, m, u, indepset.Options{}); err != nil {
+					b.Fatal(err)
+				}
+				continue
+			}
+			sets, explored, err := cache.GrowContext(ctx, m, base, u, indepset.Options{})
+			if err != nil {
 				b.Fatal(err)
 			}
+			base = indepset.DeltaBase{Universe: u, Sets: sets, Explored: explored}
 		}
-		if st := cache.Stats(); delta && st.DeltaHits == 0 {
+		if st := cache.Stats(); grow && st.DeltaHits == 0 {
 			b.Fatalf("growth workload never took the delta path: %+v", st)
 		}
 	}
 }
 
 // BenchmarkAdmitSequenceDelta runs the growing-universe install
-// sequence with delta enumeration on: each step's set family is grown
-// from the previous step's by per-link warm-start walks.
+// sequence with delta growth: each step's set family is grown from the
+// previous step's through memo.Cache.GrowContext.
 func BenchmarkAdmitSequenceDelta(b *testing.B) { benchAdmitGrowth(b, true) }
 
 // BenchmarkAdmitSequenceGrowthFull is the same install sequence with
-// the delta path off — every step pays a full enumeration of the grown
-// universe. The ratio to BenchmarkAdmitSequenceDelta is the per-install
-// speedup the tier-1 gate protects.
+// every step enumerated through memo.Cache.EnumerateContext — a full
+// walk of the grown universe. The ratio to BenchmarkAdmitSequenceDelta
+// is the per-install speedup the tier-1 gate protects.
 func BenchmarkAdmitSequenceGrowthFull(b *testing.B) { benchAdmitGrowth(b, false) }
 
 // BenchmarkDemandSweep regenerates E11 (the Fig. 4 estimator-error

@@ -10,7 +10,6 @@ import (
 	"abw/internal/indepset"
 	"abw/internal/lp"
 	"abw/internal/memo"
-	"abw/internal/obs"
 	"abw/internal/schedule"
 	"abw/internal/topology"
 )
@@ -20,14 +19,17 @@ import (
 // schedule), the feasibility LP's optimal basis in link terms when they
 // are schedulable, and the node idle ratios the schedule induces, the
 // one value routing (Eq. 14), the Fig. 4 estimators and Eq. 6 read.
-// Solved without a cache it also holds the complete maximal-set family
-// of the flows' universe U_bg with the walk's exact exploration count:
-// Eq. 6 for a path then grows that family by the path's new links in
-// one delta walk (indepset.EnumerateDelta) instead of walking U_bg ∪ P
-// again, and runs phase 2 only, from the background's basis (see
-// AvailableBandwidthContext). That family lives exactly as long as the
-// caller holds the value. A Session's memoized Background holds no
-// family; its Eq. 6 goes through the session's retained LPs.
+// It also names the delta base of the flows' universe U_bg: Eq. 6 for
+// a path grows U_bg's maximal-set family by the path's new links
+// through the cache (memo.Cache.GrowContext) instead of walking
+// U_bg ∪ P again, and runs phase 2 only, from the background's basis
+// (see AvailableBandwidthContext). A cold Background holds the family
+// with its exact exploration count, as the cache returned it (shared
+// with the cache's entry, not copied), for as long as the value lives.
+// A Session's memoized Background names U_bg alone, so the family
+// stays under the cache's byte budget: the grow takes it from the
+// cache's memory, and walks U_bg ∪ P whole once it is evicted. Its
+// Eq. 6 goes through the session's retained LPs.
 type Background struct {
 	// Feasible reports whether the flows can all be delivered at once;
 	// Schedule delivers them when they can.
@@ -44,9 +46,9 @@ type Background struct {
 	// on each of its links, as linkLoad sums it.
 	universe []topology.LinkID
 	demand   []float64
-	// base is the background's complete family, set only without
-	// Options.Cache over a non-empty background.
-	base *indepset.DeltaBase
+	// base is the complete family of U_bg, or U_bg alone when
+	// memoized; empty for an empty background.
+	base indepset.DeltaBase
 	// start is the feasibility LP's optimal basis, set when the
 	// background is non-empty and schedulable.
 	start *bgStart
@@ -78,24 +80,11 @@ func solveBackground(ctx context.Context, s *Session, flows []Flow, universe []t
 		b.Feasible = true
 		return b, nil
 	}
-	var sets []indepset.Set
-	var err error
-	if opts.Cache == nil {
-		var truncated bool
-		var explored int64
-		sets, truncated, explored, err = indepset.EnumeratePartialCountedContext(ctx, m, universe, opts.indepOptions())
-		if err == nil && truncated {
-			err = indepset.ErrLimit
-		}
-		if err == nil {
-			b.base = &indepset.DeltaBase{Universe: universe, Sets: sets, Explored: explored}
-		}
-	} else {
-		sets, err = opts.enumerate(ctx, m, universe)
-	}
+	sets, explored, err := opts.Cache.GrowContext(ctx, m, indepset.DeltaBase{}, universe, opts.indepOptions())
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
+	b.base = indepset.DeltaBase{Universe: universe, Sets: sets, Explored: explored}
 	b.Feasible, b.Schedule, b.start, err = feasibleOver(ctx, pos, b.demand, sets, opts.Cache)
 	if err != nil {
 		return nil, err
@@ -252,42 +241,35 @@ func (st *bgStart) basis(sets []indepset.Set, set setLP, demand []float64) *lp.B
 // returns when started from the same basis (as
 // AvailableBandwidthWithSetsContext over that walk does), and the
 // package-level AvailableBandwidthContext's answer within
-// pivot-tolerance arithmetic noise. Without a cache the family of
-// U_bg ∪ P is the background's family grown by the path's new links in
-// one delta walk, recorded as the delta stage (nothing to walk when
-// the path lies inside U_bg); with Options.Cache it comes from the
-// cache, and a session's memoized background re-solves the session's
-// retained LP for the pair. A schedulable background starts the LP
-// from the feasibility LP's optimal basis (bgStart.basis), so only
-// phase 2 runs; an unschedulable one solves two-phase, and an empty
-// one is the package-level call.
+// pivot-tolerance arithmetic noise. The family of U_bg ∪ P is the
+// background's family grown by the path's new links (grow); a
+// session's memoized background then re-solves the session's retained
+// LP for the pair. A schedulable background starts the LP from the
+// feasibility LP's optimal basis (bgStart.basis), so only phase 2
+// runs; an unschedulable or empty one solves two-phase.
 func (b *Background) AvailableBandwidthContext(ctx context.Context, newPath topology.Path) (*Result, error) {
-	s := b.sess
 	if b.memoized {
-		return s.availableBandwidth(ctx, b.universe, b.demand, newPath, b.start)
+		return b.sess.availableBandwidth(ctx, b, newPath)
 	}
-	if len(b.universe) == 0 {
-		return AvailableBandwidthContext(ctx, s.m, nil, newPath, s.opts)
-	}
-	if len(newPath) == 0 {
-		return nil, fmt.Errorf("core: empty new path")
-	}
-	universe := topology.LinkUnion(b.universe, newPath)
-	var sets []indepset.Set
-	var err error
-	if b.base != nil {
-		var tm *obs.StageTimer
-		if len(universe) > len(b.universe) {
-			tm = obs.SpanFrom(ctx).StartStage(obs.StageDelta)
-		}
-		sets, _, err = indepset.EnumerateDelta(ctx, s.m, *b.base, newPath, s.opts.indepOptions())
-		tm.AddSets(int64(len(sets)))
-		tm.End()
-	} else {
-		sets, err = s.opts.enumerate(ctx, s.m, universe)
-	}
+	universe, sets, err := b.grow(ctx, newPath)
 	if err != nil {
-		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
+		return nil, err
 	}
-	return solveEq6(ctx, newLinkPos(universe), widen(b.demand, b.universe, universe), newPath, sets, s.opts.Cache, b.start)
+	return solveEq6(ctx, newLinkPos(universe), widen(b.demand, b.universe, universe), newPath, sets, b.sess.opts.Cache, b.start)
+}
+
+// grow returns U_bg ∪ P and its complete family: the background's
+// family grown by the path's new links through the cache (one delta
+// walk on a miss, a full walk of P from an empty background or of
+// U_bg ∪ P once a memoized background's family is evicted).
+func (b *Background) grow(ctx context.Context, newPath topology.Path) ([]topology.LinkID, []indepset.Set, error) {
+	if len(newPath) == 0 {
+		return nil, nil, fmt.Errorf("core: empty new path")
+	}
+	s := b.sess
+	sets, _, err := s.opts.Cache.GrowContext(ctx, s.m, b.base, newPath, s.opts.indepOptions())
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: enumerating independent sets: %w", err)
+	}
+	return topology.LinkUnion(b.universe, newPath), sets, nil
 }

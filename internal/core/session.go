@@ -28,12 +28,14 @@ import (
 // which routing's idle ratios, the Fig. 4 estimates and Eq. 6 all read.
 // With Options.Cache three layers stack:
 //
-//  1. set families come from the cache;
+//  1. set families come from the cache: each background's family of
+//     U_bg, and Eq. 6's family of U_bg ∪ P grown from it;
 //  2. solved backgrounds are memoized by exact demand signature, so the
 //     repeated "is the current background still deliverable, and which
 //     nodes does it keep busy?" before each admission step costs a map
 //     lookup. Each schedulable one keeps its feasibility LP's optimal
-//     basis in link terms;
+//     basis in link terms, and no set family: Eq. 6 grows U_bg's from
+//     the cache's memory;
 //  3. the Eq. 6 LP for each (universe, path) pair is built once with a
 //     row for EVERY universe link (vacuous 0 >= 0 rows are harmless,
 //     and make the structure independent of which links carry demand),
@@ -43,8 +45,9 @@ import (
 //     phase 2 only, as a cold Background does.
 //
 // Without a cache Background is SolveBackgroundContext and the session
-// keeps no background: each one holds its set family, which Eq. 6 grows
-// by a delta walk, for as long as its caller does.
+// keeps nothing: no background and no LP. Each background holds its set
+// family, which Eq. 6 grows by a delta walk, for as long as its caller
+// does.
 //
 // Answers are exact: the warm-started or basis-started optimum matches
 // a cold AvailableBandwidthContext solve within pivot-tolerance
@@ -61,7 +64,7 @@ type Session struct {
 	opts Options
 
 	mu    sync.Mutex
-	avail map[string]*availState //guards: mu
+	avail map[string]*availState //guards: mu — Eq. 6 over memoized backgrounds only
 	bgs   map[string]*Background //guards: mu — memoized by feasKey; cache-backed sessions only
 }
 
@@ -105,6 +108,7 @@ func (s *Session) Background(ctx context.Context, flows []Flow) (*Background, er
 		return nil, err
 	}
 	b.memoized = true
+	b.base = indepset.DeltaBase{Universe: universe} // the cache holds the family, under its budget
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev := s.bgs[key]; prev != nil {
@@ -128,56 +132,43 @@ type availState struct {
 	coldPivots int
 }
 
-// AvailableBandwidthContext is the session-accelerated equivalent of
-// the package-level AvailableBandwidthContext: same inputs, same
-// answer, but repeated queries for the same universe and candidate path
-// re-solve warm instead of from scratch. The first solve of a pair
-// starts from the basis of the background memoized for the same
-// demands, when Background has memoized one, and runs two-phase
-// otherwise.
+// AvailableBandwidthContext is Background's AvailableBandwidthContext
+// for the flows' background: the package-level AvailableBandwidthContext's
+// answer, but with Options.Cache the background is memoized and
+// repeated queries for the same universe and candidate path re-solve
+// warm instead of from scratch.
 func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Flow, newPath topology.Path) (*Result, error) {
-	universe, err := flowUniverse(nil, background)
+	b, err := s.Background(ctx, background)
 	if err != nil {
 		return nil, err
 	}
-	var start *bgStart
-	s.mu.Lock()
-	if b := s.bgs[feasKey(universe, background)]; b != nil {
-		start = b.start
-	}
-	s.mu.Unlock()
-	return s.availableBandwidth(ctx, universe, linkLoad(newLinkPos(universe), background), newPath, start)
+	return b.AvailableBandwidthContext(ctx, newPath)
 }
 
-// availableBandwidth answers Eq. 6 for newPath against a background
-// of the given demand over U_bg through the retained LP of the
-// (U_bg ∪ P, path) pair, building it, started from start, on first
-// use. Enumeration and the (warm or cold) simplex poll ctx. A cancelled
-// resolve discards the retained simplex state, so the next query for
-// the same pair simply re-solves cold — cancellation never corrupts
-// the session's memoized state.
-func (s *Session) availableBandwidth(ctx context.Context, bgUniverse []topology.LinkID, bgDemand []float64, newPath topology.Path, start *bgStart) (*Result, error) {
-	if len(newPath) == 0 {
-		return nil, fmt.Errorf("core: empty new path")
-	}
-	universe := topology.LinkUnion(bgUniverse, newPath)
-
+// availableBandwidth answers Eq. 6 for newPath against b, a memoized
+// background, through the retained LP of the (U_bg ∪ P, path) pair,
+// building it, started from b's basis, on first use. Enumeration and
+// the (warm or cold) simplex poll ctx. A cancelled resolve discards the
+// retained simplex state, so the next query for the same pair simply
+// re-solves cold — cancellation never corrupts the session's memoized
+// state.
+func (s *Session) availableBandwidth(ctx context.Context, b *Background, newPath topology.Path) (*Result, error) {
 	// Enumeration (and its cache) run unlocked; the family is
 	// deterministic, so a race between two builders of the same state
 	// is settled by whoever inserts first.
-	sets, err := s.opts.enumerate(ctx, s.m, universe)
+	universe, sets, err := b.grow(ctx, newPath)
 	if err != nil {
-		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
+		return nil, err
 	}
 	pos := newLinkPos(universe)
-	demand := widen(bgDemand, bgUniverse, universe)
+	demand := widen(b.demand, b.universe, universe)
 	key := availKey(universe, newPath)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.avail[key]
 	if st == nil {
-		st, err = newAvailState(pos, newPath, sets, demand, start)
+		st, err = newAvailState(pos, newPath, sets, demand, b.start)
 		if err != nil {
 			return nil, err
 		}

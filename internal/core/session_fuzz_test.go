@@ -58,13 +58,18 @@ func decodePath(in *fuzzInput, net *topology.Network) topology.Path {
 }
 
 // FuzzSessionMatchesCold decodes a small random topology and a
-// sequence of admit, delete and query steps. After every step the
-// cache-backed Session.Background of the active flows must be the cold
-// SolveBackgroundContext's: the same verdict, the same schedule (slot
-// set keys and bit-identical shares) and bit-identical idle ratios,
-// with no set family retained; Eq. 6 for the step's query path must
-// agree within sessionTol; and a flow list seen before must be a memo
-// hit returning the same Background.
+// sequence of admit, delete and query steps, and replays it under three
+// models of the topology: the physical model, a rate table holding the
+// protocol model's pairwise verdicts, and the protocol model with every
+// link fixed at one rate, which has no fingerprint, so all its cache
+// lookups bypass. After every step the cache-backed Session.Background
+// of the active flows must be the cold SolveBackgroundContext's: the
+// same verdict, the same schedule (slot set keys and bit-identical
+// shares) and bit-identical idle ratios, naming U_bg but retaining no
+// set family; Eq. 6 for the step's query path must agree within
+// sessionTol;
+// and a flow list seen before must be a memo hit returning the same
+// Background.
 func FuzzSessionMatchesCold(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 7, 0, 3, 1, 2, 9, 0, 5, 2, 1, 4, 1, 0, 7, 0, 2, 2, 8})
@@ -79,23 +84,63 @@ func FuzzSessionMatchesCold(f *testing.F) {
 		if err != nil || net.NumLinks() == 0 {
 			return
 		}
-		m := conflict.NewPhysical(net)
-		sess := NewSession(m, Options{Cache: memo.New(0)})
-		seen := map[string]*Background{}
-		var flows []Flow
-		for step := 0; step < 6; step++ {
-			switch op := in.next() % 3; {
-			case op == 0 && len(flows) < 4:
-				path := decodePath(&in, net)
-				flows = append(slices.Clip(flows), Flow{Path: path, Demand: float64(1+in.next()%16) / 8})
-			case op == 1 && len(flows) > 0:
-				i := int(in.next()) % len(flows)
-				flows = slices.Delete(slices.Clone(flows), i, i+1)
+		steps := []byte(in)
+		prot := conflict.NewProtocol(net)
+		for _, m := range []conflict.Model{conflict.NewPhysical(net), protocolTable(net, prot), fixedAtTopRate(net, prot)} {
+			in := fuzzInput(steps)
+			sess := NewSession(m, Options{Cache: memo.New(0)})
+			seen := map[string]*Background{}
+			var flows []Flow
+			for step := 0; step < 6; step++ {
+				switch op := in.next() % 3; {
+				case op == 0 && len(flows) < 4:
+					path := decodePath(&in, net)
+					flows = append(slices.Clip(flows), Flow{Path: path, Demand: float64(1+in.next()%16) / 8})
+				case op == 1 && len(flows) > 0:
+					i := int(in.next()) % len(flows)
+					flows = slices.Delete(slices.Clone(flows), i, i+1)
+				}
+				label := fmt.Sprintf("%T step %d, flows %v", m, step, flows)
+				assertSessionMatchesCold(t, net, m, sess, flows, decodePath(&in, net), seen, label)
 			}
-			label := fmt.Sprintf("step %d, flows %v", step, flows)
-			assertSessionMatchesCold(t, net, m, sess, flows, decodePath(&in, net), seen, label)
 		}
 	})
+}
+
+// protocolTable returns a rate table over the network's links holding
+// the protocol model's verdict on every pair of couples.
+func protocolTable(net *topology.Network, prot *conflict.Protocol) *conflict.Table {
+	tb := conflict.NewTable()
+	links := net.Links()
+	for _, l := range links {
+		tb.SetRates(l.ID, prot.Rates(l.ID)...)
+	}
+	for i, a := range links {
+		for _, b := range links[i+1:] {
+			for _, ra := range prot.Rates(a.ID) {
+				for _, rb := range prot.Rates(b.ID) {
+					if !prot.RateClears(a.ID, ra, conflict.Couple{Link: b.ID, Rate: rb}) || !prot.RateClears(b.ID, rb, conflict.Couple{Link: a.ID, Rate: ra}) {
+						if err := tb.AddConflict(a.ID, ra, b.ID, rb); err != nil {
+							panic(err) // both links are declared above
+						}
+					}
+				}
+			}
+		}
+	}
+	return tb
+}
+
+// fixedAtTopRate pins every link of the network to its highest
+// protocol-model rate.
+func fixedAtTopRate(net *topology.Network, prot *conflict.Protocol) *conflict.FixedRates {
+	var pins []conflict.Couple
+	for _, l := range net.Links() {
+		if rs := prot.Rates(l.ID); len(rs) > 0 {
+			pins = append(pins, conflict.Couple{Link: l.ID, Rate: slices.Max(rs)})
+		}
+	}
+	return conflict.FixRates(prot, pins)
 }
 
 // assertSessionMatchesCold checks one step of FuzzSessionMatchesCold.
@@ -118,9 +163,7 @@ func assertSessionMatchesCold(t *testing.T, net *topology.Network, m conflict.Mo
 		}
 	}
 	seen[key] = got
-	if got.base != nil {
-		t.Fatalf("%s: the memoized background retains a set family", label)
-	}
+	assertNamesBaseOnly(t, got, want, label)
 	if got.Feasible != want.Feasible {
 		t.Fatalf("%s: feasible %v, cold %v", label, got.Feasible, want.Feasible)
 	}
@@ -151,6 +194,19 @@ func assertSessionMatchesCold(t *testing.T, net *topology.Network, m conflict.Mo
 	}
 	if gr.Status == lp.Optimal && math.Abs(gr.Bandwidth-wr.Bandwidth) > sessionTol {
 		t.Fatalf("%s: Eq. 6 over %v: %.12g, cold %.12g", label, path, gr.Bandwidth, wr.Bandwidth)
+	}
+}
+
+// assertNamesBaseOnly checks that a memoized background names U_bg,
+// as the cold background does, but retains no set family: Eq. 6 takes
+// the family from the cache.
+func assertNamesBaseOnly(t *testing.T, got, want *Background, label string) {
+	t.Helper()
+	if !slices.Equal(got.base.Universe, want.base.Universe) {
+		t.Fatalf("%s: background base over %v, cold over %v", label, got.base.Universe, want.base.Universe)
+	}
+	if got.base.Sets != nil {
+		t.Fatalf("%s: the memoized background retains a set family", label)
 	}
 }
 

@@ -281,11 +281,13 @@ func TestSessionConcurrentQueries(t *testing.T) {
 // TestSessionWithoutCacheRetainsNothing: without Options.Cache,
 // Session.Background is SolveBackgroundContext: each call solves anew,
 // keeps its set family for the delta walk, and the session memoizes
-// no background.
+// no background; and Eq. 6 through the session's
+// AvailableBandwidthContext retains no LP.
 func TestSessionWithoutCacheRetainsNothing(t *testing.T) {
 	net := sessionNetwork(t, 9, 21)
 	m := conflict.NewPhysical(net)
-	path := randomPath(rand.New(rand.NewSource(5)), net)
+	rng := rand.New(rand.NewSource(5))
+	path := randomPath(rng, net)
 	flows := []Flow{{Path: path, Demand: 0.5}}
 	sess := NewSession(m, Options{})
 	a, err := sess.Background(context.Background(), flows)
@@ -296,12 +298,17 @@ func TestSessionWithoutCacheRetainsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := 0; i < 5; i++ {
+		if _, err := sess.AvailableBandwidthContext(context.Background(), flows, randomPath(rng, net)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sess.mu.Lock()
-	kept := len(sess.bgs)
+	kept, states := len(sess.bgs), len(sess.avail)
 	sess.mu.Unlock()
-	if a == b || a.base == nil || a.memoized || kept != 0 {
-		t.Fatalf("an uncached session kept its background (same value %v, family kept %v, memo size %d)",
-			a == b, a.base != nil, kept)
+	if a == b || a.base.Sets == nil || a.memoized || kept != 0 || states != 0 {
+		t.Fatalf("an uncached session kept state (same value %v, family kept %v, memo size %d, LP states %d)",
+			a == b, a.base.Sets != nil, kept, states)
 	}
 }
 
@@ -310,7 +317,9 @@ func TestSessionWithoutCacheRetainsNothing(t *testing.T) {
 // (universe, path) state starts from that verdict's basis, and answers
 // bit for bit what the cold Background does from the same basis (the
 // session's extra demand-free rows are inert). Without a memoized
-// verdict the first solve runs two-phase, with no start to refuse.
+// verdict AvailableBandwidthContext memoizes one first, as
+// Session.Background does: the feasibility LP, then Eq. 6 from its
+// basis.
 func TestSessionStartsFromFeasibilityBasis(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	checked := 0
@@ -350,8 +359,12 @@ func TestSessionStartsFromFeasibilityBasis(t *testing.T) {
 		if _, err := fresh.AvailableBandwidthContext(obs.WithSpan(context.Background(), span), background, path); err != nil {
 			t.Fatal(err)
 		}
-		if rec := lpSolveRecord(span); rec.Calls != 1 || rec.Started != 0 || len(rec.StartFallbacks) != 0 {
-			t.Fatalf("trial %d: lp_solve record %+v without a memoized verdict, want one two-phase solve", trial, rec)
+		fresh.mu.Lock()
+		memoized := len(fresh.bgs)
+		fresh.mu.Unlock()
+		if rec := lpSolveRecord(span); rec.Calls != 2 || rec.Started != 1 || len(rec.StartFallbacks) != 0 || memoized != 1 {
+			t.Fatalf("trial %d: lp_solve record %+v and %d memoized backgrounds without a memoized verdict, want the feasibility solve, then a started one",
+				trial, rec, memoized)
 		}
 		checked++
 	}

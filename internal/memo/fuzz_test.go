@@ -1,9 +1,11 @@
 package memo
 
 import (
+	"context"
 	"testing"
 
 	"abw/internal/conflict"
+	"abw/internal/geom"
 	"abw/internal/indepset"
 	"abw/internal/radio"
 	"abw/internal/topology"
@@ -75,6 +77,102 @@ func FuzzCacheKey(f *testing.F) {
 		// 2d. A different enumeration limit must change the key.
 		if k, _ := Key(base, uni, indepset.Options{Limit: 3}); k == keyBase {
 			t.Fatal("enumeration limit not part of the key")
+		}
+	})
+}
+
+// FuzzGrowMatchesEnumerate decodes a small model, a byte budget small
+// enough to evict, and a sequence of grows. The header is three bytes:
+// model kind (even: a physical network of 4 to 6 nodes; odd: a rate
+// table decoded from the next 13 bytes), network seed, and budget.
+// Each grow is two bytes: a target universe (a bit per link of the
+// model's first eight) and a base universe inside it. The base family
+// comes through the cache too (a grow from the empty base); the grows
+// take turns holding that family, naming the base by its universe
+// alone, and naming no base. Every grow's family and count must equal
+// a full walk's over the target; a
+// grow the cache retained must hit on repeat; and the counter identity
+// must hold after every lookup.
+func FuzzGrowMatchesEnumerate(f *testing.F) {
+	f.Add([]byte{0, 3, 20, 0xff, 0x0f, 0x3f, 0x07, 0x1f, 0x1e, 0xff, 0x00})
+	f.Add([]byte{2, 9, 2, 0x0f, 0x01, 0xff, 0xfe, 0x0f, 0x01})
+	f.Add([]byte{1, 0, 10, 5, 0x0f, 0x03, 0x05, 0x0c, 0x09, 0x0a, 0x12, 0x23, 0x34, 0x45, 0x15, 0, 0, 0x3f, 0x0f, 0x3f, 0x30, 0x07, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		kind, seed, budget, ops := data[0], data[1], data[2], data[3:]
+		var m conflict.Model
+		var pool []topology.LinkID
+		if kind%2 == 0 {
+			net, err := topology.Random(radio.NewProfile80211a(), geom.Rect{W: 350, H: 350}, 4+int(seed%3), int64(seed)+1)
+			if err != nil {
+				return
+			}
+			m, pool = conflict.NewPhysical(net), allLinks(net)
+		} else {
+			if len(ops) < 13 {
+				return
+			}
+			spec, ok := decodeTableSpec(ops[:13])
+			if !ok {
+				return
+			}
+			m, pool, ops = spec.build(false), spec.universe(), ops[13:]
+		}
+		universe := func(bits byte) []topology.LinkID {
+			var out []topology.LinkID
+			for i, l := range pool {
+				if i < 8 && bits&(1<<i) != 0 {
+					out = append(out, l)
+				}
+			}
+			return out
+		}
+
+		ctx := context.Background()
+		c := New(200 + 64*int64(budget))
+		check := func(label string, sets []indepset.Set, explored int64, err error, links []topology.LinkID) {
+			t.Helper()
+			assertIdentity(t, c.Stats(), label)
+			want, truncated, wantExplored, werr := indepset.EnumeratePartialCountedContext(ctx, m, links, indepset.Options{})
+			if werr != nil || truncated {
+				t.Fatalf("%s: reference walk of %v: truncated %v, err %v", label, links, truncated, werr)
+			}
+			if err != nil {
+				t.Fatalf("%s over %v: %v", label, links, err)
+			}
+			assertFamiliesEqual(t, want, sets, label)
+			if explored != wantExplored {
+				t.Fatalf("%s over %v: count %d, full walk %d", label, links, explored, wantExplored)
+			}
+		}
+		for i := 0; len(ops) >= 2; i, ops = i+1, ops[2:] {
+			target, baseLinks := universe(ops[0]), universe(ops[0]&ops[1])
+			bs, bx, err := c.GrowContext(ctx, m, indepset.DeltaBase{}, baseLinks, indepset.Options{})
+			check("base", bs, bx, err, baseLinks)
+			base := indepset.DeltaBase{Universe: canonicalUniverse(baseLinks), Sets: bs, Explored: bx}
+			var sets []indepset.Set
+			var explored int64
+			switch i % 3 {
+			case 0: // the caller holds the base's family
+				sets, explored, err = c.GrowContext(ctx, m, base, target, indepset.Options{})
+			case 1: // named by universe: the cache's family, if retained
+				sets, explored, err = c.GrowContext(ctx, m, indepset.DeltaBase{Universe: base.Universe}, target, indepset.Options{})
+			default: // no base: the base lookup just before, if retained
+				sets, explored, err = c.GrowContext(ctx, m, indepset.DeltaBase{}, target, indepset.Options{})
+			}
+			check("grow", sets, explored, err, target)
+
+			// The grown family is the most recent insert: retained
+			// exactly when anything is (an entry over the whole budget
+			// evicts everything, itself included).
+			before := c.Stats()
+			sets, explored, err = c.GrowContext(ctx, m, base, target, indepset.Options{})
+			check("repeat", sets, explored, err, target)
+			if after := c.Stats(); before.Entries > 0 && after.Hits != before.Hits+1 {
+				t.Fatalf("repeat of a retained grow over %v was not a hit: %+v", target, after)
+			}
 		}
 	})
 }

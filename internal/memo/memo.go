@@ -20,6 +20,16 @@
 //     pivots saved by LP warm-starting, cached bytes) exposed through
 //     Stats for the abwd GET /stats surface and the -cachestats flags.
 //
+// Lookups come in two forms over one path. GrowContext looks up a
+// named base's universe grown by some links, and on a miss grows the
+// base's family by one delta walk (indepset.EnumerateDelta) instead of
+// walking the grown universe: Eq. 6 over U_bg ∪ P grows the
+// background's family of U_bg. The caller names the base, holding its
+// family or leaving it to the cache's memory. EnumerateContext names
+// none; its miss grows from the universe the previous lookup grew from
+// or looked up, when that is a retained proper subset, and walks from
+// scratch otherwise. The cache never searches its entries for a base.
+//
 // The cache also carries the warm-start counters of the sequential
 // admission session (internal/core.Session): the session reports cold
 // and warm simplex pivot counts here so one stats surface covers the
@@ -32,6 +42,7 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,10 +77,10 @@ type Cache struct {
 	ll       *list.List               //guards: mu — front = most recently used
 	bytes    int64                    //guards: mu — retained bytes
 	inflight map[string]*flight       //guards: mu
-	// groups is findDeltaBase's index over the entries of ll: one group
-	// per key prefix (model fingerprint and limit), kept by insertLocked
-	// and eviction, so a group holds exactly its prefix's live entries.
-	groups map[string]*deltaGroup //guards: mu
+	// recent is the universe the latest keyed lookup grew from, or
+	// looked up when it grew from none: the base a lookup that names
+	// none grows from (baseLocked).
+	recent recentLookup //guards: mu
 
 	// Counters. Every access goes through sync/atomic (the
 	// abw/atomicfield lint rule enforces it): Stats() must be callable
@@ -77,24 +88,22 @@ type Cache struct {
 	// evictions only changes under mu (insertLocked), so Stats loads it
 	// inside the same critical section as entries/bytes — the three
 	// describe one shape and must tear together or not at all.
-	lookups        int64
-	hits           int64
-	misses         int64
-	deltaHits      int64
-	deltaFallbacks int64
-	bypasses       int64
-	evictions      int64
-	merges         int64
-	cancellations  int64
-	deltaOff       int32
-	coldPivots     int64
-	warmPivots     int64
-	warmResolves   int64
-	pivotsSaved    int64
+	lookups       int64
+	hits          int64
+	misses        int64
+	deltaHits     int64
+	bypasses      int64
+	evictions     int64
+	merges        int64
+	cancellations int64
+	coldPivots    int64
+	warmPivots    int64
+	warmResolves  int64
+	pivotsSaved   int64
 }
 
-// enumerateFn is the enumeration the cache falls back to on a miss, and
-// deltaFn the warm-start walk the delta path tries first. Tests swap
+// enumerateFn is the full walk a lookup's leader runs on a miss, and
+// deltaFn the walk that grows a named base (GrowContext). Tests swap
 // them to inject errors and to hold flights open deterministically;
 // production always points at the real walks.
 var (
@@ -102,34 +111,18 @@ var (
 	deltaFn     = indepset.EnumerateDelta
 )
 
-// maxDeltaLinks bounds how many links a delta chain may add to a cached
-// base family: each added link is one warm-start walk, and past a
-// handful of links a fresh enumeration is usually no slower than the
-// chain (the l-containing slice of the lattice stops being small).
-const maxDeltaLinks = 8
-
 type entry struct {
 	key      string
-	universe []topology.LinkID // canonical universe the family was enumerated over
 	sets     []indepset.Set
 	explored int64 // exact exploration count (indepset.DeltaBase.Explored)
 	size     int64
-	// Delta-base index: the entry's prefix group, its universe's link
-	// mask (linkMask) and its slot in the group's bucket for
-	// len(universe).
-	group *deltaGroup
-	mask  uint64
-	slot  int
 }
 
-// deltaGroup indexes one key prefix's entries by universe size:
-// bySize[s] holds, in no particular order, the entries whose universe
-// has s links. A base is a strict subset of its target, so its diff is
-// the size difference and findDeltaBase reads one bucket per diff.
-type deltaGroup struct {
-	prefix  string
-	bySize  [][]*entry
-	entries int
+// recentLookup names a universe's family without holding it: tag is
+// the key's model-and-limit part, the key up to its universe.
+type recentLookup struct {
+	tag      string
+	universe []topology.LinkID
 }
 
 // flight is one in-progress enumeration other goroutines may join.
@@ -137,6 +130,7 @@ type flight struct {
 	done      chan struct{}
 	sets      []indepset.Set
 	truncated bool
+	explored  int64
 	err       error
 }
 
@@ -151,7 +145,6 @@ func New(maxBytes int64) *Cache {
 		entries:  make(map[string]*list.Element),
 		ll:       list.New(),
 		inflight: make(map[string]*flight),
-		groups:   make(map[string]*deltaGroup),
 	}
 }
 
@@ -200,41 +193,35 @@ func (c *Cache) Close() error {
 // return is false when m does not implement
 // conflict.Fingerprinter — such enumerations bypass the cache.
 func Key(m conflict.Model, links []topology.LinkID, opts indepset.Options) (string, bool) {
-	key, _, _, ok := keyParts(m, links, opts)
+	key, _, ok := universeKey(m, links, opts)
 	return key, ok
 }
 
-// keyParts derives the cache key plus the pieces the delta path indexes
-// by: the key's universe-independent prefix (fingerprint and limit — two
-// keys share it exactly when they differ only in universe) and the
-// canonical universe itself. The prefix ends with the "|u" terminator,
-// so a prefix match can never straddle the limit digits.
-func keyParts(m conflict.Model, links []topology.LinkID, opts indepset.Options) (key, prefix string, universe []topology.LinkID, ok bool) {
+// universeKey is Key, also returning the canonical universe it names.
+func universeKey(m conflict.Model, links []topology.LinkID, opts indepset.Options) (string, []topology.LinkID, bool) {
 	fp := conflict.FallbackFingerprint(m)
 	if fp == "" {
-		return "", "", nil, false
+		return "", nil, false
 	}
-	universe = canonicalUniverse(links)
+	universe := canonicalUniverse(links)
 	var b strings.Builder
 	b.Grow(len(fp) + 16 + 8*len(universe))
 	b.WriteString(fp)
 	b.WriteString("|l")
 	b.WriteString(strconv.Itoa(opts.EffectiveLimit()))
-	b.WriteString("|u")
-	prefix = b.String()
-	return prefix + universeSuffix(universe), prefix, universe, true
+	writeUniverse(&b, universe)
+	return b.String(), universe, true
 }
 
-// universeSuffix renders the canonical universe as the key's trailing
-// ":<link>" segments.
-func universeSuffix(universe []topology.LinkID) string {
-	var b strings.Builder
-	b.Grow(8 * len(universe))
+// writeUniverse writes a key's universe part: "|u", then ":id" for
+// each link. The part holds no other "|", so a key's last "|u" ends
+// its tag.
+func writeUniverse(b *strings.Builder, universe []topology.LinkID) {
+	b.WriteString("|u")
 	for _, l := range universe {
 		b.WriteByte(':')
 		b.WriteString(strconv.Itoa(int(l)))
 	}
-	return b.String()
 }
 
 // canonicalUniverse sorts and deduplicates links, matching the
@@ -259,82 +246,114 @@ func canonicalUniverse(links []topology.LinkID) []topology.LinkID {
 
 // EnumerateContext is indepset.EnumerateContext through the cache: a
 // complete family previously enumerated for the same key is returned
-// without walking. The returned slice is a fresh header over shared Set
-// values; callers must treat the sets as read-only (they already must —
-// core hands the same backing to every Result). Cancelled enumerations
-// return an error satisfying errors.Is(err, cancel.ErrCanceled) and are
-// never stored — not in memory, not on disk. A waiter merged into
-// another goroutine's flight honors its own context: its cancellation
-// detaches only that waiter, the leader's walk (and the cached result)
-// is unaffected.
+// without walking, and a miss grows the family of the universe the
+// previous lookup grew from or looked up, when that is a retained
+// proper subset (so a caller looking up U_bg, or growing from it, then
+// U_bg ∪ P by universe alone grows as GrowContext would), and walks
+// from scratch otherwise. The returned slice is a fresh header over
+// shared Set values; callers must treat the sets as read-only (they
+// already must — core hands the same backing to every Result).
+// Cancelled enumerations return an error satisfying
+// errors.Is(err, cancel.ErrCanceled) and are never stored — not in
+// memory, not on disk. A waiter merged into another goroutine's flight
+// honors its own context: its cancellation detaches only that waiter,
+// the leader's walk (and the cached result) is unaffected.
 func (c *Cache) EnumerateContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, error) {
-	sets, truncated, err := c.enumerate(ctx, m, links, opts)
-	if err != nil {
-		return nil, err
-	}
-	if truncated {
-		return nil, indepset.ErrLimit
-	}
-	return sets, nil
+	sets, _, err := c.GrowContext(ctx, m, indepset.DeltaBase{}, links, opts)
+	return sets, err
 }
 
 // EnumeratePartialContext is indepset.EnumeratePartialContext through
-// the cache. Complete cached families satisfy partial lookups too;
-// truncated results are handed back but never stored (their content
-// depends on scheduling). See EnumerateContext for the cancellation
-// contract.
+// the cache. Complete cached families satisfy partial lookups too; a
+// miss walks from scratch; truncated results are handed back but never
+// stored (their content depends on scheduling). See EnumerateContext
+// for the cancellation contract.
 func (c *Cache) EnumeratePartialContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, bool, error) {
-	return c.enumerate(ctx, m, links, opts)
+	sets, truncated, _, err := c.enumerate(ctx, m, indepset.DeltaBase{}, links, opts, true)
+	return sets, truncated, err
 }
 
-// enumerate is the one lookup path. Counter identity, asserted by the
-// tests on every path including errors and truncation:
+// GrowContext returns the complete family over base.Universe ∪ links
+// and its exact exploration count, through the cache: the lookup is
+// EnumerateContext's over the grown universe, and only a miss differs.
+// From a non-empty base the leader grows the base's family by one
+// indepset.EnumerateDelta walk (a delta hit, recorded as the delta
+// stage) instead of walking the grown universe. base.Universe must be
+// canonical, and the cache may keep it, so it must not change. A base
+// that carries its family (Sets non-nil) must be a complete family of
+// the same model and options (one this cache or a full walk returned);
+// a base named by its universe alone takes the family this cache
+// retains in memory, and without one the miss walks the grown universe
+// (a miss). The empty base is EnumerateContext. A grown universe past
+// the enumeration limit is indepset.ErrLimit, the full walk's exact
+// verdict, and is not stored. A nil cache runs the same walk (a base
+// without its family walked whole) and keeps nothing.
+func (c *Cache) GrowContext(ctx context.Context, m conflict.Model, base indepset.DeltaBase, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, int64, error) {
+	sets, truncated, explored, err := c.enumerate(ctx, m, base, links, opts, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	if truncated {
+		return nil, 0, indepset.ErrLimit
+	}
+	return sets, explored, nil
+}
+
+// enumerate is the one lookup path, over base.Universe ∪ links; partial
+// lookups accept a truncated family and never grow from a base they do
+// not name. Counter identity, asserted by the tests on every path
+// including errors and truncation:
 //
 //	Lookups == Hits + DiskHits + DeltaHits + Misses + Bypasses + SingleflightMerges
 //
 // Every lookup on a non-nil cache increments Lookups exactly once and
 // exactly one of the right-hand counters: a memory hit, a disk hit
 // (the leader found the family spilled on disk), a delta hit (the
-// leader grew a smaller cached family by warm-start walks instead of
-// enumerating from scratch), a miss (the leader really walked —
-// successfully or not; this includes delta chains that fell back or
-// were cancelled mid-chain), a bypass (unkeyable model), or a merge
-// (joined another goroutine's flight, whatever its outcome).
-// Cancellations is orthogonal to the identity: it counts every lookup
-// that returned a cancel.ErrCanceled error, whichever path it took.
-// DeltaFallbacks is likewise a sub-count of Misses: lookups that found
-// a delta base but had to fall back to the full walk.
-func (c *Cache) enumerate(ctx context.Context, m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, bool, error) {
+// leader grew a base's family by one delta walk), a miss (the leader
+// walked from scratch, or its delta walk failed: cancelled or past the
+// limit), a bypass (unkeyable model), or a merge (joined another
+// goroutine's flight, whatever its outcome). Cancellations is
+// orthogonal to the identity: it counts every lookup that returned a
+// cancel.ErrCanceled error, whichever path it took.
+func (c *Cache) enumerate(ctx context.Context, m conflict.Model, base indepset.DeltaBase, links []topology.LinkID, opts indepset.Options, partial bool) ([]indepset.Set, bool, int64, error) {
 	if c == nil {
-		sets, truncated, _, err := enumerateFn(ctx, m, links, opts)
-		return sets, truncated, err
+		return walk(ctx, m, base, links, opts)
 	}
 	// The memo timer measures the lookup itself and tags its outcome;
-	// on a miss the leader's walk shows up separately under the
-	// enumerate stage, so trace wall times stay attributable. (A delta
-	// chain stays inside the memo timer, with its walks additionally
-	// recorded under the delta stage.)
+	// on a full-walk miss the leader's walk shows up separately under
+	// the enumerate stage, so trace wall times stay attributable. (A
+	// delta walk stays inside the memo timer, additionally recorded
+	// under the delta stage.)
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageMemo)
 	defer tm.End()
 	atomic.AddInt64(&c.lookups, 1)
-	key, prefix, universe, ok := keyParts(m, links, opts)
+	target := links
+	if len(base.Universe) > 0 {
+		target = append(slices.Clip(base.Universe), links...)
+	}
+	key, universe, ok := universeKey(m, target, opts)
 	if !ok {
 		atomic.AddInt64(&c.bypasses, 1)
 		tm.SetOutcome("bypass")
 		tm.End() // before the walk: bypass time is the keying attempt, not the DFS
-		sets, truncated, _, err := enumerateFn(ctx, m, links, opts)
-		return c.countCanceled(sets, truncated, err)
+		return c.countCanceled(walk(ctx, m, base, links, opts))
 	}
+	tag := key[:strings.LastIndex(key, "|u")]
 
 	c.mu.Lock()
+	prev := c.recent
+	c.recent = recentLookup{tag: tag, universe: universe}
+	if len(base.Universe) > 0 {
+		c.recent.universe = base.Universe
+	}
 	if el, hit := c.entries[key]; hit {
 		c.ll.MoveToFront(el)
-		sets := el.Value.(*entry).sets
+		e := el.Value.(*entry)
 		c.mu.Unlock()
 		atomic.AddInt64(&c.hits, 1)
 		tm.SetOutcome("hit")
-		tm.AddSets(int64(len(sets)))
-		return copyFamily(sets), false, nil
+		tm.AddSets(int64(len(e.sets)))
+		return copyFamily(e.sets), false, e.explored, nil
 	}
 	if fl, joined := c.inflight[key]; joined {
 		c.mu.Unlock()
@@ -348,295 +367,173 @@ func (c *Cache) enumerate(ctx context.Context, m conflict.Model, links []topolog
 		case <-fl.done:
 		case <-ctx.Done():
 			atomic.AddInt64(&c.cancellations, 1)
-			return nil, false, cancel.Cause(ctx)
+			return nil, false, 0, cancel.Cause(ctx)
+		}
+		if partial && errors.Is(fl.err, indepset.ErrLimit) {
+			// A growing leader's verdict carries no truncated family
+			// for a partial lookup to share: walk for it.
+			return c.countCanceled(enumerateFn(ctx, m, links, opts))
 		}
 		return c.countCanceled(copyFlight(fl))
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.inflight[key] = fl
+	add := links
+	if len(base.Universe) == 0 {
+		add = universe
+	}
+	if base = c.baseLocked(base, prev, tag, universe, partial); held(base) {
+		c.recent.universe = base.Universe
+	}
 	c.mu.Unlock()
 
 	// Leader: consult the disk spill before paying for a walk. load is
 	// nil-safe and never errors — a bad file degrades to a fresh
 	// enumeration with DiskErrors counted (store.go).
 	if sets, explored, ok := c.store.load(key); ok {
-		fl.sets = sets
+		fl.sets, fl.explored = sets, explored
 		c.mu.Lock()
 		delete(c.inflight, key)
-		c.insertLocked(key, prefix, universe, sets, explored)
+		c.insertLocked(key, sets, explored)
 		c.mu.Unlock()
 		close(fl.done)
 		tm.SetOutcome("diskHit")
 		tm.AddSets(int64(len(sets)))
-		return copyFamily(sets), false, nil
+		return copyFamily(sets), false, explored, nil
 	}
 
-	// Delta path: grow a smaller cached family of the same model and
-	// limit link by link instead of enumerating from scratch. Every
-	// cached entry is a complete family with an exact exploration count
-	// (truncated and cancelled walks are never stored), so any entry is
-	// a sound base and the result is byte-identical to a full walk.
-	if c.deltaEnabled() {
-		sets, explored, derr := c.tryDelta(ctx, m, prefix, universe, opts)
-		switch {
-		case derr == nil:
-			fl.sets = sets
-			c.mu.Lock()
-			delete(c.inflight, key)
-			c.insertLocked(key, prefix, universe, sets, explored)
-			c.mu.Unlock()
-			close(fl.done)
-			atomic.AddInt64(&c.deltaHits, 1)
-			tm.SetOutcome("delta")
-			tm.AddSets(int64(len(sets)))
-			c.store.enqueue(key, sets, explored)
-			return copyFamily(sets), false, nil
-		case errors.Is(derr, cancel.ErrCanceled):
-			// Cancelled mid-chain: the lookup ends here, as a cancelled
-			// miss — running the full walk against a dead context would
-			// only fail the same way.
-			atomic.AddInt64(&c.misses, 1)
-			tm.SetOutcome("miss")
-			fl.err = derr
-			c.mu.Lock()
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			close(fl.done)
-			return c.countCanceled(nil, false, derr)
-		case errors.Is(derr, errNoDeltaBase):
-			// Nothing to warm-start from: a plain miss, not a fallback.
-		default:
-			// A base existed but the chain could not serve it (the
-			// grown universe trips the limit, where the full walk's
-			// truncated family is the answer): fall back to the full
-			// walk.
-			atomic.AddInt64(&c.deltaFallbacks, 1)
-		}
+	grow := held(base)
+	if !grow {
+		atomic.AddInt64(&c.misses, 1)
+		tm.SetOutcome("miss")
+		tm.End() // before the walk: the DFS accounts under the enumerate stage
 	}
-
-	atomic.AddInt64(&c.misses, 1)
-	tm.SetOutcome("miss")
-	tm.End() // before the walk: the DFS accounts under the enumerate stage
-	var explored int64
-	fl.sets, fl.truncated, explored, fl.err = enumerateFn(ctx, m, links, opts)
+	fl.sets, fl.truncated, fl.explored, fl.err = walk(ctx, m, base, add, opts)
+	complete := fl.err == nil && !fl.truncated
+	if grow && complete {
+		atomic.AddInt64(&c.deltaHits, 1)
+		tm.SetOutcome("delta")
+		tm.AddSets(int64(len(fl.sets)))
+	} else if grow {
+		atomic.AddInt64(&c.misses, 1)
+		tm.SetOutcome("miss")
+	}
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if fl.err == nil && !fl.truncated {
-		c.insertLocked(key, prefix, universe, fl.sets, explored)
+	if complete {
+		c.insertLocked(key, fl.sets, fl.explored)
 	}
 	c.mu.Unlock()
 	close(fl.done)
 
-	if fl.err == nil && !fl.truncated {
+	if complete {
 		// Write-behind: spill the family off the query path. Only
 		// complete families reach disk, mirroring the memory rule —
 		// and in particular a cancelled walk (fl.err != nil) never
 		// reaches memory or disk.
-		c.store.enqueue(key, fl.sets, explored)
+		c.store.enqueue(key, fl.sets, fl.explored)
 	}
 
 	return c.countCanceled(copyFlight(fl))
 }
 
-// errNoDeltaBase reports that the delta path found no cached family to
-// warm-start from; the lookup proceeds as a plain miss.
-var errNoDeltaBase = errors.New("memo: no delta base cached")
-
-// tryDelta builds the requested family by chaining per-link delta
-// enumerations from the closest smaller cached family. nil error means
-// the returned family is complete and byte-identical to a full walk,
-// with its exact exploration count. Intermediate families grown along
-// the chain are inserted memory-only — they are complete families in
-// their own right and make likely future growth steps one-link deltas.
-func (c *Cache) tryDelta(ctx context.Context, m conflict.Model, prefix string, universe []topology.LinkID, opts indepset.Options) ([]indepset.Set, int64, error) {
-	base, found := c.findDeltaBase(prefix, universe)
-	if !found {
-		return nil, 0, errNoDeltaBase
+// baseLocked resolves the base a leader's miss over universe grows
+// from. A base that carries its family is used as given. A base named
+// by its universe alone takes the family retained in memory for it. A
+// complete lookup that names no base takes the family of prev, the
+// universe the previous lookup grew from or looked up, when that is a
+// proper subset of universe under the same tag and is retained. Without
+// a family the miss walks universe whole. Caller holds mu.
+func (c *Cache) baseLocked(base indepset.DeltaBase, prev recentLookup, tag string, universe []topology.LinkID, partial bool) indepset.DeltaBase {
+	if base.Sets != nil {
+		return base
 	}
-	dtm := obs.SpanFrom(ctx).StartStage(obs.StageDelta)
-	defer dtm.End()
-	missing := linksNotIn(universe, base.Universe)
-	for i, l := range missing {
-		sets, explored, err := deltaFn(ctx, m, base, []topology.LinkID{l}, opts)
-		if err != nil {
-			return nil, 0, err
+	u := base.Universe
+	if len(u) == 0 {
+		if partial || prev.tag != tag || len(prev.universe) >= len(universe) || !isSubset(prev.universe, universe) {
+			return base
 		}
-		grown := insertLink(base.Universe, l)
-		base = indepset.DeltaBase{Universe: grown, Sets: sets, Explored: explored}
-		if i < len(missing)-1 {
-			c.mu.Lock()
-			c.insertLocked(prefix+universeSuffix(grown), prefix, grown, sets, explored)
-			c.mu.Unlock()
-		}
+		u = prev.universe
 	}
-	dtm.AddSets(int64(len(base.Sets)))
-	return base.Sets, base.Explored, nil
+	var b strings.Builder
+	b.Grow(len(tag) + 8*len(u) + 2)
+	b.WriteString(tag)
+	writeUniverse(&b, u)
+	if el, ok := c.entries[b.String()]; ok {
+		e := el.Value.(*entry)
+		return indepset.DeltaBase{Universe: u, Sets: e.sets, Explored: e.explored}
+	}
+	return base
 }
 
-// findDeltaBase picks the cached family to warm-start from: same key
-// prefix (model fingerprint and limit), universe a strict subset of the
-// target missing at most maxDeltaLinks links. Among candidates the
-// smallest diff wins (fewest chain steps), ties broken by key so the
-// choice is deterministic whatever the LRU order. A subset's diff is
-// the size difference, so the prefix group's size buckets are visited
-// from len(universe)-1 down, stopping at the first that holds a subset;
-// the link mask rejects most non-subsets with one AND before the exact
-// check. Under mu this costs one bucket, not one pass over the cache,
-// which a long admission stream fills with thousands of families.
-func (c *Cache) findDeltaBase(prefix string, universe []topology.LinkID) (indepset.DeltaBase, bool) {
-	uMask := linkMask(universe)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g := c.groups[prefix]
-	if g == nil {
-		return indepset.DeltaBase{}, false
-	}
-	for diff := 1; diff <= maxDeltaLinks && diff <= len(universe); diff++ {
-		size := len(universe) - diff
-		if size >= len(g.bySize) {
-			continue
+// isSubset reports whether every link of sub is in of; both ascend.
+func isSubset(sub, of []topology.LinkID) bool {
+	j := 0
+	for _, l := range sub {
+		for j < len(of) && of[j] < l {
+			j++
 		}
-		var best *entry
-		for _, e := range g.bySize[size] {
-			if e.mask&^uMask != 0 {
-				continue
-			}
-			if _, sub := universeDiff(e.universe, universe); !sub {
-				continue
-			}
-			if best == nil || e.key < best.key {
-				best = e
-			}
-		}
-		if best != nil {
-			// The entry's universe and sets are immutable once cached,
-			// so they are safe to use after mu is released.
-			return indepset.DeltaBase{Universe: best.universe, Sets: best.sets, Explored: best.explored}, true
+		if j == len(of) || of[j] != l {
+			return false
 		}
 	}
-	return indepset.DeltaBase{}, false
+	return true
 }
 
-// linkMask folds a universe into 64 bits, link l setting bit l mod 64:
-// a subset's mask is a subset of its superset's mask.
-func linkMask(universe []topology.LinkID) uint64 {
-	var m uint64
-	for _, l := range universe {
-		m |= 1 << (uint64(l) & 63)
-	}
-	return m
+// held reports whether base carries a family to grow.
+func held(base indepset.DeltaBase) bool {
+	return len(base.Universe) > 0 && base.Sets != nil
 }
 
-// universeDiff reports how many links of target are missing from base,
-// and whether base is a subset of target. Both must be canonical
-// (sorted, deduplicated).
-func universeDiff(base, target []topology.LinkID) (int, bool) {
-	i, diff := 0, 0
-	for _, l := range target {
-		if i < len(base) && base[i] == l {
-			i++
-		} else {
-			diff++
+// walk is a lookup's work on a miss: from a base that carries its
+// family one delta walk adding links, recorded as the delta stage;
+// otherwise the full walk of base.Universe ∪ links.
+func walk(ctx context.Context, m conflict.Model, base indepset.DeltaBase, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, bool, int64, error) {
+	if !held(base) {
+		if len(base.Universe) > 0 {
+			links = append(slices.Clip(base.Universe), links...)
 		}
+		return enumerateFn(ctx, m, links, opts)
 	}
-	if i != len(base) {
-		return 0, false
-	}
-	return diff, true
-}
-
-// linksNotIn returns the links of target missing from base, ascending.
-func linksNotIn(target, base []topology.LinkID) []topology.LinkID {
-	out := make([]topology.LinkID, 0, len(target)-len(base))
-	i := 0
-	for _, l := range target {
-		if i < len(base) && base[i] == l {
-			i++
-		} else {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// insertLink returns a new canonical universe with l inserted.
-func insertLink(universe []topology.LinkID, l topology.LinkID) []topology.LinkID {
-	out := make([]topology.LinkID, 0, len(universe)+1)
-	placed := false
-	for _, u := range universe {
-		if !placed && l < u {
-			out = append(out, l)
-			placed = true
-		}
-		out = append(out, u)
-	}
-	if !placed {
-		out = append(out, l)
-	}
-	return out
-}
-
-// SetDeltaEnabled toggles the delta path (on by default). Off, every
-// lookup that misses memory and disk runs a full enumeration — the
-// behavior is identical either way (delta results are byte-identical);
-// the knob exists for benchmarks and diagnostics that need the two
-// regimes separately.
-func (c *Cache) SetDeltaEnabled(on bool) {
-	if c == nil {
-		return
-	}
-	var v int32
-	if !on {
-		v = 1
-	}
-	atomic.StoreInt32(&c.deltaOff, v)
-}
-
-func (c *Cache) deltaEnabled() bool {
-	return atomic.LoadInt32(&c.deltaOff) == 0
+	tm := obs.SpanFrom(ctx).StartStage(obs.StageDelta)
+	defer tm.End()
+	sets, explored, err := deltaFn(ctx, m, base, links, opts)
+	tm.AddSets(int64(len(sets)))
+	return sets, false, explored, err
 }
 
 // copyFlight extracts a finished flight's outcome, copying the family
 // header like every other return path.
-func copyFlight(fl *flight) ([]indepset.Set, bool, error) {
+func copyFlight(fl *flight) ([]indepset.Set, bool, int64, error) {
 	if fl.err != nil {
-		return nil, false, fl.err
+		return nil, false, 0, fl.err
 	}
-	return copyFamily(fl.sets), fl.truncated, nil
+	return copyFamily(fl.sets), fl.truncated, fl.explored, nil
 }
 
 // countCanceled bumps the cancellations counter when the outcome it
 // passes through is a cancellation.
-func (c *Cache) countCanceled(sets []indepset.Set, truncated bool, err error) ([]indepset.Set, bool, error) {
+func (c *Cache) countCanceled(sets []indepset.Set, truncated bool, explored int64, err error) ([]indepset.Set, bool, int64, error) {
 	if err != nil && errors.Is(err, cancel.ErrCanceled) {
 		atomic.AddInt64(&c.cancellations, 1)
 	}
-	return sets, truncated, err
+	return sets, truncated, explored, err
 }
 
-// insertLocked stores a complete family under key, whose prefix is
-// prefix (keyParts), and evicts LRU entries until the byte budget holds
-// again. An entry larger than the whole budget is inserted and
-// immediately evicted, so it never displaces useful state for long. A
-// key already present is only refreshed (delta chains can insert an
-// intermediate universe another lookup cached concurrently). Caller
-// holds mu.
-func (c *Cache) insertLocked(key, prefix string, universe []topology.LinkID, sets []indepset.Set, explored int64) {
+// insertLocked stores a complete family under key and evicts LRU
+// entries until the byte budget holds again. An entry larger than the
+// whole budget is inserted and immediately evicted, so it never
+// displaces useful state for long. A key already present is only
+// refreshed. Caller holds mu.
+func (c *Cache) insertLocked(key string, sets []indepset.Set, explored int64) {
 	if el, dup := c.entries[key]; dup {
 		c.ll.MoveToFront(el)
 		return
 	}
-	e := &entry{
-		key:      key,
-		universe: universe,
-		sets:     sets,
-		explored: explored,
-		size:     familyBytes(key, sets) + int64(8*len(universe)),
-	}
+	e := &entry{key: key, sets: sets, explored: explored, size: familyBytes(key, sets)}
 	c.entries[key] = c.ll.PushFront(e)
 	c.bytes += e.size
-	c.indexLocked(e, prefix)
 	for c.bytes > c.maxBytes && c.ll.Len() > 0 {
 		back := c.ll.Back()
 		if back == nil {
@@ -646,41 +543,7 @@ func (c *Cache) insertLocked(key, prefix string, universe []topology.LinkID, set
 		c.ll.Remove(back)
 		delete(c.entries, ev.key)
 		c.bytes -= ev.size
-		c.unindexLocked(ev)
 		atomic.AddInt64(&c.evictions, 1)
-	}
-}
-
-// indexLocked adds e to its prefix group's bucket for its universe
-// size. Caller holds mu.
-func (c *Cache) indexLocked(e *entry, prefix string) {
-	g := c.groups[prefix]
-	if g == nil {
-		g = &deltaGroup{prefix: prefix}
-		c.groups[prefix] = g
-	}
-	n := len(e.universe)
-	for len(g.bySize) <= n {
-		g.bySize = append(g.bySize, nil)
-	}
-	e.group, e.mask, e.slot = g, linkMask(e.universe), len(g.bySize[n])
-	g.bySize[n] = append(g.bySize[n], e)
-	g.entries++
-}
-
-// unindexLocked removes an evicted entry from its bucket by moving the
-// bucket's last entry into its slot, and drops the group with its last
-// entry. Caller holds mu.
-func (c *Cache) unindexLocked(e *entry) {
-	g := e.group
-	b := g.bySize[len(e.universe)]
-	last := b[len(b)-1]
-	b[e.slot], last.slot = last, e.slot
-	b[len(b)-1] = nil
-	g.bySize[len(e.universe)] = b[:len(b)-1]
-	g.entries--
-	if g.entries == 0 {
-		delete(c.groups, g.prefix)
 	}
 }
 
@@ -740,15 +603,11 @@ type Stats struct {
 	Hits int64 `json:"hits"`
 	// Misses counts enumerations this cache had to run.
 	Misses int64 `json:"misses"`
-	// DeltaHits counts lookups answered by delta enumeration: a smaller
-	// cached family of the same model and limit was grown link by link
-	// (indepset.EnumerateDelta) into the requested one, byte-identical
-	// to a full walk.
+	// DeltaHits counts grows (GrowContext) answered by delta
+	// enumeration: the caller's base family was grown by one
+	// indepset.EnumerateDelta walk into the requested one,
+	// byte-identical to a full walk.
 	DeltaHits int64 `json:"deltaHits"`
-	// DeltaFallbacks counts lookups that found a delta base but had to
-	// fall back to the full walk (a limit the grown universe trips). A
-	// sub-count of Misses, outside the identity.
-	DeltaFallbacks int64 `json:"deltaFallbacks"`
 	// Bypasses counts enumerations of models with no fingerprint.
 	Bypasses int64 `json:"bypasses"`
 	// Evictions counts families dropped by the LRU byte budget.
@@ -810,7 +669,6 @@ func (c *Cache) Stats() Stats {
 		Hits:               atomic.LoadInt64(&c.hits),
 		Misses:             atomic.LoadInt64(&c.misses),
 		DeltaHits:          atomic.LoadInt64(&c.deltaHits),
-		DeltaFallbacks:     atomic.LoadInt64(&c.deltaFallbacks),
 		Bypasses:           atomic.LoadInt64(&c.bypasses),
 		Evictions:          evictions,
 		SingleflightMerges: atomic.LoadInt64(&c.merges),

@@ -25,10 +25,11 @@ const (
 	// StageMemo is the set-family cache lookup in internal/memo,
 	// whatever its outcome.
 	StageMemo Stage = "memo"
-	// StageDelta is a delta-enumeration chain in internal/memo: the
-	// per-link warm-start walks that grow a smaller cached family into
-	// the requested one instead of re-enumerating from scratch. Nested
-	// inside the memo stage's lookup (whose outcome is then "delta").
+	// StageDelta is a delta walk in internal/memo: the one walk that
+	// grows a base's family (memo.Cache.GrowContext) into the
+	// requested one instead of re-enumerating from scratch. Nested
+	// inside the memo stage's lookup (whose outcome is then "delta"
+	// when it succeeds).
 	StageDelta Stage = "delta"
 	// StageSession is a core.Session background memo lookup (its
 	// outcome is "hit" or "miss"), the solve on a miss included.

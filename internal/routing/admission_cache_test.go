@@ -65,13 +65,15 @@ func TestSequentialAdmissionCachedMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestSequentialAdmissionDeltaMatchesFullWalks pins the tentpole at the
+// TestSequentialAdmissionDeltaMatchesFullWalks pins delta growth at the
 // admission level. Flows whose paths extend hop by hop grow the
 // enumeration universe (topology.LinkUnion of the involved paths) one
-// link per step — exactly the shape delta enumeration warm-starts. The
-// run must take the delta path (DeltaHits > 0, no fallbacks) and still
-// produce decision-for-decision identical outcomes to both an uncached
-// run and a cached run with the delta path switched off.
+// link per step — exactly the shape a grow from the background's
+// family serves. The cached run must take the delta path
+// (DeltaHits > 0) and still produce decision-for-decision identical
+// outcomes to an uncached run, each decision's availability matching
+// the package-level full-walk AvailableBandwidthContext over the flows
+// admitted before it.
 func TestSequentialAdmissionDeltaMatchesFullWalks(t *testing.T) {
 	net, m := lineNet(t, 6, 100)
 	reqs := []Request{
@@ -94,33 +96,31 @@ func TestSequentialAdmissionDeltaMatchesFullWalks(t *testing.T) {
 
 	deltaCache := memo.New(0)
 	withDelta := run(deltaCache)
-	st := deltaCache.Stats()
-	if st.DeltaHits == 0 {
+	if st := deltaCache.Stats(); st.DeltaHits == 0 {
 		t.Fatalf("growing admission sequence never took the delta path: %+v", st)
 	}
-	if st.DeltaFallbacks != 0 {
-		t.Fatalf("delta chain fell back on a supported model: %+v", st)
-	}
 
-	fullCache := memo.New(0)
-	fullCache.SetDeltaEnabled(false)
-	withoutDelta := run(fullCache)
-	if fst := fullCache.Stats(); fst.DeltaHits != 0 {
-		t.Fatalf("delta disabled but counted: %+v", fst)
+	if len(withDelta) != len(plain) {
+		t.Fatalf("%d decisions, want %d", len(withDelta), len(plain))
 	}
-
-	for _, other := range [][]Decision{withDelta, withoutDelta} {
-		if len(other) != len(plain) {
-			t.Fatalf("%d decisions, want %d", len(other), len(plain))
+	var admitted []core.Flow
+	for i := range plain {
+		p, c := plain[i], withDelta[i]
+		if p.Admitted != c.Admitted {
+			t.Fatalf("decision %d: admitted %v, want %v", i, c.Admitted, p.Admitted)
 		}
-		for i := range plain {
-			p, c := plain[i], other[i]
-			if p.Admitted != c.Admitted {
-				t.Fatalf("decision %d: admitted %v, want %v", i, c.Admitted, p.Admitted)
+		full, err := core.AvailableBandwidthContext(context.Background(), m, admitted, c.Path, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Max(0, full.Bandwidth)
+		for _, got := range []float64{p.Available, c.Available} {
+			if math.Abs(got-want) > 1e-7 {
+				t.Fatalf("decision %d: available %.12g, full walk %.12g", i, got, want)
 			}
-			if math.Abs(p.Available-c.Available) > 1e-7 {
-				t.Fatalf("decision %d: available %.12g, want %.12g", i, c.Available, p.Available)
-			}
+		}
+		if c.Admitted {
+			admitted = append(admitted, core.Flow{Path: c.Path, Demand: c.Request.Demand})
 		}
 	}
 }

@@ -106,7 +106,6 @@ func (s *Server) refreshCacheMetrics() {
 	set("abw_cache_hits", "memo-cache memory hits", st.Hits)
 	set("abw_cache_misses", "memo-cache misses (enumerations run)", st.Misses)
 	set("abw_cache_delta_hits", "memo-cache lookups served by delta enumeration", st.DeltaHits)
-	set("abw_cache_delta_fallbacks", "delta chains that fell back to a full enumeration", st.DeltaFallbacks)
 	set("abw_cache_bypasses", "memo-cache bypasses (unkeyable models)", st.Bypasses)
 	set("abw_cache_merges", "memo-cache singleflight merges", st.SingleflightMerges)
 	set("abw_cache_evictions", "memo-cache LRU evictions", st.Evictions)

@@ -194,6 +194,34 @@ type System struct {
 	cache *memo.Cache
 }
 
+// checkPaths returns an error naming the first link, of path or of a
+// flow's path, that is not in the network. Every exported method that
+// takes a path or flows calls it first; it allocates nothing when every
+// link is in the network.
+func (s *System) checkPaths(path Path, flows ...[]Flow) error {
+	if l, ok := s.strayLink(path); ok {
+		return fmt.Errorf("abw: path link %d is not in the network (%d links)", l, s.net.NumLinks())
+	}
+	for _, list := range flows {
+		for i, f := range list {
+			if l, ok := s.strayLink(f.Path); ok {
+				return fmt.Errorf("abw: flow %d: link %d is not in the network (%d links)", i, l, s.net.NumLinks())
+			}
+		}
+	}
+	return nil
+}
+
+// strayLink returns the first link of path that is not in the network.
+func (s *System) strayLink(path Path) (LinkID, bool) {
+	for _, l := range path {
+		if l < 0 || int(l) >= s.net.NumLinks() {
+			return l, true
+		}
+	}
+	return 0, false
+}
+
 // coreOptions returns the core options every query of this system uses.
 func (s *System) coreOptions() core.Options {
 	return core.Options{Cache: s.cache}
@@ -318,6 +346,9 @@ func (s *System) AvailableBandwidth(background []Flow, path Path) (*Result, erro
 // deadline) stops the computation promptly with an error satisfying
 // errors.Is(err, ErrCanceled).
 func (s *System) AvailableBandwidthContext(ctx context.Context, background []Flow, path Path) (*Result, error) {
+	if err := s.checkPaths(path, background); err != nil {
+		return nil, err
+	}
 	res, err := core.AvailableBandwidthContext(ctx, s.model, background, path, s.coreOptions())
 	if err != nil {
 		return nil, err
@@ -336,6 +367,9 @@ func (s *System) PathCapacity(path Path) (*Result, error) {
 
 // UpperBound computes the rate-coupled clique upper bound of Eq. 9.
 func (s *System) UpperBound(background []Flow, path Path) (float64, error) {
+	if err := s.checkPaths(path, background); err != nil {
+		return 0, err
+	}
 	res, err := core.UpperBoundLP(s.model, background, path, s.coreOptions())
 	if err != nil {
 		return 0, err
@@ -347,15 +381,34 @@ func (s *System) UpperBound(background []Flow, path Path) (float64, error) {
 }
 
 // idleness is the carrier-sensed per-node idleness the background
-// induces, shared by the routing entry points.
+// induces, shared by the routing entry points. An unschedulable
+// background is an error.
 func (s *System) idleness(background []Flow) ([]float64, error) {
-	return routing.BackgroundIdlenessContext(context.Background(), s.net, s.model, background, s.coreOptions())
+	if err := s.checkPaths(nil, background); err != nil {
+		return nil, err
+	}
+	bg, err := s.solveBackground(background)
+	if err != nil {
+		return nil, err
+	}
+	if !bg.Feasible {
+		return nil, fmt.Errorf("abw: background not schedulable")
+	}
+	return bg.IdleRatios(s.net), nil
+}
+
+// solveBackground delegates the flows' background solve to core.
+func (s *System) solveBackground(flows []Flow) (*core.Background, error) {
+	return core.SolveBackgroundContext(context.Background(), s.model, flows, s.coreOptions())
 }
 
 // pathState is the estimators' input for path, shared by the
 // estimation entry points: its hops' alone rates and the idleness the
 // background induces.
 func (s *System) pathState(background []Flow, path Path) (estimate.PathState, error) {
+	if err := s.checkPaths(path); err != nil {
+		return estimate.PathState{}, err
+	}
 	idle, err := s.idleness(background)
 	if err != nil {
 		return estimate.PathState{}, err
@@ -490,6 +543,9 @@ func (s *System) EstimateAll(background []Flow, path Path) (map[EstimateMetric]f
 // the flows' packets hop by hop, and returns their measured end-to-end
 // goodput in Mbps.
 func (s *System) Simulate(sched Schedule, flows []Flow, periods int) ([]float64, error) {
+	if err := s.checkPaths(nil, flows); err != nil {
+		return nil, err
+	}
 	rep, err := sim.RunFlows(s.model, sched, flows, sim.TDMAConfig{Periods: periods})
 	if err != nil {
 		return nil, err
@@ -502,6 +558,9 @@ func (s *System) Simulate(sched Schedule, flows []Flow, periods int) ([]float64,
 // experiment E14. It reports whether every demand was met; when not,
 // the schedule still carries best-effort traffic.
 func (s *System) GreedySchedule(flows []Flow) (Schedule, bool, error) {
+	if err := s.checkPaths(nil, flows); err != nil {
+		return Schedule{}, false, err
+	}
 	demand := make(map[LinkID]float64)
 	for i, f := range flows {
 		if len(f.Path) == 0 || f.Demand <= 0 {
@@ -519,6 +578,9 @@ func (s *System) GreedySchedule(flows []Flow) (Schedule, bool, error) {
 // paper proves invalid under link adaptation (it can fall below the
 // true multirate capacity).
 func (s *System) FixedRateCliqueBound(path Path) (float64, error) {
+	if err := s.checkPaths(path); err != nil {
+		return 0, err
+	}
 	rates := make([]Rate, 0, len(path))
 	for _, l := range path {
 		r := conflict.AloneMaxRate(s.model, l)
@@ -533,7 +595,14 @@ func (s *System) FixedRateCliqueBound(path Path) (float64, error) {
 // FeasibleDemands reports whether the flows can all be delivered
 // simultaneously, returning a delivering schedule when they can.
 func (s *System) FeasibleDemands(flows []Flow) (bool, Schedule, error) {
-	return core.FeasibleDemandsContext(context.Background(), s.model, flows, s.coreOptions())
+	if err := s.checkPaths(nil, flows); err != nil {
+		return false, Schedule{}, err
+	}
+	bg, err := s.solveBackground(flows)
+	if err != nil {
+		return false, Schedule{}, err
+	}
+	return bg.Feasible, bg.Schedule, nil
 }
 
 // MaxMinFair allocates end-to-end throughput max-min fairly across the
@@ -542,6 +611,14 @@ func (s *System) FeasibleDemands(flows []Flow) (bool, Schedule, error) {
 // positive; Demand 0 means uncapped). Returns per-flow allocations in
 // input order and a delivering schedule.
 func (s *System) MaxMinFair(flows []Flow) ([]float64, Schedule, error) {
+	if err := s.checkPaths(nil, flows); err != nil {
+		return nil, Schedule{}, err
+	}
+	return s.maxMinFair(flows)
+}
+
+// maxMinFair delegates MaxMinFair to core.
+func (s *System) maxMinFair(flows []Flow) ([]float64, Schedule, error) {
 	return core.MaxMinFairContext(context.Background(), s.model, flows, s.coreOptions())
 }
 
@@ -550,6 +627,9 @@ func (s *System) MaxMinFair(flows []Flow) ([]float64, Schedule, error) {
 // theta >= 1 means jointly admissible (the paper's multi-flow
 // extension).
 func (s *System) MaxDemandScale(background, newFlows []Flow) (float64, error) {
+	if err := s.checkPaths(nil, background, newFlows); err != nil {
+		return 0, err
+	}
 	theta, _, err := s.maxDemandScale(background, newFlows)
 	return theta, err
 }

@@ -2,9 +2,11 @@ package abw
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -414,6 +416,60 @@ func TestFixedRateCliqueBoundFacade(t *testing.T) {
 	}
 	if math.Abs(bound-4.5) > 1e-9 {
 		t.Errorf("fixed-rate bound = %.4f, want 18/4 = 4.5", bound)
+	}
+}
+
+// TestStrayLinksAreErrors: every System method that takes a path or
+// flows refuses a link that is not in the network with an error naming
+// it, instead of answering as if it were a link no set serves. The
+// check allocates nothing on valid input.
+func TestStrayLinksAreErrors(t *testing.T) {
+	sys := lineSystem(t, 4, 50)
+	good, err := sys.PathBetween(0, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodFlows := []Flow{{Path: good, Demand: 1}}
+	for _, stray := range []LinkID{9999, -1, LinkID(sys.NumLinks())} {
+		bad := Path{good[0], stray}
+		flows := []Flow{{Path: good, Demand: 1}, {Path: bad, Demand: 1}}
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"AvailableBandwidth path", func() error { _, err := sys.AvailableBandwidth(goodFlows, bad); return err }},
+			{"AvailableBandwidth background", func() error { _, err := sys.AvailableBandwidth(flows, good); return err }},
+			{"PathCapacity", func() error { _, err := sys.PathCapacity(bad); return err }},
+			{"UpperBound path", func() error { _, err := sys.UpperBound(nil, bad); return err }},
+			{"UpperBound background", func() error { _, err := sys.UpperBound(flows, good); return err }},
+			{"Route", func() error { _, err := sys.Route(RouteAvgE2ED, 0, 3, flows); return err }},
+			{"DistributedRoute", func() error { _, _, err := sys.DistributedRoute(RouteAvgE2ED, 0, 3, flows); return err }},
+			{"RouteByEstimate", func() error { _, _, err := sys.RouteByEstimate(EstimateConservativeClique, 0, 3, flows); return err }},
+			{"Estimate path", func() error { _, err := sys.Estimate(EstimateConservativeClique, nil, bad); return err }},
+			{"Estimate background", func() error { _, err := sys.Estimate(EstimateConservativeClique, flows, good); return err }},
+			{"Explain", func() error { _, err := sys.Explain(EstimateBottleneckNode, nil, bad); return err }},
+			{"EstimateAll", func() error { _, err := sys.EstimateAll(flows, good); return err }},
+			{"Simulate", func() error { _, err := sys.Simulate(Schedule{}, flows, 1); return err }},
+			{"GreedySchedule", func() error { _, _, err := sys.GreedySchedule(flows); return err }},
+			{"FixedRateCliqueBound", func() error { _, err := sys.FixedRateCliqueBound(bad); return err }},
+			{"FeasibleDemands", func() error { _, _, err := sys.FeasibleDemands(flows); return err }},
+			{"MaxMinFair", func() error { _, _, err := sys.MaxMinFair(flows); return err }},
+			{"MaxDemandScale background", func() error { _, err := sys.MaxDemandScale(flows, goodFlows); return err }},
+			{"MaxDemandScale new flows", func() error { _, err := sys.MaxDemandScale(goodFlows, flows); return err }},
+		}
+		want := fmt.Sprintf("link %d is not in the network", stray)
+		for _, c := range calls {
+			if err := c.call(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with link %d: error %v, want one containing %q", c.name, stray, err, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := sys.checkPaths(good, goodFlows, goodFlows); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("checking valid paths allocates %v times, want 0", n)
 	}
 }
 

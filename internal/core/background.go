@@ -15,7 +15,7 @@ import (
 )
 
 // Background is a solved background: the admitted flows'
-// minimal-airtime schedule (FeasibleDemandsContext's verdict and
+// minimal-airtime schedule (the feasibility verdict and a delivering
 // schedule), the feasibility LP's optimal basis in link terms when they
 // are schedulable, and the node idle ratios the schedule induces, the
 // one value routing (Eq. 14), the Fig. 4 estimators and Eq. 6 read.
@@ -57,11 +57,14 @@ type Background struct {
 	idle     []float64
 }
 
-// SolveBackgroundContext solves the flows' minimal-airtime schedule,
-// as FeasibleDemandsContext does, and keeps what Eq. 6 for a path over
-// the same background can reuse. An unschedulable background is not
-// an error: Feasible is false, and Eq. 6 over it still answers (as
-// lp.Infeasible).
+// SolveBackgroundContext reports whether the flows can all be delivered
+// simultaneously (the feasibility side of Eq. 2/4) and, when they can,
+// their minimal-airtime delivering schedule, and keeps what Eq. 6 for a
+// path over the same background can reuse. An unschedulable background
+// is not an error: Feasible is false, and Eq. 6 over it still answers
+// (as lp.Infeasible). Enumeration and the LP poll ctx; a cancelled call
+// returns no verdict, so callers must not treat ErrCanceled as
+// "infeasible".
 func SolveBackgroundContext(ctx context.Context, m conflict.Model, flows []Flow, opts Options) (*Background, error) {
 	universe, err := flowUniverse(nil, flows)
 	if err != nil {
@@ -103,7 +106,7 @@ func (b *Background) IdleRatios(net *topology.Network) []float64 {
 	return b.idle
 }
 
-// feasibleOver runs FeasibleDemandsContext's LP for the flows' demand
+// feasibleOver runs the feasibility LP for the flows' demand
 // over a complete family of their universe, and returns its optimal
 // basis as a start when the flows are schedulable.
 func feasibleOver(ctx context.Context, pos linkPos, demand []float64, sets []indepset.Set, cache *memo.Cache) (bool, schedule.Schedule, *bgStart, error) {
@@ -243,33 +246,34 @@ func (st *bgStart) basis(sets []indepset.Set, set setLP, demand []float64) *lp.B
 // package-level AvailableBandwidthContext's answer within
 // pivot-tolerance arithmetic noise. The family of U_bg ∪ P is the
 // background's family grown by the path's new links (grow); a
-// session's memoized background then re-solves the session's retained
-// LP for the pair. A schedulable background starts the LP from the
+// session's memoized background re-solves the session's retained LP
+// for the pair instead, and grows only for a pair it has not seen. A schedulable background starts the LP from the
 // feasibility LP's optimal basis (bgStart.basis), so only phase 2
 // runs; an unschedulable or empty one solves two-phase.
 func (b *Background) AvailableBandwidthContext(ctx context.Context, newPath topology.Path) (*Result, error) {
-	if b.memoized {
-		return b.sess.availableBandwidth(ctx, b, newPath)
+	if len(newPath) == 0 {
+		return nil, fmt.Errorf("core: empty new path")
 	}
-	universe, sets, err := b.grow(ctx, newPath)
+	universe := topology.LinkUnion(b.universe, newPath)
+	if b.memoized {
+		return b.sess.availableBandwidth(ctx, b, universe, newPath)
+	}
+	sets, err := b.grow(ctx, newPath)
 	if err != nil {
 		return nil, err
 	}
 	return solveEq6(ctx, newLinkPos(universe), widen(b.demand, b.universe, universe), newPath, sets, b.sess.opts.Cache, b.start)
 }
 
-// grow returns U_bg ∪ P and its complete family: the background's
+// grow returns the complete family of U_bg ∪ P: the background's
 // family grown by the path's new links through the cache (one delta
 // walk on a miss, a full walk of P from an empty background or of
 // U_bg ∪ P once a memoized background's family is evicted).
-func (b *Background) grow(ctx context.Context, newPath topology.Path) ([]topology.LinkID, []indepset.Set, error) {
-	if len(newPath) == 0 {
-		return nil, nil, fmt.Errorf("core: empty new path")
-	}
+func (b *Background) grow(ctx context.Context, newPath topology.Path) ([]indepset.Set, error) {
 	s := b.sess
 	sets, _, err := s.opts.Cache.GrowContext(ctx, s.m, b.base, newPath, s.opts.indepOptions())
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: enumerating independent sets: %w", err)
+		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
-	return topology.LinkUnion(b.universe, newPath), sets, nil
+	return sets, nil
 }

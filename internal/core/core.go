@@ -201,19 +201,6 @@ func solveEq6(ctx context.Context, universe linkPos, demand []float64, newPath t
 	return res, nil
 }
 
-// FeasibleDemandsContext reports whether the given flows can all be
-// delivered simultaneously (the feasibility side of Eq. 2/4), and
-// returns a delivering schedule when they can. Enumeration and the LP
-// poll ctx; see AvailableBandwidthContext. A cancelled call returns no
-// verdict: callers must not treat ErrCanceled as "infeasible".
-func FeasibleDemandsContext(ctx context.Context, m conflict.Model, flows []Flow, opts Options) (bool, schedule.Schedule, error) {
-	b, err := SolveBackgroundContext(ctx, m, flows, opts)
-	if err != nil {
-		return false, schedule.Schedule{}, err
-	}
-	return b.Feasible, b.Schedule, nil
-}
-
 // MaxDemandScaleContext returns the largest theta such that every new
 // flow j can be delivered at theta times its demand alongside the
 // background (the paper's multi-flow extension of Sec. 2.5). theta >= 1
@@ -268,7 +255,7 @@ const (
 	// pure right-hand-side change (Session).
 	allLinks
 	// demanded keeps only rows with a positive demand; with non-negative
-	// rates every other row holds trivially (FeasibleDemandsContext).
+	// rates every other row holds trivially (the feasibility LP).
 	demanded
 )
 

@@ -199,7 +199,7 @@ func TestBackgroundInfeasible(t *testing.T) {
 
 func TestFeasibleDemands(t *testing.T) {
 	s := scenario.NewScenarioI(54)
-	ok, sched, err := FeasibleDemandsContext(context.Background(), s.Model, []Flow{
+	bg, err := SolveBackgroundContext(context.Background(), s.Model, []Flow{
 		{Path: topology.Path{s.L1}, Demand: 20},
 		{Path: topology.Path{s.L2}, Demand: 20},
 		{Path: topology.Path{s.L3}, Demand: 20},
@@ -207,7 +207,8 @@ func TestFeasibleDemands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	sched := bg.Schedule
+	if !bg.Feasible {
 		t.Fatal("20+20+20 should be feasible (L1,L2 overlap)")
 	}
 	if err := sched.Validate(s.Model); err != nil {
@@ -217,20 +218,20 @@ func TestFeasibleDemands(t *testing.T) {
 		t.Error("schedule does not deliver the demands")
 	}
 
-	ok, _, err = FeasibleDemandsContext(context.Background(), s.Model, []Flow{
+	bg, err = SolveBackgroundContext(context.Background(), s.Model, []Flow{
 		{Path: topology.Path{s.L1}, Demand: 30},
 		{Path: topology.Path{s.L3}, Demand: 30},
 	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if bg.Feasible {
 		t.Error("30+30 over conflicting links exceeds 54: should be infeasible")
 	}
 
-	ok, _, err = FeasibleDemandsContext(context.Background(), s.Model, nil, Options{})
-	if err != nil || !ok {
-		t.Errorf("no flows should be trivially feasible: ok=%v err=%v", ok, err)
+	bg, err = SolveBackgroundContext(context.Background(), s.Model, nil, Options{})
+	if err != nil || !bg.Feasible {
+		t.Errorf("no flows should be trivially feasible: ok=%v err=%v", bg != nil && bg.Feasible, err)
 	}
 }
 

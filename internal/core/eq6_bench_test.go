@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -9,9 +10,11 @@ import (
 	"abw/internal/core"
 	"abw/internal/estimate"
 	"abw/internal/experiments"
+	"abw/internal/geom"
 	"abw/internal/indepset"
 	"abw/internal/lp"
 	"abw/internal/memo"
+	"abw/internal/radio"
 	"abw/internal/routing"
 	"abw/internal/topology"
 )
@@ -92,6 +95,69 @@ func BenchmarkSolveEq6Fig2(b *testing.B) {
 	b.ReportMetric(float64(rows), "rows")
 	b.ReportMetric(float64(cols), "cols")
 	b.ReportMetric(float64(nnz)/float64(rows*cols), "density")
+}
+
+// BenchmarkOneShotEq6 answers one Eq. 6 question both ways a caller
+// that asks it once could, in the same run, for
+// BenchmarkAvailableBandwidthQuery's query (a 4-hop chain with its own
+// path as a 2 Mbps background). Two-phase is the package-level
+// AvailableBandwidthContext, one walk of U_bg ∪ P and phase 1 then
+// phase 2: the facade's one-shot System.AvailableBandwidth. Served is
+// what a caller that reads the background does: SolveBackgroundContext
+// (a walk of U_bg and the feasibility LP), then
+// Background.AvailableBandwidthContext (the family grown by the path,
+// and phase 2 from the background's basis). It reports each way's time
+// per op and their ratio served/twophase, which a runner change does
+// not disturb. A ratio above 1 is why the one-shot caller keeps the
+// two-phase solve: it never reads the background the served path pays
+// a feasibility LP for.
+func BenchmarkOneShotEq6(b *testing.B) {
+	net, err := topology.New(radio.NewProfile80211a(), geom.LinePoints(5, 100))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := conflict.NewPhysical(net)
+	path, err := net.PathFromNodes([]topology.NodeID{0, 1, 2, 3, 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	background := []core.Flow{{Path: path, Demand: 2}}
+	ctx := context.Background()
+	twoPhase := func() *core.Result {
+		res, err := core.AvailableBandwidthContext(ctx, m, background, path, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	served := func() *core.Result {
+		bg, err := core.SolveBackgroundContext(ctx, m, background, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := bg.AvailableBandwidthContext(ctx, path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	if a, c := twoPhase(), served(); a.Status != lp.Optimal || c.Status != lp.Optimal || math.Abs(a.Bandwidth-c.Bandwidth) > 1e-9*math.Max(1, a.Bandwidth) {
+		b.Fatalf("two-phase (%v, %v), served (%v, %v)", a.Status, a.Bandwidth, c.Status, c.Bandwidth)
+	}
+	var twoNs, servedNs time.Duration
+	var mark time.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	lap(&mark)
+	for i := 0; i < b.N; i++ {
+		twoPhase()
+		twoNs += lap(&mark)
+		served()
+		servedNs += lap(&mark)
+	}
+	b.ReportMetric(float64(twoNs.Nanoseconds())/float64(b.N), "twophase-ns/op")
+	b.ReportMetric(float64(servedNs.Nanoseconds())/float64(b.N), "served-ns/op")
+	b.ReportMetric(float64(servedNs)/float64(twoNs), "served/twophase")
 }
 
 // fig2Admitted returns the Fig. 2 network, its model and the flows the

@@ -99,14 +99,14 @@ func MaxMinFairContext(ctx context.Context, m conflict.Model, flows []Flow, opts
 	for j, f := range flows {
 		final[j] = Flow{Path: f.Path, Demand: alloc[j]}
 	}
-	ok, sched, err := FeasibleDemandsContext(ctx, m, final, opts)
+	bg, err := SolveBackgroundContext(ctx, m, final, opts)
 	if err != nil {
 		return nil, schedule.Schedule{}, err
 	}
-	if !ok {
+	if !bg.Feasible {
 		return nil, schedule.Schedule{}, fmt.Errorf("core: max-min allocation not schedulable (internal error)")
 	}
-	return alloc, sched, nil
+	return alloc, bg.Schedule, nil
 }
 
 // solveFill solves one progressive-filling LP. With boost < 0 it

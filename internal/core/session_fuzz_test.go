@@ -66,10 +66,12 @@ func decodePath(in *fuzzInput, net *topology.Network) topology.Path {
 // of the active flows must be the cold SolveBackgroundContext's: the
 // same verdict, the same schedule (slot set keys and bit-identical
 // shares) and bit-identical idle ratios, naming U_bg but retaining no
-// set family; Eq. 6 for the step's query path must agree within
-// sessionTol;
-// and a flow list seen before must be a memo hit returning the same
-// Background.
+// set family; Eq. 6 for the step's query path must agree with the
+// cold Background's within sessionTol, and with the package-level
+// two-phase AvailableBandwidthContext, the reference that shares no
+// basis with either, as assertSameOptimum checks (the same LP and sets,
+// bandwidth within 1e-9 relative, a feasible schedule); and a flow list
+// seen before must be a memo hit returning the same Background.
 func FuzzSessionMatchesCold(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 7, 0, 3, 1, 2, 9, 0, 5, 2, 1, 4, 1, 0, 7, 0, 2, 2, 8})
@@ -195,6 +197,11 @@ func assertSessionMatchesCold(t *testing.T, net *topology.Network, m conflict.Mo
 	if gr.Status == lp.Optimal && math.Abs(gr.Bandwidth-wr.Bandwidth) > sessionTol {
 		t.Fatalf("%s: Eq. 6 over %v: %.12g, cold %.12g", label, path, gr.Bandwidth, wr.Bandwidth)
 	}
+	ref, err := AvailableBandwidthContext(ctx, m, flows, path, Options{})
+	if err != nil {
+		t.Fatalf("%s: two-phase Eq. 6 over %v: %v", label, path, err)
+	}
+	assertSameOptimum(t, fmt.Sprintf("%s: Eq. 6 over %v vs two-phase", label, path), gr, ref, flows, path)
 }
 
 // assertNamesBaseOnly checks that a memoized background names U_bg,

@@ -9,7 +9,6 @@ import (
 	"abw/internal/core"
 	"abw/internal/estimate"
 	"abw/internal/geom"
-	"abw/internal/lp"
 	"abw/internal/radio"
 	"abw/internal/routing"
 	"abw/internal/topology"
@@ -68,41 +67,24 @@ func DemandSweep(ctx context.Context) (*Table, error) {
 // evaluated flows.
 func estimationMAE(ctx context.Context, net *topology.Network, m *conflict.Physical, reqs []routing.Request) (map[estimate.Metric]float64, int, error) {
 	mae := make(map[estimate.Metric]float64, 5)
+	sess := core.NewSession(m, core.Options{})
 	var admitted []core.Flow
 	n := 0
 	for _, req := range reqs {
-		// One background solve, and one idle-ratio pass over it, serve
-		// both routing and the estimators' path state.
-		sched, err := routing.BackgroundScheduleContext(ctx, m, admitted, core.Options{})
+		dec, bg, err := admitRouted(ctx, net, m, req, admitted, sess)
 		if err != nil {
 			return nil, 0, err
 		}
-		idle := estimate.NodeIdleRatios(net, sched)
-		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, idle, req.Src, req.Dst)
-		if err != nil {
-			return nil, 0, err
-		}
-		res, err := core.AvailableBandwidthContext(ctx, m, admitted, path, core.Options{})
-		if err != nil {
-			return nil, 0, err
-		}
-		if res.Status != lp.Optimal {
-			break
-		}
-		ps, err := estimate.PathStateFromIdle(net, m, idle, path)
-		if err != nil {
-			return nil, 0, err
-		}
-		ests, err := estimate.EstimateAll(m, ps)
+		ests, err := pathEstimates(net, m, bg, dec.Path)
 		if err != nil {
 			return nil, 0, err
 		}
 		for metric, v := range ests {
-			mae[metric] += math.Abs(v - res.Bandwidth)
+			mae[metric] += math.Abs(v - dec.Available)
 		}
 		n++
-		if res.Bandwidth+1e-9 >= req.Demand {
-			admitted = append(admitted, core.Flow{Path: path, Demand: req.Demand})
+		if dec.Admitted {
+			admitted = append(admitted, core.Flow{Path: dec.Path, Demand: req.Demand})
 		}
 	}
 	return mae, n, nil

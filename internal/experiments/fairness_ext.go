@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"abw/internal/core"
-	"abw/internal/lp"
 	"abw/internal/routing"
 	"abw/internal/scenario"
 	"abw/internal/topology"
@@ -56,24 +55,15 @@ func FairAllocation(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The first four requests keep the LP small.
+	decs, err := routing.SequentialAdmissionContext(ctx, net, m, routing.MetricAvgE2ED, reqs[:4], routing.AdmissionOptions{})
+	if err != nil {
+		return nil, err
+	}
 	var flows []core.Flow
-	var admitted []core.Flow
-	for _, req := range reqs[:4] { // the first four keep the LP small
-		idle, err := routing.BackgroundIdlenessContext(ctx, net, m, admitted, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, idle, req.Src, req.Dst)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.AvailableBandwidthContext(ctx, m, admitted, path, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if res.Status == lp.Optimal && res.Bandwidth+1e-9 >= req.Demand {
-			admitted = append(admitted, core.Flow{Path: path, Demand: req.Demand})
-			flows = append(flows, core.Flow{Path: path}) // uncapped for fairness
+	for _, d := range decs {
+		if d.Admitted {
+			flows = append(flows, core.Flow{Path: d.Path}) // uncapped for fairness
 		}
 	}
 	allocR, _, err := core.MaxMinFairContext(ctx, m, flows, core.Options{})

@@ -9,7 +9,6 @@ import (
 	"abw/internal/core"
 	"abw/internal/estimate"
 	"abw/internal/geom"
-	"abw/internal/lp"
 	"abw/internal/radio"
 	"abw/internal/routing"
 	"abw/internal/topology"
@@ -61,16 +60,14 @@ func Fig2Topology(ctx context.Context) (*Table, error) {
 			"flow", "src->dst", "average-e2eD route", "e2eTD route", "differs",
 		},
 	}
+	sess := core.NewSession(m, queryOptions())
 	var admitted []core.Flow
 	for i, req := range reqs {
-		idle, err := routing.BackgroundIdlenessContext(ctx, net, m, admitted, queryOptions())
+		dec, _, err := admitRouted(ctx, net, m, req, admitted, sess)
 		if err != nil {
 			return nil, err
 		}
-		avgPath, err := routing.FindPath(net, m, routing.MetricAvgE2ED, idle, req.Src, req.Dst)
-		if err != nil {
-			return nil, err
-		}
+		avgPath := dec.Path
 		tdPath, err := routing.FindPath(net, m, routing.MetricE2ETD, nil, req.Src, req.Dst)
 		if err != nil {
 			return nil, err
@@ -91,11 +88,7 @@ func Fig2Topology(ctx context.Context) (*Table, error) {
 			nodesString(avgNodes), nodesString(tdNodes), differs)
 		// Admit along the average-e2eD path when feasible, to evolve
 		// the background like the paper's run.
-		res, err := core.AvailableBandwidthContext(ctx, m, admitted, avgPath, queryOptions())
-		if err != nil {
-			return nil, err
-		}
-		if res.Status == lp.Optimal && res.Bandwidth+1e-9 >= req.Demand {
+		if dec.Admitted {
 			admitted = append(admitted, core.Flow{Path: avgPath, Demand: req.Demand})
 		}
 	}
@@ -218,49 +211,52 @@ type Fig4Row struct {
 }
 
 // Fig4Series computes the Fig. 4 data: flows join along their
-// average-e2eD paths; before each join, the new path's exact available
-// bandwidth and all five estimates are recorded against the accumulated
-// background.
+// average-e2eD paths, one admission step each; at each step, the new
+// path's exact available bandwidth and all five estimates are recorded
+// against the accumulated background the step solved and routed on.
 func Fig4Series(ctx context.Context) ([]Fig4Row, error) {
 	net, m, reqs, err := Fig2Setup()
 	if err != nil {
 		return nil, err
 	}
+	sess := core.NewSession(m, queryOptions())
 	var admitted []core.Flow
 	var rows []Fig4Row
 	for i, req := range reqs {
-		// One background solve, and one idle-ratio pass over it, serve
-		// both routing and the estimators' path state.
-		sched, err := routing.BackgroundScheduleContext(ctx, m, admitted, queryOptions())
+		dec, bg, err := admitRouted(ctx, net, m, req, admitted, sess)
 		if err != nil {
 			return nil, err
 		}
-		idle := estimate.NodeIdleRatios(net, sched)
-		path, err := routing.FindPath(net, m, routing.MetricAvgE2ED, idle, req.Src, req.Dst)
+		ests, err := pathEstimates(net, m, bg, dec.Path)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.AvailableBandwidthContext(ctx, m, admitted, path, queryOptions())
-		if err != nil {
-			return nil, err
-		}
-		if res.Status != lp.Optimal {
-			return nil, fmt.Errorf("flow %d: availability LP %v", i+1, res.Status)
-		}
-		ps, err := estimate.PathStateFromIdle(net, m, idle, path)
-		if err != nil {
-			return nil, err
-		}
-		ests, err := estimate.EstimateAll(m, ps)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig4Row{Flow: i + 1, Path: path, Exact: res.Bandwidth, Estimates: ests})
-		if res.Bandwidth+1e-9 >= req.Demand {
-			admitted = append(admitted, core.Flow{Path: path, Demand: req.Demand})
+		rows = append(rows, Fig4Row{Flow: i + 1, Path: dec.Path, Exact: dec.Available, Estimates: ests})
+		if dec.Admitted {
+			admitted = append(admitted, core.Flow{Path: dec.Path, Demand: req.Demand})
 		}
 	}
 	return rows, nil
+}
+
+// admitRouted is one Sec. 5.2 admission step (routing.AdmitStepContext)
+// with average-e2eD routing, where an unroutable request is an error.
+func admitRouted(ctx context.Context, net *topology.Network, m conflict.Model, req routing.Request, admitted []core.Flow, sess *core.Session) (routing.Decision, *core.Background, error) {
+	dec, bg, err := routing.AdmitStepContext(ctx, net, m, routing.MetricAvgE2ED, req, admitted, sess)
+	if err == nil && dec.Path == nil {
+		err = fmt.Errorf("experiments: request %d->%d: %s", req.Src, req.Dst, dec.Reason)
+	}
+	return dec, bg, err
+}
+
+// pathEstimates returns the five Fig. 4 estimates of path from the
+// idle ratios the solved background induces.
+func pathEstimates(net *topology.Network, m conflict.Model, bg *core.Background, path topology.Path) (map[estimate.Metric]float64, error) {
+	ps, err := estimate.PathStateFromIdle(net, m, bg.IdleRatios(net), path)
+	if err != nil {
+		return nil, err
+	}
+	return estimate.EstimateAll(m, ps)
 }
 
 func pathKey(p topology.Path) string {

@@ -10,7 +10,6 @@ import (
 
 	"abw/internal/conflict"
 	"abw/internal/core"
-	"abw/internal/estimate"
 	"abw/internal/graph"
 	"abw/internal/lp"
 	"abw/internal/obs"
@@ -49,13 +48,14 @@ type AdmissionOptions struct {
 }
 
 // SequentialAdmissionContext reproduces the paper's Sec. 5.2
-// experiment: flows join one by one; each is routed with the given
-// metric using the idleness induced by the already-admitted background,
-// its path's exact available bandwidth is computed with the Eq. 6
-// model, and it is admitted iff the demand fits. ctx is checked between
-// admission steps and forwarded into each step's
-// enumeration and LP solves, so a cancelled run stops promptly with an
-// error satisfying errors.Is(err, cancel.ErrCanceled) alongside the
+// experiment: flows join one by one, each through AdmitStepContext over
+// one session: it is routed with the given metric using the idleness
+// induced by the already-admitted background, its path's exact
+// available bandwidth is computed with the Eq. 6 model over the same
+// background, and it is admitted iff the demand fits. ctx is checked
+// between admission steps and forwarded into each step's enumeration
+// and LP solves, so a cancelled run stops promptly with an error
+// satisfying errors.Is(err, cancel.ErrCanceled) alongside the
 // decisions completed so far. Admission state is only extended by fully
 // completed steps — cancellation never commits a half-evaluated flow.
 func SequentialAdmissionContext(
@@ -77,7 +77,7 @@ func SequentialAdmissionContext(
 		if ctx.Err() != nil {
 			return decisions, cancel.Cause(ctx)
 		}
-		dec, err := admitOne(ctx, net, m, metric, req, admitted, sess)
+		dec, _, err := AdmitStepContext(ctx, net, m, metric, req, admitted, sess)
 		if err != nil {
 			return decisions, err
 		}
@@ -91,7 +91,16 @@ func SequentialAdmissionContext(
 	return decisions, nil
 }
 
-func admitOne(
+// AdmitStepContext is one step of the Sec. 5.2 admission: it solves
+// the admitted flows' background through sess, routes req with the
+// metric over the background's carrier-sensed idle ratios, and answers
+// Eq. 6 for the chosen path over that same background; req is admitted
+// iff the answer covers its demand. It also returns the solved
+// background the step routed on, so that a caller can read its idle
+// ratios or schedule without solving it again (nil with an error). An
+// unschedulable background is an error; an unroutable request is a
+// rejected Decision with reason "no route" and a nil Path.
+func AdmitStepContext(
 	ctx context.Context,
 	net *topology.Network,
 	m conflict.Model,
@@ -99,38 +108,36 @@ func admitOne(
 	req Request,
 	admitted []core.Flow,
 	sess *core.Session,
-) (Decision, error) {
+) (Decision, *core.Background, error) {
 	dec := Decision{Request: req}
 	if req.Demand <= 0 {
-		return dec, fmt.Errorf("routing: request demand must be positive, got %g", req.Demand)
+		return dec, nil, fmt.Errorf("routing: request demand must be positive, got %g", req.Demand)
 	}
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageAdmit)
 	defer tm.End()
-	// The background is solved once: its schedule gives routing's idle
-	// ratios, and Eq. 6 for the chosen path is solved over it.
 	bg, err := schedulable(sess.Background(ctx, admitted))
 	if err != nil {
-		return dec, err
+		return dec, nil, err
 	}
 	rt := obs.SpanFrom(ctx).StartStage(obs.StageRoute)
 	path, err := FindPath(net, m, metric, bg.IdleRatios(net), req.Src, req.Dst)
 	rt.End()
 	if errors.Is(err, graph.ErrNoPath) {
 		dec.Reason = "no route"
-		return dec, nil
+		return dec, bg, nil
 	}
 	if err != nil {
-		return dec, err
+		return dec, nil, err
 	}
 	dec.Path = path
 
 	res, err := bg.AvailableBandwidthContext(ctx, path)
 	if err != nil {
-		return dec, fmt.Errorf("routing: availability of %v: %w", path, err)
+		return dec, nil, fmt.Errorf("routing: availability of %v: %w", path, err)
 	}
 	if res.Status != lp.Optimal {
 		dec.Reason = fmt.Sprintf("availability LP %v", res.Status)
-		return dec, nil
+		return dec, bg, nil
 	}
 	dec.Available = math.Max(0, res.Bandwidth) // LP round-off can dip below zero
 	if res.Bandwidth+1e-9 >= req.Demand {
@@ -138,43 +145,37 @@ func admitOne(
 	} else {
 		dec.Reason = fmt.Sprintf("available %.3f Mbps < demand %.3f Mbps", res.Bandwidth, req.Demand)
 	}
-	return dec, nil
+	return dec, bg, nil
 }
 
 // BackgroundIdlenessContext derives per-node carrier-sensed idle ratios
 // from the admitted flows: the minimal-airtime schedule delivering the
 // admitted demands is computed (what an efficient network converges to)
 // and each node senses it. With no background, every node is fully
-// idle. It is estimate.NodeIdleRatios over BackgroundScheduleContext;
-// callers that also need the schedule should solve it once and derive
-// both. The feasibility enumeration and LP poll ctx and stop promptly
-// on cancellation.
+// idle. It is the IdleRatios of core.SolveBackgroundContext's value;
+// callers that also need the schedule or Eq. 6 should read one solved
+// core.Background instead. An unschedulable background is an error.
+// The feasibility enumeration and LP poll ctx and stop promptly on
+// cancellation.
 func BackgroundIdlenessContext(ctx context.Context, net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options) ([]float64, error) {
-	sched, err := BackgroundScheduleContext(ctx, m, admitted, coreOpts)
+	bg, err := schedulable(core.SolveBackgroundContext(ctx, m, admitted, coreOpts))
 	if err != nil {
 		return nil, err
 	}
-	return estimate.NodeIdleRatios(net, sched), nil
+	return bg.IdleRatios(net), nil
 }
 
 // BackgroundScheduleContext exposes the minimal-airtime schedule used
-// for idleness, for callers that need the schedule itself (e.g. the
-// Fig. 4 estimation experiment and the simulators). Cancellation
-// behaves as in BackgroundIdlenessContext.
+// for idleness. Cancellation and an unschedulable background behave as
+// in BackgroundIdlenessContext. It is kept for perfbench's replay,
+// which times the background on its own, until that replay is retired
+// (ROADMAP item 1): every other caller reads a solved core.Background.
 func BackgroundScheduleContext(ctx context.Context, m conflict.Model, admitted []core.Flow, coreOpts core.Options) (schedule.Schedule, error) {
-	bg, err := SolveBackgroundContext(ctx, m, admitted, coreOpts)
+	bg, err := schedulable(core.SolveBackgroundContext(ctx, m, admitted, coreOpts))
 	if err != nil {
 		return schedule.Schedule{}, err
 	}
 	return bg.Schedule, nil
-}
-
-// SolveBackgroundContext solves the admitted flows' background once
-// (core.SolveBackgroundContext), for callers that read both its
-// schedule and Eq. 6 over it. An unschedulable background is an error
-// here, as it is for BackgroundScheduleContext.
-func SolveBackgroundContext(ctx context.Context, m conflict.Model, admitted []core.Flow, coreOpts core.Options) (*core.Background, error) {
-	return schedulable(core.SolveBackgroundContext(ctx, m, admitted, coreOpts))
 }
 
 // schedulable passes a solved background through, making an

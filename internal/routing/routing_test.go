@@ -2,12 +2,15 @@ package routing
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
 	"abw/internal/conflict"
 	"abw/internal/core"
 	"abw/internal/estimate"
 	"abw/internal/geom"
+	"abw/internal/memo"
 	"abw/internal/radio"
 	"abw/internal/schedule"
 	"abw/internal/topology"
@@ -224,6 +227,46 @@ func TestSequentialAdmissionNoRoute(t *testing.T) {
 	}
 	if len(decs) != 1 || decs[0].Admitted || decs[0].Reason != "no route" {
 		t.Errorf("decisions = %+v, want a single 'no route' rejection", decs)
+	}
+}
+
+// TestAdmitStepReturnsItsBackground: the step hands back the solved
+// background it routed on, the session's own value, so a caller reads
+// the idle ratios that chose the path and the Eq. 6 answer the
+// decision records without solving again; an unschedulable background
+// is an error with no value.
+func TestAdmitStepReturnsItsBackground(t *testing.T) {
+	net, m := lineNet(t, 6, 100)
+	ctx := context.Background()
+	sess := core.NewSession(m, core.Options{Cache: memo.New(0)})
+	first, err := net.PathFromNodes([]topology.NodeID{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := []core.Flow{{Path: first, Demand: 1}}
+	req := Request{Src: 1, Dst: 5, Demand: 0.5}
+	dec, bg, err := AdmitStepContext(ctx, net, m, MetricAvgE2ED, req, admitted, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := sess.Background(ctx, admitted); err != nil || bg != want {
+		t.Fatalf("step returned background %p, session holds %p (%v)", bg, want, err)
+	}
+	path, err := FindPath(net, m, MetricAvgE2ED, bg.IdleRatios(net), req.Src, req.Dst)
+	if err != nil || fmt.Sprint(path) != fmt.Sprint(dec.Path) {
+		t.Fatalf("step routed %v, its background's idle ratios route %v (%v)", dec.Path, path, err)
+	}
+	res, err := bg.AvailableBandwidthContext(ctx, dec.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Admitted || math.Float64bits(dec.Available) != math.Float64bits(res.Bandwidth) {
+		t.Fatalf("decision %+v, Eq. 6 over the returned background %v", dec, res.Bandwidth)
+	}
+
+	over := []core.Flow{{Path: first, Demand: 1000}}
+	if _, bg, err := AdmitStepContext(ctx, net, m, MetricAvgE2ED, req, over, sess); err == nil || bg != nil {
+		t.Fatalf("an unschedulable background gave (%v, %v), want an error and no value", bg, err)
 	}
 }
 

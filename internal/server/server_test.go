@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"abw/internal/core"
-	"abw/internal/routing"
 	"abw/internal/topology"
 )
 
@@ -407,7 +406,7 @@ func TestFlowSnapshotsNameLiveFlows(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("schedule: %d %v", resp.StatusCode, err)
 	}
-	ref, err := routing.SolveBackgroundContext(context.Background(), model, live, core.Options{})
+	ref, err := core.SolveBackgroundContext(context.Background(), model, live, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

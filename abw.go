@@ -387,14 +387,12 @@ func (s *System) idleness(background []Flow) ([]float64, error) {
 	if err := s.checkPaths(nil, background); err != nil {
 		return nil, err
 	}
-	bg, err := s.solveBackground(background)
-	if err != nil {
-		return nil, err
-	}
-	if !bg.Feasible {
-		return nil, fmt.Errorf("abw: background not schedulable")
-	}
-	return bg.IdleRatios(s.net), nil
+	return s.backgroundIdleness(background)
+}
+
+// backgroundIdleness delegates the background's idle ratios to routing.
+func (s *System) backgroundIdleness(background []Flow) ([]float64, error) {
+	return routing.BackgroundIdlenessContext(context.Background(), s.net, s.model, background, s.coreOptions())
 }
 
 // solveBackground delegates the flows' background solve to core.

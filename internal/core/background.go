@@ -246,34 +246,33 @@ func (st *bgStart) basis(sets []indepset.Set, set setLP, demand []float64) *lp.B
 // package-level AvailableBandwidthContext's answer within
 // pivot-tolerance arithmetic noise. The family of U_bg ∪ P is the
 // background's family grown by the path's new links (grow); a
-// session's memoized background re-solves the session's retained LP
-// for the pair instead, and grows only for a pair it has not seen. A schedulable background starts the LP from the
+// session's memoized background then re-solves the session's retained
+// LP for the pair. A schedulable background starts the LP from the
 // feasibility LP's optimal basis (bgStart.basis), so only phase 2
 // runs; an unschedulable or empty one solves two-phase.
 func (b *Background) AvailableBandwidthContext(ctx context.Context, newPath topology.Path) (*Result, error) {
-	if len(newPath) == 0 {
-		return nil, fmt.Errorf("core: empty new path")
-	}
-	universe := topology.LinkUnion(b.universe, newPath)
 	if b.memoized {
-		return b.sess.availableBandwidth(ctx, b, universe, newPath)
+		return b.sess.availableBandwidth(ctx, b, newPath)
 	}
-	sets, err := b.grow(ctx, newPath)
+	universe, sets, err := b.grow(ctx, newPath)
 	if err != nil {
 		return nil, err
 	}
 	return solveEq6(ctx, newLinkPos(universe), widen(b.demand, b.universe, universe), newPath, sets, b.sess.opts.Cache, b.start)
 }
 
-// grow returns the complete family of U_bg ∪ P: the background's
+// grow returns U_bg ∪ P and its complete family: the background's
 // family grown by the path's new links through the cache (one delta
 // walk on a miss, a full walk of P from an empty background or of
 // U_bg ∪ P once a memoized background's family is evicted).
-func (b *Background) grow(ctx context.Context, newPath topology.Path) ([]indepset.Set, error) {
+func (b *Background) grow(ctx context.Context, newPath topology.Path) ([]topology.LinkID, []indepset.Set, error) {
+	if len(newPath) == 0 {
+		return nil, nil, fmt.Errorf("core: empty new path")
+	}
 	s := b.sess
 	sets, _, err := s.opts.Cache.GrowContext(ctx, s.m, b.base, newPath, s.opts.indepOptions())
 	if err != nil {
-		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
+		return nil, nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
-	return sets, nil
+	return topology.LinkUnion(b.universe, newPath), sets, nil
 }

@@ -146,36 +146,32 @@ func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Fl
 }
 
 // availableBandwidth answers Eq. 6 for newPath against b, a memoized
-// background, through the retained LP of the (universe, path) pair,
-// where universe is U_bg ∪ P. Only a pair with no retained LP grows the
-// family (a cache lookup) and builds the LP, started from b's basis.
-// Enumeration and the (warm or cold) simplex poll ctx. A cancelled
-// resolve discards the retained simplex state, so the next query for
-// the same pair simply re-solves cold — cancellation never corrupts
-// the session's memoized state.
-func (s *Session) availableBandwidth(ctx context.Context, b *Background, universe []topology.LinkID, newPath topology.Path) (*Result, error) {
-	key := availKey(universe, newPath)
+// background, through the retained LP of the (U_bg ∪ P, path) pair,
+// building it, started from b's basis, on first use. Enumeration and
+// the (warm or cold) simplex poll ctx. A cancelled resolve discards the
+// retained simplex state, so the next query for the same pair simply
+// re-solves cold — cancellation never corrupts the session's memoized
+// state.
+func (s *Session) availableBandwidth(ctx context.Context, b *Background, newPath topology.Path) (*Result, error) {
+	// Enumeration (and its cache) run unlocked; the family is
+	// deterministic, so a race between two builders of the same state
+	// is settled by whoever inserts first.
+	universe, sets, err := b.grow(ctx, newPath)
+	if err != nil {
+		return nil, err
+	}
+	pos := newLinkPos(universe)
 	demand := widen(b.demand, b.universe, universe)
+	key := availKey(universe, newPath)
+
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := s.avail[key]
-	s.mu.Unlock()
 	if st == nil {
-		// Enumeration (and its cache) and the LP build run unlocked;
-		// the family is deterministic, so a race between two builders
-		// of the same state is settled by whoever inserts first.
-		sets, err := b.grow(ctx, newPath)
+		st, err = newAvailState(pos, newPath, sets, demand, b.start)
 		if err != nil {
 			return nil, err
 		}
-		if st, err = newAvailState(newLinkPos(universe), newPath, sets, demand, b.start); err != nil {
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev := s.avail[key]; prev != nil {
-		st = prev
-	} else {
 		s.avail[key] = st
 	}
 	return st.solve(ctx, s.opts.Cache, demand)

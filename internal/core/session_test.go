@@ -313,59 +313,6 @@ func TestSessionWithoutCacheRetainsNothing(t *testing.T) {
 	}
 }
 
-// TestSessionRetainedPairMakesNoLookup: once the session retains the
-// Eq. 6 LP of a (universe, path) pair, a repeated query makes no cache
-// lookup and answers the same bits, and a background with the same
-// links at another demand reuses the pair without a lookup too,
-// matching its cold Background within sessionTol.
-func TestSessionRetainedPairMakesNoLookup(t *testing.T) {
-	net := sessionNetwork(t, 9, 21)
-	m := conflict.NewPhysical(net)
-	rng := rand.New(rand.NewSource(5))
-	bgPath, path := randomPath(rng, net), randomPath(rng, net)
-	cache := memo.New(0)
-	sess := NewSession(m, Options{Cache: cache})
-	ctx := context.Background()
-	query := func(demand float64) (*Result, int64) {
-		t.Helper()
-		bg, err := sess.Background(ctx, []Flow{{Path: bgPath, Demand: demand}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := cache.Stats().Lookups
-		res, err := bg.AvailableBandwidthContext(ctx, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, cache.Stats().Lookups - before
-	}
-	first, n := query(0.5)
-	if n != 1 {
-		t.Fatalf("the pair's first query made %d lookups, want the one grow", n)
-	}
-	again, n := query(0.5)
-	if n != 0 {
-		t.Fatalf("a retained pair's repeat made %d lookups, want none", n)
-	}
-	assertSameResult(t, "repeat", again, first)
-
-	other, n := query(0.75)
-	if n != 0 {
-		t.Fatalf("a retained pair under another demand made %d lookups, want none", n)
-	}
-	cold, err := SolveBackgroundContext(ctx, m, []Flow{{Path: bgPath, Demand: 0.75}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cold.AvailableBandwidthContext(ctx, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Status != want.Status || (want.Status == lp.Optimal && math.Abs(other.Bandwidth-want.Bandwidth) > sessionTol) {
-		t.Fatalf("retained pair under another demand: (%v, %v), cold (%v, %v)", other.Status, other.Bandwidth, want.Status, want.Bandwidth)
-	}
-}
-
 // TestSessionStartsFromFeasibilityBasis: once the session holds a
 // background's feasibility verdict, the first Eq. 6 solve of a new
 // (universe, path) state starts from that verdict's basis, and answers

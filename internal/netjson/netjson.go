@@ -160,34 +160,39 @@ func parseMetric(name string) (routing.Metric, error) {
 	return 0, fmt.Errorf("netjson: unknown routing metric %q (want one of: hop count, e2eTD, average-e2eD)", name)
 }
 
-// queryPath solves the background once, then resolves the query to a
-// concrete link path, routing when only endpoints are given: the
-// background's node idle ratios are what routing and the estimates
-// read, and its set family grows into the path's Eq. 6 family. A
-// routed query needs a schedulable background; an explicit path gets
-// its Eq. 6 answer (infeasible) either way.
+// queryPath checks the query's own input, then solves the background
+// once and resolves the query to a concrete link path, routing when
+// only endpoints are given: the background's node idle ratios are what
+// routing and the estimates read, and its set family grows into the
+// path's Eq. 6 family. A routed query needs a schedulable background;
+// an explicit path gets its Eq. 6 answer (infeasible) either way.
 func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.Model, background []core.Flow) (topology.Path, *core.Background, error) {
-	bg, err := core.SolveBackgroundContext(ctx, m, background, s.coreOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(s.Query.Path) > 0 {
-		path, err := nodePath(net, s.Query.Path)
-		return path, bg, err
-	}
-	if s.Query.Src == nil || s.Query.Dst == nil {
-		return nil, nil, fmt.Errorf("netjson: query needs either a path or src+dst")
-	}
+	var path topology.Path
 	metric := routing.MetricAvgE2ED
-	if s.Query.Metric != "" {
+	var err error
+	switch {
+	case len(s.Query.Path) > 0:
+		if path, err = nodePath(net, s.Query.Path); err != nil {
+			return nil, nil, err
+		}
+	case s.Query.Src == nil || s.Query.Dst == nil:
+		return nil, nil, fmt.Errorf("netjson: query needs either a path or src+dst")
+	case s.Query.Metric != "":
 		if metric, err = parseMetric(s.Query.Metric); err != nil {
 			return nil, nil, err
 		}
 	}
+	bg, err := core.SolveBackgroundContext(ctx, m, background, s.coreOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	if path != nil {
+		return path, bg, nil
+	}
 	if !bg.Feasible {
 		return nil, nil, fmt.Errorf("netjson: background not schedulable")
 	}
-	path, err := routing.FindPath(net, m, metric, bg.IdleRatios(net), topology.NodeID(*s.Query.Src), topology.NodeID(*s.Query.Dst))
+	path, err = routing.FindPath(net, m, metric, bg.IdleRatios(net), topology.NodeID(*s.Query.Src), topology.NodeID(*s.Query.Dst))
 	return path, bg, err
 }
 

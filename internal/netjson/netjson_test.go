@@ -253,6 +253,40 @@ func TestCacheDirOpenErrorSurfaces(t *testing.T) {
 	}
 }
 
+// TestBadQuerySolvesNothing: a query whose own input is bad answers
+// with that input error before the background is solved, so a solve
+// that could not finish (here a cancelled context) does not hide it,
+// and the cache sees no lookup.
+func TestBadQuerySolvesNothing(t *testing.T) {
+	cases := []struct{ name, query, names string }{
+		{"short path", `{"path":[0]}`, "at least two nodes"},
+		{"broken hop", `{"path":[0,4]}`, ""},
+		{"no query", `{}`, "path or src+dst"},
+		{"bad metric", `{"src":0,"dst":4,"metric":"bogus"}`, "unknown routing metric"},
+	}
+	ctx, cancelCtx := context.WithCancel(context.Background())
+	cancelCtx()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := strings.Replace(chainSpec, `"query": {"path":[0,1,2,3,4]}`, `"cache": true, "query": `+tc.query, 1)
+			spec, err := ParseSpec(strings.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = SolveContext(ctx, spec)
+			if err == nil || errors.Is(err, cancel.ErrCanceled) || !strings.Contains(err.Error(), tc.names) {
+				t.Fatalf("cancelled solve: err = %v, want the input error naming %q", err, tc.names)
+			}
+			if _, err := SolveContext(context.Background(), spec); err == nil {
+				t.Fatal("expected the input error")
+			}
+			if n := spec.cache.Stats().Lookups; n != 0 {
+				t.Fatalf("bad query made %d cache lookups, want none", n)
+			}
+		})
+	}
+}
+
 // TestSolveContextCancellation pins the queryTimeoutMs plumbing: a
 // negative timeout is a spec error, a pre-cancelled context stops the
 // solve with ErrCanceled, and a generous timeout changes nothing about

@@ -198,16 +198,15 @@ func TestQueryTraceBlock(t *testing.T) {
 	for _, st := range stages {
 		seen[st.(map[string]interface{})["stage"].(string)] = true
 	}
-	// The earlier untraced query memoized the background and retained
-	// the pair's Eq. 6 LP, so this trace shows the hit path: a session
-	// hit and a warm resolve, with no memo lookup and no enumeration.
-	for _, want := range []string{"route", "session", "lp_warm", "schedule", "estimate"} {
+	// The earlier untraced query warmed the memo cache, so this trace
+	// shows the hit path: memo lookups but no fresh enumeration.
+	for _, want := range []string{"route", "memo", "schedule", "estimate"} {
 		if !seen[want] {
 			t.Fatalf("trace missing stage %q: %v", want, seen)
 		}
 	}
-	if seen["memo"] || seen["enumerate"] {
-		t.Fatalf("a retained pair's trace should neither look up nor enumerate a family: %v", seen)
+	if seen["enumerate"] {
+		t.Fatalf("cache-hit trace should not re-enumerate: %v", seen)
 	}
 }
 
